@@ -17,6 +17,7 @@ Comparisons are certified, never floating point:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -478,30 +479,23 @@ def _interval_strings(iv: Interval) -> list[str]:
 _SEARCH_DEN = 3600
 
 
-def _prime_vec(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    base = (1 << a) + (1 << b) - 1
+@functools.cache
+def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """f(a, b) as ((prime, exponent numerator over _SEARCH_DEN), ...)."""
+    if a * b > 25:
+        raise ValueError(f"fast path requires degrees <= 5, got f{min(a, b), max(a, b)}")
     step = _SEARCH_DEN // (a * b)
-    return tuple((p, k * step) for p, k in factorize(base))
-
-
-_prime_vec_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    return tuple((p, k * step) for p, k in factorize((1 << a) + (1 << b) - 1))
 
 
 def _accumulate(counts: Mapping[tuple[int, int], int], two_exp: int) -> dict[int, int]:
     acc: dict[int, int] = {}
     if two_exp:
         acc[2] = two_exp * _SEARCH_DEN
-    for key, m in counts.items():
+    for (a, b), m in counts.items():
         if m == 0:
             continue
-        vec = _prime_vec_cache.get(key)
-        if vec is None:
-            a, b = key
-            if a * b > 25:
-                raise ValueError(f"fast path requires degrees <= 5, got f{key}")
-            vec = _prime_vec(a, b)
-            _prime_vec_cache[key] = vec
-        for p, num in vec:
+        for p, num in f_exponents(a, b):
             acc[p] = acc.get(p, 0) + m * num
     return acc
 
@@ -536,9 +530,23 @@ def certify_sum_outcome(
     """Outcome of A >= B + C for products given as f-factor multiplicity maps
     plus powers of two; same decision procedure as certify_sum_inequality but
     without building report objects.  Returns (outcome, method, precision)."""
-    ea = _accumulate(ca, iso_a)
-    eb = _accumulate(cb, iso_b)
-    ec = _accumulate(cc, iso_c)
+    return certify_exponents(
+        _accumulate(ca, iso_a), _accumulate(cb, iso_b), _accumulate(cc, iso_c),
+        precision_start, precision_cap,
+    )
+
+
+def certify_exponents(
+    ea: dict[int, int],
+    eb: dict[int, int],
+    ec: dict[int, int],
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+) -> tuple[Outcome, str, int | None]:
+    """Outcome of A >= B + C for products given as prime -> exponent
+    numerator maps over _SEARCH_DEN (the maps are consumed): reduce by the
+    common factor, exact integers when integral, directed intervals
+    otherwise.  Returns (outcome, method, precision)."""
     for p in set(ea) | set(eb) | set(ec):
         m = min(ea.get(p, 0), eb.get(p, 0), ec.get(p, 0))
         if m:

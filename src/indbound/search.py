@@ -15,12 +15,17 @@ Three searches back the main theorem:
 The searches run on degree-class aggregates: the three products of the
 reduced inequality depend on a level-2 vertex only through its total degree
 and how many neighbors it has in each level-1 degree class, never on which
-same-degree vertices those are.  Aggregates whose per-class demands are not
-realizable as a simple bipartite graph (Gale-Ryser) are skipped, so every
-certified aggregate corresponds to at least one concrete configuration and
-every concrete configuration to exactly one aggregate.  The rare
-interesting aggregates (equal, failing, undecided) are expanded back into
-canonical labeled configurations for reporting and for stage 2.
+same-degree vertices those are.  Enumeration is skeleton first: the
+multisets of class vectors that exactly use up the per-class quotas come
+first, then each class vector's multiplicity is spread over its admissible
+level-2 degrees.  Each record type carries a precomputed A/B/C exponent
+vector, summed down the recursion, so every aggregate arrives ready to
+certify.  Every aggregate is realizable by a simple bipartite graph (each
+class vector entry is at most the class size, which makes the Gale-Ryser
+condition hold), so certified aggregates and concrete configurations cover
+each other exactly.  The rare interesting aggregates (equal, failing,
+undecided) are expanded back into canonical labeled configurations for
+reporting and for stage 2.
 
 The space is sharded by (root degree, level-1 degree multiset); shards are
 independent, so workers run in parallel and reports merge deterministically.
@@ -32,6 +37,7 @@ import enum
 import itertools
 import multiprocessing
 import os
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -42,10 +48,18 @@ from .local import (
     canonical_config,
     canonical_tuple,
     config_describe,
+    config_outcome,
     expand_appearances,
     leveled_canonical,
 )
-from .products import PRECISION_CAP, PRECISION_START, Outcome, certify_sum_outcome
+from .products import (
+    _SEARCH_DEN,
+    PRECISION_CAP,
+    PRECISION_START,
+    Outcome,
+    certify_exponents,
+    f_exponents,
+)
 from .reference import expected_appearance_keys
 
 
@@ -207,53 +221,6 @@ class AggConfig:
         return tuple(out)
 
 
-def agg_fcounts(agg: AggConfig):
-    """The same f-factor multiplicity maps config_fcounts builds, computed
-    from the aggregate."""
-    ca: dict[tuple[int, int], int] = {}
-    cb: dict[tuple[int, int], int] = {}
-    cc: dict[tuple[int, int], int] = {}
-
-    def bump(counts, a, b, m):
-        key = (a, b) if a <= b else (b, a)
-        counts[key] = counts.get(key, 0) + m
-
-    for d, s in zip(agg.class_degrees, agg.class_sizes):
-        bump(ca, agg.d0, d, s)
-    iso_c = 0
-    for (b, cvec), cnt in agg.records:
-        m = sum(cvec)
-        for d, c in zip(agg.class_degrees, cvec):
-            if c:
-                bump(ca, d, b, c * cnt)
-                bump(cb, d - 1, b, c * cnt)
-        t = b - m
-        if t:
-            bump(ca, b, agg.delta_eff, t * cnt)
-            bump(cb, b, agg.delta_eff, t * cnt)
-            bump(cc, t, agg.delta_eff, t * cnt)
-        else:
-            iso_c += cnt
-    iso_a = 1 if agg.d0 == 0 else 0
-    iso_b = 0
-    for d, s in zip(agg.class_degrees, agg.class_sizes):
-        if d == 1:
-            iso_b += s
-    return ca, iso_a, cb, iso_b, cc, iso_c
-
-
-def agg_outcome(
-    agg: AggConfig,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> tuple[Outcome, str, int | None]:
-    ca, iso_a, cb, iso_b, cc, iso_c = agg_fcounts(agg)
-    return certify_sum_outcome(
-        ca, iso_a, cb, iso_b, cc, iso_c,
-        precision_start=precision_start, precision_cap=precision_cap,
-    )
-
-
 def agg_is_extremal(agg: AggConfig) -> bool:
     """Aggregate version of the complete-bipartite-or-isolated test."""
     if agg.d0 == 0:
@@ -266,82 +233,164 @@ def agg_is_extremal(agg: AggConfig) -> bool:
     )
 
 
-def gale_ryser_ok(n: int, q: int, demands: list[int]) -> bool:
-    """Existence of a simple bipartite graph with n left vertices of degree
-    exactly q and the given right-side degree demands (each <= n)."""
-    if n == 0:
-        return not demands or all(d == 0 for d in demands)
-    if sum(demands) != n * q:
-        return False
-    if any(d > n for d in demands):
-        return False
-    for k in range(1, n + 1):
-        if k * q > sum(min(d, k) for d in demands):
-            return False
-    return True
+# A/B/C exponent vectors.  Every product the aggregate search certifies is
+# 2^k * prod f(a, b)^m with a, b <= 5, so its exponents are numerators over
+# _SEARCH_DEN for the primes of the f(a, b).  One integer holds all three
+# terms, a 32-bit lane per (term, prime); adding two vectors multiplies the
+# products term by term.  No lane overflows: a configuration has at most
+# 5 + 20 + 100 edge factors, each adding at most 2 * 3600 to a lane, and at
+# most 20 powers of two, far below 2^32.
+
+_LANE_PRIMES = tuple(sorted(
+    {2} | {p for a in range(1, 6) for b in range(a, 6) for p, _ in f_exponents(a, b)}
+))
+_NP = len(_LANE_PRIMES)
+_UNPACK = struct.Struct(f"<{3 * _NP}I").unpack
+_TWO = ((2, _SEARCH_DEN),)
+_A, _B, _C = range(3)
 
 
-def agg_realizable(agg: AggConfig) -> bool:
-    """Per degree class, the per-vertex upward quotas must be realizable
-    against the record demands (classes are independent: edges to different
-    classes never collide)."""
-    for i, (d, s) in enumerate(zip(agg.class_degrees, agg.class_sizes)):
-        demands = []
-        for (b, cvec), cnt in agg.records:
-            if cvec[i]:
-                demands.extend([cvec[i]] * cnt)
-        if not gale_ryser_ok(s, d - 1, demands):
-            return False
-    return True
+def _lanes(term: int, exponents, mult: int = 1) -> int:
+    """Vector of a product given as (prime, numerator) pairs, raised to
+    mult, in one term."""
+    return mult * sum(num << 32 * (term * _NP + _LANE_PRIMES.index(p)) for p, num in exponents)
+
+
+def _base_vector(d0: int, class_degrees, class_sizes) -> int:
+    """The root edges in A, and the degree-1 level-1 vertices in B."""
+    vec = _lanes(_A, _TWO) if d0 == 0 else 0
+    for d, s in zip(class_degrees, class_sizes):
+        vec += _lanes(_A, f_exponents(d0, d), s) + (_lanes(_B, _TWO, s) if d == 1 else 0)
+    return vec
+
+
+def _type_vector(delta_eff: int, class_degrees, b: int, cvec: tuple[int, ...]) -> int:
+    """One level-2 vertex of degree b with cvec[i] neighbors in class i: its
+    level-1 edges in A and B, and its t = b - |cvec| level-3 edges in A, B
+    and C, or a factor 2 in C when t = 0."""
+    vec = 0
+    for d, c in zip(class_degrees, cvec):
+        if c:
+            vec += _lanes(_A, f_exponents(d, b), c) + _lanes(_B, f_exponents(d - 1, b), c)
+    t = b - sum(cvec)
+    if not t:
+        return vec + _lanes(_C, _TWO)
+    up = f_exponents(b, delta_eff)
+    return vec + _lanes(_A, up, t) + _lanes(_B, up, t) + _lanes(_C, f_exponents(t, delta_eff), t)
+
+
+def agg_vector(agg: AggConfig) -> int:
+    """The A/B/C exponent vector of an aggregate."""
+    vec = _base_vector(agg.d0, agg.class_degrees, agg.class_sizes)
+    for (b, cvec), cnt in agg.records:
+        vec += cnt * _type_vector(agg.delta_eff, agg.class_degrees, b, cvec)
+    return vec
+
+
+def vector_outcome(
+    vec: int,
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+) -> tuple[Outcome, str, int | None]:
+    """Certified outcome of A >= B + C for an A/B/C exponent vector."""
+    lanes = _UNPACK(vec.to_bytes(12 * _NP, "little"))
+    ea, eb, ec = (
+        {p: x for p, x in zip(_LANE_PRIMES, lanes[k * _NP:]) if x} for k in (_A, _B, _C)
+    )
+    return certify_exponents(ea, eb, ec, precision_start, precision_cap)
+
+
+def agg_outcome(
+    agg: AggConfig,
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+) -> tuple[Outcome, str, int | None]:
+    return vector_outcome(agg_vector(agg), precision_start, precision_cap)
 
 
 def _agg_enum_for_degrees(
     delta_eff: int, rule: RootRule, d0: int, degrees: tuple[int, ...]
-) -> Iterator[tuple[bool, AggConfig]]:
-    """All aggregate configurations for one level-1 degree multiset; yields
-    (realizable, aggregate).  Deterministic order, no duplicates (distinct
-    degrees fix the class order, so aggregates have no leftover symmetry)."""
-    if d0 == 0:
-        yield True, AggConfig(delta_eff, 0, (), (), ())
-        return
-    lo, hi = _degree_bounds(rule, d0, delta_eff)
+) -> Iterator[tuple[AggConfig, int]]:
+    """All aggregate configurations for one level-1 degree multiset, each
+    with its A/B/C exponent vector.  Deterministic order, no duplicates
+    (distinct degrees fix the class order, so aggregates have no leftover
+    symmetry), records sorted as aggregate_of_config sorts them.
+
+    Skeleton first: the multiset of class vectors is a vector partition of
+    the per-class quotas s * (d - 1), over the class vectors with an
+    admissible level-2 degree.  Each chosen class vector's multiplicity is
+    then spread over its admissible level-2 degrees, and the type vectors
+    are summed down the recursion.  Partial partitions that cannot be
+    completed are never entered.
+
+    Every aggregate is realizable by a simple bipartite graph, so none is
+    skipped.  Classes are independent: a level-2 vertex's neighbors in
+    different classes are different vertices.  Within a class of s vertices,
+    each needing q = d - 1 upward edges, the level-2 demands b_j = cvec[i]
+    satisfy b_j <= s and sum b_j = s * q.  For k <= s, min(b_j, k) >=
+    b_j * k / s, so sum_j min(b_j, k) >= k * q: the Gale-Ryser condition."""
     class_degrees = tuple(sorted(set(degrees), reverse=True))
     class_sizes = tuple(degrees.count(d) for d in class_degrees)
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
-    types: list[tuple[tuple[int, ...], int]] = []
-    for cvec in itertools.product(*(range(s + 1) for s in class_sizes)):
-        m = sum(cvec)
-        if m == 0:
-            continue
-        for b in range(max(m, lo), hi + 1):
-            types.append((cvec, b))
-    ncls = len(class_degrees)
+    base = _base_vector(d0, class_degrees, class_sizes)
+    if not any(quotas):
+        yield AggConfig(delta_eff, d0, class_degrees, class_sizes, ()), base
+        return
+    lo, hi = _degree_bounds(rule, d0, delta_eff)
+    cvecs = [
+        cvec
+        for cvec in itertools.product(*(range(s + 1 if q else 1)
+                                        for s, q in zip(class_sizes, quotas)))
+        if sum(cvec) and max(sum(cvec), lo) <= hi
+    ]
 
-    def rec(i: int, rem: tuple[int, ...], acc: list):
-        if all(r == 0 for r in rem):
-            agg = AggConfig(delta_eff, d0, class_degrees, class_sizes, tuple(acc))
-            yield agg_realizable(agg), agg
-            return
-        if i == len(types):
-            return
-        # prune: remaining types must be able to cover what remains
-        remaining_cover = [False] * ncls
-        for cvec, _ in types[i:]:
-            for j in range(ncls):
-                if cvec[j]:
-                    remaining_cover[j] = True
-        if any(rem[j] and not remaining_cover[j] for j in range(ncls)):
-            return
-        cvec, b = types[i]
-        maxc = min((rem[j] // cvec[j] for j in range(ncls) if cvec[j]), default=0)
-        yield from rec(i + 1, rem, acc)
-        for c in range(1, maxc + 1):
-            nrem = tuple(rem[j] - c * cvec[j] for j in range(ncls))
-            acc.append(((b, cvec), c))
-            yield from rec(i + 1, nrem, acc)
-            acc.pop()
+    spreads: dict[tuple[tuple[int, ...], int], list] = {}
 
-    yield from rec(0, quotas, [])
+    def spread(cvec: tuple[int, ...], c: int) -> list:
+        """(records, vector) for every way to give c copies of cvec
+        admissible level-2 degrees."""
+        if (cvec, c) not in spreads:
+            vecs = {b: _type_vector(delta_eff, class_degrees, b, cvec)
+                    for b in range(max(sum(cvec), lo), hi + 1)}
+            spreads[cvec, c] = out = []
+            for bs in itertools.combinations_with_replacement(vecs, c):
+                recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
+                out.append((recs, sum(vecs[b] * cnt for (b, _), cnt in recs)))
+        return spreads[cvec, c]
+
+    moves_of: dict[tuple[int, tuple[int, ...]], list] = {}
+
+    def moves(start: int, rem: tuple[int, ...]) -> list:
+        """(next start, remainder, done, spreads) for every c copies of a
+        class vector j >= start that leave a remainder coverable from j + 1
+        on."""
+        key = (start, rem)
+        if key not in moves_of:
+            out = []
+            for j in range(start, len(cvecs)):
+                cvec = cvecs[j]
+                for c in range(1, min(r // x for r, x in zip(rem, cvec) if x) + 1):
+                    nrem = tuple(r - c * x for r, x in zip(rem, cvec))
+                    done = not any(nrem)
+                    if done or moves(j + 1, nrem):
+                        out.append((j + 1, nrem, done, spread(cvec, c)))
+            moves_of[key] = out
+        return moves_of[key]
+
+    records: list = []
+
+    def rec(start: int, rem: tuple[int, ...], vec: int):
+        for nstart, nrem, done, options in moves(start, rem):
+            for recs, v in options:
+                records.extend(recs)
+                if done:
+                    yield (AggConfig(delta_eff, d0, class_degrees, class_sizes,
+                                     tuple(sorted(records))), vec + v)
+                else:
+                    yield from rec(nstart, nrem, vec + v)
+                del records[-len(recs):]
+
+    yield from rec(0, quotas, base)
 
 
 def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
@@ -411,68 +460,57 @@ def labeled_configs_for_aggregate(agg: AggConfig) -> list[LocalConfig]:
 # shard execution
 
 
+_TALLY_NAME = {
+    Outcome.STRICTLY_GREATER: "strict",
+    Outcome.EQUAL: "equal",
+    Outcome.STRICTLY_LESS: "failing",
+    Outcome.UNDECIDED: "undecided",
+}
+
+
 @dataclass
 class ShardResult:
     raw: int = 0
     kept: int = 0
-    unrealizable: int = 0
-    strict: int = 0
-    equal: int = 0
-    failing: int = 0
-    undecided: int = 0
-    equal_configs: list[LocalConfig] = field(default_factory=list)
-    failing_configs: list[LocalConfig] = field(default_factory=list)
-    undecided_configs: list[LocalConfig] = field(default_factory=list)
+    tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_TALLY_NAME.values(), 0))
+    # the labeled configurations behind every outcome but strict
+    configs: dict[str, list[LocalConfig]] = field(
+        default_factory=lambda: {"equal": [], "failing": [], "undecided": []}
+    )
     inconsistencies: list[LocalConfig] = field(default_factory=list)
     precision_stats: dict[str, int] = field(default_factory=dict)
+
+    def add(self, outcome: Outcome, method: str, precision: int | None, members) -> None:
+        """Tally one certified outcome; members() lists its labeled
+        configurations and is called only when the outcome is not strict."""
+        key = method if precision is None else f"{method}_{precision}"
+        self.precision_stats[key] = self.precision_stats.get(key, 0) + 1
+        name = _TALLY_NAME[outcome]
+        self.tally[name] += 1
+        if name in self.configs:
+            self.configs[name].extend(members())
 
     def absorb(self, other: "ShardResult") -> None:
         self.raw += other.raw
         self.kept += other.kept
-        self.unrealizable += other.unrealizable
-        self.strict += other.strict
-        self.equal += other.equal
-        self.failing += other.failing
-        self.undecided += other.undecided
-        self.equal_configs.extend(other.equal_configs)
-        self.failing_configs.extend(other.failing_configs)
-        self.undecided_configs.extend(other.undecided_configs)
+        for k, v in other.tally.items():
+            self.tally[k] += v
+        for k, v in other.configs.items():
+            self.configs[k].extend(v)
         self.inconsistencies.extend(other.inconsistencies)
         for k, v in other.precision_stats.items():
             self.precision_stats[k] = self.precision_stats.get(k, 0) + v
 
 
-def _method_key(method: str, precision: int | None) -> str:
-    return method if precision is None else f"{method}_{precision}"
-
-
 def _agg_search_shard(args) -> ShardResult:
     delta_eff, rule_value, d0, degrees, precision_start, precision_cap = args
-    rule = RootRule(rule_value)
     result = ShardResult()
-    for realizable, agg in _agg_enum_for_degrees(delta_eff, rule, d0, degrees):
-        result.raw += 1
-        if not realizable:
-            result.unrealizable += 1
-            continue
-        result.kept += 1
-        outcome, method, precision = agg_outcome(agg, precision_start, precision_cap)
-        key = _method_key(method, precision)
-        result.precision_stats[key] = result.precision_stats.get(key, 0) + 1
-        structural = agg_is_extremal(agg)
-        if outcome is Outcome.STRICTLY_GREATER:
-            result.strict += 1
-        elif outcome is Outcome.EQUAL:
-            result.equal += 1
-            result.equal_configs.extend(labeled_configs_for_aggregate(agg))
-        elif outcome is Outcome.STRICTLY_LESS:
-            result.failing += 1
-            result.failing_configs.extend(labeled_configs_for_aggregate(agg))
-        else:
-            result.undecided += 1
-            result.undecided_configs.extend(labeled_configs_for_aggregate(agg))
-        if (outcome is Outcome.EQUAL) != structural:
+    for agg, vec in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0, degrees):
+        outcome, method, precision = vector_outcome(vec, precision_start, precision_cap)
+        result.add(outcome, method, precision, lambda: labeled_configs_for_aggregate(agg))
+        if (outcome is Outcome.EQUAL) != agg_is_extremal(agg):
             result.inconsistencies.extend(labeled_configs_for_aggregate(agg))
+    result.raw = result.kept = sum(result.tally.values())
     return result
 
 
@@ -550,6 +588,26 @@ def _sorted_unique(configs: list[LocalConfig]) -> tuple[LocalConfig, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
+def _report(statement: str, delta: int, root_rule: str, merged: ShardResult, t0: float,
+            passed: bool, exceptional: tuple[LocalConfig, ...], extra: dict) -> SearchReport:
+    return SearchReport(
+        statement=statement,
+        delta=delta,
+        root_rule=root_rule,
+        configs_enumerated=merged.raw,
+        configs_after_dedup=merged.kept,
+        tally=merged.tally,
+        equality_patterns=_sorted_unique(merged.configs["equal"]),
+        exceptional_patterns=exceptional,
+        undecided_patterns=_sorted_unique(merged.configs["undecided"]),
+        equality_inconsistencies=_sorted_unique(merged.inconsistencies),
+        precision_stats=merged.precision_stats,
+        wall_time_s=time.monotonic() - t0,
+        passed=passed,
+        extra=extra,
+    )
+
+
 def _make_shards(delta_eff_of, rule: RootRule, d0_range, precision_start, precision_cap):
     shards = []
     for d0 in d0_range:
@@ -577,35 +635,13 @@ def verify_statement2(
                           precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
     passed = (
-        merged.failing == 0
-        and merged.undecided == 0
+        merged.tally["failing"] == 0
+        and merged.tally["undecided"] == 0
         and not merged.inconsistencies
     )
-    return SearchReport(
-        statement="statement2",
-        delta=delta,
-        root_rule=RootRule.MAX_DEGREE.value,
-        configs_enumerated=merged.raw,
-        configs_after_dedup=merged.kept,
-        tally={
-            "strict": merged.strict,
-            "equal": merged.equal,
-            "failing": merged.failing,
-            "undecided": merged.undecided,
-        },
-        equality_patterns=_sorted_unique(merged.equal_configs),
-        exceptional_patterns=_sorted_unique(merged.failing_configs),
-        undecided_patterns=_sorted_unique(merged.undecided_configs),
-        equality_inconsistencies=_sorted_unique(merged.inconsistencies),
-        precision_stats=merged.precision_stats,
-        wall_time_s=time.monotonic() - t0,
-        passed=passed,
-        extra={
-            "jobs": jobs,
-            "aggregation": "level-1 degree classes",
-            "unrealizable_skipped": merged.unrealizable,
-        },
-    )
+    return _report("statement2", delta, RootRule.MAX_DEGREE.value, merged, t0, passed,
+                   _sorted_unique(merged.configs["failing"]),
+                   {"jobs": jobs, "aggregation": "level-1 degree classes"})
 
 
 def verify_statement1_stage1(
@@ -628,7 +664,7 @@ def verify_statement1_stage1(
     shards = _make_shards(lambda d0: 5, RootRule.MIN_DEGREE, range(0, 5),
                           precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
-    exceptional = _sorted_unique(merged.failing_configs)
+    exceptional = _sorted_unique(merged.configs["failing"])
     appearances = []
     for cfg in exceptional:
         appearances.extend(expand_appearances(cfg))
@@ -636,37 +672,17 @@ def verify_statement1_stage1(
     expected = expected_appearance_keys()
     matches_expected = appearance_keys == expected and len(appearances) == len(expected)
     passed = (
-        merged.undecided == 0
+        merged.tally["undecided"] == 0
         and not merged.inconsistencies
         and matches_expected
     )
-    return SearchReport(
-        statement="statement1_stage1",
-        delta=5,
-        root_rule=RootRule.MIN_DEGREE.value,
-        configs_enumerated=merged.raw,
-        configs_after_dedup=merged.kept,
-        tally={
-            "strict": merged.strict,
-            "equal": merged.equal,
-            "failing": merged.failing,
-            "undecided": merged.undecided,
-        },
-        equality_patterns=_sorted_unique(merged.equal_configs),
-        exceptional_patterns=exceptional,
-        undecided_patterns=_sorted_unique(merged.undecided_configs),
-        equality_inconsistencies=_sorted_unique(merged.inconsistencies),
-        precision_stats=merged.precision_stats,
-        wall_time_s=time.monotonic() - t0,
-        passed=passed,
-        extra={
-            "jobs": jobs,
-            "aggregation": "level-1 degree classes",
-            "unrealizable_skipped": merged.unrealizable,
-            "appearances": len(appearances),
-            "appearances_match_expected": matches_expected,
-        },
-    )
+    return _report("statement1_stage1", 5, RootRule.MIN_DEGREE.value, merged, t0, passed,
+                   exceptional, {
+                       "jobs": jobs,
+                       "aggregation": "level-1 degree classes",
+                       "appearances": len(appearances),
+                       "appearances_match_expected": matches_expected,
+                   })
 
 
 # --------------------------------------------------------------------------
@@ -724,29 +740,9 @@ def _stage2_shard(args) -> ShardResult:
             continue
         seen.add(key)
         result.kept += 1
-        outcome, method, precision = certify_sum_outcome(
-            *_cfg_counts(cfg), precision_start=precision_start, precision_cap=precision_cap
-        )
-        key2 = _method_key(method, precision)
-        result.precision_stats[key2] = result.precision_stats.get(key2, 0) + 1
-        if outcome is Outcome.STRICTLY_GREATER:
-            result.strict += 1
-        elif outcome is Outcome.EQUAL:
-            result.equal += 1
-            result.equal_configs.append(cfg)
-        elif outcome is Outcome.STRICTLY_LESS:
-            result.failing += 1
-            result.failing_configs.append(cfg)
-        else:
-            result.undecided += 1
-            result.undecided_configs.append(cfg)
+        outcome, method, precision = config_outcome(cfg, precision_start, precision_cap)
+        result.add(outcome, method, precision, lambda: [cfg])
     return result
-
-
-def _cfg_counts(cfg: LocalConfig):
-    from .local import config_fcounts
-
-    return config_fcounts(cfg)
 
 
 def verify_statement1_stage2(
@@ -768,31 +764,12 @@ def verify_statement1_stage2(
     merged = _run_shards(shards, _stage2_shard, jobs)
     passed = (
         bool(shards)
-        and merged.failing == 0
-        and merged.equal == 0
-        and merged.undecided == 0
+        and merged.tally["failing"] == 0
+        and merged.tally["equal"] == 0
+        and merged.tally["undecided"] == 0
         and merged.kept > 0
     )
     # equality counts as failure for stage 2, so surface Equal configs too
-    problems = _sorted_unique(merged.failing_configs + merged.equal_configs)
-    return SearchReport(
-        statement="statement1_stage2",
-        delta=5,
-        root_rule="pattern_neighbor_root",
-        configs_enumerated=merged.raw,
-        configs_after_dedup=merged.kept,
-        tally={
-            "strict": merged.strict,
-            "equal": merged.equal,
-            "failing": merged.failing,
-            "undecided": merged.undecided,
-        },
-        equality_patterns=_sorted_unique(merged.equal_configs),
-        exceptional_patterns=problems,
-        undecided_patterns=_sorted_unique(merged.undecided_configs),
-        equality_inconsistencies=(),
-        precision_stats=merged.precision_stats,
-        wall_time_s=time.monotonic() - t0,
-        passed=passed,
-        extra={"jobs": jobs, "patterns": len(exceptions), "rootings": len(shards)},
-    )
+    problems = _sorted_unique(merged.configs["failing"] + merged.configs["equal"])
+    return _report("statement1_stage2", 5, "pattern_neighbor_root", merged, t0, passed,
+                   problems, {"jobs": jobs, "patterns": len(exceptions), "rootings": len(shards)})

@@ -9,6 +9,7 @@ if _src.is_dir() and str(_src) not in sys.path:
 import pytest
 
 from indbound.graphs import Graph, from_edges
+from indbound.search import default_jobs, verify_statement1_stage1
 
 
 @pytest.fixture
@@ -16,6 +17,13 @@ def fig1() -> Graph:
     """Path 0-1-2-3 with three extra leaves on vertex 3: the seven-vertex
     example whose endpoint 0 is not good."""
     return from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)])
+
+
+@pytest.fixture(scope="session")
+def stage1_report():
+    """The full stage-1 search, run once and shared by every test that
+    checks it."""
+    return verify_statement1_stage1(5, jobs=default_jobs())
 
 
 def cycle(n: int) -> Graph:

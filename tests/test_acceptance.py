@@ -18,7 +18,6 @@ from indbound.reference import EXPECTED_EDGE_LISTS, expected_appearance_keys
 from indbound.regular import verify_regular
 from indbound.search import (
     default_jobs,
-    verify_statement1_stage1,
     verify_statement1_stage2,
     verify_statement2,
 )
@@ -36,11 +35,6 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}"
           + (f" ({detail})" if detail else ""))
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def stage1_report():
-    return verify_statement1_stage1(5, jobs=default_jobs())
 
 
 def test_criterion_1_factor_fact():

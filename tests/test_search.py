@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,14 +16,13 @@ from indbound.search import (
     _agg_enum_for_degrees,
     agg_is_extremal,
     agg_outcome,
-    agg_realizable,
+    agg_vector,
     aggregate_of_config,
     degree_tuples,
     enumerate_configs,
-    gale_ryser_ok,
     labeled_configs_for_aggregate,
     stage2_completions,
-    verify_statement1_stage1,
+    vector_outcome,
     verify_statement1_stage2,
     verify_statement2,
 )
@@ -31,11 +31,10 @@ from test_local import FAILING_PATTERNS
 
 
 def _all_aggregates(delta_eff, rule, d0):
+    """(aggregate, A/B/C exponent vector) pairs, as the search certifies them."""
     out = []
     for degrees in degree_tuples(rule, d0, delta_eff):
-        for realizable, agg in _agg_enum_for_degrees(delta_eff, rule, d0, degrees):
-            if realizable:
-                out.append(agg)
+        out.extend(_agg_enum_for_degrees(delta_eff, rule, d0, degrees))
     return out
 
 
@@ -73,17 +72,11 @@ def test_enumeration_respects_root_rule():
         assert all(b >= 3 for b, _ in cfg.l2)
 
 
-def test_gale_ryser():
-    assert gale_ryser_ok(2, 1, [2])
-    assert gale_ryser_ok(1, 2, [1, 1])
-    assert not gale_ryser_ok(1, 2, [2])
-    assert not gale_ryser_ok(2, 2, [1, 1, 1])  # sums differ
-    assert gale_ryser_ok(0, 0, [])
-
-
 def test_aggregate_model_matches_labeled_model():
-    # union of labeled expansions of realizable aggregates equals the labeled
-    # enumeration, and verdicts agree on every member
+    # union of labeled expansions of the aggregates equals the labeled
+    # enumeration (every aggregate is realizable: each has members), and the
+    # outcome certified from the aggregate's summed exponent vector agrees
+    # with the labeled model on every member
     for delta_eff, rule, d0 in [
         (2, RootRule.MAX_DEGREE, 2),
         (3, RootRule.MAX_DEGREE, 3),
@@ -94,8 +87,10 @@ def test_aggregate_model_matches_labeled_model():
             canonical_tuple(c) for c in enumerate_configs(delta_eff, rule, d0)
         }
         expanded = {}
-        for agg in _all_aggregates(delta_eff, rule, d0):
-            outcome = agg_outcome(agg)[0]
+        for agg, vec in _all_aggregates(delta_eff, rule, d0):
+            assert vec == agg_vector(agg)
+            outcome = vector_outcome(vec)[0]
+            assert agg_outcome(agg)[0] == outcome
             members = labeled_configs_for_aggregate(agg)
             assert members, agg
             for cfg in members:
@@ -105,14 +100,10 @@ def test_aggregate_model_matches_labeled_model():
         assert set(expanded) == labeled_keys
 
 
-def test_aggregate_of_extracted_config_is_enumerated():
-    # completeness: the aggregate of any concrete rooted graph appears, as a
-    # realizable aggregate, in the enumeration shard for its degree multiset
-    rng = random.Random(61)
+def _extracted_aggregates_are_enumerated(rng, trials, max_side):
     shards: dict = {}
-    checked = 0
-    for _ in range(200):
-        g = random_bipartite_max_degree(rng, rng.randint(1, 4), rng.randint(1, 4),
+    for _ in range(trials):
+        g = random_bipartite_max_degree(rng, rng.randint(1, max_side), rng.randint(1, max_side),
                                         rng.uniform(0.3, 0.9), 5)
         degs = g.degrees()
         x = min(range(g.n), key=lambda v: (degs[v], v))
@@ -121,14 +112,68 @@ def test_aggregate_of_extracted_config_is_enumerated():
         key = (cfg.d0, tuple(sorted(cfg.l1_degrees, reverse=True)))
         if key not in shards:
             shards[key] = {
-                a
-                for ok, a in _agg_enum_for_degrees(5, RootRule.MIN_DEGREE, key[0], key[1])
-                if ok
+                a for a, _ in _agg_enum_for_degrees(5, RootRule.MIN_DEGREE, key[0], key[1])
             }
         assert agg in shards[key]
-        assert agg_realizable(agg)
-        checked += 1
-    assert checked == 200
+
+
+def test_aggregate_of_extracted_config_is_enumerated():
+    # completeness: the aggregate of any concrete rooted graph appears, equal
+    # as a value (records sorted), in the enumeration shard for its degree
+    # multiset; the larger graphs reach aggregates with several record types
+    _extracted_aggregates_are_enumerated(random.Random(61), 200, 4)
+    _extracted_aggregates_are_enumerated(random.Random(7), 300, 8)
+
+
+def _knapsack_count(lo_hi, d0, degrees):
+    """Aggregates of one shard, counted by a vector knapsack over the
+    per-class quota states: every (class vector, level-2 degree) type may be
+    used any number of times.  Shares no code with the enumerator."""
+    if d0 == 0:
+        return 1
+    lo, hi = lo_hi
+    classes = sorted(set(degrees), reverse=True)
+    sizes = [degrees.count(d) for d in classes]
+    quotas = tuple(s * (d - 1) for d, s in zip(classes, sizes))
+    states = list(itertools.product(*(range(q + 1) for q in quotas)))
+    ways = dict.fromkeys(states, 0)
+    ways[states[0]] = 1
+    for cvec in itertools.product(*(range(s + 1) for s in sizes)):
+        if not any(cvec):
+            continue
+        for _b in range(max(sum(cvec), lo), hi + 1):
+            for s in states:  # lexicographic order: s - cvec comes earlier
+                prev = tuple(x - c for x, c in zip(s, cvec))
+                if min(prev) >= 0:
+                    ways[s] += ways[prev]
+    return ways[quotas]
+
+
+def _shards(statement):
+    """(delta_eff, rule, d0, degrees, (lo, hi)) of every shard of a search."""
+    for d0 in range(5):
+        if statement == 2:  # max-degree root: degrees in 1..d0
+            de, rule, lo, hi = d0, RootRule.MAX_DEGREE, 1, d0
+        else:  # min-degree root at degree bound 5: degrees in d0..5
+            de, rule, lo, hi = 5, RootRule.MIN_DEGREE, max(1, d0), 5
+        for degrees in itertools.combinations_with_replacement(range(hi, lo - 1, -1), d0):
+            yield de, rule, d0, degrees, (lo, hi)
+
+
+def test_aggregate_counts_match_knapsack():
+    # the full-scale aggregate counts, from a count independent of the
+    # enumerator; the enumerator yields exactly that many distinct aggregates
+    totals = {1: 0, 2: 0}
+    for statement in totals:
+        for de, rule, d0, degrees, lo_hi in _shards(statement):
+            expected = _knapsack_count(lo_hi, d0, degrees)
+            totals[statement] += expected
+            if statement == 2 and d0 > 3:
+                continue
+            records = [agg.records for agg, _ in _agg_enum_for_degrees(de, rule, d0, degrees)]
+            assert len(records) == len(set(records)) == expected, (d0, degrees)
+            assert all(r == tuple(sorted(r)) for r in records)
+    assert totals == {1: 103_236, 2: 238_251}
 
 
 def test_statement2_small_deltas():
@@ -256,8 +301,8 @@ def test_stage2_completions_cover_random_realizations():
 
 
 @pytest.mark.slow
-def test_stage1_full_search():
-    report = verify_statement1_stage1(5, jobs=2)
+def test_stage1_full_search(stage1_report):
+    report = stage1_report
     assert report.passed
     assert report.tally["failing"] == 9 and report.tally["undecided"] == 0
     assert report.extra["appearances"] == 14
