@@ -23,13 +23,13 @@ import time
 from pathlib import Path
 
 from .counting import CountBudgetExceeded, count_independent_sets
-from .goodness import NoGoodVertexError, check_kahn_bound, is_good
+from .goodness import NoGoodVertexError, check_kahn_bound, good_vertex_probes, is_good
 from .graphs import (
     Bipartition,
-    Graph,
     GraphParseError,
     bipartition,
     parse_edge_list,
+    tensor_k2,
 )
 from .local import expand_appearances
 from .products import DegreeBoundError, Outcome, check_f_fact
@@ -178,28 +178,6 @@ def _cmd_verify_all(args) -> int:
     return EXIT_UNDECIDED if doc.undecided_count() > 0 else EXIT_FAIL
 
 
-def _good_vertex_probes(g: Graph, args) -> tuple[list[dict], bool]:
-    """Max-degree probe, then min-degree vertex and its neighbors; stops at
-    the first certified good vertex."""
-    degs = g.degrees()
-    vmax = max(range(g.n), key=lambda v: (degs[v], -v))
-    vmin = min(range(g.n), key=lambda v: (degs[v], v))
-    probes = []
-    found = False
-    seen = set()
-    for label, x in (("max_degree", vmax), ("min_degree", vmin),
-                     *((f"neighbor_of_{vmin}", w) for w in g.adjacency[vmin])):
-        if x in seen:
-            continue
-        seen.add(x)
-        verdict = is_good(g, x, args.precision_bits, args.precision_cap)
-        probes.append({"vertex": x, "role": label, "outcome": verdict.outcome.value})
-        if verdict.outcome.is_good():
-            found = True
-            break
-    return probes, found
-
-
 def _cmd_check(args) -> int:
     try:
         text = Path(args.input).read_text()
@@ -233,16 +211,21 @@ def _cmd_check(args) -> int:
           f"{report.structural_extremal}")
     bip = bipartition(g)
     if isinstance(bip, Bipartition):
-        probes, found = _good_vertex_probes(g, args) if g.n else ([], False)
+        probes = []
+        found = False
+        for x, role in good_vertex_probes(g):
+            verdict = is_good(g, x, args.precision_bits, args.precision_cap)
+            probes.append({"vertex": x, "role": role, "outcome": verdict.outcome.value})
+            if verdict.outcome.is_good():
+                found = True
+                break
         out["good_vertex_probes"] = probes
         for pr in probes:
             print(f"good-vertex probe {pr['role']} (vertex {pr['vertex']}): {pr['outcome']}")
         if g.n and not found:
             print("no good vertex among probes (unexpected for degree <= 5)")
     else:
-        sq = count_independent_sets(g) ** 2
-        from .graphs import tensor_k2
-
+        sq = report.count ** 2
         dc = count_independent_sets(tensor_k2(g))
         out["double_cover"] = {"ind_squared": str(sq), "ind_double_cover": str(dc)}
         print("graph is not bipartite; goodness is checked on the bipartite double")

@@ -250,25 +250,32 @@ class NoGoodVertexError(RuntimeError):
         self.trace = trace
 
 
+def good_vertex_probes(g: Graph) -> list[tuple[int, str]]:
+    """The vertices to probe for goodness, in order and without repeats,
+    each with its role: a maximum-degree vertex, then a minimum-degree
+    vertex, then that vertex's neighbors."""
+    if g.n == 0:
+        return []
+    degs = g.degrees()
+    vmax = max(range(g.n), key=lambda v: (degs[v], -v))
+    vmin = min(range(g.n), key=lambda v: (degs[v], v))
+    probes = {vmax: "max_degree"}
+    probes.setdefault(vmin, "min_degree")
+    for w in g.adjacency[vmin]:
+        probes.setdefault(w, f"neighbor_of_{vmin}")
+    return list(probes.items())
+
+
 def find_good_vertex(
     g: Graph,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> tuple[int, Verdict]:
-    """First certified good vertex, probing a maximum-degree vertex, then a
-    minimum-degree vertex, then that vertex's neighbors."""
+    """First certified good vertex among good_vertex_probes(g)."""
     if g.n == 0:
         raise ValueError("find_good_vertex needs at least one vertex")
-    degs = g.degrees()
-    vmax = max(range(g.n), key=lambda v: (degs[v], -v))
-    vmin = min(range(g.n), key=lambda v: (degs[v], v))
-    candidates = [vmax, vmin, *g.adjacency[vmin]]
-    seen: set[int] = set()
     trace: list[tuple[int, Verdict]] = []
-    for x in candidates:
-        if x in seen:
-            continue
-        seen.add(x)
+    for x, _ in good_vertex_probes(g):
         verdict = is_good(g, x, precision_start, precision_cap)
         if verdict.outcome.is_good():
             return x, verdict

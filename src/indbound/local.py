@@ -12,21 +12,63 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .graphs import Graph, from_edges
 from .goodness import level_decomposition
-from .products import (
-    PRECISION_CAP,
-    PRECISION_START,
-    FactorProduct,
-    Outcome,
-    Verdict,
-    certify_sum_inequality,
-    certify_sum_outcome,
-)
 
 # level-2 record: (total degree b, sorted tuple of level-1 indices)
 Record = tuple[int, tuple[int, ...]]
+
+
+def _record_multisets(
+    quotas: Sequence[int], b_lo: int, b_hi: int
+) -> Iterator[tuple[Record, ...]]:
+    """All multisets of records (b, nonempty subset of positions) whose
+    per-position attachment counts equal `quotas`, with
+    b in [max(|subset|, b_lo), b_hi].  Deterministic order."""
+    n = len(quotas)
+    if not any(quotas):
+        yield ()
+        return
+    types: list[tuple[int, tuple[int, ...], int]] = []  # (mask, bits, b)
+    for mask in range(1, 1 << n):
+        bits = tuple(i for i in range(n) if mask >> i & 1)
+        lo = max(len(bits), b_lo)
+        for b in range(lo, b_hi + 1):
+            types.append((mask, bits, b))
+    cover = [0] * (len(types) + 1)
+    for i in range(len(types) - 1, -1, -1):
+        cover[i] = cover[i + 1] | types[i][0]
+    rem = list(quotas)
+    records: list[Record] = []
+
+    def rec(i: int, rem_mask: int):
+        if rem_mask == 0:
+            yield tuple(records)
+            return
+        if i == len(types) or rem_mask & ~cover[i]:
+            return
+        mask, bits, b = types[i]
+        maxc = min(rem[u] for u in bits) if mask & rem_mask == mask else 0
+        yield from rec(i + 1, rem_mask)
+        for c in range(1, maxc + 1):
+            new_mask = rem_mask
+            for u in bits:
+                rem[u] -= c
+                if rem[u] == 0:
+                    new_mask &= ~(1 << u)
+            records.extend([(b, bits)] * c)
+            yield from rec(i + 1, new_mask)
+            del records[-c:]
+            for u in bits:
+                rem[u] += c
+
+    rem_mask = 0
+    for i, q in enumerate(rem):
+        if q:
+            rem_mask |= 1 << i
+    yield from rec(0, rem_mask)
 
 
 @dataclass(frozen=True)
@@ -77,22 +119,6 @@ class LocalConfig:
             )
 
 
-def pad_level3(cfg: LocalConfig, delta_eff: int | None = None) -> LocalConfig:
-    """Mark every level-3 endpoint as having degree delta_eff.
-
-    The stored fields already carry the padding through cfg.delta_eff, so
-    with no argument this is the identity; passing a larger bound re-pads.
-    """
-    if delta_eff is None or delta_eff == cfg.delta_eff:
-        return cfg
-    needed = max(
-        [cfg.d0, *cfg.l1_degrees, *(b for b, _ in cfg.l2)], default=0
-    )
-    if delta_eff < needed:
-        raise ValueError(f"cannot pad level 3 to {delta_eff} below existing degree {needed}")
-    return LocalConfig(delta_eff, cfg.d0, cfg.l1_degrees, cfg.l2)
-
-
 def config_is_extremal(cfg: LocalConfig) -> bool:
     """True iff the configuration forces the component of the root to be a
     single vertex or a complete bipartite graph (no level-3 edges, every
@@ -103,66 +129,6 @@ def config_is_extremal(cfg: LocalConfig) -> bool:
     if any(d != 1 + k for d in cfg.l1_degrees):
         return False
     return all(b == len(nbrs) == cfg.d0 for b, nbrs in cfg.l2)
-
-
-def config_fcounts(cfg: LocalConfig):
-    """The f-factor multiplicity maps and powers of two of A, B, C."""
-    ca: dict[tuple[int, int], int] = {}
-    cb: dict[tuple[int, int], int] = {}
-    cc: dict[tuple[int, int], int] = {}
-
-    def bump(counts, a, b, m=1):
-        key = (a, b) if a <= b else (b, a)
-        counts[key] = counts.get(key, 0) + m
-
-    for d in cfg.l1_degrees:
-        bump(ca, cfg.d0, d)
-    iso_c = 0
-    for b, nbrs in cfg.l2:
-        for u in nbrs:
-            bump(ca, cfg.l1_degrees[u], b)
-            bump(cb, cfg.l1_degrees[u] - 1, b)
-        t = b - len(nbrs)
-        if t:
-            bump(ca, b, cfg.delta_eff, t)
-            bump(cb, b, cfg.delta_eff, t)
-            bump(cc, t, cfg.delta_eff, t)
-        else:
-            iso_c += 1
-    iso_a = 1 if cfg.d0 == 0 else 0
-    iso_b = sum(1 for d in cfg.l1_degrees if d == 1)
-    return ca, iso_a, cb, iso_b, cc, iso_c
-
-
-def config_goodness(
-    cfg: LocalConfig,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> Verdict:
-    """Certified reduced inequality for any graph realizing the padded
-    configuration (full Verdict, for reporting)."""
-    ca, iso_a, cb, iso_b, cc, iso_c = config_fcounts(cfg)
-    return certify_sum_inequality(
-        FactorProduct.from_f_counts(ca, iso_a),
-        FactorProduct.from_f_counts(cb, iso_b),
-        FactorProduct.from_f_counts(cc, iso_c),
-        equality_expected=config_is_extremal(cfg),
-        precision_start=precision_start,
-        precision_cap=precision_cap,
-    )
-
-
-def config_outcome(
-    cfg: LocalConfig,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> tuple[Outcome, str, int | None]:
-    """Hot-loop variant of config_goodness: outcome only, no report objects."""
-    ca, iso_a, cb, iso_b, cc, iso_c = config_fcounts(cfg)
-    return certify_sum_outcome(
-        ca, iso_a, cb, iso_b, cc, iso_c,
-        precision_start=precision_start, precision_cap=precision_cap,
-    )
 
 
 def canonical_tuple(cfg: LocalConfig):
@@ -190,12 +156,6 @@ def canonical_tuple(cfg: LocalConfig):
 def canonical_config(cfg: LocalConfig) -> LocalConfig:
     delta_eff, d0, degrees, records = canonical_tuple(cfg)
     return LocalConfig(delta_eff, d0, degrees, records)
-
-
-def canonical_form(cfg: LocalConfig) -> bytes:
-    """Byte-string key: equal iff the configurations are related by a
-    root-preserving relabeling of levels 1 and 2."""
-    return repr(canonical_tuple(cfg)).encode()
 
 
 def config_describe(cfg: LocalConfig) -> str:
@@ -327,39 +287,6 @@ class Appearance:
         return levels, tuple(sorted(edges))
 
 
-def _assignments(quotas: list[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """All multisets of nonempty subsets of the quota positions whose column
-    sums equal the quotas (each subset is one level-3 vertex)."""
-    positions = [i for i, q in enumerate(quotas) if q > 0]
-    subsets = []
-    for r in range(1, len(positions) + 1):
-        subsets.extend(itertools.combinations(positions, r))
-    out = []
-    rem = list(quotas)
-
-    def rec(idx: int, acc: list[tuple[int, ...]]):
-        if all(r == 0 for r in rem):
-            out.append(tuple(acc))
-            return
-        if idx == len(subsets):
-            return
-        sub = subsets[idx]
-        maxc = min(rem[i] for i in sub)
-        for c in range(maxc + 1):
-            if c:
-                for i in sub:
-                    rem[i] -= c
-                acc.extend([sub] * c)
-            rec(idx + 1, acc)
-            if c:
-                for i in sub:
-                    rem[i] += c
-                del acc[-c:]
-
-    rec(0, [])
-    return out
-
-
 def expand_appearances(cfg: LocalConfig) -> list[Appearance]:
     """All distinct level-3 endpoint identifications of a configuration, up
     to its automorphisms."""
@@ -369,9 +296,12 @@ def expand_appearances(cfg: LocalConfig) -> list[Appearance]:
     autos = _config_automorphisms(cfg)
     seen = set()
     out = []
-    for assignment in _assignments(quotas):
+    # each level-3 vertex is a record over its level-2 neighbors; with
+    # b_lo = b_hi = len(quotas) every subset has exactly one admissible b
+    k = len(quotas)
+    for records in _record_multisets(quotas, k, k):
         key = min(
-            tuple(sorted(tuple(sorted(auto[j] for j in sub)) for sub in assignment))
+            tuple(sorted(tuple(sorted(auto[j] for j in sub)) for _, sub in records))
             for auto in autos
         )
         if key in seen:

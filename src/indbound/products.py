@@ -8,9 +8,12 @@ two products are equal as real numbers iff their maps are equal).
 
 Comparisons are certified, never floating point:
   * pure products compare exactly by clearing denominators into big integers;
-  * sums (A versus B + C) first divide out the common factor and compare
-    exact integers when the reduced exponents are integral, otherwise use
-    directed-rounding interval arithmetic at escalating precision;
+  * sums (A versus B + C) have one decision procedure, certify_exponents:
+    it divides out the common factor, compares exact integers when the
+    reduced exponents are integral, and otherwise uses directed-rounding
+    interval arithmetic at escalating precision.  The searches call it on
+    integer exponent vectors; certify_sum_inequality calls it on
+    FactorProducts and reports the result as a Verdict;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -299,41 +302,6 @@ def compare_pure_products(p: FactorProduct, q: FactorProduct) -> Verdict:
     )
 
 
-def _reduce_common(terms: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Divide all terms by the per-prime minimum exponent (valid for any
-    inequality among them, the common factor being positive)."""
-    common: dict[int, Fraction] = {}
-    primes = set()
-    for t in terms:
-        primes.update(t)
-    for p in primes:
-        m = min(t.get(p, _ZERO) for t in terms)
-        if m:
-            common[p] = m
-    if not common:
-        return [dict(t) for t in terms]
-    out = []
-    for t in terms:
-        r = {}
-        for p in primes:
-            e = t.get(p, _ZERO) - common.get(p, _ZERO)
-            if e:
-                r[p] = e
-        out.append(r)
-    return out
-
-
-def _all_integral(exp: dict[int, Fraction]) -> bool:
-    return all(e.denominator == 1 and e >= 0 for e in exp.values())
-
-
-def _as_int(exp: dict[int, Fraction]) -> int:
-    out = 1
-    for p, e in exp.items():
-        out *= p ** int(e)
-    return out
-
-
 def _precision_schedule(start: int, cap: int):
     prec = start
     while True:
@@ -351,70 +319,26 @@ def certify_sum_inequality(
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> Verdict:
-    """Certified comparison of a against b + c.
+    """Certified comparison of a against b + c, reported as a Verdict.
 
-    The three terms are first divided by their common factor.  When the
-    reduced exponents are integral the comparison is an exact big-integer
-    identity (the only route that may return Equal); otherwise each reduced
-    term is evaluated as a directed-rounding interval, doubling precision up
-    to the cap.  Hitting the cap returns Undecided, never a silent pass.
+    The exponents become integer numerators over one common denominator and
+    go through certify_exponents, the decision procedure the searches use.
     """
-    ra, rb, rc = _reduce_common([a._exp, b._exp, c._exp])
-    if _all_integral(ra) and _all_integral(rb) and _all_integral(rc):
-        ia, ib, ic = _as_int(ra), _as_int(rb), _as_int(rc)
-        if ia > ib + ic:
-            outcome = Outcome.STRICTLY_GREATER
-        elif ia == ib + ic:
-            outcome = Outcome.EQUAL
-        else:
-            outcome = Outcome.STRICTLY_LESS
-        return Verdict(
-            outcome,
-            "exact",
-            None,
-            a,
-            (b, c),
-            {"reduced_lhs": ia, "reduced_rhs": [ib, ic], "equality_expected": equality_expected},
-        )
-    fa, fb, fc = FactorProduct(ra), FactorProduct(rb), FactorProduct(rc)
-    last = None
-    for prec in _precision_schedule(precision_start, precision_cap):
-        iva = fa.value_interval(prec)
-        ivb = fb.value_interval(prec)
-        ivc = fc.value_interval(prec)
-        ivsum = intervals.add(ivb, ivc)
-        if intervals.strictly_above(iva, ivsum):
-            outcome = Outcome.STRICTLY_GREATER
-        elif intervals.strictly_above(ivsum, iva):
-            outcome = Outcome.STRICTLY_LESS
-        else:
-            last = (iva, ivsum)
-            continue
-        return Verdict(
-            outcome,
-            "interval",
-            prec,
-            a,
-            (b, c),
-            {
-                "lhs_interval": _interval_strings(iva),
-                "rhs_sum_interval": _interval_strings(ivsum),
-                "equality_expected": equality_expected,
-            },
-        )
-    iva, ivsum = last
-    return Verdict(
-        Outcome.UNDECIDED,
-        "interval",
-        precision_cap,
-        a,
-        (b, c),
-        {
-            "lhs_interval": _interval_strings(iva),
-            "rhs_sum_interval": _interval_strings(ivsum),
-            "equality_expected": equality_expected,
-        },
+    terms = (a._exp, b._exp, c._exp)
+    den = lcm(_SEARCH_DEN, *(e.denominator for t in terms for e in t.values()))
+    ea, eb, ec = ({p: int(e * den) for p, e in t.items()} for t in terms)
+    outcome, method, precision, values = certify_exponents(
+        ea, eb, ec, precision_start, precision_cap, den
     )
+    if method == "exact":
+        ia, ib, ic = values
+        detail = {"reduced_lhs": ia, "reduced_rhs": [ib, ic]}
+    else:
+        iva, ivsum = values
+        detail = {"lhs_interval": _interval_strings(iva),
+                  "rhs_sum_interval": _interval_strings(ivsum)}
+    detail["equality_expected"] = equality_expected
+    return Verdict(outcome, method, precision, a, (b, c), detail)
 
 
 def compare_count_to_product(
@@ -467,14 +391,14 @@ def _interval_strings(iv: Interval) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# fast path for the exhaustive searches
+# the decision procedure
 #
-# Search products are always of the form 2^k * prod f(a,b)^m with a,b <= 5,
-# so every prime exponent is an integer multiple of 1/3600 (3600 = lcm of all
-# a*b).  Representing exponents as integer numerators over the fixed
-# denominator 3600 avoids Fraction arithmetic in the hot loop.  The logic
-# mirrors certify_sum_inequality exactly: reduce by the common factor, exact
-# integers when integral, directed intervals otherwise.
+# certify_exponents takes the three terms of A >= B + C as maps from primes
+# to integer exponent numerators over one denominator, so the hot loop does
+# no Fraction arithmetic.  The searches call it directly: their products are
+# 2^k * prod f(a,b)^m with a,b <= 5, so every exponent is a multiple of
+# 1/3600 (3600 = lcm of all a*b).  certify_sum_inequality calls it with the
+# lcm of 3600 and the denominators of its terms.
 
 _SEARCH_DEN = 3600
 
@@ -483,57 +407,24 @@ _SEARCH_DEN = 3600
 def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
     """f(a, b) as ((prime, exponent numerator over _SEARCH_DEN), ...)."""
     if a * b > 25:
-        raise ValueError(f"fast path requires degrees <= 5, got f{min(a, b), max(a, b)}")
+        raise ValueError(f"search exponents need degrees <= 5, got f{min(a, b), max(a, b)}")
     step = _SEARCH_DEN // (a * b)
     return tuple((p, k * step) for p, k in factorize((1 << a) + (1 << b) - 1))
 
 
-def _accumulate(counts: Mapping[tuple[int, int], int], two_exp: int) -> dict[int, int]:
-    acc: dict[int, int] = {}
-    if two_exp:
-        acc[2] = two_exp * _SEARCH_DEN
-    for (a, b), m in counts.items():
-        if m == 0:
-            continue
-        for p, num in f_exponents(a, b):
-            acc[p] = acc.get(p, 0) + m * num
-    return acc
-
-
-def _int_value(acc: dict[int, int]) -> int:
+def _int_value(acc: dict[int, int], den: int) -> int:
     out = 1
     for p, num in acc.items():
-        out *= p ** (num // _SEARCH_DEN)
+        out *= p ** (num // den)
     return out
 
 
-def _interval_value(acc: dict[int, int], prec: int) -> Interval:
+def _interval_value(acc: dict[int, int], prec: int, den: int) -> Interval:
     work = prec + intervals.GUARD_BITS
     out = intervals.exact(1)
     for p, num in acc.items():
-        out = intervals.mul(
-            out, intervals.prime_power_interval(p, num, _SEARCH_DEN, work), work
-        )
+        out = intervals.mul(out, intervals.prime_power_interval(p, num, den, work), work)
     return intervals.round_to(out, prec)
-
-
-def certify_sum_outcome(
-    ca: Mapping[tuple[int, int], int],
-    iso_a: int,
-    cb: Mapping[tuple[int, int], int],
-    iso_b: int,
-    cc: Mapping[tuple[int, int], int],
-    iso_c: int,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> tuple[Outcome, str, int | None]:
-    """Outcome of A >= B + C for products given as f-factor multiplicity maps
-    plus powers of two; same decision procedure as certify_sum_inequality but
-    without building report objects.  Returns (outcome, method, precision)."""
-    return certify_exponents(
-        _accumulate(ca, iso_a), _accumulate(cb, iso_b), _accumulate(cc, iso_c),
-        precision_start, precision_cap,
-    )
 
 
 def certify_exponents(
@@ -542,11 +433,19 @@ def certify_exponents(
     ec: dict[int, int],
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
-) -> tuple[Outcome, str, int | None]:
-    """Outcome of A >= B + C for products given as prime -> exponent
-    numerator maps over _SEARCH_DEN (the maps are consumed): reduce by the
-    common factor, exact integers when integral, directed intervals
-    otherwise.  Returns (outcome, method, precision)."""
+    den: int = _SEARCH_DEN,
+) -> tuple[Outcome, str, int | None, tuple]:
+    """Certified outcome of A >= B + C for products given as prime ->
+    exponent numerator maps over den (the maps are consumed).
+
+    The three terms are first divided by their common factor.  When the
+    reduced exponents are integral the comparison is an exact big-integer
+    identity (the only route that may return Equal); otherwise each reduced
+    term is evaluated as a directed-rounding interval, doubling precision up
+    to the cap.  Hitting the cap returns Undecided, never a silent pass.
+    Returns (outcome, method, precision, values), where values are the three
+    reduced integers or the (A, B + C) intervals that decided the case.
+    """
     for p in set(ea) | set(eb) | set(ec):
         m = min(ea.get(p, 0), eb.get(p, 0), ec.get(p, 0))
         if m:
@@ -556,23 +455,23 @@ def certify_exponents(
                     acc[p] = r
                 elif p in acc:
                     del acc[p]
-    if all(
-        num % _SEARCH_DEN == 0 for acc in (ea, eb, ec) for num in acc.values()
-    ):
-        ia, ib, ic = _int_value(ea), _int_value(eb), _int_value(ec)
+    if all(num % den == 0 for acc in (ea, eb, ec) for num in acc.values()):
+        ia, ib, ic = _int_value(ea, den), _int_value(eb, den), _int_value(ec, den)
         if ia > ib + ic:
-            return Outcome.STRICTLY_GREATER, "exact", None
-        if ia == ib + ic:
-            return Outcome.EQUAL, "exact", None
-        return Outcome.STRICTLY_LESS, "exact", None
+            outcome = Outcome.STRICTLY_GREATER
+        elif ia == ib + ic:
+            outcome = Outcome.EQUAL
+        else:
+            outcome = Outcome.STRICTLY_LESS
+        return outcome, "exact", None, (ia, ib, ic)
     for prec in _precision_schedule(precision_start, precision_cap):
-        iva = _interval_value(ea, prec)
-        ivsum = intervals.add(_interval_value(eb, prec), _interval_value(ec, prec))
+        iva = _interval_value(ea, prec, den)
+        ivsum = intervals.add(_interval_value(eb, prec, den), _interval_value(ec, prec, den))
         if intervals.strictly_above(iva, ivsum):
-            return Outcome.STRICTLY_GREATER, "interval", prec
+            return Outcome.STRICTLY_GREATER, "interval", prec, (iva, ivsum)
         if intervals.strictly_above(ivsum, iva):
-            return Outcome.STRICTLY_LESS, "interval", prec
-    return Outcome.UNDECIDED, "interval", precision_cap
+            return Outcome.STRICTLY_LESS, "interval", prec, (iva, ivsum)
+    return Outcome.UNDECIDED, "interval", precision_cap, (iva, ivsum)
 
 
 @dataclass(frozen=True)

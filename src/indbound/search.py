@@ -45,10 +45,10 @@ from typing import Iterator, Sequence
 from .local import (
     LocalConfig,
     Record,
+    _record_multisets,
     canonical_config,
     canonical_tuple,
     config_describe,
-    config_outcome,
     expand_appearances,
     leveled_canonical,
 )
@@ -76,56 +76,6 @@ def _degree_bounds(rule: RootRule, d0: int, delta_eff: int) -> tuple[int, int]:
 
 # --------------------------------------------------------------------------
 # labeled enumeration (the exact per-vertex model)
-
-
-def _record_multisets(
-    quotas: Sequence[int], b_lo: int, b_hi: int
-) -> Iterator[tuple[Record, ...]]:
-    """All multisets of records (b, nonempty subset of positions) whose
-    per-position attachment counts equal `quotas`, with
-    b in [max(|subset|, b_lo), b_hi].  Deterministic order."""
-    n = len(quotas)
-    if not any(quotas):
-        yield ()
-        return
-    types: list[tuple[int, tuple[int, ...], int]] = []  # (mask, bits, b)
-    for mask in range(1, 1 << n):
-        bits = tuple(i for i in range(n) if mask >> i & 1)
-        lo = max(len(bits), b_lo)
-        for b in range(lo, b_hi + 1):
-            types.append((mask, bits, b))
-    cover = [0] * (len(types) + 1)
-    for i in range(len(types) - 1, -1, -1):
-        cover[i] = cover[i + 1] | types[i][0]
-    rem = list(quotas)
-    records: list[Record] = []
-
-    def rec(i: int, rem_mask: int):
-        if rem_mask == 0:
-            yield tuple(records)
-            return
-        if i == len(types) or rem_mask & ~cover[i]:
-            return
-        mask, bits, b = types[i]
-        maxc = min(rem[u] for u in bits) if mask & rem_mask == mask else 0
-        yield from rec(i + 1, rem_mask)
-        for c in range(1, maxc + 1):
-            new_mask = rem_mask
-            for u in bits:
-                rem[u] -= c
-                if rem[u] == 0:
-                    new_mask &= ~(1 << u)
-            records.extend([(b, bits)] * c)
-            yield from rec(i + 1, new_mask)
-            del records[-c:]
-            for u in bits:
-                rem[u] += c
-
-    rem_mask = 0
-    for i, q in enumerate(rem):
-        if q:
-            rem_mask |= 1 << i
-    yield from rec(0, rem_mask)
 
 
 def _canonical_min(d0: int, degrees: tuple[int, ...], records: tuple[Record, ...]) -> bool:
@@ -287,17 +237,21 @@ def agg_vector(agg: AggConfig) -> int:
     return vec
 
 
+def vector_terms(vec: int) -> tuple[dict[int, int], ...]:
+    """The A, B and C of a vector as prime -> numerator over _SEARCH_DEN maps."""
+    lanes = _UNPACK(vec.to_bytes(12 * _NP, "little"))
+    return tuple(
+        {p: x for p, x in zip(_LANE_PRIMES, lanes[k * _NP:]) if x} for k in (_A, _B, _C)
+    )
+
+
 def vector_outcome(
     vec: int,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> tuple[Outcome, str, int | None]:
     """Certified outcome of A >= B + C for an A/B/C exponent vector."""
-    lanes = _UNPACK(vec.to_bytes(12 * _NP, "little"))
-    ea, eb, ec = (
-        {p: x for p, x in zip(_LANE_PRIMES, lanes[k * _NP:]) if x} for k in (_A, _B, _C)
-    )
-    return certify_exponents(ea, eb, ec, precision_start, precision_cap)
+    return certify_exponents(*vector_terms(vec), precision_start, precision_cap)[:3]
 
 
 def agg_outcome(
@@ -407,6 +361,16 @@ def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
         counted[key] = counted.get(key, 0) + 1
     records = tuple(sorted(counted.items()))
     return AggConfig(cfg.delta_eff, cfg.d0, class_degrees, class_sizes, records)
+
+
+def config_outcome(
+    cfg: LocalConfig,
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+) -> tuple[Outcome, str, int | None]:
+    """Certified outcome of the reduced inequality for a labeled
+    configuration, through the vector of its aggregate."""
+    return vector_outcome(agg_vector(aggregate_of_config(cfg)), precision_start, precision_cap)
 
 
 def labeled_configs_for_aggregate(agg: AggConfig) -> list[LocalConfig]:

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from indbound import intervals
 from indbound.intervals import Interval, iroot
 
@@ -64,3 +67,94 @@ def test_decimal_rendering():
     assert s.startswith("3.5")
     big = intervals.to_decimal_str(3, 100, digits=6)
     assert "e" in big
+
+
+# property tests: every operation rounds outward against exact Fraction
+# bounds, for any precision; a fixed example set keeps the suite deterministic
+_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+_PRECISION = st.integers(2, 160)
+
+
+def _val(m: int, e: int) -> Fraction:
+    return Fraction(m) * Fraction(2) ** e
+
+
+@st.composite
+def _intervals(draw):
+    lo_m = draw(st.integers(1, 2**160))
+    e = draw(st.integers(-200, 200))
+    shift = draw(st.integers(0, 8))  # the upper bound may use another exponent
+    hi_m = (lo_m + draw(st.integers(0, 2**160))) << shift
+    return Interval(lo_m, e, hi_m, e - shift)
+
+
+def _fits(iv: Interval, prec: int) -> bool:
+    """Both mantissas have at most prec bits; rounding up may carry into
+    2**prec, which is the same grid point as 2**(prec - 1) one exponent up."""
+    return iv.lo_m.bit_length() <= prec and (iv.hi_m.bit_length() <= prec or iv.hi_m == 1 << prec)
+
+
+def _assert_outward(iv: Interval, lo: Fraction, hi: Fraction, prec: int, slack: int) -> None:
+    """iv brackets [lo, hi], has prec-bit mantissas, and loses less than
+    2**(slack - prec) of relative width on each side."""
+    assert _val(iv.lo_m, iv.lo_e) <= lo and hi <= _val(iv.hi_m, iv.hi_e)
+    assert _fits(iv, prec)
+    tol = Fraction(1, 2 ** (prec - slack)) if prec > slack else Fraction(1)
+    assert _val(iv.lo_m, iv.lo_e) >= lo * (1 - tol)
+    assert _val(iv.hi_m, iv.hi_e) <= hi * (1 + tol)
+
+
+@_PROPERTY
+@given(_intervals(), _intervals(), _PRECISION)
+def test_mul_rounds_outward(a, b, prec):
+    exact_lo = _val(a.lo_m, a.lo_e) * _val(b.lo_m, b.lo_e)
+    exact_hi = _val(a.hi_m, a.hi_e) * _val(b.hi_m, b.hi_e)
+    _assert_outward(intervals.mul(a, b, prec), exact_lo, exact_hi, prec, 1)
+
+
+@_PROPERTY
+@given(_intervals(), _intervals(), _PRECISION)
+def test_div_rounds_outward(a, b, prec):
+    exact_lo = _val(a.lo_m, a.lo_e) / _val(b.hi_m, b.hi_e)
+    exact_hi = _val(a.hi_m, a.hi_e) / _val(b.lo_m, b.lo_e)
+    _assert_outward(intervals.div(a, b, prec), exact_lo, exact_hi, prec, 2)
+
+
+@_PROPERTY
+@given(_intervals(), _intervals())
+def test_add_is_exact(a, b):
+    s = intervals.add(a, b)
+    assert _val(s.lo_m, s.lo_e) == _val(a.lo_m, a.lo_e) + _val(b.lo_m, b.lo_e)
+    assert _val(s.hi_m, s.hi_e) == _val(a.hi_m, a.hi_e) + _val(b.hi_m, b.hi_e)
+
+
+@_PROPERTY
+@given(_intervals(), _PRECISION)
+def test_round_to_rounds_outward(a, prec):
+    lo, hi = _val(a.lo_m, a.lo_e), _val(a.hi_m, a.hi_e)
+    _assert_outward(intervals.round_to(a, prec), lo, hi, prec, 1)
+
+
+@_PROPERTY
+@given(_intervals(), st.integers(1, 12), _PRECISION)
+def test_interval_nth_root_rounds_outward(a, n, prec):
+    r = intervals.interval_nth_root(a, n, prec)
+    assert _val(r.lo_m, r.lo_e) ** n <= _val(a.lo_m, a.lo_e)
+    assert _val(r.hi_m, r.hi_e) ** n >= _val(a.hi_m, a.hi_e)
+    assert _fits(r, prec)
+
+
+@_PROPERTY
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 127, 8191]),
+    st.integers(1, 3600),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_prime_power_interval_brackets(p, den, whole, data):
+    # p ** (num / den) for an unreduced fraction with any denominator
+    num = whole * den + data.draw(st.integers(0, den - 1))
+    prec = data.draw(st.integers(8, 64))
+    iv = intervals.prime_power_interval(p, num, den, prec)
+    exact = Fraction(p) ** num
+    assert _val(iv.lo_m, iv.lo_e) ** den <= exact <= _val(iv.hi_m, iv.hi_e) ** den

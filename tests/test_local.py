@@ -6,17 +6,15 @@ from indbound.goodness import is_good, is_good_fullgraph
 from indbound.local import (
     LocalConfig,
     canonical_config,
-    canonical_form,
-    config_goodness,
+    canonical_tuple,
     config_is_extremal,
-    config_outcome,
     expand_appearances,
     extract_config,
     leveled_canonical,
-    pad_level3,
     realize_config,
 )
-from indbound.products import Outcome
+from indbound.products import _SEARCH_DEN, FactorProduct, Outcome
+from indbound.search import agg_vector, aggregate_of_config, config_outcome, vector_terms
 from indbound.selftest import random_bipartite_max_degree
 
 FIG1_CONFIG = LocalConfig(4, 1, (2,), ((2, (0,)),))
@@ -65,41 +63,34 @@ def test_validation_rejects_bad_configs():
         LocalConfig(5, 0, (), ((2, (0,)),)).validate()
 
 
-def test_pad_level3_identity_and_repad():
-    cfg = FIG1_CONFIG
-    assert pad_level3(cfg) is cfg
-    up = pad_level3(cfg, 5)
-    assert up.delta_eff == 5 and up.l2 == cfg.l2
-    with pytest.raises(ValueError):
-        pad_level3(LocalConfig(5, 1, (5,), ((4, (0,)),) * 4), 3)
-
-
 def test_pad_level3_changes_e23_factor():
-    # with one level-2 vertex (b=2, m=1) the single outgoing edge contributes
-    # f(2, delta_eff) to A and B, f(1, delta_eff) to C
-    from indbound.local import config_fcounts
-
-    cfg = LocalConfig(5, 1, (2,), ((2, (0,)),))
-    ca, iso_a, cb, iso_b, cc, iso_c = config_fcounts(cfg)
-    assert ca[(2, 5)] == 1 and cb[(2, 5)] == 1 and cc[(1, 5)] == 1
-    padded4 = pad_level3(LocalConfig(4, 1, (2,), ((2, (0,)),)))
-    ca4, *_ = config_fcounts(padded4)
-    assert ca4[(2, 4)] == 1
+    # with one level-2 vertex (b=2, m=1) the single outgoing edge, padded to
+    # delta_eff, contributes f(2, delta_eff) to A and B, f(1, delta_eff) to C
+    for delta in (4, 5):
+        cfg = LocalConfig(delta, 1, (2,), ((2, (0,)),))
+        expected = (
+            FactorProduct.from_f_counts({(1, 2): 1, (2, 2): 1, (2, delta): 1}),
+            FactorProduct.from_f_counts({(1, 2): 1, (2, delta): 1}),
+            FactorProduct.from_f_counts({(1, delta): 1}),
+        )
+        terms = vector_terms(agg_vector(aggregate_of_config(cfg)))
+        for got, want in zip(terms, expected):
+            assert got == {p: int(e * _SEARCH_DEN) for p, e in want.exponents()}
 
 
 def test_config_goodness_examples():
     for d in range(1, 6):
         cfg = LocalConfig(d, d, (d,) * d, tuple((d, tuple(range(d))) for _ in range(d - 1)))
-        assert config_goodness(cfg).outcome == Outcome.EQUAL
-    assert config_goodness(FIG1_CONFIG).outcome == Outcome.STRICTLY_LESS
-    assert config_goodness(LocalConfig(0, 0, (), ())).outcome == Outcome.EQUAL
+        assert config_outcome(cfg)[0] == Outcome.EQUAL
+    assert config_outcome(FIG1_CONFIG)[0] == Outcome.STRICTLY_LESS
+    assert config_outcome(LocalConfig(0, 0, (), ()))[0] == Outcome.EQUAL
 
 
 def test_failing_patterns_certify_strictly_less():
     for cfg, _ in FAILING_PATTERNS:
         cfg.validate()
-        assert config_goodness(cfg).outcome == Outcome.STRICTLY_LESS
         assert config_outcome(cfg)[0] == Outcome.STRICTLY_LESS
+        assert is_good(realize_config(cfg), 0).outcome == Outcome.STRICTLY_LESS
 
 
 def test_expansion_counts_total_fourteen():
@@ -138,17 +129,17 @@ def test_canonical_form_invariance_random_relabelings():
         recs2 = [(b, tuple(sorted(perm[u] for u in nbrs))) for b, nbrs in cfg.l2]
         rng.shuffle(recs2)
         cfg2 = LocalConfig(cfg.delta_eff, d0, tuple(degs2), tuple(recs2))
-        assert canonical_form(cfg) == canonical_form(cfg2)
+        assert canonical_tuple(cfg) == canonical_tuple(cfg2)
 
 
 def test_canonical_form_distinguishes():
     a = LocalConfig(5, 2, (3, 3), ((2, (0, 1)), (3, (0, 1))))
     b = LocalConfig(5, 2, (3, 3), ((3, (0, 1)), (3, (0, 1))))
-    assert canonical_form(a) != canonical_form(b)
+    assert canonical_tuple(a) != canonical_tuple(b)
     # differing only in one level-2 degree
     c = LocalConfig(5, 1, (2,), ((2, (0,)),))
     d = LocalConfig(5, 1, (2,), ((3, (0,)),))
-    assert canonical_form(c) != canonical_form(d)
+    assert canonical_tuple(c) != canonical_tuple(d)
 
 
 def test_canonical_collision_implies_isomorphism():
@@ -167,7 +158,7 @@ def test_canonical_collision_implies_isomorphism():
             degs2[perm[old]] = cfg.l1_degrees[old]
         recs2 = [(b, tuple(sorted(perm[u] for u in nbrs))) for b, nbrs in cfg.l2]
         cfg2 = LocalConfig(cfg.delta_eff, d0, tuple(degs2), tuple(sorted(recs2)))
-        assert canonical_form(cfg) == canonical_form(cfg2)
+        assert canonical_tuple(cfg) == canonical_tuple(cfg2)
         found = False
         for candidate in itertools.permutations(range(d0)):
             mapped = sorted(
@@ -189,11 +180,11 @@ def test_realization_roundtrip_and_verdict_agreement():
         cfg.validate()
         g = realize_config(cfg)
         back = extract_config(g, 0, cfg.delta_eff)
-        assert canonical_form(back) == canonical_form(cfg)
-        verdict = config_goodness(cfg)
-        assert is_good(g, 0).outcome == verdict.outcome
-        assert is_good_fullgraph(g, 0).outcome == verdict.outcome
-        assert config_is_extremal(cfg) == (verdict.outcome == Outcome.EQUAL)
+        assert canonical_tuple(back) == canonical_tuple(cfg)
+        outcome = config_outcome(cfg)[0]
+        assert is_good(g, 0).outcome == outcome
+        assert is_good_fullgraph(g, 0).outcome == outcome
+        assert config_is_extremal(cfg) == (outcome == Outcome.EQUAL)
 
 
 def test_extraction_from_random_graphs_agrees_with_padding():
@@ -205,10 +196,10 @@ def test_extraction_from_random_graphs_agrees_with_padding():
                                         rng.uniform(0.3, 0.9), 5)
         x = rng.randrange(g.n)
         cfg = extract_config(g, x, 5)
-        padded_verdict = config_goodness(cfg)
+        padded = config_outcome(cfg)[0]
         realized = realize_config(cfg)
-        assert is_good(realized, 0).outcome == padded_verdict.outcome
-        if padded_verdict.outcome.is_good():
+        assert is_good(realized, 0).outcome == padded
+        if padded.is_good():
             assert is_good(g, x).outcome.is_good()
 
 
@@ -221,7 +212,7 @@ def test_padding_monotone_under_level3_degree_reduction():
     checked = 0
     for _ in range(300):
         cfg = random_config(rng, 3, 4)
-        if config_goodness(cfg).outcome != Outcome.STRICTLY_GREATER:
+        if config_outcome(cfg)[0] != Outcome.STRICTLY_GREATER:
             continue
         g = realize_config(cfg)
         leaves = [v for v in range(g.n) if g.degree(v) == 1 and v > cfg.d0 + len(cfg.l2)]

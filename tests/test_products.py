@@ -11,7 +11,6 @@ from indbound.products import (
     FactorProduct,
     Outcome,
     certify_sum_inequality,
-    certify_sum_outcome,
     check_f_fact,
     compare_count_to_product,
     compare_pure_products,
@@ -145,16 +144,23 @@ def test_certify_sum_undecided_at_tiny_precision():
 
 
 def test_certify_cleared_equality_with_shared_irrational_factor():
-    # K_{2,2} equality 7 = 5 + 2 multiplied through by the P4 product
-    shared = pi_product(path(4))
-    a = FactorProduct.from_factor(7, 1) * shared
-    b = FactorProduct.from_factor(5, 1) * shared
-    c = FactorProduct.from_factor(2, 1) * shared
-    v = certify_sum_inequality(a, b, c, equality_expected=True)
-    assert v.outcome == Outcome.EQUAL and v.method == "exact"
+    # K_{2,2} equality 7 = 5 + 2 multiplied through by the P4 product, and
+    # by a factor whose exponent denominator does not divide 3600
+    for shared in (pi_product(path(4)), pi_product(path(4)).times(13, Fraction(3, 49))):
+        a = FactorProduct.from_factor(7, 1) * shared
+        b = FactorProduct.from_factor(5, 1) * shared
+        c = FactorProduct.from_factor(2, 1) * shared
+        v = certify_sum_inequality(a, b, c, equality_expected=True)
+        assert v.outcome == Outcome.EQUAL and v.method == "exact"
+        assert v.detail["reduced_lhs"] == 7 and v.detail["reduced_rhs"] == [5, 2]
+        # 2^(48/49) < 2 leaves 7 > 5 + 2^(48/49), decided by intervals
+        v = certify_sum_inequality(a, b, FactorProduct.from_factor(2, Fraction(48, 49)) * shared)
+        assert v.outcome == Outcome.STRICTLY_GREATER and v.method == "interval"
 
 
 def test_fast_outcome_matches_full():
+    # the certified verdict agrees with 512-bit intervals of the unreduced
+    # terms whenever those separate, and Equal comes only from the exact method
     rng = random.Random(22)
     for _ in range(300):
         counts = [{}, {}, {}]
@@ -165,15 +171,16 @@ def test_fast_outcome_matches_full():
                 b = rng.randint(1, 5)
                 key = (min(a, b), max(a, b))
                 c[key] = c.get(key, 0) + rng.randint(1, 3)
-        full = certify_sum_inequality(
-            FactorProduct.from_f_counts(counts[0], isos[0]),
-            FactorProduct.from_f_counts(counts[1], isos[1]),
-            FactorProduct.from_f_counts(counts[2], isos[2]),
-        )
-        fast = certify_sum_outcome(
-            counts[0], isos[0], counts[1], isos[1], counts[2], isos[2]
-        )
-        assert fast[0] == full.outcome
+        a, b, c = (FactorProduct.from_f_counts(cnt, iso) for cnt, iso in zip(counts, isos))
+        verdict = certify_sum_inequality(a, b, c)
+        iva = a.value_interval(512)
+        ivsum = intervals.add(b.value_interval(512), c.value_interval(512))
+        if intervals.strictly_above(iva, ivsum):
+            assert verdict.outcome == Outcome.STRICTLY_GREATER
+        elif intervals.strictly_above(ivsum, iva):
+            assert verdict.outcome == Outcome.STRICTLY_LESS
+        else:  # these small products agree to 500 bits only in an identity
+            assert verdict.outcome == Outcome.EQUAL and verdict.method == "exact"
 
 
 def test_compare_count_to_product():

@@ -1,7 +1,7 @@
 from conftest import cycle
 from indbound.goodness import is_good
 from indbound.graphs import complete_bipartite, from_edges
-from indbound.local import LocalConfig, config_goodness
+from indbound.local import LocalConfig
 from indbound.products import Outcome
 from indbound.regular import (
     RegularProfile,
@@ -13,6 +13,7 @@ from indbound.regular import (
     profile_sides,
     verify_regular,
 )
+from indbound.search import config_outcome
 
 
 def test_profile_enumeration_small():
@@ -105,7 +106,7 @@ def test_profiles_match_reduced_inequality():
             cfg = _realize_profile_config(p)
             cfg.validate()
             assert sorted(len(nbrs) for _, nbrs in cfg.l2) == sorted(d - x for x in p.xs)
-            assert config_goodness(cfg).outcome == check_profile(p).outcome
+            assert config_outcome(cfg)[0] == check_profile(p).outcome
 
 
 def _cube_graph():

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from indbound.goodness import is_good
 from indbound.local import (
     LocalConfig,
     canonical_tuple,
     config_is_extremal,
-    config_outcome,
     extract_config,
+    realize_config,
 )
 from indbound.products import Outcome
 from indbound.search import (
@@ -18,6 +19,7 @@ from indbound.search import (
     agg_outcome,
     agg_vector,
     aggregate_of_config,
+    config_outcome,
     degree_tuples,
     enumerate_configs,
     labeled_configs_for_aggregate,
@@ -74,9 +76,11 @@ def test_enumeration_respects_root_rule():
 
 def test_aggregate_model_matches_labeled_model():
     # union of labeled expansions of the aggregates equals the labeled
-    # enumeration (every aggregate is realizable: each has members), and the
-    # outcome certified from the aggregate's summed exponent vector agrees
-    # with the labeled model on every member
+    # enumeration (every aggregate is realizable: each has members), every
+    # member maps back to its aggregate, and the outcome certified from the
+    # aggregate's summed exponent vector agrees with is_good on a graph
+    # realizing each member, an A/B/C route that shares no code with the
+    # vectors
     for delta_eff, rule, d0 in [
         (2, RootRule.MAX_DEGREE, 2),
         (3, RootRule.MAX_DEGREE, 3),
@@ -95,7 +99,8 @@ def test_aggregate_model_matches_labeled_model():
             assert members, agg
             for cfg in members:
                 expanded[canonical_tuple(cfg)] = outcome
-                assert config_outcome(cfg)[0] == outcome
+                assert aggregate_of_config(cfg) == agg
+                assert is_good(realize_config(cfg), 0).outcome == outcome
             assert agg_is_extremal(agg) == all(config_is_extremal(c) for c in members)
         assert set(expanded) == labeled_keys
 
@@ -284,20 +289,18 @@ def _random_pattern_realization(rng, pattern):
 def test_stage2_completions_cover_random_realizations():
     # the configuration extracted at any neighbor of the failed root, in any
     # graph containing the pattern, appears among the enumerated completions
-    from indbound.local import canonical_form
-
     rng = random.Random(99)
     for pattern, _ in FAILING_PATTERNS:
         completion_keys = {
-            x1: {canonical_form(c) for c in stage2_completions(pattern, x1)}
+            x1: {canonical_tuple(c) for c in stage2_completions(pattern, x1)}
             for x1 in range(pattern.d0)
         }
         for _ in range(60):
             g = _random_pattern_realization(rng, pattern)
-            assert canonical_form(extract_config(g, 0, 5)) == canonical_form(pattern)
+            assert canonical_tuple(extract_config(g, 0, 5)) == canonical_tuple(pattern)
             for x1 in range(pattern.d0):
                 q = extract_config(g, 1 + x1, 5)
-                assert canonical_form(q) in completion_keys[x1]
+                assert canonical_tuple(q) in completion_keys[x1]
 
 
 @pytest.mark.slow
