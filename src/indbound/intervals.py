@@ -37,7 +37,10 @@ def _ceil_round(m: int, e: int, prec: int) -> tuple[int, int]:
     s = m.bit_length() - prec
     if s <= 0:
         return m, e
-    return -((-m) >> s), e + s
+    m = -((-m) >> s)
+    if m == 1 << prec:  # the carry widened the mantissa: same value, one exponent up
+        return m >> 1, e + s + 1
+    return m, e + s
 
 
 def exact(n: int, e: int = 0) -> Interval:

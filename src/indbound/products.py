@@ -8,12 +8,13 @@ two products are equal as real numbers iff their maps are equal).
 
 Comparisons are certified, never floating point:
   * pure products compare exactly by clearing denominators into big integers;
-  * sums (A versus B + C) have one decision procedure, certify_exponents:
-    it divides out the common factor, compares exact integers when the
-    reduced exponents are integral, and otherwise uses directed-rounding
-    interval arithmetic at escalating precision.  The searches call it on
-    integer exponent vectors; certify_sum_inequality calls it on
-    FactorProducts and reports the result as a Verdict;
+  * sums (A versus B + C) have one decision procedure, certify_exponents,
+    in ratio form: 1 against X + Y for X = B/A and Y = C/A.  It compares
+    exact integers when the exponents of X and Y are integral, and otherwise
+    evaluates X and Y as directed-rounding intervals at escalating precision
+    (no common-factor reduction).  The searches call it on integer exponent
+    vectors, memoizing X and Y per shard; certify_sum_inequality calls it
+    on FactorProducts and reports the result as a Verdict;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -34,6 +35,7 @@ PRECISION_START = 128
 PRECISION_CAP = 8192
 
 _ZERO = Fraction(0)
+_ONE = intervals.exact(1)
 
 
 class DegreeBoundError(ValueError):
@@ -321,21 +323,22 @@ def certify_sum_inequality(
 ) -> Verdict:
     """Certified comparison of a against b + c, reported as a Verdict.
 
-    The exponents become integer numerators over one common denominator and
-    go through certify_exponents, the decision procedure the searches use.
+    B/A and C/A become integer numerators over one common denominator and go
+    through certify_exponents, the decision procedure the searches use.
     """
-    terms = (a._exp, b._exp, c._exp)
-    den = lcm(_SEARCH_DEN, *(e.denominator for t in terms for e in t.values()))
-    ea, eb, ec = ({p: int(e * den) for p, e in t.items()} for t in terms)
+    den = lcm(_SEARCH_DEN, *(e.denominator for t in (a, b, c) for e in t._exp.values()))
+    ea, eb, ec = ({p: e.numerator * (den // e.denominator) for p, e in t._exp.items()}
+                  for t in (a, b, c))
+    x, y = (tuple((p, t.get(p, 0) - ea.get(p, 0)) for p in ea.keys() | t.keys()) for t in (eb, ec))
     outcome, method, precision, values = certify_exponents(
-        ea, eb, ec, precision_start, precision_cap, den
+        x, y, precision_start, precision_cap, den
     )
     if method == "exact":
         ia, ib, ic = values
         detail = {"reduced_lhs": ia, "reduced_rhs": [ib, ic]}
     else:
-        iva, ivsum = values
-        detail = {"lhs_interval": _interval_strings(iva),
+        one, ivsum = values
+        detail = {"lhs_interval": _interval_strings(one),
                   "rhs_sum_interval": _interval_strings(ivsum)}
     detail["equality_expected"] = equality_expected
     return Verdict(outcome, method, precision, a, (b, c), detail)
@@ -393,9 +396,10 @@ def _interval_strings(iv: Interval) -> list[str]:
 # ---------------------------------------------------------------------------
 # the decision procedure
 #
-# certify_exponents takes the three terms of A >= B + C as maps from primes
-# to integer exponent numerators over one denominator, so the hot loop does
-# no Fraction arithmetic.  The searches call it directly: their products are
+# certify_exponents compares 1 against X = B/A plus Y = C/A, given by signed
+# integer exponent numerators x = b - a and y = c - a over one denominator;
+# the common factor cancels in the ratios, so the interval route divides
+# nothing out.  The searches call it directly: their products are
 # 2^k * prod f(a,b)^m with a,b <= 5, so every exponent is a multiple of
 # 1/3600 (3600 = lcm of all a*b).  certify_sum_inequality calls it with the
 # lcm of 3600 and the denominators of its terms.
@@ -406,72 +410,73 @@ _SEARCH_DEN = 3600
 @functools.cache
 def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
     """f(a, b) as ((prime, exponent numerator over _SEARCH_DEN), ...)."""
-    if a * b > 25:
-        raise ValueError(f"search exponents need degrees <= 5, got f{min(a, b), max(a, b)}")
+    if not (1 <= a <= 5 and 1 <= b <= 5):
+        raise ValueError(f"search exponents need degrees in 1..5, got f{min(a, b), max(a, b)}")
     step = _SEARCH_DEN // (a * b)
     return tuple((p, k * step) for p, k in factorize((1 << a) + (1 << b) - 1))
 
 
-def _int_value(acc: dict[int, int], den: int) -> int:
-    out = 1
-    for p, num in acc.items():
-        out *= p ** (num // den)
-    return out
-
-
-def _interval_value(acc: dict[int, int], prec: int, den: int) -> Interval:
+def ratio_term(exponents, prec: int, den: int) -> tuple[bool, Interval]:
+    """(integral, interval) of the product of p^(num/den) over (prime, signed
+    numerator) pairs: whether every numerator is a multiple of den, and a
+    directed-rounding interval at prec bits."""
     work = prec + intervals.GUARD_BITS
-    out = intervals.exact(1)
-    for p, num in acc.items():
-        out = intervals.mul(out, intervals.prime_power_interval(p, num, den, work), work)
-    return intervals.round_to(out, prec)
+    pos = neg = _ONE
+    integral = True
+    for p, num in exponents:
+        integral = integral and num % den == 0
+        if num > 0:
+            pos = intervals.mul(pos, intervals.prime_power_interval(p, num, den, work), work)
+        elif num < 0:
+            neg = intervals.mul(neg, intervals.prime_power_interval(p, -num, den, work), work)
+    return integral, intervals.round_to(pos if neg is _ONE else intervals.div(pos, neg, work), prec)
 
 
 def certify_exponents(
-    ea: dict[int, int],
-    eb: dict[int, int],
-    ec: dict[int, int],
+    x,
+    y,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
     den: int = _SEARCH_DEN,
+    exponents=tuple,
+    memo: dict | None = None,
 ) -> tuple[Outcome, str, int | None, tuple]:
-    """Certified outcome of A >= B + C for products given as prime ->
-    exponent numerator maps over den (the maps are consumed).
+    """Certified outcome of A >= B + C, decided as 1 against X + Y for
+    X = B/A and Y = C/A, given by hashable keys x and y: exponents(key)
+    lists the (prime, signed numerator over den) pairs of a ratio (by
+    default the key is that tuple).
 
-    The three terms are first divided by their common factor.  When the
-    reduced exponents are integral the comparison is an exact big-integer
-    identity (the only route that may return Equal); otherwise each reduced
-    term is evaluated as a directed-rounding interval, doubling precision up
-    to the cap.  Hitting the cap returns Undecided, never a silent pass.
-    Returns (outcome, method, precision, values), where values are the three
-    reduced integers or the (A, B + C) intervals that decided the case.
+    When every numerator is a multiple of den, A, B and C divided by their
+    common factor compare as exact integers (the only route that may return
+    Equal); otherwise X and Y are directed-rounding intervals, doubling
+    precision up to the cap, where Undecided is returned, never a silent
+    pass.  memo maps (key, precision) to ratio_term's result; the searches
+    keep one per shard.  Returns (outcome, method, precision, values):
+    the three reduced integers or the (1, X + Y) intervals that decided.
     """
-    for p in set(ea) | set(eb) | set(ec):
-        m = min(ea.get(p, 0), eb.get(p, 0), ec.get(p, 0))
-        if m:
-            for acc in (ea, eb, ec):
-                r = acc.get(p, 0) - m
-                if r:
-                    acc[p] = r
-                elif p in acc:
-                    del acc[p]
-    if all(num % den == 0 for acc in (ea, eb, ec) for num in acc.values()):
-        ia, ib, ic = _int_value(ea, den), _int_value(eb, den), _int_value(ec, den)
-        if ia > ib + ic:
-            outcome = Outcome.STRICTLY_GREATER
-        elif ia == ib + ic:
-            outcome = Outcome.EQUAL
-        else:
-            outcome = Outcome.STRICTLY_LESS
-        return outcome, "exact", None, (ia, ib, ic)
+    memo = {} if memo is None else memo
     for prec in _precision_schedule(precision_start, precision_cap):
-        iva = _interval_value(ea, prec, den)
-        ivsum = intervals.add(_interval_value(eb, prec, den), _interval_value(ec, prec, den))
-        if intervals.strictly_above(iva, ivsum):
-            return Outcome.STRICTLY_GREATER, "interval", prec, (iva, ivsum)
-        if intervals.strictly_above(ivsum, iva):
-            return Outcome.STRICTLY_LESS, "interval", prec, (iva, ivsum)
-    return Outcome.UNDECIDED, "interval", precision_cap, (iva, ivsum)
+        tx = memo.get((x, prec)) or memo.setdefault((x, prec), ratio_term(exponents(x), prec, den))
+        ty = memo.get((y, prec)) or memo.setdefault((y, prec), ratio_term(exponents(y), prec, den))
+        if tx[0] and ty[0]:
+            ex, ey = dict(exponents(x)), dict(exponents(y))
+            ia = ib = ic = 1
+            for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
+                xp, yp = ex.get(p, 0), ey.get(p, 0)
+                m = min(0, xp, yp)
+                ia *= p ** (-m // den)
+                ib *= p ** ((xp - m) // den)
+                ic *= p ** ((yp - m) // den)
+            d = ia - (ib + ic)
+            outcome = (Outcome.STRICTLY_GREATER if d > 0
+                       else Outcome.EQUAL if d == 0 else Outcome.STRICTLY_LESS)
+            return outcome, "exact", None, (ia, ib, ic)
+        ivsum = intervals.add(tx[1], ty[1])
+        if intervals.strictly_above(_ONE, ivsum):
+            return Outcome.STRICTLY_GREATER, "interval", prec, (_ONE, ivsum)
+        if intervals.strictly_above(ivsum, _ONE):
+            return Outcome.STRICTLY_LESS, "interval", prec, (_ONE, ivsum)
+    return Outcome.UNDECIDED, "interval", precision_cap, (_ONE, ivsum)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ if _src.is_dir() and str(_src) not in sys.path:
 import pytest
 
 from indbound.graphs import Graph, from_edges
-from indbound.search import default_jobs, verify_statement1_stage1
+from indbound.search import _LANE_PRIMES, default_jobs, verify_statement1_stage1
 
 
 @pytest.fixture
@@ -24,6 +24,15 @@ def stage1_report():
     """The full stage-1 search, run once and shared by every test that
     checks it."""
     return verify_statement1_stage1(5, jobs=default_jobs())
+
+
+def vector_terms(vec: int) -> tuple[dict[int, int], ...]:
+    """The A, B and C of an A/B/C exponent vector as prime -> numerator over
+    3600 maps, read 32-bit lane by lane."""
+    lanes = [vec >> 32 * i & 0xFFFFFFFF for i in range(3 * len(_LANE_PRIMES))]
+    return tuple(
+        {p: x for p, x in zip(_LANE_PRIMES, lanes[k * len(_LANE_PRIMES):]) if x} for k in range(3)
+    )
 
 
 def cycle(n: int) -> Graph:

@@ -61,6 +61,12 @@ def test_pow_and_div():
     assert intervals.contains_int(q, 81)
 
 
+def test_round_up_carry_keeps_the_bit_width():
+    # rounding 7 up to 2 bits carries to 8: kept as 2 * 2**2, not 4 * 2**1
+    assert intervals.mul(intervals.exact(1), intervals.exact(7), 2) == Interval(3, 1, 2, 2)
+    assert intervals.round_to(intervals.exact(255), 4) == Interval(15, 4, 8, 5)
+
+
 def test_decimal_rendering():
     assert intervals.to_decimal_str(1, 0).startswith("1")
     s = intervals.to_decimal_str(7, -1)
@@ -89,9 +95,8 @@ def _intervals(draw):
 
 
 def _fits(iv: Interval, prec: int) -> bool:
-    """Both mantissas have at most prec bits; rounding up may carry into
-    2**prec, which is the same grid point as 2**(prec - 1) one exponent up."""
-    return iv.lo_m.bit_length() <= prec and (iv.hi_m.bit_length() <= prec or iv.hi_m == 1 << prec)
+    """Both mantissas have at most prec bits."""
+    return iv.lo_m.bit_length() <= prec and iv.hi_m.bit_length() <= prec
 
 
 def _assert_outward(iv: Interval, lo: Fraction, hi: Fraction, prec: int, slack: int) -> None:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import vector_terms
 from indbound.goodness import is_good, is_good_fullgraph
 from indbound.local import (
     LocalConfig,
@@ -14,7 +15,7 @@ from indbound.local import (
     realize_config,
 )
 from indbound.products import _SEARCH_DEN, FactorProduct, Outcome
-from indbound.search import agg_vector, aggregate_of_config, config_outcome, vector_terms
+from indbound.search import agg_vector, aggregate_of_config, config_outcome
 from indbound.selftest import random_bipartite_max_degree
 
 FIG1_CONFIG = LocalConfig(4, 1, (2,), ((2, (0,)),))

@@ -14,6 +14,7 @@ from indbound.products import (
     check_f_fact,
     compare_count_to_product,
     compare_pure_products,
+    f_exponents,
     factor,
     factorize,
     pi_product,
@@ -105,6 +106,14 @@ def test_check_f_fact():
     with pytest.raises(ValueError):
         check_f_fact(1)
     assert check_f_fact(6, allow_beyond_five=True).passed
+
+
+def test_f_exponents_rejects_degrees_outside_one_to_five():
+    # 3600 / (a * b) must be exact, and f(0, b) has no exponent
+    assert f_exponents(5, 5) == ((3, 288), (7, 144))  # 63^(1/25) = 3^(2/25) 7^(1/25)
+    for a, b in ((1, 7), (3, 7), (2, 11), (0, 3)):
+        with pytest.raises(ValueError):
+            f_exponents(a, b)
 
 
 def test_certify_sum_integer_identities():

@@ -1,8 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from conftest import vector_terms
+from indbound import intervals, search
 from indbound.goodness import is_good
 from indbound.local import (
     LocalConfig,
@@ -11,10 +14,11 @@ from indbound.local import (
     extract_config,
     realize_config,
 )
-from indbound.products import Outcome
+from indbound.products import _SEARCH_DEN, FactorProduct, Outcome, ratio_term
 from indbound.search import (
     RootRule,
     _agg_enum_for_degrees,
+    _agg_search_shard,
     agg_is_extremal,
     agg_outcome,
     agg_vector,
@@ -22,7 +26,9 @@ from indbound.search import (
     config_outcome,
     degree_tuples,
     enumerate_configs,
+    key_exponents,
     labeled_configs_for_aggregate,
+    ratio_keys,
     stage2_completions,
     vector_outcome,
     verify_statement1_stage2,
@@ -179,6 +185,106 @@ def test_aggregate_counts_match_knapsack():
             assert len(records) == len(set(records)) == expected, (d0, degrees)
             assert all(r == tuple(sorted(r)) for r in records)
     assert totals == {1: 103_236, 2: 238_251}
+
+
+@pytest.fixture(scope="module")
+def stage1_sample():
+    """Per stage-1 shard: a seeded sample of 16 (aggregate, vector) pairs, or
+    the whole shard when smaller (the small shards hold many of the cases
+    that 8 bits cannot decide), and the shard's vectors grouped by their
+    (X, Y) ratio keys."""
+    rng = random.Random(404)
+    out = []
+    for d0 in range(5):
+        for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5):
+            shard = list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees))
+            by_keys: dict = {}
+            for _, vec in shard:
+                by_keys.setdefault(ratio_keys(vec), []).append(vec)
+            out.append((rng.sample(shard, min(16, len(shard))), by_keys))
+    return out
+
+
+def test_ratio_keys_decode_to_exponent_differences(stage1_sample):
+    # each key decodes to the per-prime B - A (C - A) numerators, negative
+    # lanes included, and vectors sharing both keys share their outcome
+    negative = shared = 0
+    for sample, by_keys in stage1_sample:
+        memo: dict = {}
+        for _, vec in sample:
+            ta, tb, tc = vector_terms(vec)
+            keys = ratio_keys(vec)
+            for key, t in zip(keys, (tb, tc)):
+                diff = {p: t.get(p, 0) - ta.get(p, 0) for p in ta.keys() | t.keys()}
+                assert key_exponents(key) == sorted((p, x) for p, x in diff.items() if x)
+                negative += any(x < 0 for x in diff.values())
+            twins = by_keys[keys]
+            shared += len(twins) > 1
+            assert len({vector_outcome(v, memo=memo) for v in twins}) == 1
+    assert negative and shared
+
+
+def test_ratio_memo_lives_for_one_shard(monkeypatch):
+    # every shard certifies with a fresh memo, which ends holding only the
+    # ratios of that shard's own vectors, each as ratio_term computes it
+    calls = []
+
+    def spy(vec, precision_start, precision_cap, memo):
+        calls.append((vec, memo, len(memo)))
+        return vector_outcome(vec, precision_start, precision_cap, memo)
+
+    monkeypatch.setattr(search, "vector_outcome", spy)
+    memos = []
+    for d0 in range(3):
+        for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5):
+            start = len(calls)
+            _agg_search_shard((5, RootRule.MIN_DEGREE.value, d0, degrees, 128, 8192))
+            vecs, shard_memos, sizes = zip(*calls[start:])
+            memo = shard_memos[0]
+            assert sizes[0] == 0 and all(m is memo for m in shard_memos)
+            assert all(m is not memo for m in memos)
+            memos.append(memo)
+            own = {(key, 128) for vec in vecs for key in ratio_keys(vec)}
+            assert memo.keys() <= own
+            for key, prec in memo:
+                assert memo[key, prec] == ratio_term(key_exponents(key), prec, _SEARCH_DEN)
+    assert len(memos) == 16
+
+
+def _unreduced_terms(vec):
+    """A, B and C of a vector as FactorProducts, no common factor removed."""
+    out = []
+    for term in vector_terms(vec):
+        prod = FactorProduct.one()
+        for p, num in term.items():
+            prod = prod.times(p, Fraction(num, _SEARCH_DEN))
+        out.append(prod)
+    return out
+
+
+def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
+    # the ratio-form outcome agrees with 512-bit intervals of A and B + C
+    # wherever they separate, and is an exact Equal where they do not;
+    # starting at 8 bits, some aggregates escalate and every outcome is the
+    # same, through one memo per shard shared by both precisions
+    escalated = 0
+    for sample, _ in stage1_sample:
+        memo: dict = {}
+        for _, vec in sample:
+            outcome, method, _prec = vector_outcome(vec, memo=memo)
+            a, b, c = _unreduced_terms(vec)
+            iva = a.value_interval(512)
+            ivsum = intervals.add(b.value_interval(512), c.value_interval(512))
+            if intervals.strictly_above(iva, ivsum):
+                assert outcome is Outcome.STRICTLY_GREATER
+            elif intervals.strictly_above(ivsum, iva):
+                assert outcome is Outcome.STRICTLY_LESS
+            else:
+                assert (outcome, method) == (Outcome.EQUAL, "exact")
+            low = vector_outcome(vec, precision_start=8, memo=memo)
+            assert low[0] is outcome
+            escalated += low[2] is not None and low[2] > 8
+    assert escalated
 
 
 def test_statement2_small_deltas():
