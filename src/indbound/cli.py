@@ -193,9 +193,11 @@ def _cmd_check(args) -> int:
         print(f"error: maximum degree {g.max_degree()} exceeds the verified bound 5",
               file=sys.stderr)
         return EXIT_DEGREE
+    bipartite = isinstance(bipartition(g), Bipartition)
     try:
         report = check_kahn_bound(g, precision_start=args.precision_bits,
                                   precision_cap=args.precision_cap)
+        dc = None if bipartite else count_independent_sets(tensor_k2(g))
     except CountBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -209,8 +211,7 @@ def _cmd_check(args) -> int:
           + ")")
     print(f"every component extremal (complete bipartite or single vertex): "
           f"{report.structural_extremal}")
-    bip = bipartition(g)
-    if isinstance(bip, Bipartition):
+    if bipartite:
         probes = []
         found = False
         for x, role in good_vertex_probes(g):
@@ -226,7 +227,6 @@ def _cmd_check(args) -> int:
             print("no good vertex among probes (unexpected for degree <= 5)")
     else:
         sq = report.count ** 2
-        dc = count_independent_sets(tensor_k2(g))
         out["double_cover"] = {"ind_squared": str(sq), "ind_double_cover": str(dc)}
         print("graph is not bipartite; goodness is checked on the bipartite double")
         print(f"cover: ind(G)^2 = {sq} <= {dc} = ind(G x K2): {sq <= dc}")

@@ -147,21 +147,20 @@ class FactorProduct:
 
     @classmethod
     def from_f_counts(cls, counts: Mapping[tuple[int, int], int], two_exp: int = 0) -> "FactorProduct":
-        """Product of f(a,b)^m over a multiplicity map, times 2^two_exp."""
-        exp: dict[int, Fraction] = {}
-        if two_exp:
-            exp[2] = Fraction(two_exp)
+        """Product of f(a,b)^m over a multiplicity map, times 2^two_exp.
+
+        Exponents are summed as integer numerators over den = lcm(a*b), one
+        Fraction per prime at the end; the bases 2^a + 2^b - 1 are odd, so
+        the prime 2 comes from two_exp alone."""
+        den = lcm(*(a * b for (a, b), m in counts.items() if m))
+        num: dict[int, int] = {}
         for (a, b), m in counts.items():
-            if m == 0:
-                continue
-            base = (1 << a) + (1 << b) - 1
-            ab = a * b
-            for p, k in factorize(base):
-                e = exp.get(p, _ZERO) + Fraction(m * k, ab)
-                if e:
-                    exp[p] = e
-                elif p in exp:
-                    del exp[p]
+            if m:
+                scale = m * (den // (a * b))
+                for p, k in factorize((1 << a) + (1 << b) - 1):
+                    num[p] = num.get(p, 0) + k * scale
+        exp = {2: Fraction(two_exp)} if two_exp else {}
+        exp.update((p, Fraction(x, den)) for p, x in num.items() if x)
         return cls(exp)
 
     def times(self, base: int, exponent: Fraction | int) -> "FactorProduct":

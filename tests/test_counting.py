@@ -8,8 +8,15 @@ from indbound.counting import (
     count_bruteforce,
     count_independent_sets,
 )
-from indbound.graphs import Graph, complete_bipartite, delete_closed, from_edges
-from indbound.selftest import random_graph_max_degree
+from indbound.graphs import Graph, complete_bipartite, delete_closed, from_edges, tensor_k2
+from indbound.selftest import random_bipartite_max_degree, random_graph_max_degree
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def test_complete_bipartite_values():
@@ -79,3 +86,29 @@ def test_budget_exceeded_is_loud():
 def test_bruteforce_guard():
     with pytest.raises(ValueError):
         count_bruteforce(Graph(31, tuple(() for _ in range(31))))
+
+
+def test_sparse_components_count_within_a_small_budget():
+    # ind(P_n) = F(n + 2) and ind(C_n) = L(n) = F(n - 1) + F(n + 1); the
+    # memo keyed by component masks makes both linear in n
+    assert count_independent_sets(path(400), budget=10_000) == fibonacci(402)
+    assert count_independent_sets(cycle(400), budget=10_000) == fibonacci(399) + fibonacci(401)
+
+
+def test_recursion_depth_is_a_budget_error():
+    # a path recurses about n/2 levels deep, past the default interpreter
+    # limit of 1000 frames: a CountBudgetExceeded that names the limit
+    with pytest.raises(CountBudgetExceeded, match="depth limit of [0-9]+ frames"):
+        count_independent_sets(path(3000))
+
+
+def test_double_cover_of_bipartite_graphs_squares_the_count():
+    # G x K2 is two disjoint copies of a bipartite G, so ind(G x K2) =
+    # ind(G)^2 exactly: a check at the sizes of the double covers that
+    # `check` counts for graphs of up to 20 vertices, beyond brute force
+    rng = random.Random(14)
+    for _ in range(1000):
+        n1 = rng.randint(7, 10)
+        n2 = rng.randint(14 - n1, 20 - n1)
+        g = random_bipartite_max_degree(rng, n1, n2, rng.uniform(0.2, 0.6), 5)
+        assert count_independent_sets(tensor_k2(g)) == count_independent_sets(g) ** 2

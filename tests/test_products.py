@@ -45,6 +45,23 @@ def test_product_merging_and_identity():
     assert q.is_one()
 
 
+def test_from_f_counts_matches_factor_by_factor_product():
+    # the route through times_f shares no exponent arithmetic with
+    # from_f_counts; signed multiplicities exercise cancellation to 1
+    rng = random.Random(23)
+    for _ in range(300):
+        counts = {}
+        for _ in range(rng.randint(0, 6)):
+            a, b = rng.randint(1, 5), rng.randint(1, 5)
+            counts[a, b] = counts.get((a, b), 0) + rng.randint(-3, 3)
+        two_exp = rng.randint(0, 4)
+        expected = FactorProduct.from_factor(2, two_exp) if two_exp else FactorProduct.one()
+        for (a, b), m in counts.items():
+            expected = expected.times_f(a, b, m)
+        assert FactorProduct.from_f_counts(counts, two_exp) == expected
+    assert FactorProduct.from_f_counts({(1, 2): 2, (2, 1): -2}).is_one()
+
+
 def test_pi_product_examples():
     for a in range(1, 6):
         for b in range(1, 6):

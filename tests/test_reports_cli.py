@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from conftest import path
+from indbound import cli
 from indbound.cli import main
+from indbound.counting import CountBudgetExceeded
+from indbound.graphs import serialize_edge_list
 from indbound.local import expand_appearances
 from indbound.reports import (
     CertificateDocument,
@@ -127,6 +131,32 @@ def test_cli_check_non_bipartite(tmp_path, capsys):
     assert main(["check", "--input", str(p)]) == 0
     out = capsys.readouterr().out
     assert "not bipartite" in out and "16 <= 18" in out
+
+
+def test_cli_check_too_deep_to_count_is_an_error(tmp_path, capsys):
+    p = tmp_path / "path3000.txt"
+    p.write_text(serialize_edge_list(path(3000)))
+    code = main(["check", "--input", str(p)])
+    err = capsys.readouterr().err
+    assert code == 3  # counting recursed past the interpreter's depth limit
+    assert err.startswith("error: graph too large") and "depth limit" in err
+
+
+def test_cli_check_double_cover_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    real_count = cli.count_independent_sets
+
+    def count(g, budget=10_000_000):
+        if g.n == 6:  # the double cover of the triangle
+            raise CountBudgetExceeded("graph too large: double cover")
+        return real_count(g, budget)
+
+    monkeypatch.setattr(cli, "count_independent_sets", count)
+    p = tmp_path / "c3.txt"
+    p.write_text("n 3\n0 1\n0 2\n1 2\n")
+    assert main(["check", "--input", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph too large: double cover\n"
+    assert captured.out == ""
 
 
 def test_cli_verify_all_delta2(tmp_path, capsys):
