@@ -4,12 +4,16 @@ A vertex x is good when Pi(G) >= Pi(G - x) + Pi(G - x - N(x)), where Pi is
 the bound product.  Factors from edges at distance >= 3 of x and from other
 components appear identically on both sides, so the check reduces to the
 levels 0..2 of a breadth-first decomposition around x plus the edges leaving
-level 2.  This module implements both the reduced check (is_good) and the
-direct whole-graph evaluation (is_good_fullgraph) used as its oracle.
+level 2.  The reduced check (is_good) builds the A/B/C lane vector of x from
+that decomposition and certifies it with certify_exponents, the layout and
+decision procedure the searches use.  The direct whole-graph evaluation
+(is_good_fullgraph), its oracle, builds the three bound products and goes
+through certify_sum_inequality.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .counting import count_independent_sets
@@ -22,180 +26,139 @@ from .graphs import (
 )
 from .intervals import to_decimal_str
 from .products import (
+    _A,
+    _B,
+    _C,
+    _SEARCH_DEN,
+    _TWO,
     PRECISION_CAP,
     PRECISION_START,
+    DegreeBoundError,
     FactorProduct,
     Outcome,
     Verdict,
+    _lanes,
+    certify_exponents,
     certify_sum_inequality,
     compare_count_to_product,
+    f_exponents,
+    key_exponents,
     pi_product,
+    ratio_keys,
+    sum_verdict,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class LevelDecomposition:
-    """Breadth-first layering around a root, restricted to what the reduced
-    goodness inequality needs: levels 0..4, the 01/12/23 edges, true degrees
-    of their endpoints, per level-2 vertex the number of level-1 neighbors,
-    and the three isolated-vertex counts."""
+    """Breadth-first layering of the component of a root: levels[i] lists
+    the vertices at distance i in discovery order, and dist maps every
+    vertex of the component to its distance."""
 
     root: int
-    levels: tuple[tuple[int, ...], ...]  # levels[i] = vertices at distance i, i <= 4
-    e01: tuple[tuple[int, int], ...]
-    e12: tuple[tuple[int, int], ...]
-    e23: tuple[tuple[int, int], ...]
-    degree: dict  # true degree in the host graph, for every endpoint above
-    level1_neighbor_count: dict  # level-2 vertex -> d_{N(x)}(u)
-    iso_g: int
-    iso_minus_x: int
-    iso_minus_closed: int
-    has_beyond_level2: bool
+    levels: tuple[list[int], ...]
+    dist: dict[int, int]
 
     @property
-    def root_degree(self) -> int:
-        return len(self.levels[1]) if len(self.levels) > 1 else 0
+    def has_beyond_level2(self) -> bool:
+        return len(self.levels) > 3
 
 
 def level_decomposition(g: Graph, x: int) -> LevelDecomposition:
-    """BFS levels of the component of x (edge distance), with the edge
-    classification and counts used by the goodness terms.  Raises
+    """BFS levels of the component of x (edge distance).  Raises
     NotBipartiteError (with an odd closed walk) on an odd cycle."""
     if not (0 <= x < g.n):
         raise ValueError(f"vertex {x} out of range for n={g.n}")
+    adj = g.adjacency
     dist = {x: 0}
     parent = {x: x}
-    order = [x]
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for w in g.adjacency[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                order.append(w)
-            elif dist[w] == dist[u]:
-                pu, pw = [], []
-                a = u
-                while parent[a] != a:
-                    pu.append(a)
-                    a = parent[a]
-                pu.append(a)
-                a = w
-                while parent[a] != a:
-                    pw.append(a)
-                    a = parent[a]
-                pw.append(a)
-                witness = tuple(reversed(pu)) + tuple(pw)
-                raise NotBipartiteError(
-                    f"component of vertex {x} contains an odd cycle", witness
-                )
-    max_level = max(dist.values())
-    levels = tuple(
-        tuple(sorted(v for v, d in dist.items() if d == i))
-        for i in range(min(max_level, 4) + 1)
-    )
-    e01, e12, e23 = [], [], []
-    degree: dict[int, int] = {x: g.degree(x)}
-    for u, d in dist.items():
-        if d not in (1, 2, 3):
-            continue
-        for w in g.adjacency[u]:
-            if dist[w] == d - 1:
-                pair = (w, u)
-                if d == 1:
-                    e01.append(pair)
-                elif d == 2:
-                    e12.append(pair)
-                else:
-                    e23.append(pair)
-                degree[u] = g.degree(u)
-                degree[w] = g.degree(w)
-    level1 = set(levels[1]) if len(levels) > 1 else set()
-    l1_nbrs = {
-        u: sum(1 for w in g.adjacency[u] if w in level1)
-        for u in (levels[2] if len(levels) > 2 else ())
-    }
-    iso_g = 1 if g.degree(x) == 0 else 0
-    iso_minus_x = sum(1 for u in level1 if g.degree(u) == 1)
-    iso_minus_closed = sum(
-        1 for u, k in l1_nbrs.items() if g.degree(u) == k
-    )
-    return LevelDecomposition(
-        root=x,
-        levels=levels,
-        e01=tuple(sorted(e01)),
-        e12=tuple(sorted(e12)),
-        e23=tuple(sorted(e23)),
-        degree=degree,
-        level1_neighbor_count=l1_nbrs,
-        iso_g=iso_g,
-        iso_minus_x=iso_minus_x,
-        iso_minus_closed=iso_minus_closed,
-        has_beyond_level2=max_level > 2,
-    )
+    levels = [[x]]
+    frontier = levels[0]
+    while frontier:
+        d = len(levels)
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = d
+                    parent[w] = u
+                    nxt.append(w)
+                elif dw == d - 1:
+                    pu, pw = [u], [w]
+                    while pu[-1] != x:
+                        pu.append(parent[pu[-1]])
+                        pw.append(parent[pw[-1]])
+                    raise NotBipartiteError(
+                        f"component of vertex {x} contains an odd cycle",
+                        tuple(reversed(pu)) + tuple(pw),
+                    )
+        if nxt:
+            levels.append(nxt)
+        frontier = nxt
+    return LevelDecomposition(x, tuple(levels), dist)
 
 
-@dataclass(frozen=True, eq=False)
-class GoodnessInstance:
-    """The three terms of the reduced inequality A >= B + C."""
-
-    a: FactorProduct
-    b: FactorProduct
-    c: FactorProduct
-    equality_expected: bool
-
-
-def _bump(counts: dict, a: int, b: int, m: int = 1) -> None:
-    key = (a, b) if a <= b else (b, a)
-    counts[key] = counts.get(key, 0) + m
-
-
-def decomposition_is_extremal(ld: LevelDecomposition) -> bool:
+def decomposition_is_extremal(g: Graph, ld: LevelDecomposition) -> bool:
     """True iff the component is a single vertex or complete bipartite,
     judged from the decomposition alone."""
-    if ld.root_degree == 0:
+    if len(ld.levels) == 1:
         return True
     if ld.has_beyond_level2:
         return False
+    adj = g.adjacency
     level1 = ld.levels[1]
     level2 = ld.levels[2] if len(ld.levels) > 2 else ()
-    if any(ld.degree[u] != 1 + len(level2) for u in level1):
-        return False
-    return all(
-        ld.level1_neighbor_count[v] == len(level1) == ld.degree[v] for v in level2
+    return all(len(adj[u]) == 1 + len(level2) for u in level1) and all(
+        len(adj[v]) == len(level1) for v in level2
     )
 
 
-def goodness_terms(ld: LevelDecomposition) -> GoodnessInstance:
-    """Assemble A, B, C from a decomposition.
+@functools.cache
+def _f_lanes(term: int, a: int, b: int) -> int:
+    """The lanes of one edge factor f(a, b) in one term."""
+    return _lanes(term, f_exponents(a, b))
 
-    A counts every 01/12/23 edge at its true degrees plus 2^iso(G');
-    B drops x, so each 12-edge loses one from its level-1 endpoint;
+
+_B_TWO = _lanes(_B, _TWO)
+_C_TWO = _lanes(_C, _TWO)
+
+
+def goodness_vector(g: Graph, ld: LevelDecomposition) -> int:
+    """The A/B/C lane vector of the reduced inequality at ld.root; every
+    degree of the component must be at most 5.
+
+    A counts every 01/12/23 edge at its true degrees plus 2^iso(G);
+    B drops x, so each 12-edge loses one from its level-1 endpoint and a
+    level-1 vertex of degree 1 becomes a factor 2;
     C drops x and N(x), so each 23-edge keeps only the level-3 neighbors of
     its level-2 endpoint, and a level-2 vertex with no level-3 neighbor
-    contributes a plain factor 2 through the isolated count.
+    becomes a factor 2.
     """
-    deg = ld.degree
-    ca: dict[tuple[int, int], int] = {}
-    cb: dict[tuple[int, int], int] = {}
-    cc: dict[tuple[int, int], int] = {}
-    for u, v in ld.e01:
-        _bump(ca, deg[u], deg[v])
-    for u, v in ld.e12:
-        _bump(ca, deg[u], deg[v])
-        _bump(cb, deg[u] - 1, deg[v])
-    for u, v in ld.e23:
-        _bump(ca, deg[u], deg[v])
-        _bump(cb, deg[u], deg[v])
-        _bump(cc, deg[u] - ld.level1_neighbor_count[u], deg[v])
-    return GoodnessInstance(
-        a=FactorProduct.from_f_counts(ca, two_exp=ld.iso_g),
-        b=FactorProduct.from_f_counts(cb, two_exp=ld.iso_minus_x),
-        c=FactorProduct.from_f_counts(cc, two_exp=ld.iso_minus_closed),
-        equality_expected=decomposition_is_extremal(ld),
-    )
+    adj = g.adjacency
+    dist = ld.dist
+    dx = len(adj[ld.root])
+    if not dx:
+        return _lanes(_A, _TWO)
+    vec = 0
+    for u in ld.levels[1]:
+        du = len(adj[u])
+        vec += _f_lanes(_A, dx, du)
+        if du == 1:
+            vec += _B_TWO
+        for v in adj[u]:
+            if dist[v] == 2:
+                dv = len(adj[v])
+                vec += _f_lanes(_A, du, dv) + _f_lanes(_B, du - 1, dv)
+    for u in ld.levels[2] if len(ld.levels) > 2 else ():
+        du = len(adj[u])
+        up = [v for v in adj[u] if dist[v] == 3]
+        if not up:
+            vec += _C_TWO
+        for v in up:
+            dv = len(adj[v])
+            vec += _f_lanes(_A, du, dv) + _f_lanes(_B, du, dv) + _f_lanes(_C, len(up), dv)
+    return vec
 
 
 def is_good(
@@ -205,16 +168,16 @@ def is_good(
     precision_cap: int = PRECISION_CAP,
 ) -> Verdict:
     """Certified reduced goodness check; requires the component of x to be
-    bipartite (non-bipartite graphs are handled by the double-cover lift)."""
-    inst = goodness_terms(level_decomposition(g, x))
-    return certify_sum_inequality(
-        inst.a,
-        inst.b,
-        inst.c,
-        equality_expected=inst.equality_expected,
-        precision_start=precision_start,
-        precision_cap=precision_cap,
-    )
+    bipartite (non-bipartite graphs are handled by the double-cover lift)
+    with degrees at most 5.  The Verdict carries the outcome and, when
+    exact, the reduced integers, but not the three terms."""
+    ld = level_decomposition(g, x)
+    worst = max(len(g.adjacency[v]) for v in ld.dist)
+    if worst > 5:
+        raise DegreeBoundError(f"component of vertex {x} has degree {worst}, is_good needs <= 5")
+    certified = certify_exponents(*ratio_keys(goodness_vector(g, ld)), precision_start,
+                                  precision_cap, _SEARCH_DEN, key_exponents)
+    return sum_verdict(certified, decomposition_is_extremal(g, ld))
 
 
 def is_good_fullgraph(

@@ -199,8 +199,8 @@ def extract_config(g: Graph, x: int, delta_eff: int) -> LocalConfig:
     """The LocalConfig of a concrete bipartite-component root, padding the
     level-3 degrees up to delta_eff."""
     ld = level_decomposition(g, x)
-    level1 = list(ld.levels[1]) if len(ld.levels) > 1 else []
-    level2 = list(ld.levels[2]) if len(ld.levels) > 2 else []
+    level1 = sorted(ld.levels[1]) if len(ld.levels) > 1 else []
+    level2 = ld.levels[2] if len(ld.levels) > 2 else []
     index1 = {v: i for i, v in enumerate(level1)}
     degrees = tuple(g.degree(v) for v in level1)
     if any(d > delta_eff for d in (g.degree(x), *degrees)):

@@ -12,9 +12,11 @@ Comparisons are certified, never floating point:
     in ratio form: 1 against X + Y for X = B/A and Y = C/A.  It compares
     exact integers when the exponents of X and Y are integral, and otherwise
     evaluates X and Y as directed-rounding intervals at escalating precision
-    (no common-factor reduction).  The searches call it on integer exponent
-    vectors, memoizing X and Y per shard; certify_sum_inequality calls it
-    on FactorProducts and reports the result as a Verdict;
+    (no common-factor reduction).  The searches and the graph route
+    (goodness.is_good) call it on A/B/C lane vectors, packed integers laid
+    out below; the searches memoize X and Y per shard.  Only the whole-graph
+    reference (goodness.is_good_fullgraph) calls it on FactorProducts,
+    through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -58,7 +61,7 @@ class Verdict:
     outcome: Outcome
     method: str  # "exact" | "interval"
     precision_bits: int | None
-    lhs: "FactorProduct | int"
+    lhs: "FactorProduct | int | None"
     rhs: tuple["FactorProduct", ...]
     detail: dict = field(default_factory=dict, compare=False)
 
@@ -320,7 +323,8 @@ def certify_sum_inequality(
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> Verdict:
-    """Certified comparison of a against b + c, reported as a Verdict.
+    """Certified comparison of a against b + c, reported as a Verdict; the
+    whole-graph reference check uses it.
 
     B/A and C/A become integer numerators over one common denominator and go
     through certify_exponents, the decision procedure the searches use.
@@ -329,18 +333,17 @@ def certify_sum_inequality(
     ea, eb, ec = ({p: e.numerator * (den // e.denominator) for p, e in t._exp.items()}
                   for t in (a, b, c))
     x, y = (tuple((p, t.get(p, 0) - ea.get(p, 0)) for p in ea.keys() | t.keys()) for t in (eb, ec))
-    outcome, method, precision, values = certify_exponents(
-        x, y, precision_start, precision_cap, den
-    )
-    if method == "exact":
-        ia, ib, ic = values
-        detail = {"reduced_lhs": ia, "reduced_rhs": [ib, ic]}
-    else:
-        one, ivsum = values
-        detail = {"lhs_interval": _interval_strings(one),
-                  "rhs_sum_interval": _interval_strings(ivsum)}
+    return sum_verdict(certify_exponents(x, y, precision_start, precision_cap, den),
+                       equality_expected, a, (b, c))
+
+
+def sum_verdict(certified: tuple, equality_expected: bool, lhs=None, rhs=()) -> Verdict:
+    """A certify_exponents result as a Verdict, with the reduced integers
+    when the route was exact."""
+    outcome, method, precision, values = certified
+    detail = {"reduced_lhs": values[0], "reduced_rhs": [values[1], values[2]]} if method == "exact" else {}
     detail["equality_expected"] = equality_expected
-    return Verdict(outcome, method, precision, a, (b, c), detail)
+    return Verdict(outcome, method, precision, lhs, rhs, detail)
 
 
 def compare_count_to_product(
@@ -398,8 +401,8 @@ def _interval_strings(iv: Interval) -> list[str]:
 # certify_exponents compares 1 against X = B/A plus Y = C/A, given by signed
 # integer exponent numerators x = b - a and y = c - a over one denominator;
 # the common factor cancels in the ratios, so the interval route divides
-# nothing out.  The searches call it directly: their products are
-# 2^k * prod f(a,b)^m with a,b <= 5, so every exponent is a multiple of
+# nothing out.  The searches and is_good call it directly: their products
+# are 2^k * prod f(a,b)^m with a,b <= 5, so every exponent is a multiple of
 # 1/3600 (3600 = lcm of all a*b).  certify_sum_inequality calls it with the
 # lcm of 3600 and the denominators of its terms.
 
@@ -476,6 +479,67 @@ def certify_exponents(
         if intervals.strictly_above(ivsum, _ONE):
             return Outcome.STRICTLY_LESS, "interval", prec, (_ONE, ivsum)
     return Outcome.UNDECIDED, "interval", precision_cap, (_ONE, ivsum)
+
+
+# ---------------------------------------------------------------------------
+# A/B/C lane vectors
+#
+# Every product the searches and is_good certify is 2^k * prod f(a, b)^m
+# with a, b <= 5, so its exponents are numerators over _SEARCH_DEN for the
+# primes of the f(a, b).  One integer holds all three terms, a 32-bit lane
+# per (term, prime); adding two vectors multiplies the products term by
+# term.  No lane reaches 2^31.  A search configuration has at most 5 + 20 +
+# 100 edge factors and 20 powers of two.  In is_good every true degree is
+# at most 5, so a root has at most 5 + 20 + 80 edge factors (its 01, 12 and
+# 23 edges) and 1 + 5 + 20 powers of two (iso(G), iso(G - x) and
+# iso(G - N[x])).  An edge factor adds at most 2 * 3600 to a lane and a
+# power of two 3600, so every lane stays below 125 * 7200 + 26 * 3600.
+# Hence the packed B part minus the packed A part,
+# sum_i (b_i - a_i) 2^(32 i) with every digit in (-2^31, 2^31), is a unique
+# signed-digit expansion: an exact key of X = B/A (C - A keys Y = C/A) for
+# one subtraction.
+
+_LANE_PRIMES = tuple(sorted(
+    {2} | {p for a in range(1, 6) for b in range(a, 6) for p, _ in f_exponents(a, b)}
+))
+_NP = len(_LANE_PRIMES)
+_UNPACK = struct.Struct(f"<{_NP}I").unpack
+_PART_BITS = 32 * _NP
+_PART = (1 << _PART_BITS) - 1
+_KEY_BIAS = sum(1 << 31 + 32 * i for i in range(_NP))  # shifts each signed lane to unsigned
+_TWO = ((2, _SEARCH_DEN),)
+_A, _B, _C = range(3)
+
+
+def _lanes(term: int, exponents, mult: int = 1) -> int:
+    """Vector of a product given as (prime, numerator) pairs, raised to
+    mult, in one term."""
+    return mult * sum(num << 32 * (term * _NP + _LANE_PRIMES.index(p)) for p, num in exponents)
+
+
+def ratio_keys(vec: int) -> tuple[int, int]:
+    """The keys of X = B/A and Y = C/A: the packed B and C parts minus the
+    packed A part."""
+    a = vec & _PART
+    return (vec >> _PART_BITS & _PART) - a, (vec >> 2 * _PART_BITS) - a
+
+
+def key_exponents(key: int) -> list[tuple[int, int]]:
+    """The (prime, signed numerator over _SEARCH_DEN) pairs of a ratio key."""
+    lanes = _UNPACK((key + _KEY_BIAS).to_bytes(4 * _NP, "little"))
+    return [(p, x - (1 << 31)) for p, x in zip(_LANE_PRIMES, lanes) if x != 1 << 31]
+
+
+def vector_outcome(
+    vec: int,
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+    memo: dict | None = None,
+) -> tuple[Outcome, str, int | None]:
+    """Certified outcome of A >= B + C for an A/B/C exponent vector; memo
+    holds the ratio intervals of one shard."""
+    return certify_exponents(*ratio_keys(vec), precision_start, precision_cap,
+                             _SEARCH_DEN, key_exponents, memo)[:3]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ import enum
 import itertools
 import multiprocessing
 import os
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -53,12 +52,16 @@ from .local import (
     leveled_canonical,
 )
 from .products import (
-    _SEARCH_DEN,
+    _A,
+    _B,
+    _C,
+    _TWO,
     PRECISION_CAP,
     PRECISION_START,
     Outcome,
-    certify_exponents,
+    _lanes,
     f_exponents,
+    vector_outcome,
 )
 from .reference import expected_appearance_keys
 
@@ -183,35 +186,11 @@ def agg_is_extremal(agg: AggConfig) -> bool:
     )
 
 
-# A/B/C exponent vectors.  Every product the aggregate search certifies is
-# 2^k * prod f(a, b)^m with a, b <= 5, so its exponents are numerators over
-# _SEARCH_DEN for the primes of the f(a, b).  One integer holds all three
-# terms, a 32-bit lane per (term, prime); adding two vectors multiplies the
-# products term by term.  No lane reaches 2^31: a configuration has at most
-# 5 + 20 + 100 edge factors, each adding at most 2 * 3600 to a lane, and at
-# most 20 powers of two.  So the packed B part minus the packed A part,
-# sum_i (b_i - a_i) 2^(32 i) with every digit in (-2^31, 2^31), is a unique
-# signed-digit expansion: an exact key of X = B/A (C - A keys Y = C/A) for
-# one subtraction.  Few ratios occur, so each shard memoizes their intervals;
-# keys rarely recur across shards, so the memo is dropped with its shard
-# rather than grow for the whole run.
-
-_LANE_PRIMES = tuple(sorted(
-    {2} | {p for a in range(1, 6) for b in range(a, 6) for p, _ in f_exponents(a, b)}
-))
-_NP = len(_LANE_PRIMES)
-_UNPACK = struct.Struct(f"<{_NP}I").unpack
-_PART_BITS = 32 * _NP
-_PART = (1 << _PART_BITS) - 1
-_KEY_BIAS = sum(1 << 31 + 32 * i for i in range(_NP))  # shifts each signed lane to unsigned
-_TWO = ((2, _SEARCH_DEN),)
-_A, _B, _C = range(3)
-
-
-def _lanes(term: int, exponents, mult: int = 1) -> int:
-    """Vector of a product given as (prime, numerator) pairs, raised to
-    mult, in one term."""
-    return mult * sum(num << 32 * (term * _NP + _LANE_PRIMES.index(p)) for p, num in exponents)
+# A/B/C exponent vectors (the lane layout is in products).  A configuration
+# has at most 5 + 20 + 100 edge factors and 20 powers of two, within the lane
+# bound.  Few ratios occur, so each shard memoizes their intervals; keys
+# rarely recur across shards, so the memo is dropped with its shard rather
+# than grow for the whole run.
 
 
 def _base_vector(d0: int, class_degrees, class_sizes) -> int:
@@ -243,31 +222,6 @@ def agg_vector(agg: AggConfig) -> int:
     for (b, cvec), cnt in agg.records:
         vec += cnt * _type_vector(agg.delta_eff, agg.class_degrees, b, cvec)
     return vec
-
-
-def ratio_keys(vec: int) -> tuple[int, int]:
-    """The keys of X = B/A and Y = C/A: the packed B and C parts minus the
-    packed A part."""
-    a = vec & _PART
-    return (vec >> _PART_BITS & _PART) - a, (vec >> 2 * _PART_BITS) - a
-
-
-def key_exponents(key: int) -> list[tuple[int, int]]:
-    """The (prime, signed numerator over _SEARCH_DEN) pairs of a ratio key."""
-    lanes = _UNPACK((key + _KEY_BIAS).to_bytes(4 * _NP, "little"))
-    return [(p, x - (1 << 31)) for p, x in zip(_LANE_PRIMES, lanes) if x != 1 << 31]
-
-
-def vector_outcome(
-    vec: int,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-    memo: dict | None = None,
-) -> tuple[Outcome, str, int | None]:
-    """Certified outcome of A >= B + C for an A/B/C exponent vector; memo
-    holds the ratio intervals of one shard."""
-    return certify_exponents(*ratio_keys(vec), precision_start, precision_cap,
-                             _SEARCH_DEN, key_exponents, memo)[:3]
 
 
 def agg_outcome(

@@ -9,7 +9,8 @@ if _src.is_dir() and str(_src) not in sys.path:
 import pytest
 
 from indbound.graphs import Graph, from_edges
-from indbound.search import _LANE_PRIMES, default_jobs, verify_statement1_stage1
+from indbound.products import _LANE_PRIMES
+from indbound.search import default_jobs, verify_statement1_stage1
 
 
 @pytest.fixture

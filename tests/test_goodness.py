@@ -1,43 +1,57 @@
+import math
 import random
 
 import pytest
 
-from conftest import cycle, path
+from conftest import cycle, path, vector_terms
 from indbound.counting import count_independent_sets
 from indbound.goodness import (
     NoGoodVertexError,
     check_kahn_bound,
+    decomposition_is_extremal,
     find_good_vertex,
-    goodness_terms,
+    goodness_vector,
     is_good,
     is_good_fullgraph,
     level_decomposition,
 )
 from indbound.graphs import Graph, NotBipartiteError, complete_bipartite, from_edges
-from indbound.products import Outcome, compare_count_to_product, pi_product
+from indbound.products import DegreeBoundError, Outcome, compare_count_to_product, pi_product
 from indbound.selftest import random_bipartite_max_degree
 
 
+def _terms(g, x):
+    """A, B and C of the reduced inequality at x, decoded from its vector."""
+    return vector_terms(goodness_vector(g, level_decomposition(g, x)))
+
+
 def test_level_decomposition_k22():
-    ld = level_decomposition(complete_bipartite(2, 2), 0)
+    g = complete_bipartite(2, 2)
+    ld = level_decomposition(g, 0)
     assert len(ld.levels[1]) == 2 and len(ld.levels[2]) == 1
-    assert len(ld.e01) == 2 and len(ld.e12) == 2 and not ld.e23
-    assert list(ld.level1_neighbor_count.values()) == [2]
-    assert (ld.iso_g, ld.iso_minus_x, ld.iso_minus_closed) == (0, 0, 1)
+    # two 01-edges and two 12-edges f(2, 2) in A, no 23-edge; the two
+    # 12-edges become f(1, 2) in B; the level-2 vertex has its 2 level-1
+    # neighbors only, so iso(G), iso(G - x), iso(G - N[x]) = 0, 0, 1
+    a, b, c = _terms(g, 0)
+    assert a == {7: 4 * 900} and b == {5: 2 * 1800} and c == {2: 3600}
 
 
 def test_level_decomposition_single_vertex():
     ld = level_decomposition(Graph(1, ((),)), 0)
-    assert ld.root_degree == 0 and ld.iso_g == 1
-    assert len(ld.levels) == 1
+    assert len(ld.levels) == 1 and not ld.has_beyond_level2
+    assert _terms(Graph(1, ((),)), 0) == ({2: 3600}, {}, {})
 
 
 def test_level_decomposition_fig1(fig1):
     ld = level_decomposition(fig1, 0)
     assert [len(lv) for lv in ld.levels] == [1, 1, 1, 1, 3]
-    assert ld.e23 == ((2, 3),)
-    assert ld.level1_neighbor_count == {2: 1}
-    assert ld.degree[3] == 4
+    assert ld.levels[3] == [3] and ld.dist[3] == 3 and ld.has_beyond_level2
+    # 01-edge f(1, 2) in A; 12-edge f(2, 2) in A and f(1, 2) in B; the one
+    # 23-edge (2, 3) has degrees 2 and 4, and vertex 2 has one level-1
+    # neighbor: f(2, 4) in A and B, f(1, 4) in C
+    a, b, c = _terms(fig1, 0)
+    assert a == {5: 1800, 7: 900, 19: 450} and b == {5: 1800, 19: 450}
+    assert c == {17: 900}
 
 
 def test_level_decomposition_rejects_odd_cycle():
@@ -47,27 +61,57 @@ def test_level_decomposition_rejects_odd_cycle():
     assert w[0] == w[-1] and (len(w) - 1) % 2 == 1
 
 
+def _integer(term: dict) -> int:
+    assert all(num % 3600 == 0 for num in term.values())
+    return math.prod(p ** (num // 3600) for p, num in term.items())
+
+
 def test_goodness_terms_k_dd():
     # rooted K_{d,d}: A is the integer 2^(d+1)-1, B = 2^(d-1)+2^d-1, C = 2^(d-1)
     for d in range(1, 6):
-        ld = level_decomposition(complete_bipartite(d, d), 0)
-        inst = goodness_terms(ld)
-        assert inst.equality_expected
-        assert inst.a.as_integer() == 2 ** (d + 1) - 1
+        g = complete_bipartite(d, d)
+        assert decomposition_is_extremal(g, level_decomposition(g, 0))
+        a, b, c = _terms(g, 0)
+        assert _integer(a) == 2 ** (d + 1) - 1
         if d > 1:
-            assert inst.b.as_integer() == 2 ** (d - 1) + 2**d - 1
-        assert inst.c.as_integer() == 2 ** (d - 1)
+            assert _integer(b) == 2 ** (d - 1) + 2**d - 1
+        assert _integer(c) == 2 ** (d - 1)
 
 
 def test_goodness_terms_k22_values():
-    inst = goodness_terms(level_decomposition(complete_bipartite(2, 2), 0))
-    assert (inst.a.as_integer(), inst.b.as_integer(), inst.c.as_integer()) == (7, 5, 2)
+    a, b, c = _terms(complete_bipartite(2, 2), 0)
+    assert (_integer(a), _integer(b), _integer(c)) == (7, 5, 2)
 
 
 def test_goodness_terms_single_vertex():
-    inst = goodness_terms(level_decomposition(Graph(1, ((),)), 0))
-    assert inst.a.as_integer() == 2 and inst.b.is_one() and inst.c.is_one()
-    assert inst.equality_expected
+    g = Graph(1, ((),))
+    a, b, c = _terms(g, 0)
+    assert _integer(a) == 2 and not b and not c
+    assert decomposition_is_extremal(g, level_decomposition(g, 0))
+
+
+def test_is_good_rejects_degree_above_five():
+    star = from_edges(7, [(0, v) for v in range(1, 7)])  # K_{1,6}
+    for x in (0, 1):
+        with pytest.raises(DegreeBoundError, match="degree 6"):
+            is_good(star, x)
+
+
+def test_is_good_agrees_with_fullgraph_in_detail():
+    # reduced and whole-graph checks decide through the same ratios, so they
+    # agree on the route and on the exact reduced integers, not just the outcome
+    rng = random.Random(44)
+    probes = 0
+    for _ in range(300):
+        g = random_bipartite_max_degree(rng, rng.randint(1, 7), rng.randint(1, 7),
+                                        rng.uniform(0.2, 0.9), 5)
+        for x in range(g.n):
+            if not g.adjacency[x]:
+                continue
+            a, b = is_good(g, x), is_good_fullgraph(g, x)
+            assert (a.outcome, a.method, a.detail) == (b.outcome, b.method, b.detail)
+            probes += 1
+    assert probes > 1000
 
 
 def test_is_good_equalities():

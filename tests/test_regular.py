@@ -136,7 +136,7 @@ def test_concrete_regular_graphs_agree():
         level2 = ld.levels[2] if len(ld.levels) > 2 else ()
         assert len(level2) == k
         observed = tuple(
-            sorted((g.degree(v) - ld.level1_neighbor_count[v] for v in level2), reverse=True)
+            sorted((sum(ld.dist[w] == 3 for w in g.adjacency[v]) for v in level2), reverse=True)
         )
         assert observed == xs
         assert is_good(g, 0).outcome == check_profile(RegularProfile(d, k, xs)).outcome

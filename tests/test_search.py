@@ -14,7 +14,15 @@ from indbound.local import (
     extract_config,
     realize_config,
 )
-from indbound.products import _SEARCH_DEN, FactorProduct, Outcome, ratio_term
+from indbound.products import (
+    _SEARCH_DEN,
+    FactorProduct,
+    Outcome,
+    key_exponents,
+    ratio_keys,
+    ratio_term,
+    vector_outcome,
+)
 from indbound.search import (
     RootRule,
     _agg_enum_for_degrees,
@@ -26,11 +34,8 @@ from indbound.search import (
     config_outcome,
     degree_tuples,
     enumerate_configs,
-    key_exponents,
     labeled_configs_for_aggregate,
-    ratio_keys,
     stage2_completions,
-    vector_outcome,
     verify_statement1_stage2,
     verify_statement2,
 )
