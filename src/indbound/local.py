@@ -6,6 +6,12 @@ class degree bound delta_eff: the root degree, the level-1 degrees, the
 level-1/level-2 bipartite adjacency, and each level-2 vertex's total degree
 (its level-3 edge count is the difference).  Padding is sound because
 raising a level-3 degree can only make the inequality harder to satisfy.
+
+canonical_form is the one canonical pass over level-1 relabelings: it gives
+both the canonical key and the automorphisms used by appearance expansion.
+The labeled per-vertex model, every canonical configuration of a root degree,
+is built only in the tests (tests/test_search.py), where the degree-class
+aggregates of the searches are checked against it.
 """
 
 from __future__ import annotations
@@ -119,43 +125,34 @@ class LocalConfig:
             )
 
 
-def config_is_extremal(cfg: LocalConfig) -> bool:
-    """True iff the configuration forces the component of the root to be a
-    single vertex or a complete bipartite graph (no level-3 edges, every
-    level-1 vertex joined to the root and all of level 2, and conversely)."""
-    if cfg.d0 == 0:
-        return True
-    k = len(cfg.l2)
-    if any(d != 1 + k for d in cfg.l1_degrees):
-        return False
-    return all(b == len(nbrs) == cfg.d0 for b, nbrs in cfg.l2)
+def canonical_form(cfg: LocalConfig):
+    """The relabeling-invariant key of a configuration, with every level-1
+    relabeling that reaches it (pos[old] = new).  The key has the level-1
+    degrees non-increasing and the least sorted level-2 records; only the
+    degree-sorting relabelings are tried, each equal-degree block permuted
+    within itself."""
+    order = sorted(range(cfg.d0), key=lambda u: -cfg.l1_degrees[u])
+    blocks = [list(block) for _, block in itertools.groupby(order, cfg.l1_degrees.__getitem__)]
+    best, reach = None, []
+    for choice in itertools.product(*map(itertools.permutations, blocks)):
+        pos = [0] * cfg.d0
+        for new, old in enumerate(itertools.chain.from_iterable(choice)):
+            pos[old] = new
+        records = tuple(sorted((b, tuple(sorted(pos[u] for u in nbrs))) for b, nbrs in cfg.l2))
+        if best is None or records < best:
+            best, reach = records, [pos]
+        elif records == best:
+            reach.append(pos)
+    degrees = tuple(cfg.l1_degrees[u] for u in order)
+    return (cfg.delta_eff, cfg.d0, degrees, best), reach
 
 
 def canonical_tuple(cfg: LocalConfig):
-    """Relabeling-invariant encoding: minimize (l1 degrees non-increasing,
-    sorted level-2 records) over all level-1 permutations consistent with
-    the degree ordering."""
-    order_target = tuple(sorted(cfg.l1_degrees, reverse=True))
-    best = None
-    for perm in itertools.permutations(range(cfg.d0)):
-        if tuple(cfg.l1_degrees[p] for p in perm) != order_target:
-            continue
-        pos = [0] * cfg.d0
-        for new, old in enumerate(perm):
-            pos[old] = new
-        records = tuple(
-            sorted((b, tuple(sorted(pos[u] for u in nbrs))) for b, nbrs in cfg.l2)
-        )
-        if best is None or records < best:
-            best = records
-    if best is None:  # d0 == 0
-        best = ()
-    return (cfg.delta_eff, cfg.d0, order_target, best)
+    return canonical_form(cfg)[0]
 
 
 def canonical_config(cfg: LocalConfig) -> LocalConfig:
-    delta_eff, d0, degrees, records = canonical_tuple(cfg)
-    return LocalConfig(delta_eff, d0, degrees, records)
+    return LocalConfig(*canonical_tuple(cfg))
 
 
 def config_describe(cfg: LocalConfig) -> str:
@@ -223,35 +220,26 @@ def extract_config(g: Graph, x: int, delta_eff: int) -> LocalConfig:
 def _config_automorphisms(cfg: LocalConfig) -> list[tuple[int, ...]]:
     """The full group of level-2 index permutations realizable by a
     configuration automorphism (a level-1 relabeling preserving degrees plus
-    any matching between equal records).  Only used on small configurations."""
-    records = cfg.l2
-    k = len(records)
+    any matching between equal records).  The level-1 automorphisms are
+    reach[0]^-1 . pos over the relabelings reaching the canonical form."""
+    _, reach = canonical_form(cfg)
+    back = [0] * cfg.d0
+    for old, new in enumerate(reach[0]):
+        back[new] = old
+    pools: dict[Record, list[int]] = {}
+    for idx, rec in enumerate(cfg.l2):
+        pools.setdefault(rec, []).append(idx)
     autos: set[tuple[int, ...]] = set()
-    for perm in itertools.permutations(range(cfg.d0)):
-        if tuple(cfg.l1_degrees[p] for p in perm) != cfg.l1_degrees:
-            continue
-        pos = [0] * cfg.d0
-        for new, old in enumerate(perm):
-            pos[old] = new
-        mapped = [(b, tuple(sorted(pos[u] for u in nbrs))) for b, nbrs in records]
-        pools: dict[Record, list[int]] = {}
-        for idx, rec in enumerate(records):
-            pools.setdefault(rec, []).append(idx)
+    for pos in reach:
         need: dict[Record, list[int]] = {}
-        for idx, rec in enumerate(mapped):
-            need.setdefault(rec, []).append(idx)
-        if set(pools) != set(need) or any(
-            len(pools[r]) != len(need[r]) for r in pools
-        ):
-            continue
-        per_class = []
-        for rec, targets in need.items():
-            sources = pools[rec]
-            per_class.append(
-                [tuple(zip(targets, sp)) for sp in itertools.permutations(sources)]
-            )
+        for idx, (b, nbrs) in enumerate(cfg.l2):
+            need.setdefault((b, tuple(sorted(back[pos[u]] for u in nbrs))), []).append(idx)
+        per_class = [
+            [tuple(zip(targets, sp)) for sp in itertools.permutations(pools[rec])]
+            for rec, targets in need.items()
+        ]
         for combo in itertools.product(*per_class):
-            sigma = [0] * k
+            sigma = [0] * len(cfg.l2)
             for pairs in combo:
                 for i, q in pairs:
                     sigma[i] = q

@@ -25,7 +25,10 @@ class vector entry is at most the class size, which makes the Gale-Ryser
 condition hold), so certified aggregates and concrete configurations cover
 each other exactly.  The rare interesting aggregates (equal, failing,
 undecided) are expanded back into canonical labeled configurations for
-reporting and for stage 2.
+reporting and for stage 2.  A shard has at most one extremal aggregate
+(extremal_aggregate), and its set of Equal aggregates must be exactly that
+one.  The labeled per-vertex model, which the aggregation is checked
+against, is built only in the tests (tests/test_search.py).
 
 The space is sharded by (root degree, level-1 degree multiset); shards are
 independent, so workers run in parallel and reports merge deterministically.
@@ -45,7 +48,6 @@ from .local import (
     LocalConfig,
     Record,
     _record_multisets,
-    canonical_config,
     canonical_tuple,
     config_describe,
     expand_appearances,
@@ -77,42 +79,6 @@ def _degree_bounds(rule: RootRule, d0: int, delta_eff: int) -> tuple[int, int]:
     return max(1, d0), delta_eff
 
 
-# --------------------------------------------------------------------------
-# labeled enumeration (the exact per-vertex model)
-
-
-def _canonical_min(d0: int, degrees: tuple[int, ...], records: tuple[Record, ...]) -> bool:
-    """True iff `records` (sorted) is lexicographically minimal among the
-    relabelings of equal-degree level-1 vertices; degrees must arrive sorted
-    non-increasing, so this equals full canonicity."""
-    blocks = []
-    start = 0
-    for i in range(1, d0 + 1):
-        if i == d0 or degrees[i] != degrees[start]:
-            if i - start > 1:
-                blocks.append(range(start, i))
-            start = i
-    if not blocks:
-        return True
-    pools = [list(itertools.permutations(block)) for block in blocks]
-    for choice in itertools.product(*pools):
-        mapping = list(range(d0))
-        identity = True
-        for block, perm in zip(blocks, choice):
-            for src, dst in zip(block, perm):
-                mapping[src] = dst
-                if src != dst:
-                    identity = False
-        if identity:
-            continue
-        mapped = tuple(
-            sorted((b, tuple(sorted(mapping[u] for u in nbrs))) for b, nbrs in records)
-        )
-        if mapped < records:
-            return False
-    return True
-
-
 def degree_tuples(rule: RootRule, d0: int, delta_eff: int) -> list[tuple[int, ...]]:
     """Non-increasing level-1 degree tuples allowed by the root rule."""
     if d0 == 0:
@@ -124,29 +90,6 @@ def degree_tuples(rule: RootRule, d0: int, delta_eff: int) -> list[tuple[int, ..
         tuple(c)
         for c in itertools.combinations_with_replacement(range(hi, lo - 1, -1), d0)
     ]
-
-
-def enumerate_configs(delta_eff: int, rule: RootRule, d0: int) -> Iterator[LocalConfig]:
-    """Every labeled configuration with the given root degree satisfying the
-    root rule, one canonical representative each, in deterministic order.
-
-    This is the exact per-vertex model; the large searches run on the
-    degree-class aggregation instead and only expand back to this model for
-    the interesting cases."""
-    if delta_eff > 5:
-        raise ValueError("searches are bounded at degree 5")
-    if not 0 <= d0 <= delta_eff:
-        raise ValueError(f"root degree {d0} out of range for delta_eff={delta_eff}")
-    if d0 == 0:
-        yield LocalConfig(delta_eff, 0, (), ())
-        return
-    lo, hi = _degree_bounds(rule, d0, delta_eff)
-    for degrees in degree_tuples(rule, d0, delta_eff):
-        quotas = [d - 1 for d in degrees]
-        for records in _record_multisets(quotas, lo, hi):
-            ordered = tuple(sorted(records))
-            if _canonical_min(d0, degrees, ordered):
-                yield LocalConfig(delta_eff, d0, degrees, ordered)
 
 
 # --------------------------------------------------------------------------
@@ -174,16 +117,17 @@ class AggConfig:
         return tuple(out)
 
 
-def agg_is_extremal(agg: AggConfig) -> bool:
-    """Aggregate version of the complete-bipartite-or-isolated test."""
-    if agg.d0 == 0:
-        return True
-    k = sum(cnt for _, cnt in agg.records)
-    if any(d != 1 + k for d in agg.class_degrees):
-        return False
-    return all(
-        b == sum(cvec) == agg.d0 for (b, cvec), _ in agg.records
-    )
+def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggConfig | None:
+    """The one aggregate of a shard whose component is a single vertex or
+    complete bipartite, if the shard has one: the isolated root, or a single
+    class of degree D with D - 1 level-2 vertices joined to all d0 level-1
+    vertices and to nothing else."""
+    if d0 == 0:
+        return AggConfig(delta_eff, 0, (), (), ())
+    if len(set(degrees)) != 1:
+        return None
+    d = degrees[0]
+    return AggConfig(delta_eff, d0, (d,), (d0,), (((d0, (d0,)), d - 1),) if d > 1 else ())
 
 
 # A/B/C exponent vectors (the lane layout is in products).  A configuration
@@ -222,14 +166,6 @@ def agg_vector(agg: AggConfig) -> int:
     for (b, cvec), cnt in agg.records:
         vec += cnt * _type_vector(agg.delta_eff, agg.class_degrees, b, cvec)
     return vec
-
-
-def agg_outcome(
-    agg: AggConfig,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> tuple[Outcome, str, int | None]:
-    return vector_outcome(agg_vector(agg), precision_start, precision_cap)
 
 
 def _agg_enum_for_degrees(
@@ -333,6 +269,12 @@ def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
     return AggConfig(cfg.delta_eff, cfg.d0, class_degrees, class_sizes, records)
 
 
+def config_is_extremal(cfg: LocalConfig) -> bool:
+    """True iff the configuration forces the component of the root to be a
+    single vertex or a complete bipartite graph."""
+    return aggregate_of_config(cfg) == extremal_aggregate(cfg.delta_eff, cfg.d0, cfg.l1_degrees)
+
+
 def config_outcome(
     cfg: LocalConfig,
     precision_start: int = PRECISION_START,
@@ -358,14 +300,11 @@ def labeled_configs_for_aggregate(agg: AggConfig) -> list[LocalConfig]:
     for (b, cvec), cnt in agg.records:
         flat.extend([(b, cvec)] * cnt)
     quotas = [d - 1 for d in degrees]
-    found: dict[tuple, LocalConfig] = {}
+    found: set[tuple] = set()
 
     def rec(idx: int, acc: list[Record]):
         if idx == len(flat):
-            cfg = canonical_config(
-                LocalConfig(agg.delta_eff, agg.d0, degrees, tuple(sorted(acc)))
-            )
-            found.setdefault(canonical_tuple(cfg), cfg)
+            found.add(canonical_tuple(LocalConfig(agg.delta_eff, agg.d0, degrees, tuple(acc))))
             return
         b, cvec = flat[idx]
         per_class_choices = []
@@ -387,7 +326,7 @@ def labeled_configs_for_aggregate(agg: AggConfig) -> list[LocalConfig]:
                 quotas[u] += 1
 
     rec(0, [])
-    return [found[k] for k in sorted(found)]
+    return [LocalConfig(*key) for key in sorted(found)]
 
 
 # --------------------------------------------------------------------------
@@ -440,11 +379,15 @@ def _agg_search_shard(args) -> ShardResult:
     delta_eff, rule_value, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
     memo: dict = {}
+    equal = set()
     for agg, vec in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0, degrees):
         outcome, method, precision = vector_outcome(vec, precision_start, precision_cap, memo)
         result.add(outcome, method, precision, lambda: labeled_configs_for_aggregate(agg))
-        if (outcome is Outcome.EQUAL) != agg_is_extremal(agg):
-            result.inconsistencies.extend(labeled_configs_for_aggregate(agg))
+        if outcome is Outcome.EQUAL:
+            equal.add(agg)
+    # equality must hold on the extremal aggregate and nowhere else
+    for agg in equal ^ ({extremal_aggregate(delta_eff, d0, degrees)} - {None}):
+        result.inconsistencies.extend(labeled_configs_for_aggregate(agg))
     result.raw = result.kept = sum(result.tally.values())
     return result
 

@@ -8,14 +8,13 @@ from indbound.local import (
     LocalConfig,
     canonical_config,
     canonical_tuple,
-    config_is_extremal,
     expand_appearances,
     extract_config,
     leveled_canonical,
     realize_config,
 )
 from indbound.products import _SEARCH_DEN, FactorProduct, Outcome
-from indbound.search import agg_vector, aggregate_of_config, config_outcome
+from indbound.search import agg_vector, aggregate_of_config, config_is_extremal, config_outcome
 from indbound.selftest import random_bipartite_max_degree
 
 FIG1_CONFIG = LocalConfig(4, 1, (2,), ((2, (0,)),))

@@ -7,10 +7,12 @@ import pytest
 from conftest import vector_terms
 from indbound import intervals, search
 from indbound.goodness import is_good
+from indbound.graphs import component_is_extremal
 from indbound.local import (
     LocalConfig,
+    _config_automorphisms,
+    _record_multisets,
     canonical_tuple,
-    config_is_extremal,
     extract_config,
     realize_config,
 )
@@ -27,20 +29,19 @@ from indbound.search import (
     RootRule,
     _agg_enum_for_degrees,
     _agg_search_shard,
-    agg_is_extremal,
-    agg_outcome,
+    _degree_bounds,
     agg_vector,
     aggregate_of_config,
+    config_is_extremal,
     config_outcome,
     degree_tuples,
-    enumerate_configs,
     labeled_configs_for_aggregate,
     stage2_completions,
     verify_statement1_stage2,
     verify_statement2,
 )
 from indbound.selftest import random_bipartite_max_degree
-from test_local import FAILING_PATTERNS
+from test_local import FAILING_PATTERNS, random_config
 
 
 def _all_aggregates(delta_eff, rule, d0):
@@ -51,15 +52,24 @@ def _all_aggregates(delta_eff, rule, d0):
     return out
 
 
+def _labeled_configs(delta_eff, rule, d0):
+    """The labeled reference model: the canonical key of every labeled
+    configuration with root degree d0 under the root rule, sorted.  Every
+    multiset of level-2 records over every allowed level-1 degree tuple,
+    canonicalized; shares no code with the aggregate enumerator."""
+    lo, hi = _degree_bounds(rule, d0, delta_eff)
+    return sorted({
+        canonical_tuple(LocalConfig(delta_eff, d0, degrees, records))
+        for degrees in degree_tuples(rule, d0, delta_eff)
+        for records in _record_multisets([d - 1 for d in degrees], lo, hi)
+    })
+
+
 def test_enumerate_configs_hand_counts():
-    assert list(enumerate_configs(1, RootRule.MAX_DEGREE, 1)) == [
-        LocalConfig(1, 1, (1,), ())
-    ]
-    assert list(enumerate_configs(0, RootRule.MAX_DEGREE, 0)) == [
-        LocalConfig(0, 0, (), ())
-    ]
+    assert _labeled_configs(1, RootRule.MAX_DEGREE, 1) == [(1, 1, (1,), ())]
+    assert _labeled_configs(0, RootRule.MAX_DEGREE, 0) == [(0, 0, (), ())]
     # root degree 2, degrees bounded by 2: seven configurations
-    assert len(list(enumerate_configs(2, RootRule.MAX_DEGREE, 2))) == 7
+    assert len(_labeled_configs(2, RootRule.MAX_DEGREE, 2)) == 7
 
 
 def test_enumeration_is_canonical_and_duplicate_free():
@@ -67,22 +77,21 @@ def test_enumeration_is_canonical_and_duplicate_free():
         (3, RootRule.MAX_DEGREE, 3),
         (5, RootRule.MIN_DEGREE, 2),
     ]:
-        seen = set()
-        for cfg in enumerate_configs(delta_eff, rule, d0):
+        for key in _labeled_configs(delta_eff, rule, d0):
+            cfg = LocalConfig(*key)
             cfg.validate()
-            key = canonical_tuple(cfg)
-            assert key not in seen
-            seen.add(key)
-            assert LocalConfig(*key) == cfg  # yields canonical representatives
+            assert canonical_tuple(cfg) == key  # canonical representatives
 
 
 def test_enumeration_respects_root_rule():
-    for cfg in enumerate_configs(4, RootRule.MAX_DEGREE, 3):
-        assert all(d <= 3 for d in cfg.l1_degrees)
-        assert all(b <= 3 for b, _ in cfg.l2)
-    for cfg in enumerate_configs(5, RootRule.MIN_DEGREE, 3):
-        assert all(d >= 3 for d in cfg.l1_degrees)
-        assert all(b >= 3 for b, _ in cfg.l2)
+    # on the aggregates the searches certify: class degrees and level-2
+    # degrees obey the root rule
+    for agg, _ in _all_aggregates(4, RootRule.MAX_DEGREE, 3):
+        assert all(d <= 3 for d in agg.class_degrees)
+        assert all(b <= 3 for (b, _), _ in agg.records)
+    for agg, _ in _all_aggregates(5, RootRule.MIN_DEGREE, 3):
+        assert all(d >= 3 for d in agg.class_degrees)
+        assert all(b >= 3 for (b, _), _ in agg.records)
 
 
 def test_aggregate_model_matches_labeled_model():
@@ -91,29 +100,26 @@ def test_aggregate_model_matches_labeled_model():
     # member maps back to its aggregate, and the outcome certified from the
     # aggregate's summed exponent vector agrees with is_good on a graph
     # realizing each member, an A/B/C route that shares no code with the
-    # vectors
+    # vectors; the configuration extremality test agrees with the graph one
     for delta_eff, rule, d0 in [
         (2, RootRule.MAX_DEGREE, 2),
         (3, RootRule.MAX_DEGREE, 3),
         (5, RootRule.MIN_DEGREE, 1),
         (5, RootRule.MIN_DEGREE, 2),
     ]:
-        labeled_keys = {
-            canonical_tuple(c) for c in enumerate_configs(delta_eff, rule, d0)
-        }
         expanded = {}
         for agg, vec in _all_aggregates(delta_eff, rule, d0):
             assert vec == agg_vector(agg)
             outcome = vector_outcome(vec)[0]
-            assert agg_outcome(agg)[0] == outcome
             members = labeled_configs_for_aggregate(agg)
             assert members, agg
             for cfg in members:
                 expanded[canonical_tuple(cfg)] = outcome
                 assert aggregate_of_config(cfg) == agg
-                assert is_good(realize_config(cfg), 0).outcome == outcome
-            assert agg_is_extremal(agg) == all(config_is_extremal(c) for c in members)
-        assert set(expanded) == labeled_keys
+                g = realize_config(cfg)
+                assert is_good(g, 0).outcome == outcome
+                assert config_is_extremal(cfg) == component_is_extremal(g, 0)
+        assert sorted(expanded) == _labeled_configs(delta_eff, rule, d0)
 
 
 def _extracted_aggregates_are_enumerated(rng, trials, max_side):
@@ -313,6 +319,48 @@ def test_statement2_equalities_are_complete_bipartite():
     assert len(r.equality_patterns) == 7
     assert all(config_is_extremal(c) for c in r.equality_patterns)
     assert not r.equality_inconsistencies
+
+
+def _flip_outcomes(monkeypatch, flip):
+    """Make the searches see flip(outcome) for the certified outcome."""
+    def mutant(vec, *args):
+        outcome, method, precision = vector_outcome(vec, *args)
+        return flip(outcome), method, precision
+
+    monkeypatch.setattr(search, "vector_outcome", mutant)
+
+
+def test_shard_equality_cross_check_fires(monkeypatch):
+    # a search that loses equality on the extremal aggregates, or finds it
+    # on one strict aggregate, fails with the offending configurations
+    _flip_outcomes(monkeypatch, lambda o: Outcome.STRICTLY_GREATER if o is Outcome.EQUAL else o)
+    lost = verify_statement2(3, jobs=1)
+    once = iter([True])
+    _flip_outcomes(monkeypatch, lambda o: Outcome.EQUAL
+                   if o is Outcome.STRICTLY_GREATER and next(once, False) else o)
+    extra = verify_statement2(3, jobs=1)
+    assert not lost.passed and len(lost.equality_inconsistencies) == 7
+    assert not extra.passed and len(extra.equality_inconsistencies) == 1
+
+
+def test_config_automorphisms_match_brute_force():
+    # the level-2 permutations sigma for which some degree-preserving level-1
+    # permutation pi maps each record i onto record sigma(i)
+    rng = random.Random(57)
+    configs = [cfg for cfg, _ in FAILING_PATTERNS]
+    configs += [c for c in (random_config(rng, 4, 5) for _ in range(300)) if len(c.l2) <= 7]
+    for cfg in configs:
+        records = cfg.l2
+        group = set()
+        for pi in itertools.permutations(range(cfg.d0)):
+            if any(cfg.l1_degrees[pi[u]] != d for u, d in enumerate(cfg.l1_degrees)):
+                continue
+            mapped = [(b, tuple(sorted(pi[u] for u in nbrs))) for b, nbrs in records]
+            group.update(
+                sigma for sigma in itertools.permutations(range(len(records)))
+                if all(mapped[i] == records[q] for i, q in enumerate(sigma))
+            )
+        assert _config_automorphisms(cfg) == sorted(group), cfg
 
 
 def test_parallel_determinism_statement2():
