@@ -9,9 +9,10 @@ Subcommands:
   export-exceptions  write the fourteen exceptional neighborhoods as DOT
   selftest           the randomized cross-validation suites
 
-Exit codes: 0 pass, 1 fail, 2 undecided, 3 internal/parse error, and 4 for
-a degree above five in `check`.  Exit codes are the machine contract; the
-human-readable stdout may evolve, the JSON schema may not.
+Exit codes: 0 pass, 1 fail, 2 undecided, 3 internal/parse/usage error (a
+precision below 1 bit included), and 4 for a degree above five in `check`.
+Exit codes are the machine contract; the human-readable stdout may evolve,
+the JSON schema may not.
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ EXIT_ERROR = 3
 EXIT_DEGREE = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which this contract reserves for
+    undecided; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
     p.add_argument("--precision-bits", type=int, default=128, help="interval precision start")
@@ -64,8 +74,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="indbound", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="indbound", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("verify-all", help="run the full verification pipeline")
@@ -285,6 +295,10 @@ def _cmd_selftest(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.subcommand != "selftest" and not 1 <= args.precision_bits <= args.precision_cap:
+        print(f"error: need 1 <= --precision-bits <= --precision-cap, got "
+              f"{args.precision_bits} and {args.precision_cap}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         if args.subcommand == "verify-all":
             return _cmd_verify_all(args)

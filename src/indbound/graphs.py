@@ -39,9 +39,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(a) for a in self.adjacency), default=0)
-
     def iso_count(self) -> int:
         """Number of isolated vertices."""
         return sum(1 for a in self.adjacency if not a)
@@ -189,19 +186,6 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     return out
 
 
-def component_vertices(g: Graph, x: int) -> set[int]:
-    """Vertex set of the connected component containing x."""
-    seen = {x}
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def _walk_to_root(parent: dict[int, int], v: int) -> list[int]:
     path = [v]
     while parent[v] != v:
@@ -251,29 +235,22 @@ def tensor_k2(g: Graph) -> Graph:
     return from_edges(2 * n, edges)
 
 
-def is_complete_bipartite_component(g: Graph, x: int):
-    """True iff the component of x is K_{a,b} with a, b >= 1; the single
-    vertex case is reported separately as the string "isolated"."""
-    if not (0 <= x < g.n):
-        raise ValueError(f"vertex {x} out of range for n={g.n}")
-    comp = component_vertices(g, x)
-    if len(comp) == 1:
-        return "isolated"
-    sub, _ = induced_subgraph(g, comp)
-    bip = bipartition(sub)
-    if not isinstance(bip, Bipartition):
-        return False
-    a = [v for v in range(sub.n) if bip.side[v] == 0]
-    b = [v for v in range(sub.n) if bip.side[v] == 1]
-    if not a or not b:
-        return False
-    return all(len(sub.adjacency[v]) == len(b) for v in a) and all(
-        len(sub.adjacency[v]) == len(a) for v in b
-    )
-
-
 def component_is_extremal(g: Graph, x: int) -> bool:
     """True iff the component of x is a single vertex or complete bipartite,
-    the structural shape on which the counting bound is tight."""
-    kind = is_complete_bipartite_component(g, x)
-    return kind == "isolated" or kind is True
+    the structural shape on which the counting bound is tight: it has a
+    two-colouring in which every vertex's degree is the size of the other
+    side."""
+    if not (0 <= x < g.n):
+        raise ValueError(f"vertex {x} out of range for n={g.n}")
+    side = {x: 0}
+    queue = [x]
+    for u in queue:
+        for w in g.adjacency[u]:
+            if w not in side:
+                side[w] = 1 - side[u]
+                queue.append(w)
+            elif side[w] == side[u]:
+                return False
+    ones = sum(side.values())
+    sizes = (len(side) - ones, ones)
+    return all(len(g.adjacency[v]) == sizes[1 - s] for v, s in side.items())

@@ -49,6 +49,8 @@ def exact(n: int, e: int = 0) -> Interval:
 
 
 def round_to(iv: Interval, prec: int) -> Interval:
+    if prec < 1:
+        raise ValueError(f"precision must be at least 1 bit, got {prec}")
     lo_m, lo_e = _floor_round(iv.lo_m, iv.lo_e, prec)
     hi_m, hi_e = _ceil_round(iv.hi_m, iv.hi_e, prec)
     return Interval(lo_m, lo_e, hi_m, hi_e)

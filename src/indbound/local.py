@@ -9,6 +9,11 @@ raising a level-3 degree can only make the inequality harder to satisfy.
 
 canonical_form is the one canonical pass over level-1 relabelings: it gives
 both the canonical key and the automorphisms used by appearance expansion.
+record_multisets is the one enumerator of multisets of level-2 records: the
+searches' degree-class aggregates use it with class vectors capped by the
+class sizes, and a labeled record (b, subset) is the same thing over
+one-vertex classes, so stage 2 and appearance expansion use it with unit
+caps and read the subset off the 0/1 class vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
 aggregates of the searches are checked against it.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import Graph, from_edges
 from .goodness import level_decomposition
@@ -27,54 +32,78 @@ from .goodness import level_decomposition
 Record = tuple[int, tuple[int, ...]]
 
 
-def _record_multisets(
-    quotas: Sequence[int], b_lo: int, b_hi: int
-) -> Iterator[tuple[Record, ...]]:
-    """All multisets of records (b, nonempty subset of positions) whose
-    per-position attachment counts equal `quotas`, with
-    b in [max(|subset|, b_lo), b_hi].  Deterministic order."""
-    n = len(quotas)
+def record_multisets(
+    quotas: Sequence[int],
+    caps: Sequence[int],
+    b_lo: int,
+    b_hi: int,
+    weight: Callable[[int, tuple[int, ...]], int],
+) -> Iterator[tuple[tuple, int]]:
+    """Every multiset of level-2 records (b, cvec) whose class vectors sum
+    to `quotas`, each record with a nonzero cvec, cvec[i] <= caps[i] and
+    max(|cvec|, b_lo) <= b <= b_hi.  Yields (records, weight) pairs: the
+    records as sorted ((b, cvec), multiplicity) pairs, the weight as the
+    sum of weight(b, cvec) over every record.  Deterministic order, no
+    duplicates.
+
+    Skeleton first: the multiset of class vectors is a vector partition of
+    the quotas; each chosen class vector's multiplicity is then spread over
+    its admissible b, and the weights are summed down the recursion.
+    Partial partitions that cannot be completed are never entered."""
     if not any(quotas):
-        yield ()
+        yield (), 0
         return
-    types: list[tuple[int, tuple[int, ...], int]] = []  # (mask, bits, b)
-    for mask in range(1, 1 << n):
-        bits = tuple(i for i in range(n) if mask >> i & 1)
-        lo = max(len(bits), b_lo)
-        for b in range(lo, b_hi + 1):
-            types.append((mask, bits, b))
-    cover = [0] * (len(types) + 1)
-    for i in range(len(types) - 1, -1, -1):
-        cover[i] = cover[i + 1] | types[i][0]
-    rem = list(quotas)
-    records: list[Record] = []
+    cvecs = [
+        cvec
+        for cvec in itertools.product(*(range(min(cap, q) + 1) for cap, q in zip(caps, quotas)))
+        if sum(cvec) and max(sum(cvec), b_lo) <= b_hi
+    ]
 
-    def rec(i: int, rem_mask: int):
-        if rem_mask == 0:
-            yield tuple(records)
-            return
-        if i == len(types) or rem_mask & ~cover[i]:
-            return
-        mask, bits, b = types[i]
-        maxc = min(rem[u] for u in bits) if mask & rem_mask == mask else 0
-        yield from rec(i + 1, rem_mask)
-        for c in range(1, maxc + 1):
-            new_mask = rem_mask
-            for u in bits:
-                rem[u] -= c
-                if rem[u] == 0:
-                    new_mask &= ~(1 << u)
-            records.extend([(b, bits)] * c)
-            yield from rec(i + 1, new_mask)
-            del records[-c:]
-            for u in bits:
-                rem[u] += c
+    spreads: dict[tuple[tuple[int, ...], int], list] = {}
 
-    rem_mask = 0
-    for i, q in enumerate(rem):
-        if q:
-            rem_mask |= 1 << i
-    yield from rec(0, rem_mask)
+    def spread(cvec: tuple[int, ...], c: int) -> list:
+        """(records, weight) for every way to give c copies of cvec
+        admissible degrees b."""
+        if (cvec, c) not in spreads:
+            weights = {b: weight(b, cvec) for b in range(max(sum(cvec), b_lo), b_hi + 1)}
+            spreads[cvec, c] = out = []
+            for bs in itertools.combinations_with_replacement(weights, c):
+                recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
+                out.append((recs, sum(weights[b] * cnt for (b, _), cnt in recs)))
+        return spreads[cvec, c]
+
+    moves_of: dict[tuple[int, tuple[int, ...]], list] = {}
+
+    def moves(start: int, rem: tuple[int, ...]) -> list:
+        """(next start, remainder, done, spreads) for every c copies of a
+        class vector j >= start that leave a remainder coverable from j + 1
+        on."""
+        key = (start, rem)
+        if key not in moves_of:
+            out = []
+            for j in range(start, len(cvecs)):
+                cvec = cvecs[j]
+                for c in range(1, min(r // x for r, x in zip(rem, cvec) if x) + 1):
+                    nrem = tuple(r - c * x for r, x in zip(rem, cvec))
+                    done = not any(nrem)
+                    if done or moves(j + 1, nrem):
+                        out.append((j + 1, nrem, done, spread(cvec, c)))
+            moves_of[key] = out
+        return moves_of[key]
+
+    records: list = []
+
+    def rec(start: int, rem: tuple[int, ...], total: int):
+        for nstart, nrem, done, options in moves(start, rem):
+            for recs, w in options:
+                records.extend(recs)
+                if done:
+                    yield tuple(sorted(records)), total + w
+                else:
+                    yield from rec(nstart, nrem, total + w)
+                del records[-len(recs):]
+
+    yield from rec(0, tuple(quotas), 0)
 
 
 @dataclass(frozen=True)
@@ -284,12 +313,15 @@ def expand_appearances(cfg: LocalConfig) -> list[Appearance]:
     autos = _config_automorphisms(cfg)
     seen = set()
     out = []
-    # each level-3 vertex is a record over its level-2 neighbors; with
-    # b_lo = b_hi = len(quotas) every subset has exactly one admissible b
+    # each level-3 vertex is a record whose 0/1 class vector marks its
+    # level-2 neighbors (one-vertex classes); with b_lo = b_hi = k every
+    # class vector has exactly one admissible b
     k = len(quotas)
-    for records in _record_multisets(quotas, k, k):
+    for records, _ in record_multisets(quotas, [1] * k, k, k, lambda b, cvec: 0):
+        subsets = [tuple(j for j, x in enumerate(cvec) if x)
+                   for (_, cvec), cnt in records for _ in range(cnt)]
         key = min(
-            tuple(sorted(tuple(sorted(auto[j] for j in sub)) for _, sub in records))
+            tuple(sorted(tuple(sorted(auto[j] for j in sub)) for sub in subsets))
             for auto in autos
         )
         if key in seen:

@@ -193,11 +193,6 @@ class FactorProduct:
                 del new[p]
         return FactorProduct(new)
 
-    def __pow__(self, k: int) -> "FactorProduct":
-        if k == 0:
-            return FactorProduct()
-        return FactorProduct({p: e * k for p, e in self._exp.items()})
-
     def exponents(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._exp.items()))
 
@@ -307,6 +302,8 @@ def compare_pure_products(p: FactorProduct, q: FactorProduct) -> Verdict:
 
 
 def _precision_schedule(start: int, cap: int):
+    if not 1 <= start <= cap:
+        raise ValueError(f"need 1 <= precision start <= cap, got start {start}, cap {cap}")
     prec = start
     while True:
         yield prec
@@ -352,7 +349,11 @@ def compare_count_to_product(
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> Verdict:
-    """Certified comparison of an exact integer against a product."""
+    """Certified comparison of an exact integer against a product.
+
+    Only an integral product can equal the count: with a non-integral prime
+    exponent the product is irrational, and with a negative one it is not an
+    integer (unique factorization), so intervals decide every other case."""
     if product.is_integral():
         value = product.as_integer()
         if count > value:
@@ -363,8 +364,6 @@ def compare_count_to_product(
             outcome = Outcome.STRICTLY_LESS
         return Verdict(outcome, "exact", None, count, (product,),
                        {"count": count, "product_value": value})
-    equality_checked = False
-    last = None
     for prec in _precision_schedule(precision_start, precision_cap):
         iv = product.value_interval(prec)
         if intervals.dyadic_cmp(count, 0, iv.hi_m, iv.hi_e) > 0:
@@ -373,19 +372,8 @@ def compare_count_to_product(
         if intervals.dyadic_cmp(count, 0, iv.lo_m, iv.lo_e) < 0:
             return Verdict(Outcome.STRICTLY_LESS, "interval", prec, count,
                            (product,), {"count": count, "product_interval": _interval_strings(iv)})
-        if not equality_checked:
-            equality_checked = True
-            denominators = [e.denominator for _, e in product.exponents()]
-            L = lcm(*denominators) if denominators else 1
-            cleared = 1
-            for p, e in product.exponents():
-                cleared *= p ** int(e * L)
-            if count**L == cleared:
-                return Verdict(Outcome.EQUAL, "exact", None, count, (product,),
-                               {"count": count, "clearing_exponent": L})
-        last = iv
     return Verdict(Outcome.UNDECIDED, "interval", precision_cap, count, (product,),
-                   {"count": count, "product_interval": _interval_strings(last)})
+                   {"count": count, "product_interval": _interval_strings(iv)})
 
 
 def _interval_strings(iv: Interval) -> list[str]:

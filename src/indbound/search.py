@@ -15,13 +15,15 @@ Three searches back the main theorem:
 The searches run on degree-class aggregates: the three products of the
 reduced inequality depend on a level-2 vertex only through its total degree
 and how many neighbors it has in each level-1 degree class, never on which
-same-degree vertices those are.  Enumeration is skeleton first: the
-multisets of class vectors that exactly use up the per-class quotas come
-first, then each class vector's multiplicity is spread over its admissible
-level-2 degrees.  Each record type carries a precomputed A/B/C exponent
-vector, summed down the recursion, so every aggregate arrives ready to
-certify.  Every aggregate is realizable by a simple bipartite graph (each
-class vector entry is at most the class size, which makes the Gale-Ryser
+same-degree vertices those are.  The records come from
+local.record_multisets, the one record-multiset enumerator (stage 2 and
+appearance expansion call it with one-vertex classes): skeleton first, the
+multisets of class vectors that exactly use up the per-class quotas, then
+each class vector's multiplicity spread over its admissible level-2
+degrees.  Each record type carries a precomputed A/B/C exponent vector,
+summed down the recursion, so every aggregate arrives ready to certify.
+Every aggregate is realizable by a simple bipartite graph (each class
+vector entry is at most the class size, which makes the Gale-Ryser
 condition hold), so certified aggregates and concrete configurations cover
 each other exactly.  The rare interesting aggregates (equal, failing,
 undecided) are expanded back into canonical labeled configurations for
@@ -37,6 +39,7 @@ independent, so workers run in parallel and reports merge deterministically.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import multiprocessing
 import os
@@ -47,11 +50,11 @@ from typing import Iterator, Sequence
 from .local import (
     LocalConfig,
     Record,
-    _record_multisets,
     canonical_tuple,
     config_describe,
     expand_appearances,
     leveled_canonical,
+    record_multisets,
 )
 from .products import (
     _A,
@@ -176,12 +179,9 @@ def _agg_enum_for_degrees(
     (distinct degrees fix the class order, so aggregates have no leftover
     symmetry), records sorted as aggregate_of_config sorts them.
 
-    Skeleton first: the multiset of class vectors is a vector partition of
-    the per-class quotas s * (d - 1), over the class vectors with an
-    admissible level-2 degree.  Each chosen class vector's multiplicity is
-    then spread over its admissible level-2 degrees, and the type vectors
-    are summed down the recursion.  Partial partitions that cannot be
-    completed are never entered.
+    The records are record_multisets over the per-class quotas s * (d - 1),
+    each class vector entry capped by its class size, weighted by the type
+    vectors; the shard's base vector is added to each sum.
 
     Every aggregate is realizable by a simple bipartite graph, so none is
     skipped.  Classes are independent: a level-2 vertex's neighbors in
@@ -193,64 +193,10 @@ def _agg_enum_for_degrees(
     class_sizes = tuple(degrees.count(d) for d in class_degrees)
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
     base = _base_vector(d0, class_degrees, class_sizes)
-    if not any(quotas):
-        yield AggConfig(delta_eff, d0, class_degrees, class_sizes, ()), base
-        return
     lo, hi = _degree_bounds(rule, d0, delta_eff)
-    cvecs = [
-        cvec
-        for cvec in itertools.product(*(range(s + 1 if q else 1)
-                                        for s, q in zip(class_sizes, quotas)))
-        if sum(cvec) and max(sum(cvec), lo) <= hi
-    ]
-
-    spreads: dict[tuple[tuple[int, ...], int], list] = {}
-
-    def spread(cvec: tuple[int, ...], c: int) -> list:
-        """(records, vector) for every way to give c copies of cvec
-        admissible level-2 degrees."""
-        if (cvec, c) not in spreads:
-            vecs = {b: _type_vector(delta_eff, class_degrees, b, cvec)
-                    for b in range(max(sum(cvec), lo), hi + 1)}
-            spreads[cvec, c] = out = []
-            for bs in itertools.combinations_with_replacement(vecs, c):
-                recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
-                out.append((recs, sum(vecs[b] * cnt for (b, _), cnt in recs)))
-        return spreads[cvec, c]
-
-    moves_of: dict[tuple[int, tuple[int, ...]], list] = {}
-
-    def moves(start: int, rem: tuple[int, ...]) -> list:
-        """(next start, remainder, done, spreads) for every c copies of a
-        class vector j >= start that leave a remainder coverable from j + 1
-        on."""
-        key = (start, rem)
-        if key not in moves_of:
-            out = []
-            for j in range(start, len(cvecs)):
-                cvec = cvecs[j]
-                for c in range(1, min(r // x for r, x in zip(rem, cvec) if x) + 1):
-                    nrem = tuple(r - c * x for r, x in zip(rem, cvec))
-                    done = not any(nrem)
-                    if done or moves(j + 1, nrem):
-                        out.append((j + 1, nrem, done, spread(cvec, c)))
-            moves_of[key] = out
-        return moves_of[key]
-
-    records: list = []
-
-    def rec(start: int, rem: tuple[int, ...], vec: int):
-        for nstart, nrem, done, options in moves(start, rem):
-            for recs, v in options:
-                records.extend(recs)
-                if done:
-                    yield (AggConfig(delta_eff, d0, class_degrees, class_sizes,
-                                     tuple(sorted(records))), vec + v)
-                else:
-                    yield from rec(nstart, nrem, vec + v)
-                del records[-len(recs):]
-
-    yield from rec(0, quotas, base)
+    weight = functools.partial(_type_vector, delta_eff, class_degrees)
+    for records, vec in record_multisets(quotas, class_sizes, lo, hi, weight):
+        yield AggConfig(delta_eff, d0, class_degrees, class_sizes, records), base + vec
 
 
 def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
@@ -598,11 +544,9 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
         forced.append((pattern.l1_degrees[u], tuple(sorted(nbrs_q))))
     quotas = [pattern.l2[j][0] - len(pattern.l2[j][1]) for j in s_indices]
     min_deg = max(1, d_p)
-    for wrecords in _record_multisets(quotas, min_deg, 5):
-        mapped = [
-            (b, tuple(sorted(1 + pos for pos in positions)))
-            for b, positions in wrecords
-        ]
+    for wrecords, _ in record_multisets(quotas, [1] * len(quotas), min_deg, 5, lambda b, cvec: 0):
+        mapped = [(b, tuple(1 + pos for pos, x in enumerate(cvec) if x))
+                  for (b, cvec), cnt in wrecords for _ in range(cnt)]
         records = tuple(sorted(forced + mapped))
         yield LocalConfig(5, d_q, l1_q, records)
 

@@ -9,11 +9,11 @@ from indbound.graphs import (
     GraphParseError,
     bipartition,
     complete_bipartite,
+    component_is_extremal,
     components,
     delete_closed,
     from_edges,
     is_bipartite,
-    is_complete_bipartite_component,
     parse_edge_list,
     serialize_edge_list,
     tensor_k2,
@@ -171,8 +171,8 @@ def test_tensor_properties_random():
 
 
 def test_is_complete_bipartite_component(fig1):
-    assert is_complete_bipartite_component(complete_bipartite(2, 3), 0) is True
-    assert is_complete_bipartite_component(path(4), 1) is False
-    assert is_complete_bipartite_component(Graph(1, ((),)), 0) == "isolated"
-    assert is_complete_bipartite_component(fig1, 0) is False
-    assert is_complete_bipartite_component(cycle(3), 0) is False
+    assert component_is_extremal(complete_bipartite(2, 3), 0) is True
+    assert component_is_extremal(path(4), 1) is False
+    assert component_is_extremal(Graph(1, ((),)), 0) is True
+    assert component_is_extremal(fig1, 0) is False
+    assert component_is_extremal(cycle(3), 0) is False

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +52,12 @@ def test_precision_schedule_honors_requested_width():
     lo = Fraction(out.lo_m) * Fraction(2) ** out.lo_e
     hi = Fraction(out.hi_m) * Fraction(2) ** out.hi_e
     assert (hi - lo) / lo > Fraction(1, 2**10)
+
+
+def test_round_to_needs_one_bit():
+    # at 0 bits the upper end of [5, 5] would round to 0
+    with pytest.raises(ValueError):
+        intervals.round_to(intervals.exact(5), 0)
 
 
 def test_pow_and_div():

@@ -10,6 +10,7 @@ from indbound.products import (
     DegreeBoundError,
     FactorProduct,
     Outcome,
+    _precision_schedule,
     certify_sum_inequality,
     check_f_fact,
     compare_count_to_product,
@@ -219,6 +220,23 @@ def test_compare_count_to_product():
     assert v.outcome == Outcome.STRICTLY_LESS
     v = compare_count_to_product(9, pi_product(path(4)))
     assert v.outcome == Outcome.STRICTLY_GREATER  # 9 > 5 * 7^(1/4)
+
+
+def test_compare_count_to_non_integral_product_is_never_equal():
+    # 3^40 / 2 is not an integer, so only intervals decide; the count
+    # agrees with it to float precision but is below it
+    count = int(float(3**40) / 2)
+    assert 2 * count < 3**40
+    v = compare_count_to_product(count, FactorProduct.from_factor(3, 40).times(2, -1),
+                                 precision_start=8)
+    assert v.outcome == Outcome.STRICTLY_LESS and v.method == "interval"
+
+
+def test_precision_schedule_needs_one_bit_up_to_the_cap():
+    assert list(_precision_schedule(1, 5)) == [1, 2, 4, 5]
+    for start, cap in [(0, 8), (-1, 8), (9, 3)]:
+        with pytest.raises(ValueError):
+            list(_precision_schedule(start, cap))
 
 
 def test_interval_soundness_brackets_integers():

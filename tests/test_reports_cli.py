@@ -118,6 +118,27 @@ def test_cli_check_parse_error(tmp_path, capsys):
     assert main(["check", "--input", str(tmp_path / "missing.txt")]) == 3
 
 
+def test_cli_rejects_precision_below_one_bit(tmp_path, capsys):
+    p = tmp_path / "fig1.txt"
+    p.write_text(FIG1_TEXT)
+    for argv in (["verify-all", "--delta", "2", "--jobs", "1", "--precision-bits", "0"],
+                 ["check", "--input", str(p), "--precision-bits", "0"],
+                 ["check", "--input", str(p), "--precision-bits", "9", "--precision-cap", "3"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_usage_error_exits_3_not_undecided(capsys):
+    for argv in (["verify-all", "--jobs", "x"], ["check"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--help"])
+    assert exc.value.code == 0
+
+
 def test_cli_check_degree_guard(tmp_path, capsys):
     p = tmp_path / "star6.txt"
     p.write_text("n 7\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n")
