@@ -3,14 +3,19 @@
 Subcommands:
   verify-all         the full verification pipeline (factor fact, regular
                      case, max-degree search, min-degree search + exceptional
-                     clearing), emitting a JSON certificate
+                     clearing, all at the given precision), emitting a JSON
+                     certificate
   check              report ind(G), the bound product, the certified
                      comparison and good-vertex probes for one graph file
   export-exceptions  write the fourteen exceptional neighborhoods as DOT
   selftest           the randomized cross-validation suites
 
+Each subcommand takes only the flags it reads; --jobs is for verify-all and
+export-exceptions, --seed and --scale for selftest.
+
 Exit codes: 0 pass, 1 fail, 2 undecided, 3 internal/parse/usage error (a
-precision below 1 bit included), and 4 for a degree above five in `check`.
+precision below 1 bit and fewer than one worker included), and 4 for a
+degree above five in `check`.
 Exit codes are the machine contract; the human-readable stdout may evolve,
 the JSON schema may not.
 """
@@ -34,7 +39,6 @@ from .graphs import (
 )
 from .local import expand_appearances
 from .products import DegreeBoundError, Outcome, check_f_fact
-from .regular import verify_regular
 from .reports import (
     CertificateDocument,
     RunConfig,
@@ -43,6 +47,7 @@ from .reports import (
 )
 from .search import (
     default_jobs,
+    verify_regular,
     verify_statement1_stage1,
     verify_statement1_stage2,
     verify_statement2,
@@ -65,11 +70,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+def _add_common(p: argparse.ArgumentParser, jobs: bool) -> None:
+    if jobs:
+        p.add_argument("--jobs", type=int, default=default_jobs(),
+                       help="worker processes (default: all cores)")
     p.add_argument("--precision-bits", type=int, default=128, help="interval precision start")
     p.add_argument("--precision-cap", type=int, default=8192, help="interval precision cap")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write a JSON report here")
 
 
@@ -85,34 +91,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the searches to one statement")
     p.add_argument("--dot", dest="dot_dir", metavar="DIR",
                    help="also export exceptional patterns as DOT files")
-    _add_common(p)
+    _add_common(p, jobs=True)
 
     p = sub.add_parser("check", help="check one graph file")
     p.add_argument("--input", required=True, metavar="PATH", help="edge-list file")
-    _add_common(p)
+    _add_common(p, jobs=False)
 
     p = sub.add_parser("export-exceptions", help="export the exceptional patterns as DOT")
     p.add_argument("--dot", dest="dot_dir", default="exceptions", metavar="DIR",
                    help="output directory (default: exceptions/)")
-    _add_common(p)
+    _add_common(p, jobs=True)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
+    p.add_argument("--seed", type=int, default=0, help="seed of the randomized suites")
     p.add_argument("--scale", type=float, default=1.0,
                    help="scale factor on the default trial counts")
-    _add_common(p)
+    p.add_argument("--json", dest="json_path", metavar="PATH", help="write a JSON report here")
     return parser
 
 
 def _cmd_verify_all(args) -> int:
-    jobs = args.jobs or default_jobs()
     config = RunConfig(
         subcommand="verify-all",
         delta=args.delta,
         statement=args.statement,
-        jobs=jobs,
+        jobs=args.jobs,
         precision_bits=args.precision_bits,
         precision_cap=args.precision_cap,
-        seed=args.seed,
         json_path=args.json_path,
         dot_dir=args.dot_dir,
     )
@@ -127,14 +132,16 @@ def _cmd_verify_all(args) -> int:
 
     t0 = time.monotonic()
     for d in range(1, args.delta + 1):
-        rep = verify_regular(d)
+        rep = verify_regular(d, precision_start=args.precision_bits,
+                             precision_cap=args.precision_cap)
         doc.regular.append(rep.to_json())
         print(f"regular d={d}: {doc.regular[-1]['verdict']}"
-              f" ({rep.profiles} profiles, {len(rep.equalities)} equality)")
+              f" ({rep.profiles} profiles, {len(rep.equalities)} equality"
+              + (f", {len(rep.undecided)} undecided" if rep.undecided else "") + ")")
     doc.timing["regular_s"] = time.monotonic() - t0
 
     if args.statement in (None, 2):
-        rep2 = verify_statement2(min(args.delta, 4), jobs=jobs,
+        rep2 = verify_statement2(min(args.delta, 4), jobs=args.jobs,
                                  precision_start=args.precision_bits,
                                  precision_cap=args.precision_cap)
         doc.statement2 = rep2
@@ -142,7 +149,7 @@ def _cmd_verify_all(args) -> int:
               f"{'PASS' if rep2.passed else 'FAIL'} {rep2.tally}")
 
     if args.statement in (None, 1) and args.delta == 5:
-        s1 = verify_statement1_stage1(5, jobs=jobs,
+        s1 = verify_statement1_stage1(5, jobs=args.jobs,
                                       precision_start=args.precision_bits,
                                       precision_cap=args.precision_cap)
         doc.stage1 = s1
@@ -168,7 +175,7 @@ def _cmd_verify_all(args) -> int:
                     ],
                 }
             )
-        s2 = verify_statement1_stage2(s1.exceptional_patterns, jobs=jobs,
+        s2 = verify_statement1_stage2(s1.exceptional_patterns, jobs=args.jobs,
                                       precision_start=args.precision_bits,
                                       precision_cap=args.precision_cap)
         doc.stage2 = s2
@@ -259,9 +266,8 @@ def _cmp_text(outcome: Outcome) -> str:
 
 
 def _cmd_export_exceptions(args) -> int:
-    jobs = args.jobs or default_jobs()
     print("running the minimum-degree search to collect exceptional patterns...")
-    s1 = verify_statement1_stage1(5, jobs=jobs,
+    s1 = verify_statement1_stage1(5, jobs=args.jobs,
                                   precision_start=args.precision_bits,
                                   precision_cap=args.precision_cap)
     appearances = []
@@ -295,7 +301,10 @@ def _cmd_selftest(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.subcommand != "selftest" and not 1 <= args.precision_bits <= args.precision_cap:
+    if "jobs" in args and args.jobs < 1:
+        print(f"error: need --jobs >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_ERROR
+    if "precision_bits" in args and not 1 <= args.precision_bits <= args.precision_cap:
         print(f"error: need 1 <= --precision-bits <= --precision-cap, got "
               f"{args.precision_bits} and {args.precision_cap}", file=sys.stderr)
         return EXIT_ERROR

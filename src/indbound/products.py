@@ -422,6 +422,10 @@ def ratio_term(exponents, prec: int, den: int) -> tuple[bool, Interval]:
     return integral, intervals.round_to(pos if neg is _ONE else intervals.div(pos, neg, work), prec)
 
 
+def _integral(exponents, den: int) -> bool:
+    return all(num % den == 0 for _, num in exponents)
+
+
 def certify_exponents(
     x,
     y,
@@ -440,15 +444,18 @@ def certify_exponents(
     common factor compare as exact integers (the only route that may return
     Equal); otherwise X and Y are directed-rounding intervals, doubling
     precision up to the cap, where Undecided is returned, never a silent
-    pass.  memo maps (key, precision) to ratio_term's result; the searches
-    keep one per shard.  Returns (outcome, method, precision, values):
-    the three reduced integers or the (1, X + Y) intervals that decided.
+    pass.  Integrality is tested first, so an exact verdict evaluates no
+    interval.  memo maps (key, precision) to ratio_term's result; the
+    searches keep one per shard, and a memo hit decodes no key.  Returns
+    (outcome, method, precision, values): the three reduced integers or the
+    (1, X + Y) intervals that decided.
     """
     memo = {} if memo is None else memo
     for prec in _precision_schedule(precision_start, precision_cap):
-        tx = memo.get((x, prec)) or memo.setdefault((x, prec), ratio_term(exponents(x), prec, den))
-        ty = memo.get((y, prec)) or memo.setdefault((y, prec), ratio_term(exponents(y), prec, den))
-        if tx[0] and ty[0]:
+        tx, ty = memo.get((x, prec)), memo.get((y, prec))
+        ex = exponents(x) if tx is None else None  # only a miss decodes its key
+        ey = exponents(y) if ty is None else None
+        if (tx[0] if tx else _integral(ex, den)) and (ty[0] if ty else _integral(ey, den)):
             ex, ey = dict(exponents(x)), dict(exponents(y))
             ia = ib = ic = 1
             for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
@@ -461,6 +468,8 @@ def certify_exponents(
             outcome = (Outcome.STRICTLY_GREATER if d > 0
                        else Outcome.EQUAL if d == 0 else Outcome.STRICTLY_LESS)
             return outcome, "exact", None, (ia, ib, ic)
+        tx = tx or memo.setdefault((x, prec), ratio_term(ex, prec, den))
+        ty = ty or memo.setdefault((y, prec), ratio_term(ey, prec, den))
         ivsum = intervals.add(tx[1], ty[1])
         if intervals.strictly_above(_ONE, ivsum):
             return Outcome.STRICTLY_GREATER, "interval", prec, (_ONE, ivsum)

@@ -8,7 +8,7 @@ so reproducibility comparisons can strip them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -25,11 +25,8 @@ class RunConfig:
     jobs: int = 1
     precision_bits: int = 128
     precision_cap: int = 8192
-    seed: int = 0
-    input_path: str | None = None
     json_path: str | None = None
     dot_dir: str | None = None
-    trials: int | None = None
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -38,19 +35,7 @@ class RunConfig:
             raise ValueError("precision start must not exceed the cap")
 
     def to_json(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "delta": self.delta,
-            "statement": self.statement,
-            "jobs": self.jobs,
-            "precision_bits": self.precision_bits,
-            "precision_cap": self.precision_cap,
-            "seed": self.seed,
-            "input": self.input_path,
-            "json_path": self.json_path,
-            "dot_dir": self.dot_dir,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -75,7 +60,7 @@ class CertificateDocument:
         return out
 
     def undecided_count(self) -> int:
-        total = 0
+        total = sum(len(r.get("undecided", ())) for r in self.regular)
         for rep in (self.statement2, self.stage1, self.stage2):
             if rep is not None:
                 total += rep.tally.get("undecided", 0)

@@ -1,7 +1,10 @@
 """Exhaustive certified searches over rooted local configurations.
 
-Three searches back the main theorem:
+Four searches back the main theorem:
 
+  * the regular case (d <= 5): the min-degree shard whose root and level-1
+    vertices have degree d, so levels 2 and padded 3 do too; equality
+    exactly on the complete-bipartite aggregate;
   * statement 2 (max-degree root, Delta <= 4): every configuration rooted at
     a maximum-degree vertex certifies A >= B + C, with equality exactly on
     the complete-bipartite shapes;
@@ -45,7 +48,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .local import (
     LocalConfig,
@@ -475,12 +478,12 @@ def verify_statement1_stage1(
     precision_cap: int = PRECISION_CAP,
 ) -> SearchReport:
     """Min-degree-root search at Delta = 5 over root degrees 0..4 (a
-    non-regular graph has a vertex of degree at most 4; regular graphs are
-    handled by the regular verifier).  Failing configurations are collected
-    as exceptional patterns; PASS requires no undecided configurations,
-    equality exactly on the complete-bipartite shapes, and the level-0..3
-    appearances of the failing patterns to match the fourteen expected
-    exceptional neighborhoods."""
+    non-regular graph has a vertex of degree at most 4; a 5-regular graph
+    is the root-degree-5 shard verify_regular(5) certifies).  Failing
+    configurations are collected as exceptional patterns; PASS requires no
+    undecided configurations, equality exactly on the complete-bipartite
+    shapes, and the level-0..3 appearances of the failing patterns to match
+    the fourteen expected exceptional neighborhoods."""
     if delta != 5:
         raise ValueError("stage 1 is defined for delta = 5")
     jobs = jobs or default_jobs()
@@ -507,6 +510,66 @@ def verify_statement1_stage1(
                        "appearances": len(appearances),
                        "appearances_match_expected": matches_expected,
                    })
+
+
+# --------------------------------------------------------------------------
+# the regular case
+
+
+Profile = NamedTuple("Profile", [("k", int), ("xs", tuple)])
+
+
+def regular_profile(agg: AggConfig) -> Profile:
+    """(k, xs) of a d-regular shard aggregate: each record (d, (c,)) is a
+    level-2 vertex with c level-1 and x = d - c level-3 neighbors; xs is
+    non-increasing."""
+    xs = [agg.delta_eff - cvec[0] for (_, cvec), cnt in agg.records for _ in range(cnt)]
+    return Profile(len(xs), tuple(sorted(xs, reverse=True)))
+
+
+@dataclass(frozen=True)
+class RegularReport:
+    d: int
+    profiles: int
+    strict: int
+    equalities: tuple[Profile, ...]
+    violations: tuple[Profile, ...]
+    undecided: tuple[Profile, ...]
+    passed: bool
+
+    def to_json(self) -> dict:
+        out = {"d": self.d, "profiles": self.profiles, "strict": self.strict,
+               "verdict": "PASS" if self.passed else "FAIL"}
+        for key in ("equalities", "violations", "undecided"):
+            out[key] = [{"k": p.k, "xs": list(p.xs)} for p in getattr(self, key)]
+        return out
+
+
+def verify_regular(
+    d: int,
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+) -> RegularReport:
+    """The d-regular case: the min-degree shard with root degree d and level-1
+    degrees (d,) * d, whose level-2 degrees are then d too.  PASS means no
+    failing or undecided aggregate, and equality exactly on the extremal
+    aggregate (K_{d,d}: k = d - 1, every x_i = 0)."""
+    degrees = (d,) * d
+    memo: dict = {}
+    found: dict[Outcome, list[AggConfig]] = {outcome: [] for outcome in Outcome}
+    for agg, vec in _agg_enum_for_degrees(d, RootRule.MIN_DEGREE, d, degrees):
+        found[vector_outcome(vec, precision_start, precision_cap, memo)[0]].append(agg)
+    strict, equal, failing, undecided = found.values()  # in Outcome order
+    extremal_only = set(equal) == {extremal_aggregate(d, d, degrees)}
+    return RegularReport(
+        d=d,
+        profiles=sum(map(len, found.values())),
+        strict=len(strict),
+        equalities=tuple(map(regular_profile, equal)),
+        violations=tuple(map(regular_profile, failing)),
+        undecided=tuple(map(regular_profile, undecided)),
+        passed=not failing and not undecided and extremal_only,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from indbound.graphs import complete_bipartite
 from indbound.local import expand_appearances, leveled_canonical
 from indbound.products import Outcome, check_f_fact
 from indbound.reference import EXPECTED_EDGE_LISTS, expected_appearance_keys
-from indbound.regular import verify_regular
 from indbound.search import (
     config_is_extremal,
     default_jobs,
+    verify_regular,
     verify_statement1_stage2,
     verify_statement2,
 )

@@ -123,14 +123,19 @@ def test_cli_rejects_precision_below_one_bit(tmp_path, capsys):
     p.write_text(FIG1_TEXT)
     for argv in (["verify-all", "--delta", "2", "--jobs", "1", "--precision-bits", "0"],
                  ["check", "--input", str(p), "--precision-bits", "0"],
-                 ["check", "--input", str(p), "--precision-bits", "9", "--precision-cap", "3"]):
+                 ["check", "--input", str(p), "--precision-bits", "9", "--precision-cap", "3"],
+                 ["verify-all", "--delta", "2", "--jobs", "0"],
+                 ["verify-all", "--delta", "2", "--jobs", "-1"],
+                 ["export-exceptions", "--jobs", "0"]):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_usage_error_exits_3_not_undecided(capsys):
-    for argv in (["verify-all", "--jobs", "x"], ["check"], ["bogus"]):
+    # a subcommand rejects the flags it does not read
+    for argv in (["verify-all", "--jobs", "x"], ["check"], ["bogus"], ["selftest", "--jobs", "2"],
+                 ["check", "--input", "g.txt", "--seed", "1"], ["verify-all", "--seed", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
@@ -191,6 +196,19 @@ def test_cli_verify_all_delta2(tmp_path, capsys):
     assert [r["d"] for r in cert["regular"]] == [1, 2]
     out = capsys.readouterr().out
     assert "overall: PASS" in out
+
+
+def test_cli_verify_all_regular_undecided_at_tiny_precision(tmp_path):
+    # the regular case is certified at the given precision: at a 4-bit cap the
+    # d = 2 profile 28 against 25 stays undecided, and exit 2 says so
+    j = tmp_path / "cert.json"
+    argv = ["verify-all", "--delta", "2", "--statement", "1", "--json", str(j)]
+    assert main([*argv, "--precision-bits", "4", "--precision-cap", "4"]) == 2
+    regular = json.loads(j.read_text())["regular"]
+    assert regular[1]["undecided"] == [{"k": 2, "xs": [1, 1]}]
+    assert regular[1]["verdict"] == "FAIL"
+    assert regular[1]["equalities"] == [{"k": 1, "xs": [0]}]
+    assert main([*argv, "--precision-bits", "8", "--precision-cap", "8"]) == 0
 
 
 def test_cli_verify_all_reproducible(tmp_path):
