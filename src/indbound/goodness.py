@@ -4,16 +4,16 @@ A vertex x is good when Pi(G) >= Pi(G - x) + Pi(G - x - N(x)), where Pi is
 the bound product.  Factors from edges at distance >= 3 of x and from other
 components appear identically on both sides, so the check reduces to the
 levels 0..2 of a breadth-first decomposition around x plus the edges leaving
-level 2.  The reduced check (is_good) builds the A/B/C lane vector of x from
-that decomposition and certifies it with certify_exponents, the layout and
-decision procedure the searches use.  The direct whole-graph evaluation
+level 2.  The reduced check (is_good) gathers the degrees around x from
+that decomposition, builds the A/B/C lane vector with products.root_vector
+and products.level2_vector, the builders the searches use, and certifies it
+through vector_outcome.  The direct whole-graph evaluation
 (is_good_fullgraph), its oracle, builds the three bound products and goes
 through certify_sum_inequality.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .counting import count_independent_sets
@@ -26,26 +26,19 @@ from .graphs import (
 )
 from .intervals import to_decimal_str
 from .products import (
-    _A,
-    _B,
-    _C,
-    _SEARCH_DEN,
-    _TWO,
     PRECISION_CAP,
     PRECISION_START,
     DegreeBoundError,
     FactorProduct,
     Outcome,
     Verdict,
-    _lanes,
-    certify_exponents,
     certify_sum_inequality,
     compare_count_to_product,
-    f_exponents,
-    key_exponents,
+    level2_vector,
     pi_product,
-    ratio_keys,
+    root_vector,
     sum_verdict,
+    vector_outcome,
 )
 
 
@@ -114,50 +107,21 @@ def decomposition_is_extremal(g: Graph, ld: LevelDecomposition) -> bool:
     )
 
 
-@functools.cache
-def _f_lanes(term: int, a: int, b: int) -> int:
-    """The lanes of one edge factor f(a, b) in one term."""
-    return _lanes(term, f_exponents(a, b))
-
-
-_B_TWO = _lanes(_B, _TWO)
-_C_TWO = _lanes(_C, _TWO)
-
-
 def goodness_vector(g: Graph, ld: LevelDecomposition) -> int:
     """The A/B/C lane vector of the reduced inequality at ld.root; every
-    degree of the component must be at most 5.
-
-    A counts every 01/12/23 edge at its true degrees plus 2^iso(G);
-    B drops x, so each 12-edge loses one from its level-1 endpoint and a
-    level-1 vertex of degree 1 becomes a factor 2;
-    C drops x and N(x), so each 23-edge keeps only the level-3 neighbors of
-    its level-2 endpoint, and a level-2 vertex with no level-3 neighbor
-    becomes a factor 2.
-    """
+    degree of the component must be at most 5.  It is root_vector of the
+    root and level-1 degrees plus one level2_vector per level-2 vertex, from
+    the degrees of its level-1 and level-3 neighbors."""
     adj = g.adjacency
     dist = ld.dist
-    dx = len(adj[ld.root])
-    if not dx:
-        return _lanes(_A, _TWO)
-    vec = 0
-    for u in ld.levels[1]:
-        du = len(adj[u])
-        vec += _f_lanes(_A, dx, du)
-        if du == 1:
-            vec += _B_TWO
-        for v in adj[u]:
-            if dist[v] == 2:
-                dv = len(adj[v])
-                vec += _f_lanes(_A, du, dv) + _f_lanes(_B, du - 1, dv)
-    for u in ld.levels[2] if len(ld.levels) > 2 else ():
-        du = len(adj[u])
-        up = [v for v in adj[u] if dist[v] == 3]
-        if not up:
-            vec += _C_TWO
-        for v in up:
-            dv = len(adj[v])
-            vec += _f_lanes(_A, du, dv) + _f_lanes(_B, du, dv) + _f_lanes(_C, len(up), dv)
+    l1 = adj[ld.root]
+    vec = root_vector(len(l1), tuple(sorted((len(adj[u]) for u in l1), reverse=True)))
+    for v in ld.levels[2] if len(ld.levels) > 2 else ():
+        down, up = [], []
+        for w in adj[v]:
+            (down if dist[w] == 1 else up).append(len(adj[w]))
+        vec += level2_vector(len(adj[v]), tuple(sorted(down, reverse=True)),
+                             tuple(sorted(up, reverse=True)))
     return vec
 
 
@@ -175,9 +139,8 @@ def is_good(
     worst = max(len(g.adjacency[v]) for v in ld.dist)
     if worst > 5:
         raise DegreeBoundError(f"component of vertex {x} has degree {worst}, is_good needs <= 5")
-    certified = certify_exponents(*ratio_keys(goodness_vector(g, ld)), precision_start,
-                                  precision_cap, _SEARCH_DEN, key_exponents)
-    return sum_verdict(certified, decomposition_is_extremal(g, ld))
+    return sum_verdict(vector_outcome(goodness_vector(g, ld), precision_start, precision_cap),
+                       decomposition_is_extremal(g, ld))
 
 
 def is_good_fullgraph(

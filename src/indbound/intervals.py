@@ -11,6 +11,7 @@ an interval, never grow it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -187,29 +188,38 @@ _root_cache: dict[tuple[int, int, int], Interval] = {}
 _pow_cache: dict[tuple[int, int, int, int], Interval] = {}
 
 
-def _prime_factor_list(n: int) -> list[int]:
+@functools.cache
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of m >= 1 as ((p, multiplicity), ...), primes
+    ascending, by trial division."""
+    if m < 1:
+        raise ValueError("factorize expects a positive integer")
     out = []
     p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.append(p)
-            n //= p
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            out.append((p, k))
         p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
 
 
 def nth_root_interval(p: int, den: int, prec: int) -> Interval:
     """Interval for p ** (1/den); the root is taken one small prime factor of
     den at a time, which keeps the integer root arguments tiny even for
-    denominators like 3600."""
+    denominators like 3600 (ascending primes, with repetition)."""
     key = (p, den, prec)
     iv = _root_cache.get(key)
     if iv is None:
         iv = exact(p)
-        for q in _prime_factor_list(den):
-            iv = interval_nth_root(iv, q, prec)
+        for q, k in factorize(den):
+            for _ in range(k):
+                iv = interval_nth_root(iv, q, prec)
         _root_cache[key] = iv
     return iv
 

@@ -13,10 +13,11 @@ Comparisons are certified, never floating point:
     exact integers when the exponents of X and Y are integral, and otherwise
     evaluates X and Y as directed-rounding intervals at escalating precision
     (no common-factor reduction).  The searches and the graph route
-    (goodness.is_good) call it on A/B/C lane vectors, packed integers laid
-    out below; the searches memoize X and Y per shard.  Only the whole-graph
-    reference (goodness.is_good_fullgraph) calls it on FactorProducts,
-    through certify_sum_inequality;
+    (goodness.is_good) call it through vector_outcome on A/B/C lane
+    vectors, packed integers laid out below and built only by root_vector
+    and level2_vector; the searches memoize X and Y per shard.  Only the
+    whole-graph reference (goodness.is_good_fullgraph) calls it on
+    FactorProducts, through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -32,7 +33,7 @@ from typing import Mapping
 
 from . import intervals
 from .graphs import Graph
-from .intervals import Interval
+from .intervals import Interval, factorize
 
 PRECISION_START = 128
 PRECISION_CAP = 8192
@@ -85,34 +86,6 @@ class Verdict:
         for k, v in self.detail.items():
             out[k] = plain(v)
         return out
-
-
-_factor_cache: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def factorize(m: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of m >= 1 as ((p, multiplicity), ...)."""
-    if m < 1:
-        raise ValueError("factorize expects a positive integer")
-    cached = _factor_cache.get(m)
-    if cached is not None:
-        return cached
-    out = []
-    rem = m
-    p = 2
-    while p * p <= rem:
-        if rem % p == 0:
-            k = 0
-            while rem % p == 0:
-                rem //= p
-                k += 1
-            out.append((p, k))
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        out.append((rem, 1))
-    result = tuple(out)
-    _factor_cache[m] = result
-    return result
 
 
 @dataclass(frozen=True)
@@ -389,10 +362,10 @@ def _interval_strings(iv: Interval) -> list[str]:
 # certify_exponents compares 1 against X = B/A plus Y = C/A, given by signed
 # integer exponent numerators x = b - a and y = c - a over one denominator;
 # the common factor cancels in the ratios, so the interval route divides
-# nothing out.  The searches and is_good call it directly: their products
-# are 2^k * prod f(a,b)^m with a,b <= 5, so every exponent is a multiple of
-# 1/3600 (3600 = lcm of all a*b).  certify_sum_inequality calls it with the
-# lcm of 3600 and the denominators of its terms.
+# nothing out.  The searches and is_good call it through vector_outcome:
+# their products are 2^k * prod f(a,b)^m with a,b <= 5, so every exponent
+# is a multiple of 1/3600 (3600 = lcm of all a*b).  certify_sum_inequality
+# calls it with the lcm of 3600 and the denominators of its terms.
 
 _SEARCH_DEN = 3600
 
@@ -481,6 +454,11 @@ def certify_exponents(
 # ---------------------------------------------------------------------------
 # A/B/C lane vectors
 #
+# This is the only module that knows the lane layout, and root_vector and
+# level2_vector are the only code that turns degrees into lanes; the
+# searches and is_good build every vector as one root_vector plus one
+# level2_vector per level-2 vertex.
+#
 # Every product the searches and is_good certify is 2^k * prod f(a, b)^m
 # with a, b <= 5, so its exponents are numerators over _SEARCH_DEN for the
 # primes of the f(a, b).  One integer holds all three terms, a 32-bit lane
@@ -508,10 +486,37 @@ _TWO = ((2, _SEARCH_DEN),)
 _A, _B, _C = range(3)
 
 
-def _lanes(term: int, exponents, mult: int = 1) -> int:
-    """Vector of a product given as (prime, numerator) pairs, raised to
-    mult, in one term."""
-    return mult * sum(num << 32 * (term * _NP + _LANE_PRIMES.index(p)) for p, num in exponents)
+def _lanes(term: int, exponents) -> int:
+    """Vector of a product given as (prime, numerator) pairs, in one term."""
+    return sum(num << 32 * (term * _NP + _LANE_PRIMES.index(p)) for p, num in exponents)
+
+
+@functools.cache
+def root_vector(d0: int, l1_degrees: tuple[int, ...]) -> int:
+    """The root's part of an A/B/C vector, for a root of degree d0 whose
+    level-1 vertices have degrees l1_degrees: each 01-edge f(d0, d) in A,
+    or a factor 2 in A when d0 = 0 (the isolated root), and a factor 2 in B
+    per level-1 vertex of degree 1 (isolated in G - x)."""
+    if d0 == 0:
+        return _lanes(_A, _TWO)
+    return sum(_lanes(_A, f_exponents(d0, d)) + (_lanes(_B, _TWO) if d == 1 else 0)
+               for d in l1_degrees)
+
+
+@functools.cache
+def level2_vector(b: int, down: tuple[int, ...], up: tuple[int, ...]) -> int:
+    """One level-2 vertex of degree b whose level-1 neighbors have degrees
+    down and whose level-3 neighbors have degrees up (sorted tuples): each
+    12-edge f(d, b) in A and f(d - 1, b) in B (x is gone); each 23-edge
+    f(b, d) in A and B and f(len(up), d) in C (N(x) is gone), or a factor 2
+    in C when up is empty (the vertex is isolated in G - N[x])."""
+    vec = 0 if up else _lanes(_C, _TWO)
+    for d in down:
+        vec += _lanes(_A, f_exponents(d, b)) + _lanes(_B, f_exponents(d - 1, b))
+    for d in up:
+        vec += (_lanes(_A, f_exponents(b, d)) + _lanes(_B, f_exponents(b, d))
+                + _lanes(_C, f_exponents(len(up), d)))
+    return vec
 
 
 def ratio_keys(vec: int) -> tuple[int, int]:
@@ -532,11 +537,11 @@ def vector_outcome(
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
     memo: dict | None = None,
-) -> tuple[Outcome, str, int | None]:
-    """Certified outcome of A >= B + C for an A/B/C exponent vector; memo
-    holds the ratio intervals of one shard."""
+) -> tuple[Outcome, str, int | None, tuple]:
+    """certify_exponents' (outcome, method, precision, values) for an A/B/C
+    exponent vector; memo holds the ratio intervals of one shard."""
     return certify_exponents(*ratio_keys(vec), precision_start, precision_cap,
-                             _SEARCH_DEN, key_exponents, memo)[:3]
+                             _SEARCH_DEN, key_exponents, memo)
 
 
 @dataclass(frozen=True)

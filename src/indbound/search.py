@@ -23,8 +23,10 @@ local.record_multisets, the one record-multiset enumerator (stage 2 and
 appearance expansion call it with one-vertex classes): skeleton first, the
 multisets of class vectors that exactly use up the per-class quotas, then
 each class vector's multiplicity spread over its admissible level-2
-degrees.  Each record type carries a precomputed A/B/C exponent vector,
-summed down the recursion, so every aggregate arrives ready to certify.
+degrees.  Each record type carries its A/B/C exponent vector, built by
+products.level2_vector as is_good builds it, summed down the recursion onto
+the shard's products.root_vector, so every aggregate arrives ready to
+certify through vector_outcome.
 Every aggregate is realizable by a simple bipartite graph (each class
 vector entry is at most the class size, which makes the Gale-Ryser
 condition hold), so certified aggregates and concrete configurations cover
@@ -60,15 +62,11 @@ from .local import (
     record_multisets,
 )
 from .products import (
-    _A,
-    _B,
-    _C,
-    _TWO,
     PRECISION_CAP,
     PRECISION_START,
     Outcome,
-    _lanes,
-    f_exponents,
+    level2_vector,
+    root_vector,
     vector_outcome,
 )
 from .reference import expected_appearance_keys
@@ -136,41 +134,25 @@ def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggCo
     return AggConfig(delta_eff, d0, (d,), (d0,), (((d0, (d0,)), d - 1),) if d > 1 else ())
 
 
-# A/B/C exponent vectors (the lane layout is in products).  A configuration
-# has at most 5 + 20 + 100 edge factors and 20 powers of two, within the lane
-# bound.  Few ratios occur, so each shard memoizes their intervals; keys
-# rarely recur across shards, so the memo is dropped with its shard rather
-# than grow for the whole run.
+# A/B/C exponent vectors, built by products.root_vector and
+# products.level2_vector.  A configuration has at most 5 + 20 + 100 edge
+# factors and 20 powers of two, within the lane bound.  Few ratios occur, so
+# each shard memoizes their intervals; keys rarely recur across shards, so
+# the memo is dropped with its shard rather than grow for the whole run.
 
 
-def _base_vector(d0: int, class_degrees, class_sizes) -> int:
-    """The root edges in A, and the degree-1 level-1 vertices in B."""
-    vec = _lanes(_A, _TWO) if d0 == 0 else 0
-    for d, s in zip(class_degrees, class_sizes):
-        vec += _lanes(_A, f_exponents(d0, d), s) + (_lanes(_B, _TWO, s) if d == 1 else 0)
-    return vec
-
-
-def _type_vector(delta_eff: int, class_degrees, b: int, cvec: tuple[int, ...]) -> int:
-    """One level-2 vertex of degree b with cvec[i] neighbors in class i: its
-    level-1 edges in A and B, and its t = b - |cvec| level-3 edges in A, B
-    and C, or a factor 2 in C when t = 0."""
-    vec = 0
-    for d, c in zip(class_degrees, cvec):
-        if c:
-            vec += _lanes(_A, f_exponents(d, b), c) + _lanes(_B, f_exponents(d - 1, b), c)
-    t = b - sum(cvec)
-    if not t:
-        return vec + _lanes(_C, _TWO)
-    up = f_exponents(b, delta_eff)
-    return vec + _lanes(_A, up, t) + _lanes(_B, up, t) + _lanes(_C, f_exponents(t, delta_eff), t)
+def _record_vector(delta_eff: int, class_degrees, b: int, cvec: tuple[int, ...]) -> int:
+    """One level-2 vertex of degree b with cvec[i] neighbors in class i and
+    its other b - |cvec| neighbors at level 3, padded to degree delta_eff."""
+    down = tuple(d for d, c in zip(class_degrees, cvec) for _ in range(c))
+    return level2_vector(b, down, (delta_eff,) * (b - len(down)))
 
 
 def agg_vector(agg: AggConfig) -> int:
     """The A/B/C exponent vector of an aggregate."""
-    vec = _base_vector(agg.d0, agg.class_degrees, agg.class_sizes)
+    vec = root_vector(agg.d0, agg.degree_multiset())
     for (b, cvec), cnt in agg.records:
-        vec += cnt * _type_vector(agg.delta_eff, agg.class_degrees, b, cvec)
+        vec += cnt * _record_vector(agg.delta_eff, agg.class_degrees, b, cvec)
     return vec
 
 
@@ -183,8 +165,8 @@ def _agg_enum_for_degrees(
     symmetry), records sorted as aggregate_of_config sorts them.
 
     The records are record_multisets over the per-class quotas s * (d - 1),
-    each class vector entry capped by its class size, weighted by the type
-    vectors; the shard's base vector is added to each sum.
+    each class vector entry capped by its class size, weighted by the
+    record vectors; the shard's root vector is added to each sum.
 
     Every aggregate is realizable by a simple bipartite graph, so none is
     skipped.  Classes are independent: a level-2 vertex's neighbors in
@@ -195,9 +177,9 @@ def _agg_enum_for_degrees(
     class_degrees = tuple(sorted(set(degrees), reverse=True))
     class_sizes = tuple(degrees.count(d) for d in class_degrees)
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
-    base = _base_vector(d0, class_degrees, class_sizes)
+    base = root_vector(d0, degrees)
     lo, hi = _degree_bounds(rule, d0, delta_eff)
-    weight = functools.partial(_type_vector, delta_eff, class_degrees)
+    weight = functools.partial(_record_vector, delta_eff, class_degrees)
     for records, vec in record_multisets(quotas, class_sizes, lo, hi, weight):
         yield AggConfig(delta_eff, d0, class_degrees, class_sizes, records), base + vec
 
@@ -228,8 +210,8 @@ def config_outcome(
     cfg: LocalConfig,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
-) -> tuple[Outcome, str, int | None]:
-    """Certified outcome of the reduced inequality for a labeled
+) -> tuple[Outcome, str, int | None, tuple]:
+    """vector_outcome of the reduced inequality for a labeled
     configuration, through the vector of its aggregate."""
     return vector_outcome(agg_vector(aggregate_of_config(cfg)), precision_start, precision_cap)
 
@@ -330,7 +312,7 @@ def _agg_search_shard(args) -> ShardResult:
     memo: dict = {}
     equal = set()
     for agg, vec in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0, degrees):
-        outcome, method, precision = vector_outcome(vec, precision_start, precision_cap, memo)
+        outcome, method, precision, _ = vector_outcome(vec, precision_start, precision_cap, memo)
         result.add(outcome, method, precision, lambda: labeled_configs_for_aggregate(agg))
         if outcome is Outcome.EQUAL:
             equal.add(agg)
@@ -355,6 +337,16 @@ def _run_shards(shards: list, worker, jobs: int) -> ShardResult:
 
 def default_jobs() -> int:
     return os.cpu_count() or 1
+
+
+def _resolve_jobs(jobs: int | None) -> int:
+    """The worker count of a search: default_jobs() for None, and an error
+    below 1."""
+    if jobs is None:
+        return default_jobs()
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    return jobs
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +448,7 @@ def verify_statement2(
     complete-bipartite configurations."""
     if not 1 <= delta <= 4:
         raise ValueError("statement 2 is verified for delta in 1..4")
-    jobs = jobs or default_jobs()
+    jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
     shards = _make_shards(lambda d0: d0, RootRule.MAX_DEGREE, range(0, delta + 1),
                           precision_start, precision_cap)
@@ -486,7 +478,7 @@ def verify_statement1_stage1(
     the fourteen expected exceptional neighborhoods."""
     if delta != 5:
         raise ValueError("stage 1 is defined for delta = 5")
-    jobs = jobs or default_jobs()
+    jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
     shards = _make_shards(lambda d0: 5, RootRule.MIN_DEGREE, range(0, 5),
                           precision_start, precision_cap)
@@ -625,7 +617,7 @@ def _stage2_shard(args) -> ShardResult:
             continue
         seen.add(key)
         result.kept += 1
-        outcome, method, precision = config_outcome(cfg, precision_start, precision_cap)
+        outcome, method, precision, _ = config_outcome(cfg, precision_start, precision_cap)
         result.add(outcome, method, precision, lambda: [cfg])
     return result
 
@@ -639,7 +631,7 @@ def verify_statement1_stage2(
     """For every exceptional pattern and every neighbor of its root, certify
     that the neighbor is strictly good in every consistent completion.
     Equality anywhere is a failure here."""
-    jobs = jobs or default_jobs()
+    jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
     shards = [
         (pattern, x1, precision_start, precision_cap)

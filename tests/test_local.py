@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import vector_terms
-from indbound.goodness import is_good, is_good_fullgraph
+from indbound.goodness import goodness_vector, is_good, is_good_fullgraph, level_decomposition
 from indbound.local import (
     LocalConfig,
     canonical_config,
@@ -181,6 +181,8 @@ def test_realization_roundtrip_and_verdict_agreement():
         g = realize_config(cfg)
         back = extract_config(g, 0, cfg.delta_eff)
         assert canonical_tuple(back) == canonical_tuple(cfg)
+        # level 3 is padded exactly, so both routes build the same vector
+        assert goodness_vector(g, level_decomposition(g, 0)) == agg_vector(aggregate_of_config(cfg))
         outcome = config_outcome(cfg)[0]
         assert is_good(g, 0).outcome == outcome
         assert is_good_fullgraph(g, 0).outcome == outcome

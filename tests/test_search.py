@@ -33,9 +33,12 @@ from indbound.search import (
     aggregate_of_config,
     config_is_extremal,
     config_outcome,
+    default_jobs,
     degree_tuples,
     labeled_configs_for_aggregate,
+    regular_profile,
     stage2_completions,
+    verify_regular,
     verify_statement1_stage2,
     verify_statement2,
 )
@@ -120,8 +123,11 @@ def test_aggregate_model_matches_labeled_model():
     # enumeration (every aggregate is realizable: each has members), every
     # member maps back to its aggregate, and the outcome certified from the
     # aggregate's summed exponent vector agrees with is_good on a graph
-    # realizing each member, an A/B/C route that shares no code with the
-    # vectors; the configuration extremality test agrees with the graph one
+    # realizing each member, which reads the degrees off a BFS of that graph
+    # instead of the records (both routes build with root_vector and
+    # level2_vector; the independent A/B/C checks are is_good_fullgraph and
+    # FactorProduct.from_f_counts, in test_local.py); the configuration
+    # extremality test agrees with the graph one
     for delta_eff, rule, d0 in [
         (2, RootRule.MAX_DEGREE, 2),
         (3, RootRule.MAX_DEGREE, 3),
@@ -303,7 +309,7 @@ def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
     for sample, _ in stage1_sample:
         memo: dict = {}
         for _, vec in sample:
-            outcome, method, _prec = vector_outcome(vec, memo=memo)
+            outcome, method, _prec, _values = vector_outcome(vec, memo=memo)
             a, b, c = _unreduced_terms(vec)
             iva = a.value_interval(512)
             ivsum = intervals.add(b.value_interval(512), c.value_interval(512))
@@ -345,8 +351,8 @@ def test_statement2_equalities_are_complete_bipartite():
 def _flip_outcomes(monkeypatch, flip):
     """Make the searches see flip(outcome) for the certified outcome."""
     def mutant(vec, *args):
-        outcome, method, precision = vector_outcome(vec, *args)
-        return flip(outcome), method, precision
+        outcome, method, precision, values = vector_outcome(vec, *args)
+        return flip(outcome), method, precision, values
 
     monkeypatch.setattr(search, "vector_outcome", mutant)
 
@@ -362,6 +368,27 @@ def test_shard_equality_cross_check_fires(monkeypatch):
     extra = verify_statement2(3, jobs=1)
     assert not lost.passed and len(lost.equality_inconsistencies) == 7
     assert not extra.passed and len(extra.equality_inconsistencies) == 1
+
+
+def test_regular_failing_aggregate_fails_the_report(monkeypatch):
+    # one strict aggregate of the d = 3 shard read as failing fails the
+    # regular case and is listed, by its profile, as its one violation
+    first = next(agg for agg, vec in _agg_enum_for_degrees(3, RootRule.MIN_DEGREE, 3, (3, 3, 3))
+                 if vector_outcome(vec)[0] is Outcome.STRICTLY_GREATER)
+    once = iter([True])
+    _flip_outcomes(monkeypatch, lambda o: Outcome.STRICTLY_LESS
+                   if o is Outcome.STRICTLY_GREATER and next(once, False) else o)
+    report = verify_regular(3)
+    assert not report.passed
+    assert report.violations == (regular_profile(first),)
+    assert not report.undecided and len(report.equalities) == 1
+
+
+def test_search_jobs_below_one_rejected_and_none_is_default():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs >= 1"):
+            verify_statement2(1, jobs=jobs)
+    assert verify_statement2(1).extra["jobs"] == default_jobs()
 
 
 def test_config_automorphisms_match_brute_force():
