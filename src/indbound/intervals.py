@@ -94,15 +94,6 @@ def ipow(a: Interval, k: int, prec: int) -> Interval:
     return result
 
 
-def add(a: Interval, b: Interval) -> Interval:
-    """Exact sum of two intervals (no rounding; used for final comparisons)."""
-    e = min(a.lo_e, b.lo_e)
-    lo = (a.lo_m << (a.lo_e - e)) + (b.lo_m << (b.lo_e - e))
-    e2 = min(a.hi_e, b.hi_e)
-    hi = (a.hi_m << (a.hi_e - e2)) + (b.hi_m << (b.hi_e - e2))
-    return Interval(lo, e, hi, e2)
-
-
 def dyadic_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     """Sign of m1*2**e1 - m2*2**e2, computed exactly."""
     if e1 >= e2:
@@ -112,13 +103,11 @@ def dyadic_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def strictly_above(a: Interval, b: Interval) -> bool:
-    """True when every value of a exceeds every value of b."""
-    return dyadic_cmp(a.lo_m, a.lo_e, b.hi_m, b.hi_e) > 0
-
-
-def contains_int(iv: Interval, n: int) -> bool:
-    return dyadic_cmp(iv.lo_m, iv.lo_e, n, 0) <= 0 and dyadic_cmp(iv.hi_m, iv.hi_e, n, 0) >= 0
+def to_fixed(iv: Interval, scale: int) -> tuple[int, int]:
+    """(floor(lo * 2**scale), ceil(hi * 2**scale)), which bracket iv at scale 2**-scale."""
+    s, t = iv.lo_e + scale, iv.hi_e + scale
+    return (iv.lo_m << s if s >= 0 else iv.lo_m >> -s,
+            iv.hi_m << t if t >= 0 else -(-iv.hi_m >> -t))
 
 
 def to_decimal_str(m: int, e: int, digits: int = 18) -> str:

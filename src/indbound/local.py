@@ -42,9 +42,9 @@ def record_multisets(
     """Every multiset of level-2 records (b, cvec) whose class vectors sum
     to `quotas`, each record with a nonzero cvec, cvec[i] <= caps[i] and
     max(|cvec|, b_lo) <= b <= b_hi.  Yields (records, weight) pairs: the
-    records as sorted ((b, cvec), multiplicity) pairs, the weight as the
-    sum of weight(b, cvec) over every record.  Deterministic order, no
-    duplicates.
+    records as ((b, cvec), multiplicity) pairs, unsorted (by class vector,
+    then b), the weight as the sum of weight(b, cvec) over every record.
+    Deterministic order, no duplicates.
 
     Skeleton first: the multiset of class vectors is a vector partition of
     the quotas; each chosen class vector's multiplicity is then spread over
@@ -98,7 +98,7 @@ def record_multisets(
             for recs, w in options:
                 records.extend(recs)
                 if done:
-                    yield tuple(sorted(records)), total + w
+                    yield tuple(records), total + w
                 else:
                     yield from rec(nstart, nrem, total + w)
                 del records[-len(recs):]

@@ -15,8 +15,9 @@ Comparisons are certified, never floating point:
     (no common-factor reduction).  The searches and the graph route
     (goodness.is_good) call it through vector_outcome on A/B/C lane
     vectors, packed integers laid out below and built only by root_vector
-    and level2_vector; the searches memoize X and Y per shard.  Only the
-    whole-graph reference (goodness.is_good_fullgraph) calls it on
+    and level2_vector; the searches memoize X and Y per shard as fixed-point
+    integer bounds, so a memo hit decides with two integer additions.  Only
+    the whole-graph reference (goodness.is_good_fullgraph) calls it on
     FactorProducts, through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
@@ -169,9 +170,6 @@ class FactorProduct:
     def exponents(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._exp.items()))
 
-    def is_one(self) -> bool:
-        return not self._exp
-
     def is_integral(self) -> bool:
         return all(e.denominator == 1 and e >= 0 for e in self._exp.values())
 
@@ -274,15 +272,11 @@ def compare_pure_products(p: FactorProduct, q: FactorProduct) -> Verdict:
     )
 
 
-def _precision_schedule(start: int, cap: int):
+@functools.cache
+def _precision_schedule(start: int, cap: int) -> tuple[int, ...]:
     if not 1 <= start <= cap:
         raise ValueError(f"need 1 <= precision start <= cap, got start {start}, cap {cap}")
-    prec = start
-    while True:
-        yield prec
-        if prec >= cap:
-            return
-        prec = min(prec * 2, cap)
+    return (start, *_precision_schedule(min(start * 2, cap), cap)) if start < cap else (cap,)
 
 
 def certify_sum_inequality(
@@ -418,14 +412,17 @@ def certify_exponents(
     Equal); otherwise X and Y are directed-rounding intervals, doubling
     precision up to the cap, where Undecided is returned, never a silent
     pass.  Integrality is tested first, so an exact verdict evaluates no
-    interval.  memo maps (key, precision) to ratio_term's result; the
-    searches keep one per shard, and a memo hit decodes no key.  Returns
-    (outcome, method, precision, values): the three reduced integers or the
-    (1, X + Y) intervals that decided.
+    interval.  memo maps each precision p to a dict from key to (integral,
+    lo, hi): ratio_term's interval in fixed point (intervals.to_fixed) at
+    scale 2^-s, s = p + GUARD_BITS.  The searches keep one per shard; a hit
+    decodes no key and builds no tuple.  Returns (outcome, method,
+    precision, values): the three reduced integers, or 2^s and the
+    fixed-point bounds of X + Y.
     """
     memo = {} if memo is None else memo
     for prec in _precision_schedule(precision_start, precision_cap):
-        tx, ty = memo.get((x, prec)), memo.get((y, prec))
+        level = memo.get(prec) or memo.setdefault(prec, {})
+        tx, ty = level.get(x), level.get(y)
         ex = exponents(x) if tx is None else None  # only a miss decodes its key
         ey = exponents(y) if ty is None else None
         if (tx[0] if tx else _integral(ex, den)) and (ty[0] if ty else _integral(ey, den)):
@@ -441,14 +438,22 @@ def certify_exponents(
             outcome = (Outcome.STRICTLY_GREATER if d > 0
                        else Outcome.EQUAL if d == 0 else Outcome.STRICTLY_LESS)
             return outcome, "exact", None, (ia, ib, ic)
-        tx = tx or memo.setdefault((x, prec), ratio_term(ex, prec, den))
-        ty = ty or memo.setdefault((y, prec), ratio_term(ey, prec, den))
-        ivsum = intervals.add(tx[1], ty[1])
-        if intervals.strictly_above(_ONE, ivsum):
-            return Outcome.STRICTLY_GREATER, "interval", prec, (_ONE, ivsum)
-        if intervals.strictly_above(ivsum, _ONE):
-            return Outcome.STRICTLY_LESS, "interval", prec, (_ONE, ivsum)
-    return Outcome.UNDECIDED, "interval", precision_cap, (_ONE, ivsum)
+        scale = prec + intervals.GUARD_BITS
+        if tx is None:
+            integral, iv = ratio_term(ex, prec, den)
+            tx = level[x] = (integral, *intervals.to_fixed(iv, scale))
+        if ty is None:
+            integral, iv = ratio_term(ey, prec, den)
+            ty = level[y] = (integral, *intervals.to_fixed(iv, scale))
+        # Sound: the floor of the lower end and the ceiling of the upper end
+        # only widen ratio_term's interval, so lo * 2^-scale <= X <= hi *
+        # 2^-scale (the same for Y), and the sums bracket X + Y.
+        lo, hi, one = tx[1] + ty[1], tx[2] + ty[2], 1 << scale
+        if hi < one:
+            return Outcome.STRICTLY_GREATER, "interval", prec, (one, lo, hi)
+        if lo > one:
+            return Outcome.STRICTLY_LESS, "interval", prec, (one, lo, hi)
+    return Outcome.UNDECIDED, "interval", precision_cap, (one, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,12 @@ class AggConfig:
     class_sizes: tuple[int, ...]
     records: tuple[tuple[tuple[int, tuple[int, ...]], int], ...]
 
+    @classmethod
+    def of(cls, delta_eff: int, d0: int, degrees: Sequence[int], records) -> "AggConfig":
+        """The aggregate of a degree multiset and its records in any order."""
+        classes = tuple(sorted(set(degrees), reverse=True))
+        return cls(delta_eff, d0, classes, tuple(map(degrees.count, classes)), tuple(sorted(records)))
+
     def degree_multiset(self) -> tuple[int, ...]:
         out = []
         for d, s in zip(self.class_degrees, self.class_sizes):
@@ -126,19 +132,19 @@ def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggCo
     complete bipartite, if the shard has one: the isolated root, or a single
     class of degree D with D - 1 level-2 vertices joined to all d0 level-1
     vertices and to nothing else."""
-    if d0 == 0:
-        return AggConfig(delta_eff, 0, (), (), ())
-    if len(set(degrees)) != 1:
+    if len(set(degrees)) > 1:
         return None
-    d = degrees[0]
-    return AggConfig(delta_eff, d0, (d,), (d0,), (((d0, (d0,)), d - 1),) if d > 1 else ())
+    d = degrees[0] if degrees else 1  # the isolated root has no records
+    return AggConfig.of(delta_eff, d0, degrees, [((d0, (d0,)), d - 1)] if d > 1 else [])
 
 
 # A/B/C exponent vectors, built by products.root_vector and
 # products.level2_vector.  A configuration has at most 5 + 20 + 100 edge
 # factors and 20 powers of two, within the lane bound.  Few ratios occur, so
-# each shard memoizes their intervals; keys rarely recur across shards, so
-# the memo is dropped with its shard rather than grow for the whole run.
+# each shard memoizes them in fixed point, and a hit costs two integer
+# additions; keys rarely recur across shards, so the memo is dropped with
+# its shard.  The leaf is lazy: a shard sorts records into an AggConfig
+# only for an outcome that is not strict.
 
 
 def _record_vector(delta_eff: int, class_degrees, b: int, cvec: tuple[int, ...]) -> int:
@@ -158,11 +164,11 @@ def agg_vector(agg: AggConfig) -> int:
 
 def _agg_enum_for_degrees(
     delta_eff: int, rule: RootRule, d0: int, degrees: tuple[int, ...]
-) -> Iterator[tuple[AggConfig, int]]:
-    """All aggregate configurations for one level-1 degree multiset, each
-    with its A/B/C exponent vector.  Deterministic order, no duplicates
-    (distinct degrees fix the class order, so aggregates have no leftover
-    symmetry), records sorted as aggregate_of_config sorts them.
+) -> Iterator[tuple[tuple, int]]:
+    """The records of every aggregate configuration for one level-1 degree
+    multiset, unsorted, each with its A/B/C exponent vector; AggConfig.of
+    makes the aggregate.  Deterministic order, no duplicates (distinct
+    degrees fix the class order, so aggregates have no leftover symmetry).
 
     The records are record_multisets over the per-class quotas s * (d - 1),
     each class vector entry capped by its class size, weighted by the
@@ -181,23 +187,20 @@ def _agg_enum_for_degrees(
     lo, hi = _degree_bounds(rule, d0, delta_eff)
     weight = functools.partial(_record_vector, delta_eff, class_degrees)
     for records, vec in record_multisets(quotas, class_sizes, lo, hi, weight):
-        yield AggConfig(delta_eff, d0, class_degrees, class_sizes, records), base + vec
+        yield records, base + vec
 
 
 def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
     """The degree-class aggregate a labeled configuration belongs to."""
-    class_degrees = tuple(sorted(set(cfg.l1_degrees), reverse=True))
-    class_of = {d: i for i, d in enumerate(class_degrees)}
-    class_sizes = tuple(cfg.l1_degrees.count(d) for d in class_degrees)
+    class_of = {d: i for i, d in enumerate(sorted(set(cfg.l1_degrees), reverse=True))}
     counted: dict[tuple[int, tuple[int, ...]], int] = {}
     for b, nbrs in cfg.l2:
-        cvec = [0] * len(class_degrees)
+        cvec = [0] * len(class_of)
         for u in nbrs:
             cvec[class_of[cfg.l1_degrees[u]]] += 1
         key = (b, tuple(cvec))
         counted[key] = counted.get(key, 0) + 1
-    records = tuple(sorted(counted.items()))
-    return AggConfig(cfg.delta_eff, cfg.d0, class_degrees, class_sizes, records)
+    return AggConfig.of(cfg.delta_eff, cfg.d0, cfg.l1_degrees, counted.items())
 
 
 def config_is_extremal(cfg: LocalConfig) -> bool:
@@ -282,12 +285,12 @@ class ShardResult:
         default_factory=lambda: {"equal": [], "failing": [], "undecided": []}
     )
     inconsistencies: list[LocalConfig] = field(default_factory=list)
-    precision_stats: dict[str, int] = field(default_factory=dict)
+    precision_stats: dict[tuple[str, int | None], int] = field(default_factory=dict)
 
     def add(self, outcome: Outcome, method: str, precision: int | None, members) -> None:
-        """Tally one certified outcome; members() lists its labeled
-        configurations and is called only when the outcome is not strict."""
-        key = method if precision is None else f"{method}_{precision}"
+        """Tally one certified outcome by (method, precision); members() lists
+        its labeled configurations, called only when the outcome is not strict."""
+        key = method, precision
         self.precision_stats[key] = self.precision_stats.get(key, 0) + 1
         name = _TALLY_NAME[outcome]
         self.tally[name] += 1
@@ -309,10 +312,17 @@ class ShardResult:
 def _agg_search_shard(args) -> ShardResult:
     delta_eff, rule_value, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
+    stats = result.precision_stats
     memo: dict = {}
     equal = set()
-    for agg, vec in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0, degrees):
+    strict = Outcome.STRICTLY_GREATER  # a local name: enum attribute lookups are slow
+    for records, vec in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0, degrees):
         outcome, method, precision, _ = vector_outcome(vec, precision_start, precision_cap, memo)
+        if outcome is strict:  # the fast path: tallied, no aggregate built
+            stats[method, precision] = stats.get((method, precision), 0) + 1
+            result.tally["strict"] += 1
+            continue
+        agg = AggConfig.of(delta_eff, d0, degrees, records)
         result.add(outcome, method, precision, lambda: labeled_configs_for_aggregate(agg))
         if outcome is Outcome.EQUAL:
             equal.add(agg)
@@ -382,7 +392,8 @@ class SearchReport:
             "exceptional_patterns": [_config_json(c) for c in self.exceptional_patterns],
             "undecided_patterns": [_config_json(c) for c in self.undecided_patterns],
             "equality_inconsistencies": [_config_json(c) for c in self.equality_inconsistencies],
-            "precision_stats": dict(sorted(self.precision_stats.items())),
+            "precision_stats": dict(sorted(
+                (m if p is None else f"{m}_{p}", n) for (m, p), n in self.precision_stats.items())),
             "verdict": "PASS" if self.passed else "FAIL",
             "timing": {"wall_time_s": self.wall_time_s},
         }
@@ -549,8 +560,9 @@ def verify_regular(
     degrees = (d,) * d
     memo: dict = {}
     found: dict[Outcome, list[AggConfig]] = {outcome: [] for outcome in Outcome}
-    for agg, vec in _agg_enum_for_degrees(d, RootRule.MIN_DEGREE, d, degrees):
-        found[vector_outcome(vec, precision_start, precision_cap, memo)[0]].append(agg)
+    for records, vec in _agg_enum_for_degrees(d, RootRule.MIN_DEGREE, d, degrees):
+        outcome = vector_outcome(vec, precision_start, precision_cap, memo)[0]
+        found[outcome].append(AggConfig.of(d, d, degrees, records))
     strict, equal, failing, undecided = found.values()  # in Outcome order
     extremal_only = set(equal) == {extremal_aggregate(d, d, degrees)}
     return RegularReport(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import contains_int, interval_add
 from indbound import intervals
 from indbound.intervals import Interval, iroot
 
@@ -41,7 +43,7 @@ def test_directed_rounding_mul_add():
     b = Interval(5, -1, 5, -1)
     prod = intervals.mul(a, b, 64)
     assert Fraction(prod.lo_m, 1) * 2**prod.lo_e <= Fraction(15, 2)
-    s = intervals.add(a, b)
+    s = interval_add(a, b)
     assert intervals.dyadic_cmp(s.lo_m, s.lo_e, 11, -1) == 0
 
 
@@ -63,9 +65,25 @@ def test_round_to_needs_one_bit():
 def test_pow_and_div():
     base = intervals.exact(3)
     p = intervals.ipow(base, 5, 64)
-    assert intervals.contains_int(p, 243)
+    assert contains_int(p, 243)
     q = intervals.div(intervals.exact(243), intervals.exact(3), 64)
-    assert intervals.contains_int(q, 81)
+    assert contains_int(q, 81)
+
+
+def test_to_fixed_floors_lo_and_ceils_hi():
+    # exponents at or above -scale shift left exactly; below it the lower end
+    # rounds down and the upper end up, and an exact multiple stays exact
+    assert intervals.to_fixed(Interval(5, 3, 7, 3), 2) == (160, 224)
+    assert intervals.to_fixed(Interval(5, -2, 7, -2), 2) == (5, 7)
+    assert intervals.to_fixed(Interval(13, -5, 13, -5), 2) == (1, 2)
+    assert intervals.to_fixed(Interval(16, -5, 16, -5), 2) == (2, 2)
+    rng = random.Random(31)
+    for _ in range(2000):
+        lo_m, hi_m = rng.randint(1, 1 << 40), rng.randint(1, 1 << 40)
+        lo_e, hi_e, scale = rng.randint(-80, 20), rng.randint(-80, 20), rng.randint(0, 60)
+        lo, hi = intervals.to_fixed(Interval(lo_m, lo_e, hi_m, hi_e), scale)
+        assert lo == math.floor(Fraction(lo_m) * Fraction(2) ** (lo_e + scale))
+        assert hi == math.ceil(Fraction(hi_m) * Fraction(2) ** (hi_e + scale))
 
 
 def test_round_up_carry_keeps_the_bit_width():
@@ -135,7 +153,7 @@ def test_div_rounds_outward(a, b, prec):
 @_PROPERTY
 @given(_intervals(), _intervals())
 def test_add_is_exact(a, b):
-    s = intervals.add(a, b)
+    s = interval_add(a, b)
     assert _val(s.lo_m, s.lo_e) == _val(a.lo_m, a.lo_e) + _val(b.lo_m, b.lo_e)
     assert _val(s.hi_m, s.hi_e) == _val(a.hi_m, a.hi_e) + _val(b.hi_m, b.hi_e)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle, path
+from conftest import contains_int, cycle, interval_add, path, strictly_above
 from indbound import intervals
 from indbound.graphs import Graph, complete_bipartite, from_edges
 from indbound.products import (
@@ -43,7 +43,7 @@ def test_product_merging_and_identity():
     assert p.is_integral() and p.as_integer() == 9
     assert p == FactorProduct.from_factor(3, 2)
     q = FactorProduct.one().times_f(1, 1).times(3, -1)
-    assert q.is_one()
+    assert q == FactorProduct.one()
 
 
 def test_from_f_counts_matches_factor_by_factor_product():
@@ -60,7 +60,7 @@ def test_from_f_counts_matches_factor_by_factor_product():
         for (a, b), m in counts.items():
             expected = expected.times_f(a, b, m)
         assert FactorProduct.from_f_counts(counts, two_exp) == expected
-    assert FactorProduct.from_f_counts({(1, 2): 2, (2, 1): -2}).is_one()
+    assert FactorProduct.from_f_counts({(1, 2): 2, (2, 1): -2}) == FactorProduct.one()
 
 
 def test_pi_product_examples():
@@ -70,7 +70,7 @@ def test_pi_product_examples():
             assert p.is_integral() and p.as_integer() == 2**a + 2**b - 1
     assert pi_product(Graph(1, ((),))).as_integer() == 2
     assert pi_product(path(3)).as_integer() == 5
-    assert pi_product(Graph(0, ())).is_one()
+    assert pi_product(Graph(0, ())) == FactorProduct.one()
 
 
 def test_pi_product_degree_guard():
@@ -201,10 +201,10 @@ def test_fast_outcome_matches_full():
         a, b, c = (FactorProduct.from_f_counts(cnt, iso) for cnt, iso in zip(counts, isos))
         verdict = certify_sum_inequality(a, b, c)
         iva = a.value_interval(512)
-        ivsum = intervals.add(b.value_interval(512), c.value_interval(512))
-        if intervals.strictly_above(iva, ivsum):
+        ivsum = interval_add(b.value_interval(512), c.value_interval(512))
+        if strictly_above(iva, ivsum):
             assert verdict.outcome == Outcome.STRICTLY_GREATER
-        elif intervals.strictly_above(ivsum, iva):
+        elif strictly_above(ivsum, iva):
             assert verdict.outcome == Outcome.STRICTLY_LESS
         else:  # these small products agree to 500 bits only in an identity
             assert verdict.outcome == Outcome.EQUAL and verdict.method == "exact"
@@ -246,7 +246,7 @@ def test_interval_soundness_brackets_integers():
         k = rng.randint(1, 6)
         p = FactorProduct.from_factor(n, k)
         iv = p.value_interval(256)
-        assert intervals.contains_int(iv, n**k)
+        assert contains_int(iv, n**k)
 
 
 def test_interval_width_monotone():
@@ -278,8 +278,8 @@ def test_merged_product_interval_consistent_with_parts():
         ip = p.value_interval(128)
         iq = q.value_interval(128)
         combined = intervals.mul(ip, iq, 192)
-        assert not intervals.strictly_above(merged, combined)
-        assert not intervals.strictly_above(combined, merged)
+        assert not strictly_above(merged, combined)
+        assert not strictly_above(combined, merged)
 
 
 def test_compare_pure_agrees_with_intervals_at_512():
@@ -294,9 +294,9 @@ def test_compare_pure_agrees_with_intervals_at_512():
         verdict = compare_pure_products(p, q)
         ip = p.value_interval(512)
         iq = q.value_interval(512)
-        if intervals.strictly_above(ip, iq):
+        if strictly_above(ip, iq):
             assert verdict.outcome == Outcome.STRICTLY_GREATER
-        elif intervals.strictly_above(iq, ip):
+        elif strictly_above(iq, ip):
             assert verdict.outcome == Outcome.STRICTLY_LESS
         else:
             assert verdict.outcome == Outcome.EQUAL

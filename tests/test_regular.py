@@ -1,13 +1,12 @@
 import itertools
 
-from conftest import cycle
+from conftest import cycle, shard_aggregates
 from indbound.goodness import is_good
 from indbound.graphs import complete_bipartite, from_edges
 from indbound.local import LocalConfig
 from indbound.products import Outcome, vector_outcome
 from indbound.search import (
     RootRule,
-    _agg_enum_for_degrees,
     config_outcome,
     regular_profile,
     verify_regular,
@@ -54,7 +53,7 @@ def _shard(d):
     """The d-regular shard of the min-degree search: (profile, outcome) per
     aggregate."""
     return [(regular_profile(agg), vector_outcome(vec)[0])
-            for agg, vec in _agg_enum_for_degrees(d, RootRule.MIN_DEGREE, d, (d,) * d)]
+            for agg, vec in shard_aggregates(d, RootRule.MIN_DEGREE, d, (d,) * d)]
 
 
 def test_profile_enumeration_small():

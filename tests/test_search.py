@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import vector_terms
+from conftest import interval_add, shard_aggregates, strictly_above, vector_terms
 from indbound import intervals, search
 from indbound.goodness import is_good
 from indbound.graphs import component_is_extremal
@@ -25,6 +25,7 @@ from indbound.products import (
     vector_outcome,
 )
 from indbound.search import (
+    AggConfig,
     RootRule,
     _agg_enum_for_degrees,
     _agg_search_shard,
@@ -50,7 +51,7 @@ def _all_aggregates(delta_eff, rule, d0):
     """(aggregate, A/B/C exponent vector) pairs, as the search certifies them."""
     out = []
     for degrees in degree_tuples(rule, d0, delta_eff):
-        out.extend(_agg_enum_for_degrees(delta_eff, rule, d0, degrees))
+        out.extend(shard_aggregates(delta_eff, rule, d0, degrees))
     return out
 
 
@@ -160,9 +161,7 @@ def _extracted_aggregates_are_enumerated(rng, trials, max_side):
         agg = aggregate_of_config(cfg)
         key = (cfg.d0, tuple(sorted(cfg.l1_degrees, reverse=True)))
         if key not in shards:
-            shards[key] = {
-                a for a, _ in _agg_enum_for_degrees(5, RootRule.MIN_DEGREE, key[0], key[1])
-            }
+            shards[key] = {a for a, _ in shard_aggregates(5, RootRule.MIN_DEGREE, *key)}
         assert agg in shards[key]
 
 
@@ -211,7 +210,8 @@ def _shards(statement):
 
 def test_aggregate_counts_match_knapsack():
     # the full-scale aggregate counts, from a count independent of the
-    # enumerator; the enumerator yields exactly that many distinct aggregates
+    # enumerator; the enumerator yields exactly that many leaves, distinct
+    # both as yielded and as the sorted records of their aggregates
     totals = {1: 0, 2: 0}
     for statement in totals:
         for de, rule, d0, degrees, lo_hi in _shards(statement):
@@ -219,7 +219,9 @@ def test_aggregate_counts_match_knapsack():
             totals[statement] += expected
             if statement == 2 and d0 > 3:
                 continue
-            records = [agg.records for agg, _ in _agg_enum_for_degrees(de, rule, d0, degrees)]
+            leaves = [records for records, _ in _agg_enum_for_degrees(de, rule, d0, degrees)]
+            records = [AggConfig.of(de, d0, degrees, leaf).records for leaf in leaves]
+            assert len(leaves) == len(set(leaves)) == expected, (d0, degrees)
             assert len(records) == len(set(records)) == expected, (d0, degrees)
             assert all(r == tuple(sorted(r)) for r in records)
     assert totals == {1: 103_236, 2: 238_251}
@@ -235,7 +237,7 @@ def stage1_sample():
     out = []
     for d0 in range(5):
         for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5):
-            shard = list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees))
+            shard = shard_aggregates(5, RootRule.MIN_DEGREE, d0, degrees)
             by_keys: dict = {}
             for _, vec in shard:
                 by_keys.setdefault(ratio_keys(vec), []).append(vec)
@@ -264,8 +266,10 @@ def test_ratio_keys_decode_to_exponent_differences(stage1_sample):
 
 def test_ratio_memo_lives_for_one_shard(monkeypatch):
     # every shard certifies with a fresh memo, which ends holding only the
-    # ratios of that shard's own vectors, each as ratio_term computes it
+    # ratios of that shard's own vectors at 128 bits, each the fixed-point
+    # form of ratio_term's interval, which it brackets
     calls = []
+    scale = 128 + intervals.GUARD_BITS
 
     def spy(vec, precision_start, precision_cap, memo):
         calls.append((vec, memo, len(memo)))
@@ -282,10 +286,13 @@ def test_ratio_memo_lives_for_one_shard(monkeypatch):
             assert sizes[0] == 0 and all(m is memo for m in shard_memos)
             assert all(m is not memo for m in memos)
             memos.append(memo)
-            own = {(key, 128) for vec in vecs for key in ratio_keys(vec)}
-            assert memo.keys() <= own
-            for key, prec in memo:
-                assert memo[key, prec] == ratio_term(key_exponents(key), prec, _SEARCH_DEN)
+            assert list(memo) == [128]
+            assert memo[128].keys() <= {key for vec in vecs for key in ratio_keys(vec)}
+            for key, (integral, lo, hi) in memo[128].items():
+                exact, iv = ratio_term(key_exponents(key), 128, _SEARCH_DEN)
+                assert (integral, lo, hi) == (exact, *intervals.to_fixed(iv, scale))
+                assert intervals.dyadic_cmp(lo, -scale, iv.lo_m, iv.lo_e) <= 0
+                assert intervals.dyadic_cmp(hi, -scale, iv.hi_m, iv.hi_e) >= 0
     assert len(memos) == 16
 
 
@@ -312,10 +319,10 @@ def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
             outcome, method, _prec, _values = vector_outcome(vec, memo=memo)
             a, b, c = _unreduced_terms(vec)
             iva = a.value_interval(512)
-            ivsum = intervals.add(b.value_interval(512), c.value_interval(512))
-            if intervals.strictly_above(iva, ivsum):
+            ivsum = interval_add(b.value_interval(512), c.value_interval(512))
+            if strictly_above(iva, ivsum):
                 assert outcome is Outcome.STRICTLY_GREATER
-            elif intervals.strictly_above(ivsum, iva):
+            elif strictly_above(ivsum, iva):
                 assert outcome is Outcome.STRICTLY_LESS
             else:
                 assert (outcome, method) == (Outcome.EQUAL, "exact")
@@ -323,6 +330,30 @@ def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
             assert low[0] is outcome
             escalated += low[2] is not None and low[2] > 8
     assert escalated
+
+
+def test_precision_stats_name_each_precision():
+    # a run started below 128 bits escalates some aggregates, and the report
+    # names each route once: "exact", or "interval_<bits>", sorted as strings
+    # (stage 2 tallies through ShardResult.add, statement 2 mostly through
+    # the shard's strict fast path)
+    stage2 = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS], jobs=1,
+                                      precision_start=8).to_json()["precision_stats"]
+    assert list(stage2.items()) == [("interval_16", 7), ("interval_8", 122)]
+    statement2 = verify_statement2(3, jobs=1, precision_start=4).to_json()["precision_stats"]
+    assert list(statement2.items()) == [("exact", 7), ("interval_4", 31), ("interval_8", 359)]
+
+
+def test_fingerprint_tallies_and_precision_stats(stage1_report, statement2_report):
+    # the pinned fingerprint, precision_stats included: a change that moves
+    # one aggregate to another outcome, route or precision fails here
+    for report, tally, stats in [
+        (stage1_report, (103_212, 15, 9, 0), {"exact": 15, "interval_128": 103_221}),
+        (statement2_report, (238_240, 11, 0, 0), {"exact": 11, "interval_128": 238_240}),
+    ]:
+        doc = report.to_json()
+        assert doc["tally"] == dict(zip(("strict", "equal", "failing", "undecided"), tally))
+        assert doc["precision_stats"] == stats
 
 
 def test_statement2_small_deltas():
@@ -373,7 +404,7 @@ def test_shard_equality_cross_check_fires(monkeypatch):
 def test_regular_failing_aggregate_fails_the_report(monkeypatch):
     # one strict aggregate of the d = 3 shard read as failing fails the
     # regular case and is listed, by its profile, as its one violation
-    first = next(agg for agg, vec in _agg_enum_for_degrees(3, RootRule.MIN_DEGREE, 3, (3, 3, 3))
+    first = next(agg for agg, vec in shard_aggregates(3, RootRule.MIN_DEGREE, 3, (3, 3, 3))
                  if vector_outcome(vec)[0] is Outcome.STRICTLY_GREATER)
     once = iter([True])
     _flip_outcomes(monkeypatch, lambda o: Outcome.STRICTLY_LESS
