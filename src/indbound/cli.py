@@ -30,14 +30,7 @@ from pathlib import Path
 
 from .counting import CountBudgetExceeded, count_independent_sets
 from .goodness import NoGoodVertexError, check_kahn_bound, good_vertex_probes, is_good
-from .graphs import (
-    Bipartition,
-    GraphParseError,
-    bipartition,
-    parse_edge_list,
-    tensor_k2,
-)
-from .local import expand_appearances
+from .graphs import GraphParseError, is_bipartite, parse_edge_list, tensor_k2
 from .products import DegreeBoundError, Outcome, check_f_fact
 from .reports import (
     CertificateDocument,
@@ -155,10 +148,7 @@ def _cmd_verify_all(args) -> int:
         doc.stage1 = s1
         print(f"statement 1 stage 1: {'PASS' if s1.passed else 'FAIL'} {s1.tally} "
               f"({s1.extra['appearances']} exceptional appearances)")
-        appearances = []
         for cfg in s1.exceptional_patterns:
-            aps = expand_appearances(cfg)
-            appearances.extend(aps)
             doc.exceptions.append(
                 {
                     "pattern": {
@@ -166,13 +156,8 @@ def _cmd_verify_all(args) -> int:
                         "l1_degrees": list(cfg.l1_degrees),
                         "l2": [{"b": b, "level1_neighbors": list(nb)} for b, nb in cfg.l2],
                     },
-                    "appearances": [
-                        {
-                            "level_sizes": [len(lv) for lv in ap.leveled_graph()[0]],
-                            "edges": [list(e) for e in ap.leveled_graph()[1]],
-                        }
-                        for ap in aps
-                    ],
+                    "appearances": [_appearance_json(ap) for ap in s1.appearances
+                                    if ap.config == cfg],
                 }
             )
         s2 = verify_statement1_stage2(s1.exceptional_patterns, jobs=args.jobs,
@@ -182,7 +167,7 @@ def _cmd_verify_all(args) -> int:
         print(f"statement 1 stage 2: {'PASS' if s2.passed else 'FAIL'} {s2.tally} "
               f"({s2.extra['rootings']} rootings)")
         if args.dot_dir:
-            written = export_exception_dots(appearances, args.dot_dir)
+            written = export_exception_dots(s1.appearances, args.dot_dir)
             print(f"wrote {len(written)} DOT files to {args.dot_dir}")
 
     doc.timing["total_s"] = time.monotonic() - t_all
@@ -193,6 +178,11 @@ def _cmd_verify_all(args) -> int:
     if doc.overall == "PASS":
         return EXIT_PASS
     return EXIT_UNDECIDED if doc.undecided_count() > 0 else EXIT_FAIL
+
+
+def _appearance_json(ap) -> dict:
+    levels, edges = ap.leveled_graph()
+    return {"level_sizes": [len(lv) for lv in levels], "edges": [list(e) for e in edges]}
 
 
 def _cmd_check(args) -> int:
@@ -210,7 +200,7 @@ def _cmd_check(args) -> int:
         print(f"error: maximum degree {g.max_degree()} exceeds the verified bound 5",
               file=sys.stderr)
         return EXIT_DEGREE
-    bipartite = isinstance(bipartition(g), Bipartition)
+    bipartite = is_bipartite(g)
     try:
         report = check_kahn_bound(g, precision_start=args.precision_bits,
                                   precision_cap=args.precision_cap)
@@ -270,11 +260,8 @@ def _cmd_export_exceptions(args) -> int:
     s1 = verify_statement1_stage1(5, jobs=args.jobs,
                                   precision_start=args.precision_bits,
                                   precision_cap=args.precision_cap)
-    appearances = []
-    for cfg in s1.exceptional_patterns:
-        appearances.extend(expand_appearances(cfg))
     try:
-        written = export_exception_dots(appearances, args.dot_dir)
+        written = export_exception_dots(s1.appearances, args.dot_dir)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -282,7 +269,7 @@ def _cmd_export_exceptions(args) -> int:
     if args.json_path:
         Path(args.json_path).write_text(
             json.dumps({"files": [p.name for p in written],
-                        "appearances": len(appearances)}, indent=2) + "\n"
+                        "appearances": len(s1.appearances)}, indent=2) + "\n"
         )
     return EXIT_PASS if s1.passed else EXIT_FAIL
 

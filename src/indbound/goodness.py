@@ -143,24 +143,12 @@ def is_good(
                        decomposition_is_extremal(g, ld))
 
 
-def is_good_fullgraph(
-    g: Graph,
-    x: int,
-    max_degree: int = 5,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> Verdict:
+def is_good_fullgraph(g: Graph, x: int) -> Verdict:
     """Direct evaluation of Pi(G) >= Pi(G-x) + Pi(G-x-N(x)) with no
     cancellation; the testing oracle for is_good."""
     (g1, _), (g2, _) = delete_closed(g, x)
-    return certify_sum_inequality(
-        pi_product(g, max_degree),
-        pi_product(g1, max_degree),
-        pi_product(g2, max_degree),
-        equality_expected=component_is_extremal(g, x),
-        precision_start=precision_start,
-        precision_cap=precision_cap,
-    )
+    return certify_sum_inequality(pi_product(g), pi_product(g1), pi_product(g2),
+                                  equality_expected=component_is_extremal(g, x))
 
 
 class NoGoodVertexError(RuntimeError):
@@ -237,15 +225,13 @@ class BoundCheckReport:
 
 def check_kahn_bound(
     g: Graph,
-    max_degree: int = 5,
-    budget: int = 10_000_000,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> BoundCheckReport:
     """Exact count, bound product, certified comparison, and the structural
     equality test (every component complete bipartite or a single vertex)."""
-    count = count_independent_sets(g, budget=budget)
-    product = pi_product(g, max_degree)
+    count = count_independent_sets(g)
+    product = pi_product(g)
     verdict = compare_count_to_product(count, product, precision_start, precision_cap)
     iv = product.value_interval(128)
     structural = all(

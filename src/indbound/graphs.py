@@ -52,12 +52,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -123,20 +117,6 @@ def parse_edge_list(text: str) -> Graph:
     if n is None:
         raise GraphParseError("line 1: missing 'n <count>' header")
     return from_edges(n, edges)
-
-
-def serialize_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list; edges in lexicographic order."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
-    return "\n".join(lines) + "\n"
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b} with side A = [0, a) and side B = [a, a+b)."""
-    if a < 1 or b < 1:
-        raise ValueError("complete_bipartite requires a, b >= 1")
-    return from_edges(a + b, ((u, a + v) for u in range(a) for v in range(b)))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -16,7 +16,8 @@ one-vertex classes, so stage 2 and appearance expansion use it with unit
 caps and read the subset off the 0/1 class vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
-aggregates of the searches are checked against it.
+aggregates of the searches are checked against it; so is the round trip
+between configurations and concrete graphs (tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
-
-from .graphs import Graph, from_edges
-from .goodness import level_decomposition
 
 # level-2 record: (total degree b, sorted tuple of level-1 indices)
 Record = tuple[int, tuple[int, ...]]
@@ -113,45 +111,8 @@ class LocalConfig:
     l1_degrees: tuple[int, ...]
     l2: tuple[Record, ...]
 
-    def m(self, j: int) -> int:
-        """Number of level-1 neighbors of level-2 vertex j."""
-        return len(self.l2[j][1])
-
-    def t(self, j: int) -> int:
-        """Number of level-3 edges at level-2 vertex j."""
-        return self.l2[j][0] - len(self.l2[j][1])
-
     def t_counts(self) -> tuple[int, ...]:
         return tuple(b - len(nbrs) for b, nbrs in self.l2)
-
-    def validate(self) -> None:
-        if self.d0 != len(self.l1_degrees):
-            raise ValueError("root degree does not match the level-1 list")
-        if self.d0 == 0:
-            if self.l2:
-                raise ValueError("isolated root cannot have level-2 vertices")
-            return
-        if not 1 <= self.d0 <= self.delta_eff:
-            raise ValueError("root degree out of range")
-        for d in self.l1_degrees:
-            if not 1 <= d <= self.delta_eff:
-                raise ValueError(f"level-1 degree {d} out of range")
-        upward = sum(d - 1 for d in self.l1_degrees)
-        landing = 0
-        for b, nbrs in self.l2:
-            if not nbrs:
-                raise ValueError("level-2 vertex with no level-1 neighbor")
-            if len(set(nbrs)) != len(nbrs) or tuple(sorted(nbrs)) != nbrs:
-                raise ValueError("level-1 neighbor list must be sorted and distinct")
-            if any(not 0 <= u < self.d0 for u in nbrs):
-                raise ValueError("level-1 neighbor index out of range")
-            if not len(nbrs) <= b <= self.delta_eff:
-                raise ValueError(f"level-2 degree {b} out of range for {len(nbrs)} neighbors")
-            landing += len(nbrs)
-        if upward != landing:
-            raise ValueError(
-                f"level-1 upward edges ({upward}) do not match level-2 attachments ({landing})"
-            )
 
 
 def canonical_form(cfg: LocalConfig):
@@ -180,10 +141,6 @@ def canonical_tuple(cfg: LocalConfig):
     return canonical_form(cfg)[0]
 
 
-def canonical_config(cfg: LocalConfig) -> LocalConfig:
-    return LocalConfig(*canonical_tuple(cfg))
-
-
 def config_describe(cfg: LocalConfig) -> str:
     if cfg.d0 == 0:
         return "isolated root"
@@ -195,52 +152,6 @@ def config_describe(cfg: LocalConfig) -> str:
         parts.append(f"level-2 [{recs}]")
     parts.append(f"level-3 padded to {cfg.delta_eff}")
     return "; ".join(parts)
-
-
-def realize_config(cfg: LocalConfig) -> Graph:
-    """A concrete graph whose configuration at root 0 is exactly cfg, with
-    every level-3 vertex padded to degree delta_eff by fresh level-4 leaves."""
-    edges = []
-    nxt = 1 + cfg.d0
-    l2_ids = []
-    for _ in cfg.l2:
-        l2_ids.append(nxt)
-        nxt += 1
-    for u in range(cfg.d0):
-        edges.append((0, 1 + u))
-    for j, (b, nbrs) in enumerate(cfg.l2):
-        for u in nbrs:
-            edges.append((1 + u, l2_ids[j]))
-        for _ in range(b - len(nbrs)):
-            w = nxt
-            nxt += 1
-            edges.append((l2_ids[j], w))
-            for _ in range(cfg.delta_eff - 1):
-                edges.append((w, nxt))
-                nxt += 1
-    return from_edges(nxt, edges)
-
-
-def extract_config(g: Graph, x: int, delta_eff: int) -> LocalConfig:
-    """The LocalConfig of a concrete bipartite-component root, padding the
-    level-3 degrees up to delta_eff."""
-    ld = level_decomposition(g, x)
-    level1 = sorted(ld.levels[1]) if len(ld.levels) > 1 else []
-    level2 = ld.levels[2] if len(ld.levels) > 2 else []
-    index1 = {v: i for i, v in enumerate(level1)}
-    degrees = tuple(g.degree(v) for v in level1)
-    if any(d > delta_eff for d in (g.degree(x), *degrees)):
-        raise ValueError("degree exceeds delta_eff")
-    records = []
-    for v in level2:
-        b = g.degree(v)
-        if b > delta_eff:
-            raise ValueError("degree exceeds delta_eff")
-        nbrs = tuple(sorted(index1[w] for w in g.adjacency[v] if w in index1))
-        records.append((b, nbrs))
-    cfg = LocalConfig(delta_eff, g.degree(x), degrees, tuple(sorted(records)))
-    cfg.validate()
-    return cfg
 
 
 # --- expansion of a failing configuration into level-0..3 appearances -------

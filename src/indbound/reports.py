@@ -98,16 +98,6 @@ def write_certificate(doc: CertificateDocument, path: str | Path) -> None:
     Path(path).write_text(dumps_certificate(doc))
 
 
-def strip_timing(obj):
-    """Copy of a JSON-like structure with every "timing" block removed; used
-    by the reproducibility comparison."""
-    if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items() if k != "timing"}
-    if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
-    return obj
-
-
 def appearance_to_dot(ap: Appearance, name: str) -> str:
     """DOT drawing of one exceptional appearance: root on top, one rank per
     level, deterministic bytes."""

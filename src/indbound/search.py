@@ -2,9 +2,9 @@
 
 Four searches back the main theorem:
 
-  * the regular case (d <= 5): the min-degree shard whose root and level-1
-    vertices have degree d, so levels 2 and padded 3 do too; equality
-    exactly on the complete-bipartite aggregate;
+  * the regular case (d <= 5): one call of the min-degree shard whose root
+    and level-1 vertices have degree d, so levels 2 and padded 3 do too;
+    equality exactly on the complete-bipartite aggregate;
   * statement 2 (max-degree root, Delta <= 4): every configuration rooted at
     a maximum-degree vertex certifies A >= B + C, with equality exactly on
     the complete-bipartite shapes;
@@ -30,9 +30,10 @@ certify through vector_outcome.
 Every aggregate is realizable by a simple bipartite graph (each class
 vector entry is at most the class size, which makes the Gale-Ryser
 condition hold), so certified aggregates and concrete configurations cover
-each other exactly.  The rare interesting aggregates (equal, failing,
-undecided) are expanded back into canonical labeled configurations for
-reporting and for stage 2.  A shard has at most one extremal aggregate
+each other exactly.  A shard returns the rare interesting aggregates
+(equal, failing, undecided) themselves; the parent expands them into
+canonical labeled configurations when it builds the report, for reporting
+and for stage 2.  A shard has at most one extremal aggregate
 (extremal_aggregate), and its set of Equal aggregates must be exactly that
 one.  The labeled per-vertex model, which the aggregation is checked
 against, is built only in the tests (tests/test_search.py).
@@ -53,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 from .local import (
+    Appearance,
     LocalConfig,
     Record,
     canonical_tuple,
@@ -203,12 +205,6 @@ def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
     return AggConfig.of(cfg.delta_eff, cfg.d0, cfg.l1_degrees, counted.items())
 
 
-def config_is_extremal(cfg: LocalConfig) -> bool:
-    """True iff the configuration forces the component of the root to be a
-    single vertex or a complete bipartite graph."""
-    return aggregate_of_config(cfg) == extremal_aggregate(cfg.delta_eff, cfg.d0, cfg.l1_degrees)
-
-
 def config_outcome(
     cfg: LocalConfig,
     precision_start: int = PRECISION_START,
@@ -245,7 +241,13 @@ def labeled_configs_for_aggregate(agg: AggConfig) -> list[LocalConfig]:
         for j, c in enumerate(cvec):
             if not c:
                 continue
-            avail = [u for u in class_members[j] if quotas[u] > 0]
+            # members no record has touched yet are interchangeable, so
+            # only the first c of them are offered
+            touched, fresh = [], []
+            for u in class_members[j]:
+                if quotas[u] > 0:
+                    (fresh if quotas[u] == degrees[u] - 1 else touched).append(u)
+            avail = touched + fresh[:c]
             if len(avail) < c:
                 return
             per_class_choices.append(list(itertools.combinations(avail, c)))
@@ -278,28 +280,27 @@ _TALLY_NAME = {
 @dataclass
 class ShardResult:
     raw: int = 0
-    kept: int = 0
     tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_TALLY_NAME.values(), 0))
-    # the labeled configurations behind every outcome but strict
-    configs: dict[str, list[LocalConfig]] = field(
+    # what is behind every outcome but strict: the aggregates of a search
+    # shard, the labeled completions of a stage-2 shard
+    configs: dict[str, list] = field(
         default_factory=lambda: {"equal": [], "failing": [], "undecided": []}
     )
-    inconsistencies: list[LocalConfig] = field(default_factory=list)
+    inconsistencies: list[AggConfig] = field(default_factory=list)
     precision_stats: dict[tuple[str, int | None], int] = field(default_factory=dict)
 
-    def add(self, outcome: Outcome, method: str, precision: int | None, members) -> None:
-        """Tally one certified outcome by (method, precision); members() lists
-        its labeled configurations, called only when the outcome is not strict."""
+    def add(self, outcome: Outcome, method: str, precision: int | None, item) -> None:
+        """Tally one certified outcome by (method, precision), keeping item
+        when the outcome is not strict."""
         key = method, precision
         self.precision_stats[key] = self.precision_stats.get(key, 0) + 1
         name = _TALLY_NAME[outcome]
         self.tally[name] += 1
         if name in self.configs:
-            self.configs[name].extend(members())
+            self.configs[name].append(item)
 
     def absorb(self, other: "ShardResult") -> None:
         self.raw += other.raw
-        self.kept += other.kept
         for k, v in other.tally.items():
             self.tally[k] += v
         for k, v in other.configs.items():
@@ -310,6 +311,7 @@ class ShardResult:
 
 
 def _agg_search_shard(args) -> ShardResult:
+    """Certify every aggregate of one (root degree, level-1 degrees) shard."""
     delta_eff, rule_value, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
     stats = result.precision_stats
@@ -323,13 +325,12 @@ def _agg_search_shard(args) -> ShardResult:
             result.tally["strict"] += 1
             continue
         agg = AggConfig.of(delta_eff, d0, degrees, records)
-        result.add(outcome, method, precision, lambda: labeled_configs_for_aggregate(agg))
+        result.add(outcome, method, precision, agg)
         if outcome is Outcome.EQUAL:
             equal.add(agg)
     # equality must hold on the extremal aggregate and nowhere else
-    for agg in equal ^ ({extremal_aggregate(delta_eff, d0, degrees)} - {None}):
-        result.inconsistencies.extend(labeled_configs_for_aggregate(agg))
-    result.raw = result.kept = sum(result.tally.values())
+    result.inconsistencies.extend(equal ^ ({extremal_aggregate(delta_eff, d0, degrees)} - {None}))
+    result.raw = sum(result.tally.values())
     return result
 
 
@@ -379,6 +380,9 @@ class SearchReport:
     wall_time_s: float
     passed: bool
     extra: dict = field(default_factory=dict)
+    # stage 1: the level-0..3 appearances of the exceptional patterns, in
+    # pattern order; the CLI writes them, so they stay out of to_json
+    appearances: tuple[Appearance, ...] = ()
 
     def to_json(self) -> dict:
         out = {
@@ -411,21 +415,26 @@ def _config_json(cfg: LocalConfig) -> dict:
     }
 
 
-def _sorted_unique(configs: list[LocalConfig]) -> tuple[LocalConfig, ...]:
+def _sorted_unique(items: list) -> tuple[LocalConfig, ...]:
+    """The canonical labeled configurations behind shard items, sorted and
+    without repeats.  An aggregate expands here, in the parent, into its
+    labeled configurations; a stage-2 completion is one already."""
     seen = {}
-    for c in configs:
-        seen.setdefault(canonical_tuple(c), c)
+    for item in items:
+        for c in labeled_configs_for_aggregate(item) if isinstance(item, AggConfig) else (item,):
+            seen.setdefault(canonical_tuple(c), c)
     return tuple(seen[k] for k in sorted(seen))
 
 
 def _report(statement: str, delta: int, root_rule: str, merged: ShardResult, t0: float,
-            passed: bool, exceptional: tuple[LocalConfig, ...], extra: dict) -> SearchReport:
+            passed: bool, exceptional: tuple[LocalConfig, ...], extra: dict,
+            appearances: tuple[Appearance, ...] = ()) -> SearchReport:
     return SearchReport(
         statement=statement,
         delta=delta,
         root_rule=root_rule,
         configs_enumerated=merged.raw,
-        configs_after_dedup=merged.kept,
+        configs_after_dedup=sum(merged.tally.values()),
         tally=merged.tally,
         equality_patterns=_sorted_unique(merged.configs["equal"]),
         exceptional_patterns=exceptional,
@@ -435,6 +444,7 @@ def _report(statement: str, delta: int, root_rule: str, merged: ShardResult, t0:
         wall_time_s=time.monotonic() - t0,
         passed=passed,
         extra=extra,
+        appearances=appearances,
     )
 
 
@@ -495,9 +505,7 @@ def verify_statement1_stage1(
                           precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
     exceptional = _sorted_unique(merged.configs["failing"])
-    appearances = []
-    for cfg in exceptional:
-        appearances.extend(expand_appearances(cfg))
+    appearances = tuple(ap for cfg in exceptional for ap in expand_appearances(cfg))
     appearance_keys = {leveled_canonical(*ap.leveled_graph()) for ap in appearances}
     expected = expected_appearance_keys()
     matches_expected = appearance_keys == expected and len(appearances) == len(expected)
@@ -512,7 +520,7 @@ def verify_statement1_stage1(
                        "aggregation": "level-1 degree classes",
                        "appearances": len(appearances),
                        "appearances_match_expected": matches_expected,
-                   })
+                   }, appearances)
 
 
 # --------------------------------------------------------------------------
@@ -557,22 +565,17 @@ def verify_regular(
     degrees (d,) * d, whose level-2 degrees are then d too.  PASS means no
     failing or undecided aggregate, and equality exactly on the extremal
     aggregate (K_{d,d}: k = d - 1, every x_i = 0)."""
-    degrees = (d,) * d
-    memo: dict = {}
-    found: dict[Outcome, list[AggConfig]] = {outcome: [] for outcome in Outcome}
-    for records, vec in _agg_enum_for_degrees(d, RootRule.MIN_DEGREE, d, degrees):
-        outcome = vector_outcome(vec, precision_start, precision_cap, memo)[0]
-        found[outcome].append(AggConfig.of(d, d, degrees, records))
-    strict, equal, failing, undecided = found.values()  # in Outcome order
-    extremal_only = set(equal) == {extremal_aggregate(d, d, degrees)}
+    shard = _agg_search_shard((d, RootRule.MIN_DEGREE.value, d, (d,) * d,
+                               precision_start, precision_cap))
+    failing, undecided = shard.configs["failing"], shard.configs["undecided"]
     return RegularReport(
         d=d,
-        profiles=sum(map(len, found.values())),
-        strict=len(strict),
-        equalities=tuple(map(regular_profile, equal)),
+        profiles=shard.raw,
+        strict=shard.tally["strict"],
+        equalities=tuple(map(regular_profile, shard.configs["equal"])),
         violations=tuple(map(regular_profile, failing)),
         undecided=tuple(map(regular_profile, undecided)),
-        passed=not failing and not undecided and extremal_only,
+        passed=not failing and not undecided and not shard.inconsistencies,
     )
 
 
@@ -628,9 +631,8 @@ def _stage2_shard(args) -> ShardResult:
         if key in seen:
             continue
         seen.add(key)
-        result.kept += 1
         outcome, method, precision, _ = config_outcome(cfg, precision_start, precision_cap)
-        result.add(outcome, method, precision, lambda: [cfg])
+        result.add(outcome, method, precision, cfg)
     return result
 
 
@@ -656,7 +658,7 @@ def verify_statement1_stage2(
         and merged.tally["failing"] == 0
         and merged.tally["equal"] == 0
         and merged.tally["undecided"] == 0
-        and merged.kept > 0
+        and merged.tally["strict"] > 0
     )
     # equality counts as failure for stage 2, so surface Equal configs too
     problems = _sorted_unique(merged.configs["failing"] + merged.configs["equal"])

@@ -16,21 +16,14 @@ from typing import Callable
 
 from .counting import count_bruteforce, count_independent_sets
 from .goodness import check_kahn_bound, is_good, is_good_fullgraph
-from .graphs import (
-    Graph,
-    Bipartition,
-    bipartition,
-    delete_closed,
-    from_edges,
-    tensor_k2,
-)
+from .graphs import Graph, delete_closed, from_edges, is_bipartite, tensor_k2
 from .products import Outcome
 
 
-def random_graph_max_degree(rng: random.Random, n: int, p: float, dmax: int) -> Graph:
-    """Erdos-Renyi edges filtered to respect a maximum degree; candidate
-    order is shuffled so the cap does not bias toward low-index vertices."""
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _capped_edges(rng: random.Random, n: int, candidates: list, p: float, dmax: int) -> Graph:
+    """Each candidate edge kept with probability p while both ends stay
+    below degree dmax; candidate order is shuffled so the cap does not bias
+    toward low-index vertices."""
     rng.shuffle(candidates)
     deg = [0] * n
     edges = []
@@ -42,19 +35,17 @@ def random_graph_max_degree(rng: random.Random, n: int, p: float, dmax: int) -> 
     return from_edges(n, edges)
 
 
+def random_graph_max_degree(rng: random.Random, n: int, p: float, dmax: int) -> Graph:
+    """Erdos-Renyi edges filtered to respect a maximum degree."""
+    return _capped_edges(rng, n, [(u, v) for u in range(n) for v in range(u + 1, n)], p, dmax)
+
+
 def random_bipartite_max_degree(
     rng: random.Random, n1: int, n2: int, p: float, dmax: int
 ) -> Graph:
-    candidates = [(u, n1 + v) for u in range(n1) for v in range(n2)]
-    rng.shuffle(candidates)
-    deg = [0] * (n1 + n2)
-    edges = []
-    for u, v in candidates:
-        if rng.random() < p and deg[u] < dmax and deg[v] < dmax:
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-    return from_edges(n1 + n2, edges)
+    """The same on sides [0, n1) and [n1, n1 + n2)."""
+    return _capped_edges(rng, n1 + n2, [(u, n1 + v) for u in range(n1) for v in range(n2)],
+                         p, dmax)
 
 
 @dataclass
@@ -154,7 +145,7 @@ def suite_double_cover(seed: int = 0, trials: int = 10_000) -> SuiteResult:
         g = random_graph_max_degree(rng, n, rng.uniform(0.1, 0.8), dmax=4)
         sq = count_independent_sets(g) ** 2
         dc = count_independent_sets(tensor_k2(g))
-        is_bip = isinstance(bipartition(g), Bipartition)
+        is_bip = is_bipartite(g)
         if sq > dc or (sq == dc) != is_bip:
             failures.append((g, sq, dc, is_bip))
 

@@ -9,12 +9,16 @@ if _src.is_dir() and str(_src) not in sys.path:
 import pytest
 
 from indbound import intervals
+from indbound.goodness import level_decomposition
 from indbound.graphs import Graph, from_edges
+from indbound.local import LocalConfig, canonical_tuple
 from indbound.products import _LANE_PRIMES
 from indbound.search import (
     AggConfig,
     _agg_enum_for_degrees,
+    aggregate_of_config,
     default_jobs,
+    extremal_aggregate,
     verify_statement1_stage1,
     verify_statement2,
 )
@@ -82,3 +86,114 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} with side A = [0, a) and side B = [a, a+b)."""
+    if a < 1 or b < 1:
+        raise ValueError("complete_bipartite requires a, b >= 1")
+    return from_edges(a + b, ((u, a + v) for u in range(a) for v in range(b)))
+
+
+def strip_timing(obj):
+    """Copy of a JSON-like structure with every "timing" block removed; used
+    by the reproducibility comparisons."""
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items() if k != "timing"}
+    if isinstance(obj, list):
+        return [strip_timing(v) for v in obj]
+    return obj
+
+
+def serialize_edge_list(g: Graph) -> str:
+    """Inverse of parse_edge_list; edges in lexicographic order."""
+    lines = [f"n {g.n}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
+    return "\n".join(lines) + "\n"
+
+
+def validate_config(cfg: LocalConfig) -> None:
+    """Raise ValueError unless cfg is a consistent rooted configuration."""
+    if cfg.d0 != len(cfg.l1_degrees):
+        raise ValueError("root degree does not match the level-1 list")
+    if cfg.d0 == 0:
+        if cfg.l2:
+            raise ValueError("isolated root cannot have level-2 vertices")
+        return
+    if not 1 <= cfg.d0 <= cfg.delta_eff:
+        raise ValueError("root degree out of range")
+    for d in cfg.l1_degrees:
+        if not 1 <= d <= cfg.delta_eff:
+            raise ValueError(f"level-1 degree {d} out of range")
+    upward = sum(d - 1 for d in cfg.l1_degrees)
+    landing = 0
+    for b, nbrs in cfg.l2:
+        if not nbrs:
+            raise ValueError("level-2 vertex with no level-1 neighbor")
+        if len(set(nbrs)) != len(nbrs) or tuple(sorted(nbrs)) != nbrs:
+            raise ValueError("level-1 neighbor list must be sorted and distinct")
+        if any(not 0 <= u < cfg.d0 for u in nbrs):
+            raise ValueError("level-1 neighbor index out of range")
+        if not len(nbrs) <= b <= cfg.delta_eff:
+            raise ValueError(f"level-2 degree {b} out of range for {len(nbrs)} neighbors")
+        landing += len(nbrs)
+    if upward != landing:
+        raise ValueError(
+            f"level-1 upward edges ({upward}) do not match level-2 attachments ({landing})"
+        )
+
+
+def canonical_config(cfg: LocalConfig) -> LocalConfig:
+    return LocalConfig(*canonical_tuple(cfg))
+
+
+def config_is_extremal(cfg: LocalConfig) -> bool:
+    """True iff the configuration forces the component of the root to be a
+    single vertex or a complete bipartite graph."""
+    return aggregate_of_config(cfg) == extremal_aggregate(cfg.delta_eff, cfg.d0, cfg.l1_degrees)
+
+
+def realize_config(cfg: LocalConfig) -> Graph:
+    """A concrete graph whose configuration at root 0 is exactly cfg, with
+    every level-3 vertex padded to degree delta_eff by fresh level-4 leaves."""
+    edges = []
+    nxt = 1 + cfg.d0
+    l2_ids = []
+    for _ in cfg.l2:
+        l2_ids.append(nxt)
+        nxt += 1
+    for u in range(cfg.d0):
+        edges.append((0, 1 + u))
+    for j, (b, nbrs) in enumerate(cfg.l2):
+        for u in nbrs:
+            edges.append((1 + u, l2_ids[j]))
+        for _ in range(b - len(nbrs)):
+            w = nxt
+            nxt += 1
+            edges.append((l2_ids[j], w))
+            for _ in range(cfg.delta_eff - 1):
+                edges.append((w, nxt))
+                nxt += 1
+    return from_edges(nxt, edges)
+
+
+def extract_config(g: Graph, x: int, delta_eff: int) -> LocalConfig:
+    """The LocalConfig of a concrete bipartite-component root, padding the
+    level-3 degrees up to delta_eff."""
+    ld = level_decomposition(g, x)
+    level1 = sorted(ld.levels[1]) if len(ld.levels) > 1 else []
+    level2 = ld.levels[2] if len(ld.levels) > 2 else []
+    index1 = {v: i for i, v in enumerate(level1)}
+    degrees = tuple(g.degree(v) for v in level1)
+    if any(d > delta_eff for d in (g.degree(x), *degrees)):
+        raise ValueError("degree exceeds delta_eff")
+    records = []
+    for v in level2:
+        b = g.degree(v)
+        if b > delta_eff:
+            raise ValueError("degree exceeds delta_eff")
+        nbrs = tuple(sorted(index1[w] for w in g.adjacency[v] if w in index1))
+        records.append((b, nbrs))
+    cfg = LocalConfig(delta_eff, g.degree(x), degrees, tuple(sorted(records)))
+    validate_config(cfg)
+    return cfg

@@ -9,14 +9,13 @@ import time
 
 import pytest
 
+from conftest import complete_bipartite, config_is_extremal
 from indbound.counting import count_independent_sets
 from indbound.goodness import find_good_vertex, is_good
-from indbound.graphs import complete_bipartite
 from indbound.local import expand_appearances, leveled_canonical
 from indbound.products import Outcome, check_f_fact
 from indbound.reference import EXPECTED_EDGE_LISTS, expected_appearance_keys
 from indbound.search import (
-    config_is_extremal,
     default_jobs,
     verify_regular,
     verify_statement1_stage2,

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from conftest import cycle, path
+from conftest import complete_bipartite, cycle, path
 from indbound.counting import (
     CountBudgetExceeded,
     count_bruteforce,
     count_independent_sets,
 )
-from indbound.graphs import Graph, complete_bipartite, delete_closed, from_edges, tensor_k2
+from indbound.graphs import Graph, delete_closed, from_edges, tensor_k2
 from indbound.selftest import random_bipartite_max_degree, random_graph_max_degree
 
 

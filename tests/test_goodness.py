@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import cycle, path, vector_terms
+from conftest import complete_bipartite, cycle, path, vector_terms
 from indbound.counting import count_independent_sets
 from indbound.goodness import (
     NoGoodVertexError,
@@ -15,7 +15,7 @@ from indbound.goodness import (
     is_good_fullgraph,
     level_decomposition,
 )
-from indbound.graphs import Graph, NotBipartiteError, complete_bipartite, from_edges
+from indbound.graphs import Graph, NotBipartiteError, from_edges
 from indbound.products import DegreeBoundError, Outcome, compare_count_to_product, pi_product
 from indbound.selftest import random_bipartite_max_degree
 

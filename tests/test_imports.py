@@ -25,3 +25,33 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(modules) > 10
     found = [hit for path in modules for hit in _private_imports(path)]
     assert not found, found
+
+
+def _used_names(tree) -> list[str]:
+    """Every name a tree reads, as a bare name or as an attribute."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+# the one public entry point whose callers all live outside the package: the
+# benchmark's graph pass calls it
+CALLED_FROM_OUTSIDE = {"find_good_vertex"}
+
+
+def test_every_top_level_definition_is_used_in_the_package():
+    # a def or class that nothing in the package refers to is test-only code
+    # (it belongs in tests/) or dead code; uses inside its own body do not count
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    used: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _used_names(tree):
+            used[name] = used.get(name, 0) + 1
+    unused = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and used.get(node.name, 0) == _used_names(node).count(node.name)
+        and node.name not in CALLED_FROM_OUTSIDE
+    ]
+    assert not unused, unused

@@ -2,19 +2,18 @@ import random
 
 import pytest
 
-from conftest import vector_terms
-from indbound.goodness import goodness_vector, is_good, is_good_fullgraph, level_decomposition
-from indbound.local import (
-    LocalConfig,
+from conftest import (
     canonical_config,
-    canonical_tuple,
-    expand_appearances,
+    config_is_extremal,
     extract_config,
-    leveled_canonical,
     realize_config,
+    validate_config,
+    vector_terms,
 )
+from indbound.goodness import goodness_vector, is_good, is_good_fullgraph, level_decomposition
+from indbound.local import LocalConfig, canonical_tuple, expand_appearances, leveled_canonical
 from indbound.products import _SEARCH_DEN, FactorProduct, Outcome
-from indbound.search import agg_vector, aggregate_of_config, config_is_extremal, config_outcome
+from indbound.search import agg_vector, aggregate_of_config, config_outcome
 from indbound.selftest import random_bipartite_max_degree
 
 FIG1_CONFIG = LocalConfig(4, 1, (2,), ((2, (0,)),))
@@ -52,15 +51,15 @@ def random_config(rng: random.Random, d0_max: int, dmax: int) -> LocalConfig:
 
 def test_validation_rejects_bad_configs():
     with pytest.raises(ValueError):
-        LocalConfig(5, 1, (2, 2), ()).validate()  # wrong arity
+        validate_config(LocalConfig(5, 1, (2, 2), ()))  # wrong arity
     with pytest.raises(ValueError):
-        LocalConfig(5, 1, (2,), ()).validate()  # upward edge unaccounted
+        validate_config(LocalConfig(5, 1, (2,), ()))  # upward edge unaccounted
     with pytest.raises(ValueError):
-        LocalConfig(5, 1, (2,), ((1, (0, 0)),)).validate()  # duplicate neighbor
+        validate_config(LocalConfig(5, 1, (2,), ((1, (0, 0)),)))  # duplicate neighbor
     with pytest.raises(ValueError):
-        LocalConfig(5, 1, (2,), ((6, (0,)),)).validate()  # degree above bound
+        validate_config(LocalConfig(5, 1, (2,), ((6, (0,)),)))  # degree above bound
     with pytest.raises(ValueError):
-        LocalConfig(5, 0, (), ((2, (0,)),)).validate()
+        validate_config(LocalConfig(5, 0, (), ((2, (0,)),)))
 
 
 def test_pad_level3_changes_e23_factor():
@@ -88,7 +87,7 @@ def test_config_goodness_examples():
 
 def test_failing_patterns_certify_strictly_less():
     for cfg, _ in FAILING_PATTERNS:
-        cfg.validate()
+        validate_config(cfg)
         assert config_outcome(cfg)[0] == Outcome.STRICTLY_LESS
         assert is_good(realize_config(cfg), 0).outcome == Outcome.STRICTLY_LESS
 
@@ -119,7 +118,7 @@ def test_canonical_form_invariance_random_relabelings():
     rng = random.Random(51)
     for _ in range(500):
         cfg = random_config(rng, 4, 5)
-        cfg.validate()
+        validate_config(cfg)
         d0 = cfg.d0
         perm = list(range(d0))
         rng.shuffle(perm)
@@ -177,7 +176,7 @@ def test_realization_roundtrip_and_verdict_agreement():
     rng = random.Random(53)
     for _ in range(400):
         cfg = random_config(rng, 3, 4)
-        cfg.validate()
+        validate_config(cfg)
         g = realize_config(cfg)
         back = extract_config(g, 0, cfg.delta_eff)
         assert canonical_tuple(back) == canonical_tuple(cfg)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import contains_int, cycle, interval_add, path, strictly_above
+from conftest import complete_bipartite, contains_int, cycle, interval_add, path, strictly_above
 from indbound import intervals
-from indbound.graphs import Graph, complete_bipartite, from_edges
+from indbound.graphs import Graph, from_edges
 from indbound.products import (
     DegreeBoundError,
     FactorProduct,

@@ -1,8 +1,8 @@
 import itertools
 
-from conftest import cycle, shard_aggregates
+from conftest import complete_bipartite, cycle, shard_aggregates, validate_config
 from indbound.goodness import is_good
-from indbound.graphs import complete_bipartite, from_edges
+from indbound.graphs import from_edges
 from indbound.local import LocalConfig
 from indbound.products import Outcome, vector_outcome
 from indbound.search import (
@@ -154,7 +154,7 @@ def test_profiles_match_reduced_inequality():
     for d in range(1, 6):
         for k, xs in enumerate_profiles(d):
             cfg = _realize_profile_config(d, xs)
-            cfg.validate()
+            validate_config(cfg)
             assert sorted(len(nbrs) for _, nbrs in cfg.l2) == sorted(d - x for x in xs)
             assert config_outcome(cfg)[0] == check_profile(d, k, xs)
 

@@ -2,11 +2,10 @@ import json
 
 import pytest
 
-from conftest import path
+from conftest import path, serialize_edge_list, strip_timing
 from indbound import cli
 from indbound.cli import main
 from indbound.counting import CountBudgetExceeded
-from indbound.graphs import serialize_edge_list
 from indbound.local import expand_appearances
 from indbound.reports import (
     CertificateDocument,
@@ -14,7 +13,6 @@ from indbound.reports import (
     appearance_to_dot,
     dumps_certificate,
     export_exception_dots,
-    strip_timing,
 )
 from indbound.search import verify_statement2
 from test_local import FAILING_PATTERNS

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import interval_add, shard_aggregates, strictly_above, vector_terms
+from conftest import (
+    config_is_extremal,
+    extract_config,
+    interval_add,
+    realize_config,
+    shard_aggregates,
+    strictly_above,
+    validate_config,
+    vector_terms,
+)
 from indbound import intervals, search
 from indbound.goodness import is_good
 from indbound.graphs import component_is_extremal
@@ -12,8 +21,6 @@ from indbound.local import (
     LocalConfig,
     _config_automorphisms,
     canonical_tuple,
-    extract_config,
-    realize_config,
 )
 from indbound.products import (
     _SEARCH_DEN,
@@ -32,10 +39,10 @@ from indbound.search import (
     _degree_bounds,
     agg_vector,
     aggregate_of_config,
-    config_is_extremal,
     config_outcome,
     default_jobs,
     degree_tuples,
+    extremal_aggregate,
     labeled_configs_for_aggregate,
     regular_profile,
     stage2_completions,
@@ -104,7 +111,7 @@ def test_enumeration_is_canonical_and_duplicate_free():
     ]:
         for key in _labeled_configs(delta_eff, rule, d0):
             cfg = LocalConfig(*key)
-            cfg.validate()
+            validate_config(cfg)
             assert canonical_tuple(cfg) == key  # canonical representatives
 
 
@@ -401,6 +408,41 @@ def test_shard_equality_cross_check_fires(monkeypatch):
     assert not extra.passed and len(extra.equality_inconsistencies) == 1
 
 
+def test_shard_returns_aggregates_and_expands_nothing(monkeypatch):
+    # a worker keeps the non-strict aggregates themselves; labeled expansion
+    # runs only in the parent, when the report is built, so a shard with
+    # failing, equal and (its equality flipped away) inconsistent aggregates
+    # never calls it
+    def expansion(agg):
+        raise AssertionError("labeled expansion inside a shard")
+
+    monkeypatch.setattr(search, "labeled_configs_for_aggregate", expansion)
+    shard = (5, RootRule.MIN_DEGREE.value, 2, (2, 2), 128, 8192)
+    extremal = extremal_aggregate(5, 2, (2, 2))
+    result = _agg_search_shard(shard)
+    assert result.tally == {"strict": 11, "equal": 1, "failing": 2, "undecided": 0}
+    assert result.configs["equal"] == [extremal] and not result.inconsistencies
+    assert all(isinstance(agg, AggConfig) for agg in result.configs["failing"])
+    _flip_outcomes(monkeypatch, lambda o: Outcome.STRICTLY_GREATER if o is Outcome.EQUAL else o)
+    assert _agg_search_shard(shard).inconsistencies == [extremal]
+
+
+def test_regular_case_is_one_shard_call(monkeypatch):
+    # the d-regular case is the d0 = d shard of the min-degree search and
+    # nothing else: one _agg_search_shard call, its profiles read off the
+    # shard's aggregates
+    calls = []
+
+    def spy(args):
+        calls.append(args)
+        return _agg_search_shard(args)
+
+    monkeypatch.setattr(search, "_agg_search_shard", spy)
+    report = verify_regular(3)
+    assert calls == [(3, RootRule.MIN_DEGREE.value, 3, (3, 3, 3), 128, 8192)]
+    assert report.passed and report.profiles == 7 and len(report.equalities) == 1
+
+
 def test_regular_failing_aggregate_fails_the_report(monkeypatch):
     # one strict aggregate of the d = 3 shard read as failing fails the
     # regular case and is listed, by its profile, as its one violation
@@ -459,7 +501,7 @@ def test_stage2_completions_path_pattern():
     completions = list(stage2_completions(pattern, 0))
     assert len(completions) == 5
     for cfg in completions:
-        cfg.validate()
+        validate_config(cfg)
         assert cfg.d0 == 2 and cfg.l1_degrees == (1, 2)
         assert config_outcome(cfg)[0] == Outcome.STRICTLY_GREATER
 
