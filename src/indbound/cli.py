@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from .counting import CountBudgetExceeded, count_independent_sets
-from .goodness import NoGoodVertexError, check_kahn_bound, good_vertex_probes, is_good
+from .goodness import NoGoodVertexError, check_kahn_bound, probe_goodness
 from .graphs import GraphParseError, is_bipartite, parse_edge_list, tensor_k2
 from .products import DegreeBoundError, Outcome, check_f_fact
 from .reports import (
@@ -219,18 +219,12 @@ def _cmd_check(args) -> int:
     print(f"every component extremal (complete bipartite or single vertex): "
           f"{report.structural_extremal}")
     if bipartite:
-        probes = []
-        found = False
-        for x, role in good_vertex_probes(g):
-            verdict = is_good(g, x, args.precision_bits, args.precision_cap)
-            probes.append({"vertex": x, "role": role, "outcome": verdict.outcome.value})
-            if verdict.outcome.is_good():
-                found = True
-                break
-        out["good_vertex_probes"] = probes
-        for pr in probes:
-            print(f"good-vertex probe {pr['role']} (vertex {pr['vertex']}): {pr['outcome']}")
-        if g.n and not found:
+        probes = list(probe_goodness(g, args.precision_bits, args.precision_cap))
+        out["good_vertex_probes"] = [{"vertex": x, "role": role, "outcome": v.outcome.value}
+                                     for x, role, v in probes]
+        for x, role, v in probes:
+            print(f"good-vertex probe {role} (vertex {x}): {v.outcome.value}")
+        if probes and not probes[-1][2].outcome.is_good():
             print("no good vertex among probes (unexpected for degree <= 5)")
     else:
         sq = report.count ** 2

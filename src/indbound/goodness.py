@@ -15,6 +15,7 @@ through certify_sum_inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .counting import count_independent_sets
 from .graphs import (
@@ -180,6 +181,17 @@ def good_vertex_probes(g: Graph) -> list[tuple[int, str]]:
     return list(probes.items())
 
 
+def probe_goodness(g: Graph, precision_start: int = PRECISION_START,
+                   precision_cap: int = PRECISION_CAP) -> Iterator[tuple[int, str, Verdict]]:
+    """(vertex, role, is_good verdict) for good_vertex_probes(g) in order, up
+    to and including the first certified good vertex."""
+    for x, role in good_vertex_probes(g):
+        verdict = is_good(g, x, precision_start, precision_cap)
+        yield x, role, verdict
+        if verdict.outcome.is_good():
+            return
+
+
 def find_good_vertex(
     g: Graph,
     precision_start: int = PRECISION_START,
@@ -188,12 +200,9 @@ def find_good_vertex(
     """First certified good vertex among good_vertex_probes(g)."""
     if g.n == 0:
         raise ValueError("find_good_vertex needs at least one vertex")
-    trace: list[tuple[int, Verdict]] = []
-    for x, _ in good_vertex_probes(g):
-        verdict = is_good(g, x, precision_start, precision_cap)
-        if verdict.outcome.is_good():
-            return x, verdict
-        trace.append((x, verdict))
+    trace = [(x, verdict) for x, _, verdict in probe_goodness(g, precision_start, precision_cap)]
+    if trace[-1][1].outcome.is_good():
+        return trace[-1]
     raise NoGoodVertexError(trace)
 
 

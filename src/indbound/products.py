@@ -11,14 +11,14 @@ Comparisons are certified, never floating point:
   * sums (A versus B + C) have one decision procedure, certify_exponents,
     in ratio form: 1 against X + Y for X = B/A and Y = C/A.  It compares
     exact integers when the exponents of X and Y are integral, and otherwise
-    evaluates X and Y as directed-rounding intervals at escalating precision
-    (no common-factor reduction).  The searches and the graph route
-    (goodness.is_good) call it through vector_outcome on A/B/C lane
-    vectors, packed integers laid out below and built only by root_vector
-    and level2_vector; the searches memoize X and Y per shard as fixed-point
-    integer bounds, so a memo hit decides with two integer additions.  Only
-    the whole-graph reference (goodness.is_good_fullgraph) calls it on
-    FactorProducts, through certify_sum_inequality;
+    brackets X and Y at escalating precision by exact products of cached
+    directed bounds of their prime powers, each rounded once.  The searches
+    and the graph route (goodness.is_good) call it through vector_outcome on
+    A/B/C lane vectors, packed integers laid out below and built only by
+    root_vector and level2_vector; the searches memoize X and Y per shard as
+    fixed-point integer bounds, so a memo hit decides with one or two integer
+    additions.  Only the whole-graph reference (goodness.is_good_fullgraph)
+    calls it on FactorProducts, through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -34,7 +34,7 @@ from typing import Mapping
 
 from . import intervals
 from .graphs import Graph
-from .intervals import Interval, factorize
+from .intervals import GUARD_BITS, Interval, factorize
 
 PRECISION_START = 128
 PRECISION_CAP = 8192
@@ -183,7 +183,7 @@ class FactorProduct:
 
     def value_interval(self, precision_bits: int = PRECISION_START) -> Interval:
         """Directed-rounding interval containing the exact value."""
-        work = precision_bits + intervals.GUARD_BITS
+        work = precision_bits + GUARD_BITS
         pos = intervals.exact(1)
         neg = intervals.exact(1)
         for p, e in self._exp.items():
@@ -362,6 +362,8 @@ def _interval_strings(iv: Interval) -> list[str]:
 # calls it with the lcm of 3600 and the denominators of its terms.
 
 _SEARCH_DEN = 3600
+_GREATER, _EQUAL, _LESS, _UNDECIDED = Outcome  # in definition order
+_factor_bounds: dict = {}  # (den, work bits) -> {(p, num): Interval of p^(num/den)}
 
 
 @functools.cache
@@ -375,18 +377,27 @@ def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
 
 def ratio_term(exponents, prec: int, den: int) -> tuple[bool, Interval]:
     """(integral, interval) of the product of p^(num/den) over (prime, signed
-    numerator) pairs: whether every numerator is a multiple of den, and a
-    directed-rounding interval at prec bits."""
-    work = prec + intervals.GUARD_BITS
-    pos = neg = _ONE
+    numerator) pairs: whether every numerator is a multiple of den, and the
+    exact product of the pairs' cached bounds, rounded once to prec bits."""
+    work = prec + GUARD_BITS
+    bounds = _factor_bounds.setdefault((den, work), {})
+    lo_m, lo_e, hi_m, hi_e = _ONE
     integral = True
-    for p, num in exponents:
+    for pair in exponents:  # the pair itself is the table key
+        p, num = pair
+        if not num:
+            continue
         integral = integral and num % den == 0
-        if num > 0:
-            pos = intervals.mul(pos, intervals.prime_power_interval(p, num, den, work), work)
-        elif num < 0:
-            neg = intervals.mul(neg, intervals.prime_power_interval(p, -num, den, work), work)
-    return integral, intervals.round_to(pos if neg is _ONE else intervals.div(pos, neg, work), prec)
+        bound = bounds.get(pair)
+        if bound is None:
+            iv = intervals.prime_power_interval(p, abs(num), den, work)
+            bound = bounds[pair] = iv if num > 0 else intervals.div(_ONE, iv, work)
+        m, e, n, f = bound
+        lo_m, lo_e, hi_m, hi_e = lo_m * m, lo_e + e, hi_m * n, hi_e + f
+    # Sound: every cached bound is positive and directed, lo <= p^(num/den)
+    # <= hi, so the exact products of the lower and of the upper bounds
+    # bracket the ratio; round_to's floor and ceiling are the only rounding.
+    return integral, intervals.round_to(Interval(lo_m, lo_e, hi_m, hi_e), prec)
 
 
 def _integral(exponents, den: int) -> bool:
@@ -414,46 +425,47 @@ def certify_exponents(
     pass.  Integrality is tested first, so an exact verdict evaluates no
     interval.  memo maps each precision p to a dict from key to (integral,
     lo, hi): ratio_term's interval in fixed point (intervals.to_fixed) at
-    scale 2^-s, s = p + GUARD_BITS.  The searches keep one per shard; a hit
-    decodes no key and builds no tuple.  Returns (outcome, method,
-    precision, values): the three reduced integers, or 2^s and the
-    fixed-point bounds of X + Y.
+    scale 2^-s, s = p + GUARD_BITS (one per shard in the searches).  Two
+    hits on a pair that is not integral decide from the memo alone, hi_x +
+    hi_y < 2^s tested first.  Returns (outcome, method, precision, values):
+    the three reduced integers, or 2^s and the fixed-point bounds of X + Y.
     """
     memo = {} if memo is None else memo
     for prec in _precision_schedule(precision_start, precision_cap):
-        level = memo.get(prec) or memo.setdefault(prec, {})
+        level = memo.get(prec) or memo.setdefault(prec, {})  # a hit finds it non-empty
         tx, ty = level.get(x), level.get(y)
-        ex = exponents(x) if tx is None else None  # only a miss decodes its key
-        ey = exponents(y) if ty is None else None
-        if (tx[0] if tx else _integral(ex, den)) and (ty[0] if ty else _integral(ey, den)):
-            ex, ey = dict(exponents(x)), dict(exponents(y))
-            ia = ib = ic = 1
-            for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
-                xp, yp = ex.get(p, 0), ey.get(p, 0)
-                m = min(0, xp, yp)
-                ia *= p ** (-m // den)
-                ib *= p ** ((xp - m) // den)
-                ic *= p ** ((yp - m) // den)
-            d = ia - (ib + ic)
-            outcome = (Outcome.STRICTLY_GREATER if d > 0
-                       else Outcome.EQUAL if d == 0 else Outcome.STRICTLY_LESS)
-            return outcome, "exact", None, (ia, ib, ic)
-        scale = prec + intervals.GUARD_BITS
-        if tx is None:
-            integral, iv = ratio_term(ex, prec, den)
-            tx = level[x] = (integral, *intervals.to_fixed(iv, scale))
-        if ty is None:
-            integral, iv = ratio_term(ey, prec, den)
-            ty = level[y] = (integral, *intervals.to_fixed(iv, scale))
+        if tx is None or ty is None or tx[0] and ty[0]:
+            ex = exponents(x) if tx is None else None  # only a miss decodes its key
+            ey = exponents(y) if ty is None else None
+            if (tx[0] if tx else _integral(ex, den)) and (ty[0] if ty else _integral(ey, den)):
+                ex, ey = dict(exponents(x)), dict(exponents(y))
+                ia = ib = ic = 1
+                for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
+                    xp, yp = ex.get(p, 0), ey.get(p, 0)
+                    m = min(0, xp, yp)
+                    ia *= p ** (-m // den)
+                    ib *= p ** ((xp - m) // den)
+                    ic *= p ** ((yp - m) // den)
+                d = ia - (ib + ic)
+                outcome = _GREATER if d > 0 else _EQUAL if d == 0 else _LESS
+                return outcome, "exact", None, (ia, ib, ic)
+            scale = prec + GUARD_BITS
+            if tx is None:
+                integral, iv = ratio_term(ex, prec, den)
+                tx = level[x] = (integral, *intervals.to_fixed(iv, scale))
+            if ty is None:
+                integral, iv = ratio_term(ey, prec, den)
+                ty = level[y] = (integral, *intervals.to_fixed(iv, scale))
         # Sound: the floor of the lower end and the ceiling of the upper end
         # only widen ratio_term's interval, so lo * 2^-scale <= X <= hi *
         # 2^-scale (the same for Y), and the sums bracket X + Y.
-        lo, hi, one = tx[1] + ty[1], tx[2] + ty[2], 1 << scale
+        one, hi = 1 << prec + GUARD_BITS, tx[2] + ty[2]
         if hi < one:
-            return Outcome.STRICTLY_GREATER, "interval", prec, (one, lo, hi)
+            return _GREATER, "interval", prec, (one, tx[1] + ty[1], hi)
+        lo = tx[1] + ty[1]
         if lo > one:
-            return Outcome.STRICTLY_LESS, "interval", prec, (one, lo, hi)
-    return Outcome.UNDECIDED, "interval", precision_cap, (one, lo, hi)
+            return _LESS, "interval", prec, (one, lo, hi)
+    return _UNDECIDED, "interval", precision_cap, (one, lo, hi)
 
 
 # ---------------------------------------------------------------------------

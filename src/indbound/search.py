@@ -143,10 +143,10 @@ def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggCo
 # A/B/C exponent vectors, built by products.root_vector and
 # products.level2_vector.  A configuration has at most 5 + 20 + 100 edge
 # factors and 20 powers of two, within the lane bound.  Few ratios occur, so
-# each shard memoizes them in fixed point, and a hit costs two integer
-# additions; keys rarely recur across shards, so the memo is dropped with
-# its shard.  The leaf is lazy: a shard sorts records into an AggConfig
-# only for an outcome that is not strict.
+# each shard memoizes them in fixed point, and a hit takes one or two integer
+# additions; keys rarely recur across shards, so the memo is dropped with its
+# shard, while the per-prime bounds a miss multiplies live for the process.
+# The leaf is lazy: only an outcome that is not strict sorts an AggConfig.
 
 
 def _record_vector(delta_eff: int, class_degrees, b: int, cvec: tuple[int, ...]) -> int:

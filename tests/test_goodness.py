@@ -10,10 +10,12 @@ from indbound.goodness import (
     check_kahn_bound,
     decomposition_is_extremal,
     find_good_vertex,
+    good_vertex_probes,
     goodness_vector,
     is_good,
     is_good_fullgraph,
     level_decomposition,
+    probe_goodness,
 )
 from indbound.graphs import Graph, NotBipartiteError, from_edges
 from indbound.products import DegreeBoundError, Outcome, compare_count_to_product, pi_product
@@ -171,6 +173,32 @@ def test_find_good_vertex():
     assert x == 0 and v.outcome == Outcome.EQUAL
     with pytest.raises(ValueError):
         find_good_vertex(Graph(0, ()))
+
+
+def test_probe_goodness_is_the_probe_loop_of_find_good_vertex():
+    # the probes run in good_vertex_probes order and stop after the first
+    # good vertex, which find_good_vertex returns; with none good (at a 2-bit
+    # cap) it raises with every probe's verdict in its trace
+    rng = random.Random(47)
+    late = exhausted = 0
+    for _ in range(40):
+        g = random_bipartite_max_degree(rng, rng.randint(1, 4), rng.randint(1, 4),
+                                        rng.uniform(0.3, 1.0), 4)
+        for start, cap in ((128, 8192), (2, 2)):
+            probes = list(probe_goodness(g, start, cap))
+            assert [(x, role) for x, role, _ in probes] == good_vertex_probes(g)[:len(probes)]
+            good = [verdict.outcome.is_good() for _, _, verdict in probes]
+            assert not any(good[:-1])
+            if good[-1]:
+                assert find_good_vertex(g, start, cap) == probes[-1][::2]
+                late += len(probes) > 1
+            else:
+                assert len(probes) == len(good_vertex_probes(g))
+                with pytest.raises(NoGoodVertexError) as err:
+                    find_good_vertex(g, start, cap)
+                assert err.value.trace == [(x, verdict) for x, _, verdict in probes]
+                exhausted += 1
+    assert late and exhausted
 
 
 def test_check_kahn_bound_examples(fig1):

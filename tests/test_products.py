@@ -10,6 +10,7 @@ from indbound.products import (
     DegreeBoundError,
     FactorProduct,
     Outcome,
+    _factor_bounds,
     _precision_schedule,
     certify_sum_inequality,
     check_f_fact,
@@ -19,6 +20,7 @@ from indbound.products import (
     factor,
     factorize,
     pi_product,
+    ratio_term,
 )
 
 
@@ -247,6 +249,26 @@ def test_interval_soundness_brackets_integers():
         p = FactorProduct.from_factor(n, k)
         iv = p.value_interval(256)
         assert contains_int(iv, n**k)
+
+
+def _sign_of_power_minus(m: int, e: int, den: int, p: int, num: int) -> int:
+    """Sign of (m * 2^e)^den - p^num, on integers with the powers of two and
+    the negative power of p cleared to the other side."""
+    lhs = m**den * p ** max(0, -num) << max(0, e * den)
+    rhs = p ** max(0, num) << max(0, -e * den)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def test_cached_factor_bounds_bracket_the_prime_power():
+    # each factor bound ratio_term caches is lo <= p^(num/den) <= hi, checked
+    # exactly as lo^den <= p^num <= hi^den, for numerators of both signs
+    cases = [(2, 1, 6, 8), (2, -1, 6, 8), (3, -7, 12, 16), (31, 5, 3600, 8),
+             (31, -5, 3600, 8), (7, -3599, 3600, 16), (3, 4, 6, 128), (11, -1, 4, 128)]
+    for p, num, den, prec in cases:
+        ratio_term(((p, num),), prec, den)
+        m, e, n, f = _factor_bounds[den, prec + intervals.GUARD_BITS][p, num]
+        assert m > 0, (p, num, den, prec)
+        assert _sign_of_power_minus(m, e, den, p, num) <= 0 <= _sign_of_power_minus(n, f, den, p, num)
 
 
 def test_interval_width_monotone():

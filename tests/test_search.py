@@ -26,6 +26,7 @@ from indbound.products import (
     _SEARCH_DEN,
     FactorProduct,
     Outcome,
+    certify_exponents,
     key_exponents,
     ratio_keys,
     ratio_term,
@@ -337,6 +338,41 @@ def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
             assert low[0] is outcome
             escalated += low[2] is not None and low[2] > 8
     assert escalated
+
+
+def test_ratio_term_contains_the_512_bit_ratio(stage1_sample):
+    # the product of cached factor bounds, rounded once, brackets each ratio
+    # of the sample: at 8, 16 and 128 bits it contains FactorProduct's
+    # 512-bit interval of the same ratio
+    keys = {key for sample, _ in stage1_sample for _, vec in sample for key in ratio_keys(vec)}
+    for key in keys:
+        exps = key_exponents(key)
+        ratio = FactorProduct.one()
+        for p, num in exps:
+            ratio = ratio.times(p, Fraction(num, _SEARCH_DEN))
+        ref = ratio.value_interval(512)
+        for prec in (8, 16, 128):
+            iv = ratio_term(exps, prec, _SEARCH_DEN)[1]
+            assert intervals.dyadic_cmp(iv.lo_m, iv.lo_e, ref.lo_m, ref.lo_e) <= 0, (key, prec)
+            assert intervals.dyadic_cmp(iv.hi_m, iv.hi_e, ref.hi_m, ref.hi_e) >= 0, (key, prec)
+
+
+def test_exact_route_on_a_memo_hit():
+    # an Equal pair whose two keys are both memoized (each was certified
+    # beside a non-integral partner) still goes the exact route; only a pair
+    # that is not integral is decided from the memo
+    vec = agg_vector(extremal_aggregate(5, 2, (2, 2)))
+    memo: dict = {}
+    first = vector_outcome(vec, memo=memo)
+    assert first[:2] == (Outcome.EQUAL, "exact") and not memo.get(128)
+    other = next(v for _, v in shard_aggregates(5, RootRule.MIN_DEGREE, 2, (2, 2))
+                 if all(num % _SEARCH_DEN for k in ratio_keys(v) for _, num in key_exponents(k)))
+    (kx, ky), (ox, oy) = ratio_keys(vec), ratio_keys(other)
+    for x, y in ((kx, oy), (ox, ky)):
+        certify_exponents(x, y, exponents=key_exponents, memo=memo)
+    assert memo[128][kx][0] and memo[128][ky][0]
+    for cap in (128, 8192):
+        assert vector_outcome(vec, precision_cap=cap, memo=memo) == first
 
 
 def test_precision_stats_name_each_precision():
