@@ -265,7 +265,7 @@ def _cmd_export_exceptions(args) -> int:
             json.dumps({"files": [p.name for p in written],
                         "appearances": len(s1.appearances)}, indent=2) + "\n"
         )
-    return EXIT_PASS if s1.passed else EXIT_FAIL
+    return EXIT_PASS if s1.passed else EXIT_UNDECIDED if s1.tally["undecided"] else EXIT_FAIL
 
 
 def _cmd_selftest(args) -> int:

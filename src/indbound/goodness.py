@@ -3,10 +3,11 @@
 A vertex x is good when Pi(G) >= Pi(G - x) + Pi(G - x - N(x)), where Pi is
 the bound product.  Factors from edges at distance >= 3 of x and from other
 components appear identically on both sides, so the check reduces to the
-levels 0..2 of a breadth-first decomposition around x plus the edges leaving
-level 2.  The reduced check (is_good) gathers the degrees around x from
-that decomposition, builds the A/B/C lane vector with products.root_vector
-and products.level2_vector, the builders the searches use, and certifies it
+levels 0..2 of the one breadth-first decomposition around x
+(graphs.level_decomposition) plus the edges leaving level 2.  The reduced
+check (is_good) gathers the degrees around x from that decomposition,
+builds the A/B/C lane vector with products.root_vector and
+products.level2_vector, the builders the searches use, and certifies it
 through vector_outcome.  The direct whole-graph evaluation
 (is_good_fullgraph), its oracle, builds the three bound products and goes
 through certify_sum_inequality.
@@ -20,10 +21,11 @@ from typing import Iterator
 from .counting import count_independent_sets
 from .graphs import (
     Graph,
-    NotBipartiteError,
+    LevelDecomposition,
     component_is_extremal,
     components,
     delete_closed,
+    level_decomposition,
 )
 from .intervals import to_decimal_str
 from .products import (
@@ -41,56 +43,6 @@ from .products import (
     sum_verdict,
     vector_outcome,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class LevelDecomposition:
-    """Breadth-first layering of the component of a root: levels[i] lists
-    the vertices at distance i in discovery order, and dist maps every
-    vertex of the component to its distance."""
-
-    root: int
-    levels: tuple[list[int], ...]
-    dist: dict[int, int]
-
-    @property
-    def has_beyond_level2(self) -> bool:
-        return len(self.levels) > 3
-
-
-def level_decomposition(g: Graph, x: int) -> LevelDecomposition:
-    """BFS levels of the component of x (edge distance).  Raises
-    NotBipartiteError (with an odd closed walk) on an odd cycle."""
-    if not (0 <= x < g.n):
-        raise ValueError(f"vertex {x} out of range for n={g.n}")
-    adj = g.adjacency
-    dist = {x: 0}
-    parent = {x: x}
-    levels = [[x]]
-    frontier = levels[0]
-    while frontier:
-        d = len(levels)
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                dw = dist.get(w)
-                if dw is None:
-                    dist[w] = d
-                    parent[w] = u
-                    nxt.append(w)
-                elif dw == d - 1:
-                    pu, pw = [u], [w]
-                    while pu[-1] != x:
-                        pu.append(parent[pu[-1]])
-                        pw.append(parent[pw[-1]])
-                    raise NotBipartiteError(
-                        f"component of vertex {x} contains an odd cycle",
-                        tuple(reversed(pu)) + tuple(pw),
-                    )
-        if nxt:
-            levels.append(nxt)
-        frontier = nxt
-    return LevelDecomposition(x, tuple(levels), dist)
 
 
 def decomposition_is_extremal(g: Graph, ld: LevelDecomposition) -> bool:

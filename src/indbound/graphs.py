@@ -1,7 +1,7 @@
 """Undirected simple graphs as immutable adjacency lists, plus the structural
 operations the verification pipeline needs: deletion with dense re-indexing,
-connected components, bipartition testing, the tensor product with K2, and
-the plain-text edge-list format.
+connected components, the one BFS (level_decomposition, whose parities are
+bipartition), the tensor product with K2, and the edge-list format.
 
 Vertices are integers in [0, n).  Adjacency lists are sorted tuples, so equal
 graphs compare and hash identically.
@@ -166,37 +166,67 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     return out
 
 
-def _walk_to_root(parent: dict[int, int], v: int) -> list[int]:
-    path = [v]
-    while parent[v] != v:
-        v = parent[v]
-        path.append(v)
-    return path
+@dataclass(frozen=True, eq=False)
+class LevelDecomposition:
+    """Breadth-first layering of the component of a root: levels[i] lists
+    the vertices at distance i in discovery order, and dist maps every
+    vertex of the component to its distance."""
+
+    root: int
+    levels: tuple[list[int], ...]
+    dist: dict[int, int]
+
+    @property
+    def has_beyond_level2(self) -> bool:
+        return len(self.levels) > 3
+
+
+def level_decomposition(g: Graph, x: int) -> LevelDecomposition:
+    """BFS levels of the component of x (edge distance).  Raises
+    NotBipartiteError (with an odd closed walk) on an odd cycle."""
+    if not (0 <= x < g.n):
+        raise ValueError(f"vertex {x} out of range for n={g.n}")
+    adj = g.adjacency
+    dist = {x: 0}
+    parent = {x: x}
+    levels = [[x]]
+    frontier = levels[0]
+    while frontier:
+        d = len(levels)
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = d
+                    parent[w] = u
+                    nxt.append(w)
+                elif dw == d - 1:
+                    pu, pw = [u], [w]
+                    while pu[-1] != x:
+                        pu.append(parent[pu[-1]])
+                        pw.append(parent[pw[-1]])
+                    raise NotBipartiteError(
+                        f"component of vertex {x} contains an odd cycle",
+                        tuple(reversed(pu)) + tuple(pw),
+                    )
+        if nxt:
+            levels.append(nxt)
+        frontier = nxt
+    return LevelDecomposition(x, tuple(levels), dist)
 
 
 def bipartition(g: Graph) -> Bipartition | tuple[int, ...]:
-    """A valid 2-coloring, or an odd closed walk witnessing non-bipartiteness."""
+    """A valid 2-coloring, the distance parity of each component's level
+    decomposition, or an odd closed walk witnessing non-bipartiteness."""
     side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        parent = {start: start}
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in g.adjacency[u]:
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    # odd closed walk: root..u + uw + w..root
-                    pu = _walk_to_root(parent, u)
-                    pw = _walk_to_root(parent, w)
-                    return tuple(reversed(pu)) + tuple(pw)
+    try:
+        for start in range(g.n):
+            if side[start] == -1:
+                for v, d in level_decomposition(g, start).dist.items():
+                    side[v] = d & 1
+    except NotBipartiteError as e:
+        return e.witness
     return Bipartition(tuple(side))
 
 

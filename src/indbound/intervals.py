@@ -7,6 +7,9 @@ value.  Mantissas are kept at a fixed bit width, which makes the grid of
 representable bounds at a higher precision a refinement of the grid at a
 lower one: re-running the same computation with more bits can only shrink
 an interval, never grow it.
+
+Directed bounds of prime powers p^(num/den) have one owner: a table filled
+only by prime_power_interval, whose entries power_product multiplies.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def div(a: Interval, b: Interval, prec: int) -> Interval:
 def ipow(a: Interval, k: int, prec: int) -> Interval:
     """a**k for integer k >= 0 by binary powering."""
     if k < 0:
-        raise ValueError("negative powers are handled by div at the product level")
+        raise ValueError("ipow takes k >= 0; prime_power_interval bounds a negative power by div")
     result = exact(1)
     base = a
     while k:
@@ -173,10 +176,6 @@ def interval_nth_root(iv: Interval, n: int, prec: int) -> Interval:
     return Interval(lo_m, lo_e, hi_m, hi_e)
 
 
-_root_cache: dict[tuple[int, int, int], Interval] = {}
-_pow_cache: dict[tuple[int, int, int, int], Interval] = {}
-
-
 @functools.cache
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((p, multiplicity), ...), primes
@@ -202,27 +201,55 @@ def nth_root_interval(p: int, den: int, prec: int) -> Interval:
     """Interval for p ** (1/den); the root is taken one small prime factor of
     den at a time, which keeps the integer root arguments tiny even for
     denominators like 3600 (ascending primes, with repetition)."""
-    key = (p, den, prec)
-    iv = _root_cache.get(key)
-    if iv is None:
-        iv = exact(p)
-        for q, k in factorize(den):
-            for _ in range(k):
-                iv = interval_nth_root(iv, q, prec)
-        _root_cache[key] = iv
+    iv = exact(p)
+    for q, k in factorize(den):
+        for _ in range(k):
+            iv = interval_nth_root(iv, q, prec)
     return iv
+
+
+# (den, prec) -> {(p, signed num): Interval of p^(num/den)}; every interval
+# verdict rests on these entries, so an audit checks them here.
+_bounds: dict[tuple[int, int], dict[tuple[int, int], Interval]] = {}
 
 
 def prime_power_interval(p: int, num: int, den: int, prec: int) -> Interval:
-    """Interval for p ** (num/den) with num >= 0, den >= 1 (fraction need not be reduced)."""
+    """Interval for p ** (num/den), num signed, den >= 1 (the fraction need
+    not be reduced), from the table; a miss for num < 0 divides 1 by the -num
+    entry, and one for num > 1 and den > 1 powers the root, the (p, 1) entry."""
     if num == 0:
         return exact(1)
-    if den == 1:
-        v = p**num
-        return Interval(*_floor_round(v, 0, prec), *_ceil_round(v, 0, prec))
-    key = (p, num, den, prec)
-    iv = _pow_cache.get(key)
+    bounds = _bounds.setdefault((den, prec), {})
+    iv = bounds.get((p, num))
     if iv is None:
-        iv = ipow(nth_root_interval(p, den, prec), num, prec)
-        _pow_cache[key] = iv
+        if num < 0:
+            iv = div(exact(1), prime_power_interval(p, -num, den, prec), prec)
+        elif den == 1:
+            iv = round_to(exact(p**num), prec)
+        elif num == 1:
+            iv = nth_root_interval(p, den, prec)
+        else:
+            iv = ipow(prime_power_interval(p, 1, den, prec), num, prec)
+        bounds[p, num] = iv
     return iv
+
+
+def power_product(exponents, den: int, prec: int) -> tuple[bool, Interval]:
+    """(integral, interval) of the product of p^(num/den) over (prime, signed
+    numerator) pairs: whether every numerator is a multiple of den, and the
+    exact product of their table bounds at prec + GUARD_BITS, rounded once."""
+    work = prec + GUARD_BITS
+    bounds = _bounds.setdefault((den, work), {})
+    lo_m, lo_e, hi_m, hi_e = 1, 0, 1, 0
+    integral = True
+    for pair in exponents:  # the pair itself is the table key
+        p, num = pair
+        if not num:
+            continue
+        integral = integral and num % den == 0
+        m, e, n, f = bounds.get(pair) or prime_power_interval(p, num, den, work)
+        lo_m, lo_e, hi_m, hi_e = lo_m * m, lo_e + e, hi_m * n, hi_e + f
+    # Sound: every table bound is positive and directed, lo <= p^(num/den)
+    # <= hi, so the exact products of the lower and of the upper bounds
+    # bracket the product; round_to's floor and ceiling are the only rounding.
+    return integral, round_to(Interval(lo_m, lo_e, hi_m, hi_e), prec)

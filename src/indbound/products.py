@@ -11,13 +11,13 @@ Comparisons are certified, never floating point:
   * sums (A versus B + C) have one decision procedure, certify_exponents,
     in ratio form: 1 against X + Y for X = B/A and Y = C/A.  It compares
     exact integers when the exponents of X and Y are integral, and otherwise
-    brackets X and Y at escalating precision by exact products of cached
-    directed bounds of their prime powers, each rounded once.  The searches
-    and the graph route (goodness.is_good) call it through vector_outcome on
-    A/B/C lane vectors, packed integers laid out below and built only by
-    root_vector and level2_vector; the searches memoize X and Y per shard as
-    fixed-point integer bounds, so a memo hit decides with one or two integer
-    additions.  Only the whole-graph reference (goodness.is_good_fullgraph)
+    brackets X and Y at escalating precision by intervals.power_product, so
+    no mantissa arithmetic is done here outside FactorProduct.value_interval.
+    The searches and the graph route (goodness.is_good) call it through
+    vector_outcome on A/B/C lane vectors, packed integers laid out below and
+    built only by root_vector and level2_vector; the searches memoize X and Y
+    per shard as fixed-point integer bounds, so a memo hit decides with one
+    or two integer additions.  Only the whole-graph reference (goodness.is_good_fullgraph)
     calls it on FactorProducts, through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
@@ -40,7 +40,6 @@ PRECISION_START = 128
 PRECISION_CAP = 8192
 
 _ZERO = Fraction(0)
-_ONE = intervals.exact(1)
 
 
 class DegreeBoundError(ValueError):
@@ -183,6 +182,9 @@ class FactorProduct:
 
     def value_interval(self, precision_bits: int = PRECISION_START) -> Interval:
         """Directed-rounding interval containing the exact value."""
+        # Not intervals.power_product: a reduced integral exponent stays an
+        # exact power, not a root's power, and the negative part divides once;
+        # through power_product, check's intervals and low-precision verdicts change.
         work = precision_bits + GUARD_BITS
         pos = intervals.exact(1)
         neg = intervals.exact(1)
@@ -363,7 +365,6 @@ def _interval_strings(iv: Interval) -> list[str]:
 
 _SEARCH_DEN = 3600
 _GREATER, _EQUAL, _LESS, _UNDECIDED = Outcome  # in definition order
-_factor_bounds: dict = {}  # (den, work bits) -> {(p, num): Interval of p^(num/den)}
 
 
 @functools.cache
@@ -373,31 +374,6 @@ def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"search exponents need degrees in 1..5, got f{min(a, b), max(a, b)}")
     step = _SEARCH_DEN // (a * b)
     return tuple((p, k * step) for p, k in factorize((1 << a) + (1 << b) - 1))
-
-
-def ratio_term(exponents, prec: int, den: int) -> tuple[bool, Interval]:
-    """(integral, interval) of the product of p^(num/den) over (prime, signed
-    numerator) pairs: whether every numerator is a multiple of den, and the
-    exact product of the pairs' cached bounds, rounded once to prec bits."""
-    work = prec + GUARD_BITS
-    bounds = _factor_bounds.setdefault((den, work), {})
-    lo_m, lo_e, hi_m, hi_e = _ONE
-    integral = True
-    for pair in exponents:  # the pair itself is the table key
-        p, num = pair
-        if not num:
-            continue
-        integral = integral and num % den == 0
-        bound = bounds.get(pair)
-        if bound is None:
-            iv = intervals.prime_power_interval(p, abs(num), den, work)
-            bound = bounds[pair] = iv if num > 0 else intervals.div(_ONE, iv, work)
-        m, e, n, f = bound
-        lo_m, lo_e, hi_m, hi_e = lo_m * m, lo_e + e, hi_m * n, hi_e + f
-    # Sound: every cached bound is positive and directed, lo <= p^(num/den)
-    # <= hi, so the exact products of the lower and of the upper bounds
-    # bracket the ratio; round_to's floor and ceiling are the only rounding.
-    return integral, intervals.round_to(Interval(lo_m, lo_e, hi_m, hi_e), prec)
 
 
 def _integral(exponents, den: int) -> bool:
@@ -424,7 +400,7 @@ def certify_exponents(
     precision up to the cap, where Undecided is returned, never a silent
     pass.  Integrality is tested first, so an exact verdict evaluates no
     interval.  memo maps each precision p to a dict from key to (integral,
-    lo, hi): ratio_term's interval in fixed point (intervals.to_fixed) at
+    lo, hi): intervals.power_product's result in fixed point (to_fixed) at
     scale 2^-s, s = p + GUARD_BITS (one per shard in the searches).  Two
     hits on a pair that is not integral decide from the memo alone, hi_x +
     hi_y < 2^s tested first.  Returns (outcome, method, precision, values):
@@ -451,13 +427,13 @@ def certify_exponents(
                 return outcome, "exact", None, (ia, ib, ic)
             scale = prec + GUARD_BITS
             if tx is None:
-                integral, iv = ratio_term(ex, prec, den)
+                integral, iv = intervals.power_product(ex, den, prec)
                 tx = level[x] = (integral, *intervals.to_fixed(iv, scale))
             if ty is None:
-                integral, iv = ratio_term(ey, prec, den)
+                integral, iv = intervals.power_product(ey, den, prec)
                 ty = level[y] = (integral, *intervals.to_fixed(iv, scale))
         # Sound: the floor of the lower end and the ceiling of the upper end
-        # only widen ratio_term's interval, so lo * 2^-scale <= X <= hi *
+        # only widen power_product's interval, so lo * 2^-scale <= X <= hi *
         # 2^-scale (the same for Y), and the sums bracket X + Y.
         one, hi = 1 << prec + GUARD_BITS, tx[2] + ty[2]
         if hi < one:

@@ -145,7 +145,7 @@ def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggCo
 # factors and 20 powers of two, within the lane bound.  Few ratios occur, so
 # each shard memoizes them in fixed point, and a hit takes one or two integer
 # additions; keys rarely recur across shards, so the memo is dropped with its
-# shard, while the per-prime bounds a miss multiplies live for the process.
+# shard, while the intervals table of prime-power bounds lives for the process.
 # The leaf is lazy: only an outcome that is not strict sorts an AggConfig.
 
 

@@ -9,8 +9,7 @@ if _src.is_dir() and str(_src) not in sys.path:
 import pytest
 
 from indbound import intervals
-from indbound.goodness import level_decomposition
-from indbound.graphs import Graph, from_edges
+from indbound.graphs import Graph, from_edges, level_decomposition
 from indbound.local import LocalConfig, canonical_tuple
 from indbound.products import _LANE_PRIMES
 from indbound.search import (

@@ -14,10 +14,9 @@ from indbound.goodness import (
     goodness_vector,
     is_good,
     is_good_fullgraph,
-    level_decomposition,
     probe_goodness,
 )
-from indbound.graphs import Graph, NotBipartiteError, from_edges
+from indbound.graphs import Graph, NotBipartiteError, from_edges, level_decomposition
 from indbound.products import DegreeBoundError, Outcome, compare_count_to_product, pi_product
 from indbound.selftest import random_bipartite_max_degree
 

@@ -38,6 +38,30 @@ def test_nth_root_interval_brackets():
         assert (hi - lo) / lo < Fraction(1, 2**90)
 
 
+def test_prime_power_table_shares_one_root_per_prime(monkeypatch):
+    # a negative numerator is 1 divided by the bound of the positive one, and
+    # a second sign or power of a prime at the same (den, prec) reuses the
+    # root the table holds as its (p, 1) entry: no new root is computed
+    roots = []
+    root = intervals.nth_root_interval
+
+    def counting_root(p, den, prec):
+        roots.append((p, den, prec))
+        return root(p, den, prec)
+
+    monkeypatch.setattr(intervals, "_bounds", {})
+    monkeypatch.setattr(intervals, "nth_root_interval", counting_root)
+    one = intervals.exact(1)
+    cases = [(7, 5, 3600, 144), (3, 1, 12, 40), (31, 3599, 3600, 24), (7, 2, 3600, 40)]
+    for i, (p, n, den, prec) in enumerate(cases):
+        neg = intervals.prime_power_interval(p, -n, den, prec)
+        assert neg == intervals.div(one, intervals.prime_power_interval(p, n, den, prec), prec)
+        intervals.prime_power_interval(p, 2 * n + 1, den, prec)
+        intervals.prime_power_interval(p, -(2 * n + 1), den, prec)
+        intervals.power_product(((p, n + 1), (p, -3 * n)), den, prec - intervals.GUARD_BITS)
+        assert roots[i:] == [(p, den, prec)]
+
+
 def test_directed_rounding_mul_add():
     a = Interval(3, 0, 3, 0)
     b = Interval(5, -1, 5, -1)

@@ -10,7 +10,8 @@ from conftest import (
     validate_config,
     vector_terms,
 )
-from indbound.goodness import goodness_vector, is_good, is_good_fullgraph, level_decomposition
+from indbound.goodness import goodness_vector, is_good, is_good_fullgraph
+from indbound.graphs import level_decomposition
 from indbound.local import LocalConfig, canonical_tuple, expand_appearances, leveled_canonical
 from indbound.products import _SEARCH_DEN, FactorProduct, Outcome
 from indbound.search import agg_vector, aggregate_of_config, config_outcome

@@ -7,10 +7,13 @@ from conftest import complete_bipartite, contains_int, cycle, interval_add, path
 from indbound import intervals
 from indbound.graphs import Graph, from_edges
 from indbound.products import (
+    _LANE_PRIMES,
+    _SEARCH_DEN,
+    PRECISION_CAP,
+    PRECISION_START,
     DegreeBoundError,
     FactorProduct,
     Outcome,
-    _factor_bounds,
     _precision_schedule,
     certify_sum_inequality,
     check_f_fact,
@@ -20,8 +23,8 @@ from indbound.products import (
     factor,
     factorize,
     pi_product,
-    ratio_term,
 )
+from indbound.search import RootRule, _agg_search_shard
 
 
 def test_factor_fields():
@@ -260,15 +263,32 @@ def _sign_of_power_minus(m: int, e: int, den: int, p: int, num: int) -> int:
 
 
 def test_cached_factor_bounds_bracket_the_prime_power():
-    # each factor bound ratio_term caches is lo <= p^(num/den) <= hi, checked
-    # exactly as lo^den <= p^num <= hi^den, for numerators of both signs
+    # each table bound power_product reads is lo <= p^(num/den) <= hi,
+    # checked exactly as lo^den <= p^num <= hi^den, for numerators of both signs
     cases = [(2, 1, 6, 8), (2, -1, 6, 8), (3, -7, 12, 16), (31, 5, 3600, 8),
              (31, -5, 3600, 8), (7, -3599, 3600, 16), (3, 4, 6, 128), (11, -1, 4, 128)]
     for p, num, den, prec in cases:
-        ratio_term(((p, num),), prec, den)
-        m, e, n, f = _factor_bounds[den, prec + intervals.GUARD_BITS][p, num]
+        intervals.power_product(((p, num),), den, prec)
+        m, e, n, f = intervals._bounds[den, prec + intervals.GUARD_BITS][p, num]
         assert m > 0, (p, num, den, prec)
         assert _sign_of_power_minus(m, e, den, p, num) <= 0 <= _sign_of_power_minus(n, f, den, p, num)
+
+
+def test_root_bounds_the_searches_trust_hold_at_full_scale(monkeypatch):
+    # every interval verdict rests on the table's roots, the (p, 1) entries
+    # whose powers and reciprocals are all other bounds: each lane prime's
+    # at the searches' (3600, 144), and every root one stage-1 shard puts in
+    # a fresh table, checked exactly as lo^den <= p <= hi^den
+    monkeypatch.setattr(intervals, "_bounds", {})
+    _agg_search_shard((5, RootRule.MIN_DEGREE.value, 3, (5, 5, 5), PRECISION_START, PRECISION_CAP))
+    shard_roots = {(den, prec, p) for (den, prec), table in intervals._bounds.items() if den > 1
+                   for p, num in table if num == 1}
+    assert len(shard_roots) == 9
+    work = PRECISION_START + intervals.GUARD_BITS
+    for den, prec, p in shard_roots | {(_SEARCH_DEN, work, p) for p in _LANE_PRIMES}:
+        m, e, n, f = intervals.prime_power_interval(p, 1, den, prec)
+        assert m > 0, (p, den, prec)
+        assert _sign_of_power_minus(m, e, den, p, 1) <= 0 <= _sign_of_power_minus(n, f, den, p, 1)
 
 
 def test_interval_width_monotone():

@@ -171,7 +171,7 @@ def _heawood_graph():
 
 
 def test_concrete_regular_graphs_agree():
-    from indbound.goodness import level_decomposition
+    from indbound.graphs import level_decomposition
 
     cases = [
         (complete_bipartite(2, 2), 2, 1, (0,)),

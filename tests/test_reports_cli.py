@@ -108,6 +108,15 @@ def test_cli_verify_all_undecided_exit_at_tiny_precision():
     assert code == 2
 
 
+def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys):
+    # the same undecided stage 1 exits 2 from export-exceptions too, after
+    # writing the DOT files of the failing patterns it did certify
+    code = main(["export-exceptions", "--dot", str(tmp_path / "dots"), "--jobs", "1",
+                 "--precision-bits", "8", "--precision-cap", "8"])
+    assert "wrote 1 DOT files" in capsys.readouterr().out
+    assert code == 2
+
+
 def test_cli_check_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("n 2\n0 1\n0 1\n")

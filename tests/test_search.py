@@ -29,7 +29,6 @@ from indbound.products import (
     certify_exponents,
     key_exponents,
     ratio_keys,
-    ratio_term,
     vector_outcome,
 )
 from indbound.search import (
@@ -275,7 +274,7 @@ def test_ratio_keys_decode_to_exponent_differences(stage1_sample):
 def test_ratio_memo_lives_for_one_shard(monkeypatch):
     # every shard certifies with a fresh memo, which ends holding only the
     # ratios of that shard's own vectors at 128 bits, each the fixed-point
-    # form of ratio_term's interval, which it brackets
+    # form of power_product's interval, which it brackets
     calls = []
     scale = 128 + intervals.GUARD_BITS
 
@@ -297,7 +296,7 @@ def test_ratio_memo_lives_for_one_shard(monkeypatch):
             assert list(memo) == [128]
             assert memo[128].keys() <= {key for vec in vecs for key in ratio_keys(vec)}
             for key, (integral, lo, hi) in memo[128].items():
-                exact, iv = ratio_term(key_exponents(key), 128, _SEARCH_DEN)
+                exact, iv = intervals.power_product(key_exponents(key), _SEARCH_DEN, 128)
                 assert (integral, lo, hi) == (exact, *intervals.to_fixed(iv, scale))
                 assert intervals.dyadic_cmp(lo, -scale, iv.lo_m, iv.lo_e) <= 0
                 assert intervals.dyadic_cmp(hi, -scale, iv.hi_m, iv.hi_e) >= 0
@@ -352,7 +351,7 @@ def test_ratio_term_contains_the_512_bit_ratio(stage1_sample):
             ratio = ratio.times(p, Fraction(num, _SEARCH_DEN))
         ref = ratio.value_interval(512)
         for prec in (8, 16, 128):
-            iv = ratio_term(exps, prec, _SEARCH_DEN)[1]
+            iv = intervals.power_product(exps, _SEARCH_DEN, prec)[1]
             assert intervals.dyadic_cmp(iv.lo_m, iv.lo_e, ref.lo_m, ref.lo_e) <= 0, (key, prec)
             assert intervals.dyadic_cmp(iv.hi_m, iv.hi_e, ref.hi_m, ref.hi_e) >= 0, (key, prec)
 
