@@ -234,22 +234,20 @@ def prime_power_interval(p: int, num: int, den: int, prec: int) -> Interval:
     return iv
 
 
-def power_product(exponents, den: int, prec: int) -> tuple[bool, Interval]:
-    """(integral, interval) of the product of p^(num/den) over (prime, signed
-    numerator) pairs: whether every numerator is a multiple of den, and the
-    exact product of their table bounds at prec + GUARD_BITS, rounded once."""
+def power_product(exponents, den: int, prec: int) -> Interval:
+    """Interval of the product of p^(num/den) over (prime, signed numerator)
+    pairs: the exact product of their table bounds at prec + GUARD_BITS,
+    rounded once."""
     work = prec + GUARD_BITS
     bounds = _bounds.setdefault((den, work), {})
     lo_m, lo_e, hi_m, hi_e = 1, 0, 1, 0
-    integral = True
     for pair in exponents:  # the pair itself is the table key
         p, num = pair
         if not num:
             continue
-        integral = integral and num % den == 0
         m, e, n, f = bounds.get(pair) or prime_power_interval(p, num, den, work)
         lo_m, lo_e, hi_m, hi_e = lo_m * m, lo_e + e, hi_m * n, hi_e + f
     # Sound: every table bound is positive and directed, lo <= p^(num/den)
     # <= hi, so the exact products of the lower and of the upper bounds
     # bracket the product; round_to's floor and ceiling are the only rounding.
-    return integral, round_to(Interval(lo_m, lo_e, hi_m, hi_e), prec)
+    return round_to(Interval(lo_m, lo_e, hi_m, hi_e), prec)

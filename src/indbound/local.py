@@ -11,9 +11,10 @@ canonical_form is the one canonical pass over level-1 relabelings: it gives
 both the canonical key and the automorphisms used by appearance expansion.
 record_multisets is the one enumerator of multisets of level-2 records: the
 searches' degree-class aggregates use it with class vectors capped by the
-class sizes, and a labeled record (b, subset) is the same thing over
-one-vertex classes, so stage 2 and appearance expansion use it with unit
-caps and read the subset off the 0/1 class vector.
+class sizes, carrying the ratio bounds of their A/B/C vectors, and a
+labeled record (b, subset) is the same thing over one-vertex classes, so
+stage 2 and appearance expansion use it with unit caps and read the subset
+off the 0/1 class vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
 aggregates of the searches are checked against it; so is the round trip
@@ -36,20 +37,28 @@ def record_multisets(
     b_lo: int,
     b_hi: int,
     weight: Callable[[int, tuple[int, ...]], int],
-) -> Iterator[tuple[tuple, int]]:
+    root: int = 0,
+    bounds: Callable[[int], tuple[int, int]] | None = None,
+    scale: int = 0,
+) -> Iterator[tuple[tuple, int, int, int]]:
     """Every multiset of level-2 records (b, cvec) whose class vectors sum
     to `quotas`, each record with a nonzero cvec, cvec[i] <= caps[i] and
-    max(|cvec|, b_lo) <= b <= b_hi.  Yields (records, weight) pairs: the
-    records as ((b, cvec), multiplicity) pairs, unsorted (by class vector,
-    then b), the weight as the sum of weight(b, cvec) over every record.
-    Deterministic order, no duplicates.
+    max(|cvec|, b_lo) <= b <= b_hi, in a deterministic order without
+    duplicates.  Yields (records, total, u, v): the records as ((b, cvec),
+    multiplicity) pairs, unsorted (by class vector, then b); total, root
+    plus weight(b, cvec) over every record; and upper bounds u, v at scale
+    2^-scale of two functions that turn sums of weights into products (the
+    ratios of an A/B/C vector): bounds(w) of root times bounds(w) of each
+    spread option's summed weight w, every product rounded up (1 and 1
+    without bounds).
 
     Skeleton first: the multiset of class vectors is a vector partition of
     the quotas; each chosen class vector's multiplicity is then spread over
-    its admissible b, and the weights are summed down the recursion.
-    Partial partitions that cannot be completed are never entered."""
+    its admissible b.  Partial partitions that cannot be completed are never
+    entered."""
+    bounds = bounds or (lambda w: (1, 1))
     if not any(quotas):
-        yield (), 0
+        yield (), root, *bounds(root)
         return
     cvecs = [
         cvec
@@ -60,14 +69,15 @@ def record_multisets(
     spreads: dict[tuple[tuple[int, ...], int], list] = {}
 
     def spread(cvec: tuple[int, ...], c: int) -> list:
-        """(records, weight) for every way to give c copies of cvec
+        """(records, weight, u, v) for every way to give c copies of cvec
         admissible degrees b."""
         if (cvec, c) not in spreads:
             weights = {b: weight(b, cvec) for b in range(max(sum(cvec), b_lo), b_hi + 1)}
             spreads[cvec, c] = out = []
             for bs in itertools.combinations_with_replacement(weights, c):
                 recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
-                out.append((recs, sum(weights[b] * cnt for (b, _), cnt in recs)))
+                w = sum(weights[b] * cnt for (b, _), cnt in recs)
+                out.append((recs, w, *bounds(w)))
         return spreads[cvec, c]
 
     moves_of: dict[tuple[int, tuple[int, ...]], list] = {}
@@ -89,19 +99,19 @@ def record_multisets(
             moves_of[key] = out
         return moves_of[key]
 
-    records: list = []
-
-    def rec(start: int, rem: tuple[int, ...], total: int):
+    def rec(start: int, rem: tuple[int, ...], records: tuple, total: int, nu: int, nv: int):
+        # nu = -u, nv = -v: a floor of the negated product is minus its ceiling
         for nstart, nrem, done, options in moves(start, rem):
-            for recs, w in options:
-                records.extend(recs)
-                if done:
-                    yield tuple(records), total + w
-                else:
-                    yield from rec(nstart, nrem, total + w)
-                del records[-len(recs):]
+            if done:
+                for recs, w, ou, ov in options:
+                    yield records + recs, total + w, -(nu * ou >> scale), -(nv * ov >> scale)
+            else:
+                for recs, w, ou, ov in options:
+                    yield from rec(nstart, nrem, records + recs, total + w,
+                                   nu * ou >> scale, nv * ov >> scale)
 
-    yield from rec(0, tuple(quotas), 0)
+    u, v = bounds(root)
+    yield from rec(0, tuple(quotas), (), root, -u, -v)
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def expand_appearances(cfg: LocalConfig) -> list[Appearance]:
     # level-2 neighbors (one-vertex classes); with b_lo = b_hi = k every
     # class vector has exactly one admissible b
     k = len(quotas)
-    for records, _ in record_multisets(quotas, [1] * k, k, k, lambda b, cvec: 0):
+    for records, *_ in record_multisets(quotas, [1] * k, k, k, lambda b, cvec: 0):
         subsets = [tuple(j for j, x in enumerate(cvec) if x)
                    for (_, cvec), cnt in records for _ in range(cnt)]
         key = min(

@@ -9,16 +9,15 @@ two products are equal as real numbers iff their maps are equal).
 Comparisons are certified, never floating point:
   * pure products compare exactly by clearing denominators into big integers;
   * sums (A versus B + C) have one decision procedure, certify_exponents,
-    in ratio form: 1 against X + Y for X = B/A and Y = C/A.  It compares
-    exact integers when the exponents of X and Y are integral, and otherwise
-    brackets X and Y at escalating precision by intervals.power_product, so
-    no mantissa arithmetic is done here outside FactorProduct.value_interval.
-    The searches and the graph route (goodness.is_good) call it through
-    vector_outcome on A/B/C lane vectors, packed integers laid out below and
-    built only by root_vector and level2_vector; the searches memoize X and Y
-    per shard as fixed-point integer bounds, so a memo hit decides with one
-    or two integer additions.  Only the whole-graph reference (goodness.is_good_fullgraph)
-    calls it on FactorProducts, through certify_sum_inequality;
+    in ratio form: 1 against X + Y for X = B/A and Y = C/A, by exact
+    integers when the exponents are integral and otherwise by
+    intervals.power_product at escalating precision (no mantissa arithmetic
+    is done here outside FactorProduct.value_interval).  The searches and
+    goodness.is_good call it through vector_outcome on A/B/C lane vectors,
+    laid out below; the searches first try carried_strict, which decides
+    from upper bounds of X and Y carried down their enumeration what
+    certify_exponents would decide strict at the same precision.  The
+    whole-graph reference calls it through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -355,13 +354,10 @@ def _interval_strings(iv: Interval) -> list[str]:
 # ---------------------------------------------------------------------------
 # the decision procedure
 #
-# certify_exponents compares 1 against X = B/A plus Y = C/A, given by signed
-# integer exponent numerators x = b - a and y = c - a over one denominator;
-# the common factor cancels in the ratios, so the interval route divides
-# nothing out.  The searches and is_good call it through vector_outcome:
-# their products are 2^k * prod f(a,b)^m with a,b <= 5, so every exponent
-# is a multiple of 1/3600 (3600 = lcm of all a*b).  certify_sum_inequality
-# calls it with the lcm of 3600 and the denominators of its terms.
+# certify_exponents takes the signed exponent numerators of B - A and C - A
+# over one denominator: the common factor cancels in the ratios.  The
+# products of the searches and is_good are 2^k * prod f(a,b)^m with a,b <= 5,
+# so their denominator is 3600 = lcm of all a*b.
 
 _SEARCH_DEN = 3600
 _GREATER, _EQUAL, _LESS, _UNDECIDED = Outcome  # in definition order
@@ -376,69 +372,45 @@ def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple((p, k * step) for p, k in factorize((1 << a) + (1 << b) - 1))
 
 
-def _integral(exponents, den: int) -> bool:
-    return all(num % den == 0 for _, num in exponents)
-
-
 def certify_exponents(
-    x,
-    y,
+    ex,
+    ey,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
     den: int = _SEARCH_DEN,
-    exponents=tuple,
-    memo: dict | None = None,
 ) -> tuple[Outcome, str, int | None, tuple]:
     """Certified outcome of A >= B + C, decided as 1 against X + Y for
-    X = B/A and Y = C/A, given by hashable keys x and y: exponents(key)
-    lists the (prime, signed numerator over den) pairs of a ratio (by
-    default the key is that tuple).
-
-    When every numerator is a multiple of den, A, B and C divided by their
-    common factor compare as exact integers (the only route that may return
-    Equal); otherwise X and Y are directed-rounding intervals, doubling
-    precision up to the cap, where Undecided is returned, never a silent
-    pass.  Integrality is tested first, so an exact verdict evaluates no
-    interval.  memo maps each precision p to a dict from key to (integral,
-    lo, hi): intervals.power_product's result in fixed point (to_fixed) at
-    scale 2^-s, s = p + GUARD_BITS (one per shard in the searches).  Two
-    hits on a pair that is not integral decide from the memo alone, hi_x +
-    hi_y < 2^s tested first.  Returns (outcome, method, precision, values):
-    the three reduced integers, or 2^s and the fixed-point bounds of X + Y.
-    """
-    memo = {} if memo is None else memo
+    X = B/A and Y = C/A, given as lists ex and ey of (prime, signed
+    numerator over den) pairs.  When every numerator is a multiple of den,
+    A, B and C divided by their common factor compare as exact integers (the
+    only route that may return Equal).  Otherwise X and Y are
+    intervals.power_product's intervals, in fixed point (to_fixed) at scale
+    2^-s, s = p + GUARD_BITS, doubling the precision p up to the cap, where
+    Undecided is returned, never a silent pass.  Returns (outcome, method,
+    precision, values): the three reduced integers, or 2^s and the
+    fixed-point bounds of X + Y."""
+    if all(num % den == 0 for _, num in (*ex, *ey)):
+        ex, ey = dict(ex), dict(ey)
+        ia = ib = ic = 1
+        for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
+            xp, yp = ex.get(p, 0), ey.get(p, 0)
+            m = min(0, xp, yp)
+            ia *= p ** (-m // den)
+            ib *= p ** ((xp - m) // den)
+            ic *= p ** ((yp - m) // den)
+        d = ia - (ib + ic)
+        outcome = _GREATER if d > 0 else _EQUAL if d == 0 else _LESS
+        return outcome, "exact", None, (ia, ib, ic)
     for prec in _precision_schedule(precision_start, precision_cap):
-        level = memo.get(prec) or memo.setdefault(prec, {})  # a hit finds it non-empty
-        tx, ty = level.get(x), level.get(y)
-        if tx is None or ty is None or tx[0] and ty[0]:
-            ex = exponents(x) if tx is None else None  # only a miss decodes its key
-            ey = exponents(y) if ty is None else None
-            if (tx[0] if tx else _integral(ex, den)) and (ty[0] if ty else _integral(ey, den)):
-                ex, ey = dict(exponents(x)), dict(exponents(y))
-                ia = ib = ic = 1
-                for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
-                    xp, yp = ex.get(p, 0), ey.get(p, 0)
-                    m = min(0, xp, yp)
-                    ia *= p ** (-m // den)
-                    ib *= p ** ((xp - m) // den)
-                    ic *= p ** ((yp - m) // den)
-                d = ia - (ib + ic)
-                outcome = _GREATER if d > 0 else _EQUAL if d == 0 else _LESS
-                return outcome, "exact", None, (ia, ib, ic)
-            scale = prec + GUARD_BITS
-            if tx is None:
-                integral, iv = intervals.power_product(ex, den, prec)
-                tx = level[x] = (integral, *intervals.to_fixed(iv, scale))
-            if ty is None:
-                integral, iv = intervals.power_product(ey, den, prec)
-                ty = level[y] = (integral, *intervals.to_fixed(iv, scale))
+        scale = prec + GUARD_BITS
+        lx, hx = intervals.to_fixed(intervals.power_product(ex, den, prec), scale)
+        ly, hy = intervals.to_fixed(intervals.power_product(ey, den, prec), scale)
         # Sound: the floor of the lower end and the ceiling of the upper end
         # only widen power_product's interval, so lo * 2^-scale <= X <= hi *
         # 2^-scale (the same for Y), and the sums bracket X + Y.
-        one, hi = 1 << prec + GUARD_BITS, tx[2] + ty[2]
+        one, lo, hi = 1 << scale, lx + ly, hx + hy
         if hi < one:
-            return _GREATER, "interval", prec, (one, tx[1] + ty[1], hi)
-        lo = tx[1] + ty[1]
+            return _GREATER, "interval", prec, (one, lo, hi)
         if lo > one:
             return _LESS, "interval", prec, (one, lo, hi)
     return _UNDECIDED, "interval", precision_cap, (one, lo, hi)
@@ -529,12 +501,71 @@ def vector_outcome(
     vec: int,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
-    memo: dict | None = None,
 ) -> tuple[Outcome, str, int | None, tuple]:
     """certify_exponents' (outcome, method, precision, values) for an A/B/C
-    exponent vector; memo holds the ratio intervals of one shard."""
-    return certify_exponents(*ratio_keys(vec), precision_start, precision_cap,
-                             _SEARCH_DEN, key_exponents, memo)
+    exponent vector."""
+    kx, ky = ratio_keys(vec)
+    return certify_exponents(key_exponents(kx), key_exponents(ky), precision_start, precision_cap)
+
+
+# Carried bounds: the searches multiply ratio_bounds of the shard's root
+# vector and of each spread option's summed record vector down their
+# enumeration, rounding every product up.  Vectors add as their ratios
+# multiply, so the carried hx and hy bound X and Y from above.
+_LOW4 = sum(15 << 32 * i for i in range(_NP))  # the low 4 bits of every lane
+
+
+def maybe_integral(key: int) -> bool:
+    """False only when some lane of a ratio key is not a multiple of 3600 =
+    16 * 225: a multiple of 16 leaves the low 4 bits of its digit in
+    key + _KEY_BIAS zero, and multiples of 225 make the key one."""
+    return not ((key + _KEY_BIAS) & _LOW4 or key % 225)
+
+
+def ratio_bounds(vec: int, prec: int) -> tuple[int, int]:
+    """The upper ends of power_product's intervals of X = B/A and Y = C/A at
+    prec, in fixed point at scale 2^-(prec + GUARD_BITS), rounded up."""
+    return tuple(intervals.to_fixed(intervals.power_product(key_exponents(key), _SEARCH_DEN, prec),
+                                    prec + GUARD_BITS)[1] for key in ratio_keys(vec))
+
+
+@functools.cache
+def carried_limit(prec: int) -> int:
+    """The least h = hx + hy whose widening h + floor(h 2^(2-prec)) + 2
+    reaches 2^s, s = prec + GUARD_BITS: carried_strict decides below it.
+
+    hx + hy < 2^s alone proves X + Y < 1; the widening keeps the route and
+    precision certify_exponents would report.  Both bound X by powers of the
+    root entries r_lo <= q^(1/3600) <= r_hi of the intervals table at
+    w = prec + GUARD_BITS.  Let I be the product of r_hi^n over the lane
+    primes q with numerator n > 0 and of r_lo^n over those with n < 0.  The
+    carried bound splits each n by spread option, n = a - b with a, b >= 0,
+    and r_hi^a / r_lo^b is at least the single power in I; every rounding
+    only raises it, so hx >= I 2^s.  certify_exponents' upper end of X
+    exceeds I by the error of at most 11 table entries, each about 40
+    roundings at w bits from a root entry (|n| < 2^20), so by a relative
+    2^(-prec-5) at most, then by its rounding up to prec bits (a relative
+    2^(1-prec)) and to the fixed-point grid (under 1); so does Y's.  So if
+    certify_exponents' hi_x + hi_y reaches 2^s, then I_x + I_y > 1/4, the
+    widening's margin over those errors, about (I_x + I_y) 2^(s-prec),
+    exceeds 2, and the widened h reaches 2^s too: a carried strict is a
+    strict at prec by certify_exponents, and no tally or precision_stats
+    entry moves.  h << 2 >> prec is the floor for every prec >= 1."""
+    one = hi = 1 << prec + GUARD_BITS
+    lo = 0
+    while hi - lo > 1:  # widened lo < one <= widened hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid + (mid << 2 >> prec) + 2 < one else (lo, mid)
+    return hi
+
+
+def carried_strict(vec: int, hx: int, hy: int, prec: int) -> bool:
+    """Whether upper ends hx, hy of X and Y of vec at scale 2^-(prec + GUARD_BITS)
+    decide A > B + C, as certify_exponents would by intervals at prec."""
+    a = vec & _PART
+    if maybe_integral((vec >> _PART_BITS & _PART) - a) and maybe_integral((vec >> 2 * _PART_BITS) - a):
+        return False  # possibly the exact route
+    return hx + hy < carried_limit(prec)
 
 
 @dataclass(frozen=True)

@@ -17,26 +17,20 @@ Four searches back the main theorem:
 
 The searches run on degree-class aggregates: the three products of the
 reduced inequality depend on a level-2 vertex only through its total degree
-and how many neighbors it has in each level-1 degree class, never on which
-same-degree vertices those are.  The records come from
-local.record_multisets, the one record-multiset enumerator (stage 2 and
-appearance expansion call it with one-vertex classes): skeleton first, the
-multisets of class vectors that exactly use up the per-class quotas, then
-each class vector's multiplicity spread over its admissible level-2
-degrees.  Each record type carries its A/B/C exponent vector, built by
-products.level2_vector as is_good builds it, summed down the recursion onto
-the shard's products.root_vector, so every aggregate arrives ready to
-certify through vector_outcome.
-Every aggregate is realizable by a simple bipartite graph (each class
-vector entry is at most the class size, which makes the Gale-Ryser
-condition hold), so certified aggregates and concrete configurations cover
-each other exactly.  A shard returns the rare interesting aggregates
-(equal, failing, undecided) themselves; the parent expands them into
-canonical labeled configurations when it builds the report, for reporting
-and for stage 2.  A shard has at most one extremal aggregate
-(extremal_aggregate), and its set of Equal aggregates must be exactly that
-one.  The labeled per-vertex model, which the aggregation is checked
-against, is built only in the tests (tests/test_search.py).
+and how many neighbors it has in each level-1 degree class.
+_agg_enum_for_degrees enumerates them with local.record_multisets, the one
+record-multiset enumerator, each with its A/B/C exponent vector (built by
+products.root_vector and products.level2_vector, as is_good builds it) and
+carried upper bounds of its ratios X = B/A and Y = C/A:
+products.carried_strict decides most aggregates strict from the bounds, and
+vector_outcome decides the rest.  Every aggregate is realizable by a simple
+bipartite graph, so certified aggregates and concrete configurations cover
+each other exactly.  A shard returns its rare equal, failing and undecided
+aggregates themselves, which the parent expands into canonical labeled
+configurations for the report and for stage 2; its Equal aggregates must be
+exactly its extremal one (extremal_aggregate), if it has one.  The labeled
+per-vertex model, which the aggregation is checked against, is built only
+in the tests (tests/test_search.py).
 
 The space is sharded by (root degree, level-1 degree multiset); shards are
 independent, so workers run in parallel and reports merge deterministically.
@@ -53,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
+from .intervals import GUARD_BITS
 from .local import (
     Appearance,
     LocalConfig,
@@ -67,7 +62,9 @@ from .products import (
     PRECISION_CAP,
     PRECISION_START,
     Outcome,
+    carried_strict,
     level2_vector,
+    ratio_bounds,
     root_vector,
     vector_outcome,
 )
@@ -92,10 +89,7 @@ def degree_tuples(rule: RootRule, d0: int, delta_eff: int) -> list[tuple[int, ..
     lo, hi = _degree_bounds(rule, d0, delta_eff)
     if lo > hi:
         return []
-    return [
-        tuple(c)
-        for c in itertools.combinations_with_replacement(range(hi, lo - 1, -1), d0)
-    ]
+    return list(itertools.combinations_with_replacement(range(hi, lo - 1, -1), d0))
 
 
 # --------------------------------------------------------------------------
@@ -123,10 +117,7 @@ class AggConfig:
         return cls(delta_eff, d0, classes, tuple(map(degrees.count, classes)), tuple(sorted(records)))
 
     def degree_multiset(self) -> tuple[int, ...]:
-        out = []
-        for d, s in zip(self.class_degrees, self.class_sizes):
-            out.extend([d] * s)
-        return tuple(out)
+        return tuple(d for d, s in zip(self.class_degrees, self.class_sizes) for _ in range(s))
 
 
 def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggConfig | None:
@@ -138,15 +129,6 @@ def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggCo
         return None
     d = degrees[0] if degrees else 1  # the isolated root has no records
     return AggConfig.of(delta_eff, d0, degrees, [((d0, (d0,)), d - 1)] if d > 1 else [])
-
-
-# A/B/C exponent vectors, built by products.root_vector and
-# products.level2_vector.  A configuration has at most 5 + 20 + 100 edge
-# factors and 20 powers of two, within the lane bound.  Few ratios occur, so
-# each shard memoizes them in fixed point, and a hit takes one or two integer
-# additions; keys rarely recur across shards, so the memo is dropped with its
-# shard, while the intervals table of prime-power bounds lives for the process.
-# The leaf is lazy: only an outcome that is not strict sorts an AggConfig.
 
 
 def _record_vector(delta_eff: int, class_degrees, b: int, cvec: tuple[int, ...]) -> int:
@@ -165,16 +147,17 @@ def agg_vector(agg: AggConfig) -> int:
 
 
 def _agg_enum_for_degrees(
-    delta_eff: int, rule: RootRule, d0: int, degrees: tuple[int, ...]
-) -> Iterator[tuple[tuple, int]]:
-    """The records of every aggregate configuration for one level-1 degree
-    multiset, unsorted, each with its A/B/C exponent vector; AggConfig.of
-    makes the aggregate.  Deterministic order, no duplicates (distinct
-    degrees fix the class order, so aggregates have no leftover symmetry).
-
-    The records are record_multisets over the per-class quotas s * (d - 1),
-    each class vector entry capped by its class size, weighted by the
-    record vectors; the shard's root vector is added to each sum.
+    delta_eff: int, rule: RootRule, d0: int, degrees: tuple[int, ...],
+    precision: int = PRECISION_START,
+) -> Iterator[tuple[tuple, int, int, int]]:
+    """(records, vec, hx, hy) for every aggregate configuration of one
+    level-1 degree multiset: record_multisets over the per-class quotas
+    s * (d - 1), each class vector entry capped by its class size, with the
+    A/B/C vector vec summed onto the shard's root vector and the upper
+    bounds hx, hy of its X and Y carried from the root vector's ratio_bounds
+    at precision.  AggConfig.of makes the aggregate of the unsorted records.
+    Deterministic order, no duplicates (distinct degrees fix the class
+    order, so aggregates have no leftover symmetry).
 
     Every aggregate is realizable by a simple bipartite graph, so none is
     skipped.  Classes are independent: a level-2 vertex's neighbors in
@@ -185,11 +168,11 @@ def _agg_enum_for_degrees(
     class_degrees = tuple(sorted(set(degrees), reverse=True))
     class_sizes = tuple(degrees.count(d) for d in class_degrees)
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
-    base = root_vector(d0, degrees)
     lo, hi = _degree_bounds(rule, d0, delta_eff)
     weight = functools.partial(_record_vector, delta_eff, class_degrees)
-    for records, vec in record_multisets(quotas, class_sizes, lo, hi, weight):
-        yield records, base + vec
+    bounds = functools.partial(ratio_bounds, prec=precision)
+    yield from record_multisets(quotas, class_sizes, lo, hi, weight, root_vector(d0, degrees),
+                                bounds, precision + GUARD_BITS)
 
 
 def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
@@ -289,13 +272,13 @@ class ShardResult:
     inconsistencies: list[AggConfig] = field(default_factory=list)
     precision_stats: dict[tuple[str, int | None], int] = field(default_factory=dict)
 
-    def add(self, outcome: Outcome, method: str, precision: int | None, item) -> None:
-        """Tally one certified outcome by (method, precision), keeping item
+    def add(self, outcome: Outcome, method: str, precision: int | None, item, n: int = 1) -> None:
+        """Tally n certified outcomes by (method, precision), keeping item
         when the outcome is not strict."""
         key = method, precision
-        self.precision_stats[key] = self.precision_stats.get(key, 0) + 1
+        self.precision_stats[key] = self.precision_stats.get(key, 0) + n
         name = _TALLY_NAME[outcome]
-        self.tally[name] += 1
+        self.tally[name] += n
         if name in self.configs:
             self.configs[name].append(item)
 
@@ -314,20 +297,20 @@ def _agg_search_shard(args) -> ShardResult:
     """Certify every aggregate of one (root degree, level-1 degrees) shard."""
     delta_eff, rule_value, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
-    stats = result.precision_stats
-    memo: dict = {}
     equal = set()
-    strict = Outcome.STRICTLY_GREATER  # a local name: enum attribute lookups are slow
-    for records, vec in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0, degrees):
-        outcome, method, precision, _ = vector_outcome(vec, precision_start, precision_cap, memo)
-        if outcome is strict:  # the fast path: tallied, no aggregate built
-            stats[method, precision] = stats.get((method, precision), 0) + 1
-            result.tally["strict"] += 1
+    carried = 0  # strict aggregates decided by their carried bounds, never built
+    for records, vec, hx, hy in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0,
+                                                      degrees, precision_start):
+        if carried_strict(vec, hx, hy, precision_start):
+            carried += 1
             continue
+        outcome, method, precision, _ = vector_outcome(vec, precision_start, precision_cap)
         agg = AggConfig.of(delta_eff, d0, degrees, records)
         result.add(outcome, method, precision, agg)
         if outcome is Outcome.EQUAL:
             equal.add(agg)
+    if carried:  # vector_outcome would give each of them the same route
+        result.add(Outcome.STRICTLY_GREATER, "interval", precision_start, None, carried)
     # equality must hold on the extremal aggregate and nowhere else
     result.inconsistencies.extend(equal ^ ({extremal_aggregate(delta_eff, d0, degrees)} - {None}))
     result.raw = sum(result.tally.values())
@@ -449,12 +432,8 @@ def _report(statement: str, delta: int, root_rule: str, merged: ShardResult, t0:
 
 
 def _make_shards(delta_eff_of, rule: RootRule, d0_range, precision_start, precision_cap):
-    shards = []
-    for d0 in d0_range:
-        delta_eff = delta_eff_of(d0)
-        for degrees in degree_tuples(rule, d0, delta_eff):
-            shards.append((delta_eff, rule.value, d0, degrees, precision_start, precision_cap))
-    return shards
+    return [(delta_eff_of(d0), rule.value, d0, degrees, precision_start, precision_cap)
+            for d0 in d0_range for degrees in degree_tuples(rule, d0, delta_eff_of(d0))]
 
 
 def verify_statement2(
@@ -474,11 +453,7 @@ def verify_statement2(
     shards = _make_shards(lambda d0: d0, RootRule.MAX_DEGREE, range(0, delta + 1),
                           precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
-    passed = (
-        merged.tally["failing"] == 0
-        and merged.tally["undecided"] == 0
-        and not merged.inconsistencies
-    )
+    passed = not (merged.tally["failing"] or merged.tally["undecided"] or merged.inconsistencies)
     return _report("statement2", delta, RootRule.MAX_DEGREE.value, merged, t0, passed,
                    _sorted_unique(merged.configs["failing"]),
                    {"jobs": jobs, "aggregation": "level-1 degree classes"})
@@ -509,11 +484,7 @@ def verify_statement1_stage1(
     appearance_keys = {leveled_canonical(*ap.leveled_graph()) for ap in appearances}
     expected = expected_appearance_keys()
     matches_expected = appearance_keys == expected and len(appearances) == len(expected)
-    passed = (
-        merged.tally["undecided"] == 0
-        and not merged.inconsistencies
-        and matches_expected
-    )
+    passed = matches_expected and not (merged.tally["undecided"] or merged.inconsistencies)
     return _report("statement1_stage1", 5, RootRule.MIN_DEGREE.value, merged, t0, passed,
                    exceptional, {
                        "jobs": jobs,
@@ -607,14 +578,11 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
     for u in range(d_p):
         if u == x1_index:
             continue
-        nbrs_q = [0]
-        for qpos, j in enumerate(s_indices):
-            if u in pattern.l2[j][1]:
-                nbrs_q.append(1 + qpos)
-        forced.append((pattern.l1_degrees[u], tuple(sorted(nbrs_q))))
+        nbrs_q = (0, *(1 + qpos for qpos, j in enumerate(s_indices) if u in pattern.l2[j][1]))
+        forced.append((pattern.l1_degrees[u], nbrs_q))
     quotas = [pattern.l2[j][0] - len(pattern.l2[j][1]) for j in s_indices]
     min_deg = max(1, d_p)
-    for wrecords, _ in record_multisets(quotas, [1] * len(quotas), min_deg, 5, lambda b, cvec: 0):
+    for wrecords, *_ in record_multisets(quotas, [1] * len(quotas), min_deg, 5, lambda b, cvec: 0):
         mapped = [(b, tuple(1 + pos for pos, x in enumerate(cvec) if x))
                   for (b, cvec), cnt in wrecords for _ in range(cnt)]
         records = tuple(sorted(forced + mapped))
@@ -647,19 +615,11 @@ def verify_statement1_stage2(
     Equality anywhere is a failure here."""
     jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
-    shards = [
-        (pattern, x1, precision_start, precision_cap)
-        for pattern in exceptions
-        for x1 in range(pattern.d0)
-    ]
+    shards = [(pattern, x1, precision_start, precision_cap)
+              for pattern in exceptions for x1 in range(pattern.d0)]
     merged = _run_shards(shards, _stage2_shard, jobs)
-    passed = (
-        bool(shards)
-        and merged.tally["failing"] == 0
-        and merged.tally["equal"] == 0
-        and merged.tally["undecided"] == 0
-        and merged.tally["strict"] > 0
-    )
+    tally = merged.tally
+    passed = tally["strict"] > 0 and not (tally["failing"] or tally["equal"] or tally["undecided"])
     # equality counts as failure for stage 2, so surface Equal configs too
     problems = _sorted_unique(merged.configs["failing"] + merged.configs["equal"])
     return _report("statement1_stage2", 5, "pattern_neighbor_root", merged, t0, passed,

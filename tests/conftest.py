@@ -47,7 +47,7 @@ def shard_aggregates(delta_eff, rule, d0, degrees):
     """(aggregate, A/B/C exponent vector) for every leaf of a shard's
     enumeration, the aggregate made by AggConfig.of as the searches make it."""
     return [(AggConfig.of(delta_eff, d0, degrees, records), vec)
-            for records, vec in _agg_enum_for_degrees(delta_eff, rule, d0, degrees)]
+            for records, vec, *_ in _agg_enum_for_degrees(delta_eff, rule, d0, degrees)]
 
 
 def interval_add(a: intervals.Interval, b: intervals.Interval) -> intervals.Interval:

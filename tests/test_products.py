@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import complete_bipartite, contains_int, cycle, interval_add, path, strictly_above
 from indbound import intervals
@@ -9,6 +11,7 @@ from indbound.graphs import Graph, from_edges
 from indbound.products import (
     _LANE_PRIMES,
     _SEARCH_DEN,
+    GUARD_BITS,
     PRECISION_CAP,
     PRECISION_START,
     DegreeBoundError,
@@ -19,9 +22,12 @@ from indbound.products import (
     check_f_fact,
     compare_count_to_product,
     compare_pure_products,
+    carried_limit,
     f_exponents,
     factor,
     factorize,
+    key_exponents,
+    maybe_integral,
     pi_product,
 )
 from indbound.search import RootRule, _agg_search_shard
@@ -213,6 +219,39 @@ def test_fast_outcome_matches_full():
             assert verdict.outcome == Outcome.STRICTLY_LESS
         else:  # these small products agree to 500 bits only in an identity
             assert verdict.outcome == Outcome.EQUAL and verdict.method == "exact"
+
+
+_LANE_MULTIPLES = (2**31 - 1) // _SEARCH_DEN
+
+
+@given(st.lists(st.integers(-_LANE_MULTIPLES, _LANE_MULTIPLES),
+                min_size=len(_LANE_PRIMES), max_size=len(_LANE_PRIMES)))
+def test_integrality_pretest_passes_every_integral_key(multiples):
+    # a ratio key packed from signed lanes that are all multiples of 3600,
+    # negative ones included, is never cleared by the pre-test
+    key = sum(_SEARCH_DEN * m << 32 * i for i, m in enumerate(multiples))
+    assert key_exponents(key) == [(p, _SEARCH_DEN * m) for p, m in zip(_LANE_PRIMES, multiples) if m]
+    assert maybe_integral(key)
+
+
+def test_integrality_pretest_clears_a_lane_off_by_any_residue():
+    # one lane off a multiple of 3600, by a residue below 16 or a multiple
+    # of 16, is cleared wherever it sits: each test catches its own part
+    rng = random.Random(16)
+    for _ in range(200):
+        lanes = [_SEARCH_DEN * rng.randint(1 - _LANE_MULTIPLES, _LANE_MULTIPLES - 1) for _ in _LANE_PRIMES]
+        lanes[rng.randrange(len(lanes))] += rng.choice([rng.randint(1, 15), 16 * rng.randint(1, 224)])
+        assert not maybe_integral(sum(x << 32 * i for i, x in enumerate(lanes)))
+
+
+def test_carried_limit_is_the_least_widened_sum_reaching_one():
+    # the widening h + floor(h * 2^(2-p)) + 2 of every h below the limit
+    # stays below 2^(p + 16), from p = 1 on, and that of the limit does not
+    for prec in (1, 2, 3, 8, 128):
+        one, limit = 1 << prec + GUARD_BITS, carried_limit(prec)
+        widened = [h + (h << 2 >> prec) + 2 for h in (limit - 1, limit)]
+        assert widened[0] < one <= widened[1]
+        assert limit < one
 
 
 def test_compare_count_to_product():

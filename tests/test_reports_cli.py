@@ -100,12 +100,18 @@ def test_cli_check_fig1(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_cli_verify_all_undecided_exit_at_tiny_precision():
+def test_cli_verify_all_undecided_exit_at_tiny_precision(tmp_path):
     # at an 8-bit cap the near-exceptional margins of the minimum-degree
-    # search cannot separate, so the run reports undecided configurations
+    # search cannot separate, so the run reports undecided configurations;
+    # every other aggregate is decided at 8 bits, exactly as many as
+    # certify_exponents decides there
+    j = tmp_path / "cert.json"
     code = main(["verify-all", "--delta", "5", "--statement", "1", "--jobs", "2",
-                 "--precision-bits", "8", "--precision-cap", "8"])
+                 "--precision-bits", "8", "--precision-cap", "8", "--json", str(j)])
     assert code == 2
+    stage1 = json.loads(j.read_text())["statement1"]["stage1"]
+    assert stage1["tally"] == {"strict": 103_129, "equal": 15, "failing": 1, "undecided": 91}
+    assert stage1["precision_stats"] == {"exact": 15, "interval_8": 103_221}
 
 
 def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys):

@@ -14,7 +14,7 @@ from conftest import (
     validate_config,
     vector_terms,
 )
-from indbound import intervals, search
+from indbound import intervals, products, search
 from indbound.goodness import is_good
 from indbound.graphs import component_is_extremal
 from indbound.local import (
@@ -26,9 +26,13 @@ from indbound.products import (
     _SEARCH_DEN,
     FactorProduct,
     Outcome,
+    carried_strict,
     certify_exponents,
     key_exponents,
+    maybe_integral,
+    ratio_bounds,
     ratio_keys,
+    root_vector,
     vector_outcome,
 )
 from indbound.search import (
@@ -226,7 +230,7 @@ def test_aggregate_counts_match_knapsack():
             totals[statement] += expected
             if statement == 2 and d0 > 3:
                 continue
-            leaves = [records for records, _ in _agg_enum_for_degrees(de, rule, d0, degrees)]
+            leaves = [records for records, *_ in _agg_enum_for_degrees(de, rule, d0, degrees)]
             records = [AggConfig.of(de, d0, degrees, leaf).records for leaf in leaves]
             assert len(leaves) == len(set(leaves)) == expected, (d0, degrees)
             assert len(records) == len(set(records)) == expected, (d0, degrees)
@@ -257,7 +261,6 @@ def test_ratio_keys_decode_to_exponent_differences(stage1_sample):
     # lanes included, and vectors sharing both keys share their outcome
     negative = shared = 0
     for sample, by_keys in stage1_sample:
-        memo: dict = {}
         for _, vec in sample:
             ta, tb, tc = vector_terms(vec)
             keys = ratio_keys(vec)
@@ -267,40 +270,164 @@ def test_ratio_keys_decode_to_exponent_differences(stage1_sample):
                 negative += any(x < 0 for x in diff.values())
             twins = by_keys[keys]
             shared += len(twins) > 1
-            assert len({vector_outcome(v, memo=memo) for v in twins}) == 1
+            assert len({vector_outcome(v) for v in twins}) == 1
     assert negative and shared
 
 
-def test_ratio_memo_lives_for_one_shard(monkeypatch):
-    # every shard certifies with a fresh memo, which ends holding only the
-    # ratios of that shard's own vectors at 128 bits, each the fixed-point
-    # form of power_product's interval, which it brackets
+def _option_vectors(class_degrees, records):
+    """The summed record vector of each spread option in a leaf's records,
+    in enumeration order: one option per class vector."""
+    out = {}
+    for (b, cvec), cnt in records:
+        out[cvec] = out.get(cvec, 0) + cnt * search._record_vector(5, class_degrees, b, cvec)
+    return list(out.values())
+
+
+def test_carried_bounds_live_for_one_shard(monkeypatch):
+    # every shard computes its own bounds at the start precision, first of
+    # its root vector, then of exactly the spread options its leaves are
+    # made of, each the fixed-point form of power_product's upper end, which
+    # it brackets; each leaf carries the root's bounds times its options',
+    # in enumeration order, every product rounded up; a shard enumerated
+    # again, after the others, yields the same leaves and bounds
     calls = []
     scale = 128 + intervals.GUARD_BITS
 
-    def spy(vec, precision_start, precision_cap, memo):
-        calls.append((vec, memo, len(memo)))
-        return vector_outcome(vec, precision_start, precision_cap, memo)
+    def spy(vec, prec):
+        calls.append((vec, prec))
+        return ratio_bounds(vec, prec)
 
-    monkeypatch.setattr(search, "vector_outcome", spy)
-    memos = []
-    for d0 in range(3):
-        for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5):
-            start = len(calls)
-            _agg_search_shard((5, RootRule.MIN_DEGREE.value, d0, degrees, 128, 8192))
-            vecs, shard_memos, sizes = zip(*calls[start:])
-            memo = shard_memos[0]
-            assert sizes[0] == 0 and all(m is memo for m in shard_memos)
-            assert all(m is not memo for m in memos)
-            memos.append(memo)
-            assert list(memo) == [128]
-            assert memo[128].keys() <= {key for vec in vecs for key in ratio_keys(vec)}
-            for key, (integral, lo, hi) in memo[128].items():
-                exact, iv = intervals.power_product(key_exponents(key), _SEARCH_DEN, 128)
-                assert (integral, lo, hi) == (exact, *intervals.to_fixed(iv, scale))
-                assert intervals.dyadic_cmp(lo, -scale, iv.lo_m, iv.lo_e) <= 0
-                assert intervals.dyadic_cmp(hi, -scale, iv.hi_m, iv.hi_e) >= 0
-    assert len(memos) == 16
+    monkeypatch.setattr(search, "ratio_bounds", spy)
+    shards = [(d0, degrees) for d0 in range(3) for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5)]
+    first = {}
+    for d0, degrees in shards:
+        start = len(calls)
+        leaves = first[d0, degrees] = list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees))
+        vecs, precs = zip(*calls[start:])
+        assert vecs[0] == root_vector(d0, degrees) and set(precs) == {128}
+        class_degrees = tuple(sorted(set(degrees), reverse=True))
+        options = set()
+        for records, _, hx, hy in leaves:
+            carried = list(ratio_bounds(vecs[0], 128))
+            for option in _option_vectors(class_degrees, records):
+                options.add(option)
+                carried = [-(-h * o >> scale) for h, o in zip(carried, ratio_bounds(option, 128))]
+            assert [hx, hy] == carried
+        assert set(vecs[1:]) == options and len(vecs) == 1 + len(options)
+        for vec in vecs:
+            for key, h in zip(ratio_keys(vec), ratio_bounds(vec, 128)):
+                iv = intervals.power_product(key_exponents(key), _SEARCH_DEN, 128)
+                assert h == intervals.to_fixed(iv, scale)[1]
+                assert intervals.dyadic_cmp(h, -scale, iv.hi_m, iv.hi_e) >= 0
+    for d0, degrees in reversed(shards):
+        assert list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees)) == first[d0, degrees]
+    assert len(first) == 16
+
+
+def test_carried_bounds_contain_the_512_bit_ratios():
+    # on every leaf of a few shards of both searches, at 8 and at 128 bits,
+    # the carried upper ends are at least the upper end of FactorProduct's
+    # 512-bit interval of X and of Y
+    refs: dict = {}
+    leaves = 0
+    for de, rule, d0, degrees in [(5, RootRule.MIN_DEGREE, 2, (2, 2)),
+                                  (5, RootRule.MIN_DEGREE, 3, (5, 4, 3)),
+                                  (5, RootRule.MIN_DEGREE, 4, (5, 5, 5, 4)),
+                                  (3, RootRule.MAX_DEGREE, 3, (3, 2, 1))]:
+        for prec in (8, 128):
+            scale = prec + intervals.GUARD_BITS
+            for _, vec, hx, hy in _agg_enum_for_degrees(de, rule, d0, degrees, prec):
+                leaves += 1
+                for key, h in zip(ratio_keys(vec), (hx, hy)):
+                    if key not in refs:
+                        ratio = FactorProduct.one()
+                        for p, num in key_exponents(key):
+                            ratio = ratio.times(p, Fraction(num, _SEARCH_DEN))
+                        refs[key] = ratio.value_interval(512)
+                    ref = refs[key]
+                    assert intervals.dyadic_cmp(h, -scale, ref.hi_m, ref.hi_e) >= 0, (key, prec)
+    assert leaves > 1000
+
+
+def _vector_outcome_routes(de, rule, d0, degrees, prec):
+    """The decoded ratio keys of every leaf of a shard that certify_exponents
+    must see at prec: not strict at prec, or possibly integral."""
+    out = []
+    for _, vec, *_ in _agg_enum_for_degrees(de, rule, d0, degrees, prec):
+        keys = ratio_keys(vec)
+        if vector_outcome(vec, prec)[:3] != (Outcome.STRICTLY_GREATER, "interval", prec) \
+                or all(map(maybe_integral, keys)):
+            out.append(tuple(map(key_exponents, keys)))
+    return out
+
+
+def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
+    # at 128 bits the carried bounds decide every leaf that certify_exponents
+    # would decide strict at 128 bits by intervals: in the shard
+    # (5, min-degree, 3, (5, 5, 5)) it sees only the Equal leaf, and in
+    # (5, min-degree, 2, (2, 2)) only the Equal and the two failing leaves,
+    # in enumeration order; a silent fall back to it for every leaf fails here
+    for degrees, total, slow in [((5, 5, 5), 3439, 1), ((2, 2), 14, 3)]:
+        d0 = len(degrees)
+        expected = _vector_outcome_routes(5, RootRule.MIN_DEGREE, d0, degrees, 128)
+        seen = []
+
+        def spy(ex, ey, *args):
+            seen.append((ex, ey))
+            return certify_exponents(ex, ey, *args)
+
+        monkeypatch.setattr(products, "certify_exponents", spy)
+        result = _agg_search_shard((5, RootRule.MIN_DEGREE.value, d0, degrees, 128, 8192))
+        monkeypatch.undo()
+        assert seen == expected and len(seen) == slow
+        assert sum(result.tally.values()) == total and result.tally["strict"] == total - slow
+
+
+def test_integrality_pretest_clears_only_non_integral_keys(stage1_sample):
+    # every ratio key of the stage-1 sample that the pre-test clears has a
+    # lane that is not a multiple of 3600; the integral ones all pass it
+    cleared = integral = 0
+    for _, by_keys in stage1_sample:
+        for key in {key for keys in by_keys for key in keys}:
+            is_integral = all(num % _SEARCH_DEN == 0 for _, num in key_exponents(key))
+            integral += is_integral
+            if not maybe_integral(key):
+                cleared += 1
+                assert not is_integral, key
+    assert cleared and integral
+
+
+def test_exact_route_under_carried_bounds():
+    # an Equal pair is integral, so carried_strict leaves it to the exact
+    # route even with bounds that would decide it; a mixed pair, one key
+    # integral and one not, goes the interval route; inside its shard the
+    # Equal aggregate is the one exact verdict, whatever the cap
+    vec = agg_vector(extremal_aggregate(5, 2, (2, 2)))
+    first = vector_outcome(vec)
+    assert first[:2] == (Outcome.EQUAL, "exact")
+    assert all(map(maybe_integral, ratio_keys(vec)))
+    assert not carried_strict(vec, 0, 0, 128)
+    other = next(v for _, v in shard_aggregates(5, RootRule.MIN_DEGREE, 2, (2, 2))
+                 if all(num % _SEARCH_DEN for k in ratio_keys(v) for _, num in key_exponents(k)))
+    (kx, ky), (ox, oy) = ratio_keys(vec), ratio_keys(other)
+    for x, y in ((kx, oy), (ox, ky)):
+        assert certify_exponents(key_exponents(x), key_exponents(y))[1] == "interval"
+    for cap in (128, 8192):
+        assert vector_outcome(vec, precision_cap=cap) == first
+        shard = _agg_search_shard((5, RootRule.MIN_DEGREE.value, 2, (2, 2), 128, cap))
+        assert shard.precision_stats == {("exact", None): 1, ("interval", 128): 13}
+
+
+def test_low_start_precisions_keep_their_precision_stats():
+    # starts of 1 and 2 bits are valid input: the widening has no negative
+    # shift there, and the routes and precisions are those certify_exponents
+    # gives every aggregate
+    escalated = {"exact": 7, "interval_4": 31, "interval_8": 359}
+    for start, cap, stats in [(1, 64, escalated), (2, 64, escalated),
+                              (1, 1, {"exact": 7, "interval_1": 390})]:
+        doc = verify_statement2(3, jobs=1, precision_start=start, precision_cap=cap).to_json()
+        assert doc["precision_stats"] == stats, (start, cap)
+    assert doc["tally"] == {"strict": 0, "equal": 7, "failing": 0, "undecided": 390}
 
 
 def _unreduced_terms(vec):
@@ -318,12 +445,11 @@ def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
     # the ratio-form outcome agrees with 512-bit intervals of A and B + C
     # wherever they separate, and is an exact Equal where they do not;
     # starting at 8 bits, some aggregates escalate and every outcome is the
-    # same, through one memo per shard shared by both precisions
+    # same
     escalated = 0
     for sample, _ in stage1_sample:
-        memo: dict = {}
         for _, vec in sample:
-            outcome, method, _prec, _values = vector_outcome(vec, memo=memo)
+            outcome, method, _prec, _values = vector_outcome(vec)
             a, b, c = _unreduced_terms(vec)
             iva = a.value_interval(512)
             ivsum = interval_add(b.value_interval(512), c.value_interval(512))
@@ -333,13 +459,13 @@ def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
                 assert outcome is Outcome.STRICTLY_LESS
             else:
                 assert (outcome, method) == (Outcome.EQUAL, "exact")
-            low = vector_outcome(vec, precision_start=8, memo=memo)
+            low = vector_outcome(vec, precision_start=8)
             assert low[0] is outcome
             escalated += low[2] is not None and low[2] > 8
     assert escalated
 
 
-def test_ratio_term_contains_the_512_bit_ratio(stage1_sample):
+def test_power_product_contains_the_512_bit_ratio(stage1_sample):
     # the product of cached factor bounds, rounded once, brackets each ratio
     # of the sample: at 8, 16 and 128 bits it contains FactorProduct's
     # 512-bit interval of the same ratio
@@ -351,27 +477,9 @@ def test_ratio_term_contains_the_512_bit_ratio(stage1_sample):
             ratio = ratio.times(p, Fraction(num, _SEARCH_DEN))
         ref = ratio.value_interval(512)
         for prec in (8, 16, 128):
-            iv = intervals.power_product(exps, _SEARCH_DEN, prec)[1]
+            iv = intervals.power_product(exps, _SEARCH_DEN, prec)
             assert intervals.dyadic_cmp(iv.lo_m, iv.lo_e, ref.lo_m, ref.lo_e) <= 0, (key, prec)
             assert intervals.dyadic_cmp(iv.hi_m, iv.hi_e, ref.hi_m, ref.hi_e) >= 0, (key, prec)
-
-
-def test_exact_route_on_a_memo_hit():
-    # an Equal pair whose two keys are both memoized (each was certified
-    # beside a non-integral partner) still goes the exact route; only a pair
-    # that is not integral is decided from the memo
-    vec = agg_vector(extremal_aggregate(5, 2, (2, 2)))
-    memo: dict = {}
-    first = vector_outcome(vec, memo=memo)
-    assert first[:2] == (Outcome.EQUAL, "exact") and not memo.get(128)
-    other = next(v for _, v in shard_aggregates(5, RootRule.MIN_DEGREE, 2, (2, 2))
-                 if all(num % _SEARCH_DEN for k in ratio_keys(v) for _, num in key_exponents(k)))
-    (kx, ky), (ox, oy) = ratio_keys(vec), ratio_keys(other)
-    for x, y in ((kx, oy), (ox, ky)):
-        certify_exponents(x, y, exponents=key_exponents, memo=memo)
-    assert memo[128][kx][0] and memo[128][ky][0]
-    for cap in (128, 8192):
-        assert vector_outcome(vec, precision_cap=cap, memo=memo) == first
 
 
 def test_precision_stats_name_each_precision():
@@ -422,11 +530,13 @@ def test_statement2_equalities_are_complete_bipartite():
 
 
 def _flip_outcomes(monkeypatch, flip):
-    """Make the searches see flip(outcome) for the certified outcome."""
+    """Make the searches see flip(outcome) for the certified outcome, with
+    every aggregate certified by vector_outcome, none by carried bounds."""
     def mutant(vec, *args):
         outcome, method, precision, values = vector_outcome(vec, *args)
         return flip(outcome), method, precision, values
 
+    monkeypatch.setattr(search, "carried_strict", lambda *args: False)
     monkeypatch.setattr(search, "vector_outcome", mutant)
 
 
