@@ -31,7 +31,7 @@ from pathlib import Path
 from .counting import CountBudgetExceeded, count_independent_sets
 from .goodness import NoGoodVertexError, check_kahn_bound, probe_goodness
 from .graphs import GraphParseError, is_bipartite, parse_edge_list, tensor_k2
-from .products import DegreeBoundError, Outcome, check_f_fact
+from .products import MAX_DEGREE, DegreeBoundError, Outcome, check_f_fact
 from .reports import (
     CertificateDocument,
     RunConfig,
@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("verify-all", help="run the full verification pipeline")
-    p.add_argument("--delta", type=int, default=5, choices=range(1, 6),
-                   help="verify up to this maximum degree (5 = full pipeline)")
+    p.add_argument("--delta", type=int, default=MAX_DEGREE, choices=range(1, MAX_DEGREE + 1),
+                   help=f"verify up to this maximum degree ({MAX_DEGREE} = full pipeline)")
     p.add_argument("--statement", type=int, choices=(1, 2), default=None,
                    help="restrict the searches to one statement")
     p.add_argument("--dot", dest="dot_dir", metavar="DIR",
@@ -141,8 +141,8 @@ def _cmd_verify_all(args) -> int:
         print(f"statement 2 (delta={min(args.delta, 4)}): "
               f"{'PASS' if rep2.passed else 'FAIL'} {rep2.tally}")
 
-    if args.statement in (None, 1) and args.delta == 5:
-        s1 = verify_statement1_stage1(5, jobs=args.jobs,
+    if args.statement in (None, 1) and args.delta == MAX_DEGREE:
+        s1 = verify_statement1_stage1(MAX_DEGREE, jobs=args.jobs,
                                       precision_start=args.precision_bits,
                                       precision_cap=args.precision_cap)
         doc.stage1 = s1
@@ -160,7 +160,7 @@ def _cmd_verify_all(args) -> int:
                                     if ap.config == cfg],
                 }
             )
-        s2 = verify_statement1_stage2(s1.exceptional_patterns, jobs=args.jobs,
+        s2 = verify_statement1_stage2(s1.exceptional_patterns,
                                       precision_start=args.precision_bits,
                                       precision_cap=args.precision_cap)
         doc.stage2 = s2
@@ -196,8 +196,8 @@ def _cmd_check(args) -> int:
     except GraphParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    if g.max_degree() > 5:
-        print(f"error: maximum degree {g.max_degree()} exceeds the verified bound 5",
+    if g.max_degree() > MAX_DEGREE:
+        print(f"error: maximum degree {g.max_degree()} exceeds the verified bound {MAX_DEGREE}",
               file=sys.stderr)
         return EXIT_DEGREE
     bipartite = is_bipartite(g)
@@ -225,7 +225,7 @@ def _cmd_check(args) -> int:
         for x, role, v in probes:
             print(f"good-vertex probe {role} (vertex {x}): {v.outcome.value}")
         if probes and not probes[-1][2].outcome.is_good():
-            print("no good vertex among probes (unexpected for degree <= 5)")
+            print(f"no good vertex among probes (unexpected for degree <= {MAX_DEGREE})")
     else:
         sq = report.count ** 2
         out["double_cover"] = {"ind_squared": str(sq), "ind_double_cover": str(dc)}
@@ -251,7 +251,7 @@ def _cmp_text(outcome: Outcome) -> str:
 
 def _cmd_export_exceptions(args) -> int:
     print("running the minimum-degree search to collect exceptional patterns...")
-    s1 = verify_statement1_stage1(5, jobs=args.jobs,
+    s1 = verify_statement1_stage1(MAX_DEGREE, jobs=args.jobs,
                                   precision_start=args.precision_bits,
                                   precision_cap=args.precision_cap)
     try:

@@ -29,6 +29,7 @@ from .graphs import (
 )
 from .intervals import to_decimal_str
 from .products import (
+    MAX_DEGREE,
     PRECISION_CAP,
     PRECISION_START,
     DegreeBoundError,
@@ -90,8 +91,9 @@ def is_good(
     exact, the reduced integers, but not the three terms."""
     ld = level_decomposition(g, x)
     worst = max(len(g.adjacency[v]) for v in ld.dist)
-    if worst > 5:
-        raise DegreeBoundError(f"component of vertex {x} has degree {worst}, is_good needs <= 5")
+    if worst > MAX_DEGREE:
+        raise DegreeBoundError(f"component of vertex {x} has degree {worst}, "
+                               f"is_good needs <= {MAX_DEGREE}")
     return sum_verdict(vector_outcome(goodness_vector(g, ld), precision_start, precision_cap),
                        decomposition_is_extremal(g, ld))
 

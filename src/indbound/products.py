@@ -1,10 +1,11 @@
 """Formal algebra of the independence bound.
 
 The bound assigns every edge uv the factor f(a,b) = (2^a + 2^b - 1)^(1/ab)
-with a = d(u), b = d(v), and every isolated vertex the factor 2.  A
-FactorProduct is a finite product of such factors, stored as a map from
-prime bases to exact rational exponents (inserted bases are factorized, so
-two products are equal as real numbers iff their maps are equal).
+with a = d(u), b = d(v) at most MAX_DEGREE, and every isolated vertex the
+factor 2.  A FactorProduct is a finite product of such factors, built by
+FactorProduct.from_f_counts and stored as a map from prime bases to exact
+rational exponents (bases are factorized, so two products are equal as
+real numbers iff their maps are equal).
 
 Comparisons are certified, never floating point:
   * pure products compare exactly by clearing denominators into big integers;
@@ -37,6 +38,12 @@ from .intervals import GUARD_BITS, Interval, factorize
 
 PRECISION_START = 128
 PRECISION_CAP = 8192
+
+# The degree bound Delta of the verified theorem: every search, check and
+# report reads it here.  The lane bound of the A/B/C vectors below ("No lane
+# reaches 2^31") is proved for 5 only, and _SEARCH_DEN = 3600 must stay a
+# multiple of every a * b, so raising it means checking both again.
+MAX_DEGREE = 5
 
 _ZERO = Fraction(0)
 
@@ -87,38 +94,14 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One edge factor: base 2^a + 2^b - 1 with exponent 1/(a*b)."""
-
-    a: int
-    b: int
-    base: int
-    exponent: Fraction
-
-
-def factor(a: int, b: int) -> Factor:
-    if a < 1 or b < 1:
-        raise ValueError(f"factor degrees must be positive, got ({a}, {b})")
-    return Factor(a, b, (1 << a) + (1 << b) - 1, Fraction(1, a * b))
-
-
 class FactorProduct:
     """Product of integer bases raised to exact rational exponents."""
 
     __slots__ = ("_exp",)
 
-    def __init__(self, _exp: dict[int, Fraction] | None = None):
-        # internal: callers use one()/from_factor()/from_f_counts()
-        self._exp = _exp if _exp is not None else {}
-
-    @classmethod
-    def one(cls) -> "FactorProduct":
-        return cls()
-
-    @classmethod
-    def from_factor(cls, base: int, exponent: Fraction | int) -> "FactorProduct":
-        return cls().times(base, exponent)
+    def __init__(self, _exp: dict[int, Fraction]):
+        # internal: from_f_counts is the one builder of bound products
+        self._exp = _exp
 
     @classmethod
     def from_f_counts(cls, counts: Mapping[tuple[int, int], int], two_exp: int = 0) -> "FactorProduct":
@@ -137,33 +120,6 @@ class FactorProduct:
         exp = {2: Fraction(two_exp)} if two_exp else {}
         exp.update((p, Fraction(x, den)) for p, x in num.items() if x)
         return cls(exp)
-
-    def times(self, base: int, exponent: Fraction | int) -> "FactorProduct":
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
-        exponent = Fraction(exponent)
-        new = dict(self._exp)
-        for p, k in factorize(base):
-            e = new.get(p, _ZERO) + k * exponent
-            if e:
-                new[p] = e
-            elif p in new:
-                del new[p]
-        return FactorProduct(new)
-
-    def times_f(self, a: int, b: int, mult: int = 1) -> "FactorProduct":
-        f = factor(a, b)
-        return self.times(f.base, f.exponent * mult)
-
-    def __mul__(self, other: "FactorProduct") -> "FactorProduct":
-        new = dict(self._exp)
-        for p, e in other._exp.items():
-            s = new.get(p, _ZERO) + e
-            if s:
-                new[p] = s
-            elif p in new:
-                del new[p]
-        return FactorProduct(new)
 
     def exponents(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._exp.items()))
@@ -217,12 +173,12 @@ class FactorProduct:
         return f"FactorProduct({self})"
 
 
-def pi_product(g: Graph, max_degree: int = 5) -> FactorProduct:
+def pi_product(g: Graph) -> FactorProduct:
     """The bound product: 2^iso(G) * prod over edges of f(d(u), d(v))."""
     degs = g.degrees()
     worst = max(degs, default=0)
-    if worst > max_degree:
-        raise DegreeBoundError(f"graph has degree {worst}, bound configured for <= {max_degree}")
+    if worst > MAX_DEGREE:
+        raise DegreeBoundError(f"graph has degree {worst}, bound configured for <= {MAX_DEGREE}")
     counts: dict[tuple[int, int], int] = {}
     for u, v in g.edges():
         a, b = degs[u], degs[v]
@@ -366,8 +322,8 @@ _GREATER, _EQUAL, _LESS, _UNDECIDED = Outcome  # in definition order
 @functools.cache
 def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
     """f(a, b) as ((prime, exponent numerator over _SEARCH_DEN), ...)."""
-    if not (1 <= a <= 5 and 1 <= b <= 5):
-        raise ValueError(f"search exponents need degrees in 1..5, got f{min(a, b), max(a, b)}")
+    if not (1 <= a <= MAX_DEGREE and 1 <= b <= MAX_DEGREE):
+        raise ValueError(f"search exponents need degrees in 1..{MAX_DEGREE}, got f{min(a, b), max(a, b)}")
     step = _SEARCH_DEN // (a * b)
     return tuple((p, k * step) for p, k in factorize((1 << a) + (1 << b) - 1))
 
@@ -440,7 +396,8 @@ def certify_exponents(
 # one subtraction.
 
 _LANE_PRIMES = tuple(sorted(
-    {2} | {p for a in range(1, 6) for b in range(a, 6) for p, _ in f_exponents(a, b)}
+    {2} | {p for a in range(1, MAX_DEGREE + 1) for b in range(a, MAX_DEGREE + 1)
+           for p, _ in f_exponents(a, b)}
 ))
 _NP = len(_LANE_PRIMES)
 _UNPACK = struct.Struct(f"<{_NP}I").unpack
@@ -595,17 +552,18 @@ class FFactReport:
         }
 
 
-def check_f_fact(delta: int, allow_beyond_five: bool = False) -> FFactReport:
-    if delta < 2 or (delta > 5 and not allow_beyond_five):
-        raise ValueError("delta must be in 2..5 (pass allow_beyond_five for the sweep)")
+def check_f_fact(delta: int) -> FFactReport:
+    """FFactReport of every case up to delta; exact, so any delta >= 2."""
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
     cases = []
     failures = 0
     for a in range(2, delta + 1):
         for ap in range(1, a):
             for b in range(2, delta + 1):
                 for bp in range(1, b):
-                    lhs = FactorProduct.one().times_f(a - ap, b).times_f(a, b - bp)
-                    rhs = FactorProduct.one().times_f(a - ap, b - bp).times_f(a, b)
+                    lhs = FactorProduct.from_f_counts({(a - ap, b): 1, (a, b - bp): 1})
+                    rhs = FactorProduct.from_f_counts({(a - ap, b - bp): 1, (a, b): 1})
                     verdict = compare_pure_products(lhs, rhs)
                     if not verdict.outcome.is_good():
                         failures += 1

@@ -14,25 +14,20 @@ from typing import Sequence
 
 from . import __version__
 from .local import Appearance
+from .products import MAX_DEGREE
 from .search import SearchReport
 
 
 @dataclass
 class RunConfig:
     subcommand: str
-    delta: int = 5
+    delta: int = MAX_DEGREE
     statement: int | None = None
     jobs: int = 1
     precision_bits: int = 128
     precision_cap: int = 8192
     json_path: str | None = None
     dot_dir: str | None = None
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("worker count must be >= 1")
-        if self.precision_bits > self.precision_cap:
-            raise ValueError("precision start must not exceed the cap")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -59,6 +59,7 @@ from .local import (
     record_multisets,
 )
 from .products import (
+    MAX_DEGREE,
     PRECISION_CAP,
     PRECISION_START,
     Outcome,
@@ -460,7 +461,7 @@ def verify_statement2(
 
 
 def verify_statement1_stage1(
-    delta: int = 5,
+    delta: int = MAX_DEGREE,
     jobs: int | None = None,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
@@ -472,11 +473,11 @@ def verify_statement1_stage1(
     undecided configurations, equality exactly on the complete-bipartite
     shapes, and the level-0..3 appearances of the failing patterns to match
     the fourteen expected exceptional neighborhoods."""
-    if delta != 5:
-        raise ValueError("stage 1 is defined for delta = 5")
+    if delta != MAX_DEGREE:
+        raise ValueError(f"stage 1 is defined for delta = {MAX_DEGREE}")
     jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
-    shards = _make_shards(lambda d0: 5, RootRule.MIN_DEGREE, range(0, 5),
+    shards = _make_shards(lambda d0: MAX_DEGREE, RootRule.MIN_DEGREE, range(0, MAX_DEGREE),
                           precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
     exceptional = _sorted_unique(merged.configs["failing"])
@@ -485,7 +486,7 @@ def verify_statement1_stage1(
     expected = expected_appearance_keys()
     matches_expected = appearance_keys == expected and len(appearances) == len(expected)
     passed = matches_expected and not (merged.tally["undecided"] or merged.inconsistencies)
-    return _report("statement1_stage1", 5, RootRule.MIN_DEGREE.value, merged, t0, passed,
+    return _report("statement1_stage1", MAX_DEGREE, RootRule.MIN_DEGREE.value, merged, t0, passed,
                    exceptional, {
                        "jobs": jobs,
                        "aggregation": "level-1 degree classes",
@@ -582,11 +583,12 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
         forced.append((pattern.l1_degrees[u], nbrs_q))
     quotas = [pattern.l2[j][0] - len(pattern.l2[j][1]) for j in s_indices]
     min_deg = max(1, d_p)
-    for wrecords, *_ in record_multisets(quotas, [1] * len(quotas), min_deg, 5, lambda b, cvec: 0):
+    for wrecords, *_ in record_multisets(quotas, [1] * len(quotas), min_deg, MAX_DEGREE,
+                                        lambda b, cvec: 0):
         mapped = [(b, tuple(1 + pos for pos, x in enumerate(cvec) if x))
                   for (b, cvec), cnt in wrecords for _ in range(cnt)]
         records = tuple(sorted(forced + mapped))
-        yield LocalConfig(5, d_q, l1_q, records)
+        yield LocalConfig(MAX_DEGREE, d_q, l1_q, records)
 
 
 def _stage2_shard(args) -> ShardResult:
@@ -606,21 +608,20 @@ def _stage2_shard(args) -> ShardResult:
 
 def verify_statement1_stage2(
     exceptions: Sequence[LocalConfig],
-    jobs: int | None = None,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> SearchReport:
     """For every exceptional pattern and every neighbor of its root, certify
     that the neighbor is strictly good in every consistent completion.
-    Equality anywhere is a failure here."""
-    jobs = _resolve_jobs(jobs)
+    Equality anywhere is a failure here.  The rootings run in the calling
+    process: the whole stage costs less than starting a pool."""
     t0 = time.monotonic()
     shards = [(pattern, x1, precision_start, precision_cap)
               for pattern in exceptions for x1 in range(pattern.d0)]
-    merged = _run_shards(shards, _stage2_shard, jobs)
+    merged = _run_shards(shards, _stage2_shard, 1)
     tally = merged.tally
     passed = tally["strict"] > 0 and not (tally["failing"] or tally["equal"] or tally["undecided"])
     # equality counts as failure for stage 2, so surface Equal configs too
     problems = _sorted_unique(merged.configs["failing"] + merged.configs["equal"])
-    return _report("statement1_stage2", 5, "pattern_neighbor_root", merged, t0, passed,
-                   problems, {"jobs": jobs, "patterns": len(exceptions), "rootings": len(shards)})
+    return _report("statement1_stage2", MAX_DEGREE, "pattern_neighbor_root", merged, t0, passed,
+                   problems, {"jobs": 1, "patterns": len(exceptions), "rootings": len(shards)})

@@ -17,7 +17,7 @@ from typing import Callable
 from .counting import count_bruteforce, count_independent_sets
 from .goodness import check_kahn_bound, is_good, is_good_fullgraph
 from .graphs import Graph, delete_closed, from_edges, is_bipartite, tensor_k2
-from .products import Outcome
+from .products import MAX_DEGREE, Outcome
 
 
 def _capped_edges(rng: random.Random, n: int, candidates: list, p: float, dmax: int) -> Graph:
@@ -111,7 +111,7 @@ def suite_cancellation(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     def body(rng: random.Random, failures: list) -> None:
         n1 = rng.randint(1, 6)
         n2 = rng.randint(1, 6)
-        g = random_bipartite_max_degree(rng, n1, n2, rng.uniform(0.2, 0.9), dmax=5)
+        g = random_bipartite_max_degree(rng, n1, n2, rng.uniform(0.2, 0.9), dmax=MAX_DEGREE)
         x = rng.randrange(g.n)
         a = is_good(g, x)
         b = is_good_fullgraph(g, x)

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 # allow running the suite from a checkout without installing the package
@@ -11,7 +12,7 @@ import pytest
 from indbound import intervals
 from indbound.graphs import Graph, from_edges, level_decomposition
 from indbound.local import LocalConfig, canonical_tuple
-from indbound.products import _LANE_PRIMES
+from indbound.products import _LANE_PRIMES, _SEARCH_DEN, FactorProduct
 from indbound.search import (
     AggConfig,
     _agg_enum_for_degrees,
@@ -77,6 +78,22 @@ def vector_terms(vec: int) -> tuple[dict[int, int], ...]:
     return tuple(
         {p: x for p, x in zip(_LANE_PRIMES, lanes[k * len(_LANE_PRIMES):]) if x} for k in range(3)
     )
+
+
+def exponent_product(exponents) -> FactorProduct:
+    """The FactorProduct of (prime, numerator over 3600) pairs."""
+    return FactorProduct({p: Fraction(num, _SEARCH_DEN) for p, num in exponents if num})
+
+
+def factor_by_factor_product(counts, two_exp: int = 0) -> FactorProduct:
+    """The reference for FactorProduct.from_f_counts: 2^two_exp times each
+    f(a, b)^m in turn, its base factorized and k m / (a b) added to the
+    prime's exponent as a Fraction, with no common denominator."""
+    exp = {2: Fraction(two_exp)}
+    for (a, b), m in counts.items():
+        for p, k in intervals.factorize((1 << a) + (1 << b) - 1):
+            exp[p] = exp.get(p, 0) + Fraction(k * m, a * b)
+    return FactorProduct({p: e for p, e in exp.items() if e})
 
 
 def cycle(n: int) -> Graph:
@@ -183,16 +200,16 @@ def extract_config(g: Graph, x: int, delta_eff: int) -> LocalConfig:
     level1 = sorted(ld.levels[1]) if len(ld.levels) > 1 else []
     level2 = ld.levels[2] if len(ld.levels) > 2 else []
     index1 = {v: i for i, v in enumerate(level1)}
-    degrees = tuple(g.degree(v) for v in level1)
-    if any(d > delta_eff for d in (g.degree(x), *degrees)):
+    degrees = tuple(len(g.adjacency[v]) for v in level1)
+    if any(d > delta_eff for d in (len(g.adjacency[x]), *degrees)):
         raise ValueError("degree exceeds delta_eff")
     records = []
     for v in level2:
-        b = g.degree(v)
+        b = len(g.adjacency[v])
         if b > delta_eff:
             raise ValueError("degree exceeds delta_eff")
         nbrs = tuple(sorted(index1[w] for w in g.adjacency[v] if w in index1))
         records.append((b, nbrs))
-    cfg = LocalConfig(delta_eff, g.degree(x), degrees, tuple(sorted(records)))
+    cfg = LocalConfig(delta_eff, len(g.adjacency[x]), degrees, tuple(sorted(records)))
     validate_config(cfg)
     return cfg

@@ -15,11 +15,7 @@ from indbound.goodness import find_good_vertex, is_good
 from indbound.local import expand_appearances, leveled_canonical
 from indbound.products import Outcome, check_f_fact
 from indbound.reference import EXPECTED_EDGE_LISTS, expected_appearance_keys
-from indbound.search import (
-    default_jobs,
-    verify_regular,
-    verify_statement1_stage2,
-)
+from indbound.search import verify_regular, verify_statement1_stage2
 from indbound.selftest import (
     suite_bound,
     suite_cancellation,
@@ -109,9 +105,7 @@ def test_criterion_4_statement1_stage1(stage1_report):
 
 
 def test_criterion_5_statement1_stage2(stage1_report):
-    report = verify_statement1_stage2(
-        stage1_report.exceptional_patterns, jobs=default_jobs()
-    )
+    report = verify_statement1_stage2(stage1_report.exceptional_patterns)
     ok = (
         report.passed
         and report.tally["equal"] == 0

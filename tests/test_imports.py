@@ -38,14 +38,20 @@ def _used_names(tree) -> list[str]:
 CALLED_FROM_OUTSIDE = {"find_good_vertex"}
 
 
-def test_every_top_level_definition_is_used_in_the_package():
-    # a def or class that nothing in the package refers to is test-only code
-    # (it belongs in tests/) or dead code; uses inside its own body do not count
+def _package_uses() -> tuple[dict, dict[str, int]]:
+    """Each module's tree, and how often the package reads each name."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     used: dict[str, int] = {}
     for tree in trees.values():
         for name in _used_names(tree):
             used[name] = used.get(name, 0) + 1
+    return trees, used
+
+
+def test_every_top_level_definition_is_used_in_the_package():
+    # a def or class that nothing in the package refers to is test-only code
+    # (it belongs in tests/) or dead code; uses inside its own body do not count
+    trees, used = _package_uses()
     unused = [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
@@ -53,5 +59,25 @@ def test_every_top_level_definition_is_used_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and used.get(node.name, 0) == _used_names(node).count(node.name)
         and node.name not in CALLED_FROM_OUTSIDE
+    ]
+    assert not unused, unused
+
+
+def test_every_method_is_used_in_the_package():
+    # the same for the methods of the package's classes; dunder methods are
+    # called by the language, and a class with a base outside the package
+    # may override a method its base calls (cli._Parser.error)
+    trees, used = _package_uses()
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    unused = [
+        f"{module}:{method.lineno} {cls.name}.{method.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and all(isinstance(base, ast.Name) and base.id in classes for base in cls.bases)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and used.get(method.name, 0) == _used_names(method).count(method.name)
     ]
     assert not unused, unused

@@ -217,7 +217,7 @@ def test_padding_monotone_under_level3_degree_reduction():
         if config_outcome(cfg)[0] != Outcome.STRICTLY_GREATER:
             continue
         g = realize_config(cfg)
-        leaves = [v for v in range(g.n) if g.degree(v) == 1 and v > cfg.d0 + len(cfg.l2)]
+        leaves = [v for v in range(g.n) if len(g.adjacency[v]) == 1 and v > cfg.d0 + len(cfg.l2)]
         if not leaves:
             continue
         reduced, _ = induced_subgraph(g, [v for v in range(g.n) if v != leaves[-1]])

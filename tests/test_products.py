@@ -5,13 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complete_bipartite, contains_int, cycle, interval_add, path, strictly_above
+from conftest import (
+    complete_bipartite,
+    contains_int,
+    cycle,
+    factor_by_factor_product,
+    interval_add,
+    path,
+    strictly_above,
+)
 from indbound import intervals
 from indbound.graphs import Graph, from_edges
 from indbound.products import (
     _LANE_PRIMES,
     _SEARCH_DEN,
     GUARD_BITS,
+    MAX_DEGREE,
     PRECISION_CAP,
     PRECISION_START,
     DegreeBoundError,
@@ -24,7 +33,6 @@ from indbound.products import (
     compare_pure_products,
     carried_limit,
     f_exponents,
-    factor,
     factorize,
     key_exponents,
     maybe_integral,
@@ -33,32 +41,30 @@ from indbound.products import (
 from indbound.search import RootRule, _agg_search_shard
 
 
-def test_factor_fields():
-    f = factor(2, 3)
-    assert f.base == 11 and f.exponent == Fraction(1, 6)
-    g = factor(3, 2)
-    assert g.base == f.base and g.exponent == f.exponent
-    assert factor(1, 1).base == 3 and factor(1, 1).exponent == 1
-    with pytest.raises(ValueError):
-        factor(0, 1)
-
-
 def test_factorize():
     assert factorize(63) == ((3, 2), (7, 1))
     assert factorize(2) == ((2, 1),)
     assert factorize(1) == ()
 
 
+def _product_of(p: FactorProduct, q: FactorProduct) -> FactorProduct:
+    """p * q, as the per-prime sum of their exponent maps."""
+    exp = dict(p.exponents())
+    for prime, e in q.exponents():
+        exp[prime] = exp.get(prime, 0) + e
+    return FactorProduct({prime: e for prime, e in exp.items() if e})
+
+
 def test_product_merging_and_identity():
-    p = FactorProduct.one().times_f(1, 3, 3)  # 9^(3/3) = 9 = 3^2
+    p = FactorProduct.from_f_counts({(1, 3): 3})  # 9^(3/3) = 9 = 3^2
     assert p.is_integral() and p.as_integer() == 9
-    assert p == FactorProduct.from_factor(3, 2)
-    q = FactorProduct.one().times_f(1, 1).times(3, -1)
-    assert q == FactorProduct.one()
+    assert p == FactorProduct({3: Fraction(2)})
+    q = FactorProduct.from_f_counts({(1, 1): 2, (1, 3): -3})  # 3^2 / 9
+    assert q == FactorProduct({})
 
 
 def test_from_f_counts_matches_factor_by_factor_product():
-    # the route through times_f shares no exponent arithmetic with
+    # the factor-by-factor reference shares no exponent arithmetic with
     # from_f_counts; signed multiplicities exercise cancellation to 1
     rng = random.Random(23)
     for _ in range(300):
@@ -67,11 +73,8 @@ def test_from_f_counts_matches_factor_by_factor_product():
             a, b = rng.randint(1, 5), rng.randint(1, 5)
             counts[a, b] = counts.get((a, b), 0) + rng.randint(-3, 3)
         two_exp = rng.randint(0, 4)
-        expected = FactorProduct.from_factor(2, two_exp) if two_exp else FactorProduct.one()
-        for (a, b), m in counts.items():
-            expected = expected.times_f(a, b, m)
-        assert FactorProduct.from_f_counts(counts, two_exp) == expected
-    assert FactorProduct.from_f_counts({(1, 2): 2, (2, 1): -2}) == FactorProduct.one()
+        assert FactorProduct.from_f_counts(counts, two_exp) == factor_by_factor_product(counts, two_exp)
+    assert FactorProduct.from_f_counts({(1, 2): 2, (2, 1): -2}) == FactorProduct({})
 
 
 def test_pi_product_examples():
@@ -81,14 +84,13 @@ def test_pi_product_examples():
             assert p.is_integral() and p.as_integer() == 2**a + 2**b - 1
     assert pi_product(Graph(1, ((),))).as_integer() == 2
     assert pi_product(path(3)).as_integer() == 5
-    assert pi_product(Graph(0, ())) == FactorProduct.one()
+    assert pi_product(Graph(0, ())) == FactorProduct({})
 
 
 def test_pi_product_degree_guard():
-    star6 = from_edges(7, [(0, i) for i in range(1, 7)])
+    star = from_edges(MAX_DEGREE + 2, [(0, i) for i in range(1, MAX_DEGREE + 2)])
     with pytest.raises(DegreeBoundError):
-        pi_product(star6)
-    assert pi_product(star6, max_degree=6).exponents()
+        pi_product(star)
 
 
 def test_pi_multiplicative_over_unions():
@@ -102,19 +104,19 @@ def test_pi_multiplicative_over_unions():
         union = from_edges(
             n1 + n2, list(g1.edges()) + [(u + n1, v + n1) for u, v in g2.edges()]
         )
-        assert pi_product(union) == pi_product(g1) * pi_product(g2)
+        assert pi_product(union) == _product_of(pi_product(g1), pi_product(g2))
 
 
 def test_compare_pure_products_examples():
     v = compare_pure_products(
-        FactorProduct.one().times_f(1, 2, 2), FactorProduct.one().times_f(1, 1)
+        FactorProduct.from_f_counts({(1, 2): 2}), FactorProduct.from_f_counts({(1, 1): 1})
     )
     assert v.outcome == Outcome.STRICTLY_GREATER
     v = compare_pure_products(
-        FactorProduct.one().times_f(2, 2, 4), FactorProduct.one().times_f(1, 3, 3)
+        FactorProduct.from_f_counts({(2, 2): 4}), FactorProduct.from_f_counts({(1, 3): 3})
     )
     assert v.outcome == Outcome.STRICTLY_LESS  # 7 vs 9
-    p = FactorProduct.one().times_f(2, 2).times_f(1, 2)
+    p = FactorProduct.from_f_counts({(2, 2): 1, (1, 2): 1})
     assert compare_pure_products(p, p).outcome == Outcome.EQUAL
 
 
@@ -124,17 +126,15 @@ def test_check_f_fact():
     outcomes = dict(report.cases)
     assert outcomes[(2, 1, 2, 1)] == Outcome.STRICTLY_GREATER
     # the cleared comparison behind (2,1,2,1): 5^4 = 625 vs 3^4 * 7 = 567
-    lhs = FactorProduct.one().times_f(1, 2).times_f(2, 1)
-    rhs = FactorProduct.one().times_f(1, 1).times_f(2, 2)
+    lhs = FactorProduct.from_f_counts({(1, 2): 1, (2, 1): 1})
+    rhs = FactorProduct.from_f_counts({(1, 1): 1, (2, 2): 1})
     v = compare_pure_products(lhs, rhs)
     assert v.detail["cleared_lhs"] == 625 and v.detail["cleared_rhs"] == 567
     for delta in (2, 3, 4):
         assert check_f_fact(delta).passed
     with pytest.raises(ValueError):
-        check_f_fact(6)
-    with pytest.raises(ValueError):
         check_f_fact(1)
-    assert check_f_fact(6, allow_beyond_five=True).passed
+    assert check_f_fact(MAX_DEGREE + 1).passed
 
 
 def test_f_exponents_rejects_degrees_outside_one_to_five():
@@ -146,21 +146,21 @@ def test_f_exponents_rejects_degrees_outside_one_to_five():
 
 
 def test_certify_sum_integer_identities():
-    three = FactorProduct.from_factor(3, 1)
-    two = FactorProduct.from_factor(2, 1)
-    one = FactorProduct.one()
+    three = FactorProduct({3: Fraction(1)})
+    two = FactorProduct({2: Fraction(1)})
+    one = FactorProduct({})
     assert certify_sum_inequality(three, two, one).outcome == Outcome.EQUAL
-    seven = FactorProduct.from_factor(7, 1)
-    five = FactorProduct.from_factor(5, 1)
+    seven = FactorProduct({7: Fraction(1)})
+    five = FactorProduct({5: Fraction(1)})
     assert certify_sum_inequality(seven, five, two).outcome == Outcome.EQUAL
     v = certify_sum_inequality(seven, two, two)
     assert v.outcome == Outcome.STRICTLY_GREATER and v.method == "exact"
 
 
 def _fig1_products():
-    a = FactorProduct.one().times_f(1, 2).times_f(2, 2).times_f(2, 4).times_f(1, 4, 3)
-    b = FactorProduct.one().times_f(1, 2).times_f(2, 4).times_f(1, 4, 3)
-    c = FactorProduct.one().times_f(1, 4, 4)
+    a = FactorProduct.from_f_counts({(1, 2): 1, (2, 2): 1, (2, 4): 1, (1, 4): 3})
+    b = FactorProduct.from_f_counts({(1, 2): 1, (2, 4): 1, (1, 4): 3})
+    c = FactorProduct.from_f_counts({(1, 4): 4})
     return a, b, c
 
 
@@ -184,15 +184,16 @@ def test_certify_sum_undecided_at_tiny_precision():
 def test_certify_cleared_equality_with_shared_irrational_factor():
     # K_{2,2} equality 7 = 5 + 2 multiplied through by the P4 product, and
     # by a factor whose exponent denominator does not divide 3600
-    for shared in (pi_product(path(4)), pi_product(path(4)).times(13, Fraction(3, 49))):
-        a = FactorProduct.from_factor(7, 1) * shared
-        b = FactorProduct.from_factor(5, 1) * shared
-        c = FactorProduct.from_factor(2, 1) * shared
+    p4 = pi_product(path(4))
+    for shared in (p4, _product_of(p4, FactorProduct({13: Fraction(3, 49)}))):
+        a = _product_of(FactorProduct({7: Fraction(1)}), shared)
+        b = _product_of(FactorProduct({5: Fraction(1)}), shared)
+        c = _product_of(FactorProduct({2: Fraction(1)}), shared)
         v = certify_sum_inequality(a, b, c, equality_expected=True)
         assert v.outcome == Outcome.EQUAL and v.method == "exact"
         assert v.detail["reduced_lhs"] == 7 and v.detail["reduced_rhs"] == [5, 2]
         # 2^(48/49) < 2 leaves 7 > 5 + 2^(48/49), decided by intervals
-        v = certify_sum_inequality(a, b, FactorProduct.from_factor(2, Fraction(48, 49)) * shared)
+        v = certify_sum_inequality(a, b, _product_of(FactorProduct({2: Fraction(48, 49)}), shared))
         assert v.outcome == Outcome.STRICTLY_GREATER and v.method == "interval"
 
 
@@ -271,7 +272,7 @@ def test_compare_count_to_non_integral_product_is_never_equal():
     # agrees with it to float precision but is below it
     count = int(float(3**40) / 2)
     assert 2 * count < 3**40
-    v = compare_count_to_product(count, FactorProduct.from_factor(3, 40).times(2, -1),
+    v = compare_count_to_product(count, FactorProduct({3: Fraction(40), 2: Fraction(-1)}),
                                  precision_start=8)
     assert v.outcome == Outcome.STRICTLY_LESS and v.method == "interval"
 
@@ -288,7 +289,7 @@ def test_interval_soundness_brackets_integers():
     for _ in range(100):
         n = rng.randint(2, 40)
         k = rng.randint(1, 6)
-        p = FactorProduct.from_factor(n, k)
+        p = FactorProduct({q: Fraction(e * k) for q, e in factorize(n)})
         iv = p.value_interval(256)
         assert contains_int(iv, n**k)
 
@@ -333,9 +334,11 @@ def test_root_bounds_the_searches_trust_hold_at_full_scale(monkeypatch):
 def test_interval_width_monotone():
     rng = random.Random(24)
     for _ in range(60):
-        p = FactorProduct.one()
+        counts = {}
         for _ in range(rng.randint(1, 6)):
-            p = p.times_f(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4))
+            key = rng.randint(1, 5), rng.randint(1, 5)
+            counts[key] = counts.get(key, 0) + rng.randint(1, 4)
+        p = FactorProduct.from_f_counts(counts)
         widths = []
         for prec in (64, 128, 256):
             iv = p.value_interval(prec)
@@ -350,12 +353,13 @@ def test_merged_product_interval_consistent_with_parts():
     # evaluating p * q overlaps the interval product of separate evaluations
     rng = random.Random(26)
     for _ in range(50):
-        p = FactorProduct.one()
-        q = FactorProduct.one()
+        pc, qc = {}, {}
         for _ in range(rng.randint(1, 4)):
-            p = p.times_f(rng.randint(1, 5), rng.randint(1, 5))
-            q = q.times_f(rng.randint(1, 5), rng.randint(1, 5))
-        merged = (p * q).value_interval(128)
+            for counts in (pc, qc):
+                key = rng.randint(1, 5), rng.randint(1, 5)
+                counts[key] = counts.get(key, 0) + 1
+        p, q = FactorProduct.from_f_counts(pc), FactorProduct.from_f_counts(qc)
+        merged = _product_of(p, q).value_interval(128)
         ip = p.value_interval(128)
         iq = q.value_interval(128)
         combined = intervals.mul(ip, iq, 192)
@@ -366,12 +370,12 @@ def test_merged_product_interval_consistent_with_parts():
 def test_compare_pure_agrees_with_intervals_at_512():
     rng = random.Random(25)
     for _ in range(100):
-        p = FactorProduct.one()
-        q = FactorProduct.one()
-        for _ in range(rng.randint(0, 4)):
-            p = p.times_f(rng.randint(1, 5), rng.randint(1, 5))
-        for _ in range(rng.randint(0, 4)):
-            q = q.times_f(rng.randint(1, 5), rng.randint(1, 5))
+        pc, qc = {}, {}
+        for counts in (pc, qc):
+            for _ in range(rng.randint(0, 4)):
+                key = rng.randint(1, 5), rng.randint(1, 5)
+                counts[key] = counts.get(key, 0) + 1
+        p, q = FactorProduct.from_f_counts(pc), FactorProduct.from_f_counts(qc)
         verdict = compare_pure_products(p, q)
         ip = p.value_interval(512)
         iq = q.value_interval(512)

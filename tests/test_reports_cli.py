@@ -20,13 +20,6 @@ from test_local import FAILING_PATTERNS
 FIG1_TEXT = "n 7\n0 1\n1 2\n2 3\n3 4\n3 5\n3 6\n"
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig("verify-all", jobs=0)
-    with pytest.raises(ValueError):
-        RunConfig("verify-all", precision_bits=512, precision_cap=128)
-
-
 def test_certificate_roundtrip_and_overall():
     doc = CertificateDocument(config=RunConfig("verify-all", delta=2, jobs=1))
     doc.fact_check = {"verdict": "PASS", "cases": 1}

@@ -1,11 +1,12 @@
 import itertools
+import multiprocessing
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import (
     config_is_extremal,
+    exponent_product,
     extract_config,
     interval_add,
     realize_config,
@@ -24,7 +25,6 @@ from indbound.local import (
 )
 from indbound.products import (
     _SEARCH_DEN,
-    FactorProduct,
     Outcome,
     carried_strict,
     certify_exponents,
@@ -340,10 +340,7 @@ def test_carried_bounds_contain_the_512_bit_ratios():
                 leaves += 1
                 for key, h in zip(ratio_keys(vec), (hx, hy)):
                     if key not in refs:
-                        ratio = FactorProduct.one()
-                        for p, num in key_exponents(key):
-                            ratio = ratio.times(p, Fraction(num, _SEARCH_DEN))
-                        refs[key] = ratio.value_interval(512)
+                        refs[key] = exponent_product(key_exponents(key)).value_interval(512)
                     ref = refs[key]
                     assert intervals.dyadic_cmp(h, -scale, ref.hi_m, ref.hi_e) >= 0, (key, prec)
     assert leaves > 1000
@@ -432,13 +429,7 @@ def test_low_start_precisions_keep_their_precision_stats():
 
 def _unreduced_terms(vec):
     """A, B and C of a vector as FactorProducts, no common factor removed."""
-    out = []
-    for term in vector_terms(vec):
-        prod = FactorProduct.one()
-        for p, num in term.items():
-            prod = prod.times(p, Fraction(num, _SEARCH_DEN))
-        out.append(prod)
-    return out
+    return [exponent_product(term.items()) for term in vector_terms(vec)]
 
 
 def test_vector_outcome_matches_unreduced_intervals(stage1_sample):
@@ -472,10 +463,7 @@ def test_power_product_contains_the_512_bit_ratio(stage1_sample):
     keys = {key for sample, _ in stage1_sample for _, vec in sample for key in ratio_keys(vec)}
     for key in keys:
         exps = key_exponents(key)
-        ratio = FactorProduct.one()
-        for p, num in exps:
-            ratio = ratio.times(p, Fraction(num, _SEARCH_DEN))
-        ref = ratio.value_interval(512)
+        ref = exponent_product(exps).value_interval(512)
         for prec in (8, 16, 128):
             iv = intervals.power_product(exps, _SEARCH_DEN, prec)
             assert intervals.dyadic_cmp(iv.lo_m, iv.lo_e, ref.lo_m, ref.lo_e) <= 0, (key, prec)
@@ -487,7 +475,7 @@ def test_precision_stats_name_each_precision():
     # names each route once: "exact", or "interval_<bits>", sorted as strings
     # (stage 2 tallies through ShardResult.add, statement 2 mostly through
     # the shard's strict fast path)
-    stage2 = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS], jobs=1,
+    stage2 = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS],
                                       precision_start=8).to_json()["precision_stats"]
     assert list(stage2.items()) == [("interval_16", 7), ("interval_8", 122)]
     statement2 = verify_statement2(3, jobs=1, precision_start=4).to_json()["precision_stats"]
@@ -652,12 +640,25 @@ def test_stage2_completions_path_pattern():
 
 
 def test_stage2_on_known_patterns():
-    report = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS], jobs=1)
+    report = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS])
     assert report.passed
     assert report.tally["equal"] == 0 and report.tally["failing"] == 0
     assert report.tally["undecided"] == 0
     assert report.extra["rootings"] == sum(cfg.d0 for cfg, _ in FAILING_PATTERNS)
     assert report.configs_enumerated == 160
+    assert report.configs_after_dedup == 129
+
+
+def test_stage2_runs_in_the_calling_process(monkeypatch):
+    # stage 2 costs less than a pool's start-up, so it starts none, whatever
+    # the default worker count
+    def no_pool(*args, **kwargs):
+        raise AssertionError("stage 2 started a process pool")
+
+    monkeypatch.setattr(search, "default_jobs", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    report = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS])
+    assert report.passed and report.extra["jobs"] == 1
     assert report.configs_after_dedup == 129
 
 
