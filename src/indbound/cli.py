@@ -31,7 +31,14 @@ from pathlib import Path
 from .counting import CountBudgetExceeded, count_independent_sets
 from .goodness import NoGoodVertexError, check_kahn_bound, probe_goodness
 from .graphs import GraphParseError, is_bipartite, parse_edge_list, tensor_k2
-from .products import MAX_DEGREE, DegreeBoundError, Outcome, check_f_fact
+from .products import (
+    MAX_DEGREE,
+    PRECISION_CAP,
+    PRECISION_START,
+    DegreeBoundError,
+    Outcome,
+    check_f_fact,
+)
 from .reports import (
     CertificateDocument,
     RunConfig,
@@ -67,8 +74,8 @@ def _add_common(p: argparse.ArgumentParser, jobs: bool) -> None:
     if jobs:
         p.add_argument("--jobs", type=int, default=default_jobs(),
                        help="worker processes (default: all cores)")
-    p.add_argument("--precision-bits", type=int, default=128, help="interval precision start")
-    p.add_argument("--precision-cap", type=int, default=8192, help="interval precision cap")
+    p.add_argument("--precision-bits", type=int, default=PRECISION_START, help="interval precision start")
+    p.add_argument("--precision-cap", type=int, default=PRECISION_CAP, help="interval precision cap")
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write a JSON report here")
 
 

@@ -22,12 +22,13 @@ from .counting import count_independent_sets
 from .graphs import (
     Graph,
     LevelDecomposition,
+    NotBipartiteError,
     component_is_extremal,
-    components,
+    decomposition_is_extremal,
+    decompositions,
     delete_closed,
     level_decomposition,
 )
-from .intervals import to_decimal_str
 from .products import (
     MAX_DEGREE,
     PRECISION_CAP,
@@ -38,27 +39,13 @@ from .products import (
     Verdict,
     certify_sum_inequality,
     compare_count_to_product,
+    interval_strings,
     level2_vector,
     pi_product,
     root_vector,
     sum_verdict,
     vector_outcome,
 )
-
-
-def decomposition_is_extremal(g: Graph, ld: LevelDecomposition) -> bool:
-    """True iff the component is a single vertex or complete bipartite,
-    judged from the decomposition alone."""
-    if len(ld.levels) == 1:
-        return True
-    if ld.has_beyond_level2:
-        return False
-    adj = g.adjacency
-    level1 = ld.levels[1]
-    level2 = ld.levels[2] if len(ld.levels) > 2 else ()
-    return all(len(adj[u]) == 1 + len(level2) for u in level1) and all(
-        len(adj[v]) == len(level1) for v in level2
-    )
 
 
 def goodness_vector(g: Graph, ld: LevelDecomposition) -> int:
@@ -196,20 +183,17 @@ def check_kahn_bound(
     count = count_independent_sets(g)
     product = pi_product(g)
     verdict = compare_count_to_product(count, product, precision_start, precision_cap)
-    iv = product.value_interval(128)
-    structural = all(
-        component_is_extremal(g, comp_map[0]) for _, comp_map in components(g)
-    )
+    try:
+        structural = all(decomposition_is_extremal(g, ld) for ld in decompositions(g))
+    except NotBipartiteError:
+        structural = False
     consistent = (verdict.outcome == Outcome.EQUAL) == structural
     return BoundCheckReport(
         n=g.n,
         edge_count=g.edge_count(),
         count=count,
         product=product,
-        product_interval=[
-            to_decimal_str(iv.lo_m, iv.lo_e),
-            to_decimal_str(iv.hi_m, iv.hi_e),
-        ],
+        product_interval=interval_strings(product.value_interval(128)),
         verdict=verdict,
         structural_extremal=structural,
         consistent=consistent,

@@ -1,7 +1,8 @@
 """Undirected simple graphs as immutable adjacency lists, plus the structural
 operations the verification pipeline needs: deletion with dense re-indexing,
-connected components, the one BFS (level_decomposition, whose parities are
-bipartition), the tensor product with K2, and the edge-list format.
+the one BFS (level_decomposition, run on every component by decompositions)
+and the one extremal test on its output, the tensor product with K2, and the
+edge-list format.
 
 Vertices are integers in [0, n).  Adjacency lists are sorted tuples, so equal
 graphs compare and hash identically.
@@ -141,28 +142,6 @@ def delete_closed(g: Graph, x: int) -> tuple[tuple[Graph, tuple[int, ...]], tupl
     return induced_subgraph(g, without_x), induced_subgraph(g, without_closed)
 
 
-def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Connected components as (subgraph, old_of_new) pairs, in order of
-    their smallest original vertex."""
-    seen = [False] * g.n
-    out: list[tuple[Graph, tuple[int, ...]]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(induced_subgraph(g, comp))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LevelDecomposition:
     """Breadth-first layering of the component of a root: levels[i] lists
@@ -213,15 +192,48 @@ def level_decomposition(g: Graph, x: int) -> LevelDecomposition:
     return LevelDecomposition(x, tuple(levels), dist)
 
 
+def decompositions(g: Graph) -> Iterator[LevelDecomposition]:
+    """level_decomposition of each component, rooted at its least vertex, in
+    order of that vertex.  Raises NotBipartiteError at the first odd cycle."""
+    seen: set[int] = set()
+    for start in range(g.n):
+        if start not in seen:
+            ld = level_decomposition(g, start)
+            seen.update(ld.dist)
+            yield ld
+
+
+def decomposition_is_extremal(g: Graph, ld: LevelDecomposition) -> bool:
+    """True iff the component of ld.root is a single vertex or complete
+    bipartite, the structural shape on which the counting bound is tight,
+    judged from the decomposition alone.  Within two levels the sides can
+    only be level 1 and the rest.  A level-1 vertex has neighbors in levels
+    0 and 2 only, so degree 1 + len(level 2) means it sees all of them;
+    every level-2 vertex then sees all of level 1 and nothing else."""
+    if ld.has_beyond_level2:
+        return False
+    level1 = ld.levels[1] if len(ld.levels) > 1 else ()
+    level2 = ld.levels[2] if len(ld.levels) > 2 else ()
+    return all(len(g.adjacency[u]) == 1 + len(level2) for u in level1)
+
+
+def component_is_extremal(g: Graph, x: int) -> bool:
+    """decomposition_is_extremal at x; False when the component of x has an
+    odd cycle."""
+    try:
+        return decomposition_is_extremal(g, level_decomposition(g, x))
+    except NotBipartiteError:
+        return False
+
+
 def bipartition(g: Graph) -> Bipartition | tuple[int, ...]:
     """A valid 2-coloring, the distance parity of each component's level
     decomposition, or an odd closed walk witnessing non-bipartiteness."""
-    side = [-1] * g.n
+    side = [0] * g.n
     try:
-        for start in range(g.n):
-            if side[start] == -1:
-                for v, d in level_decomposition(g, start).dist.items():
-                    side[v] = d & 1
+        for ld in decompositions(g):
+            for v, d in ld.dist.items():
+                side[v] = d & 1
     except NotBipartiteError as e:
         return e.witness
     return Bipartition(tuple(side))
@@ -240,24 +252,3 @@ def tensor_k2(g: Graph) -> Graph:
         edges.append((min(u, v + n), max(u, v + n)))
         edges.append((min(v, u + n), max(v, u + n)))
     return from_edges(2 * n, edges)
-
-
-def component_is_extremal(g: Graph, x: int) -> bool:
-    """True iff the component of x is a single vertex or complete bipartite,
-    the structural shape on which the counting bound is tight: it has a
-    two-colouring in which every vertex's degree is the size of the other
-    side."""
-    if not (0 <= x < g.n):
-        raise ValueError(f"vertex {x} out of range for n={g.n}")
-    side = {x: 0}
-    queue = [x]
-    for u in queue:
-        for w in g.adjacency[u]:
-            if w not in side:
-                side[w] = 1 - side[u]
-                queue.append(w)
-            elif side[w] == side[u]:
-                return False
-    ones = sum(side.values())
-    sizes = (len(side) - ones, ones)
-    return all(len(g.adjacency[v]) == sizes[1 - s] for v, s in side.items())

@@ -292,15 +292,16 @@ def compare_count_to_product(
         iv = product.value_interval(prec)
         if intervals.dyadic_cmp(count, 0, iv.hi_m, iv.hi_e) > 0:
             return Verdict(Outcome.STRICTLY_GREATER, "interval", prec, count,
-                           (product,), {"count": count, "product_interval": _interval_strings(iv)})
+                           (product,), {"count": count, "product_interval": interval_strings(iv)})
         if intervals.dyadic_cmp(count, 0, iv.lo_m, iv.lo_e) < 0:
             return Verdict(Outcome.STRICTLY_LESS, "interval", prec, count,
-                           (product,), {"count": count, "product_interval": _interval_strings(iv)})
+                           (product,), {"count": count, "product_interval": interval_strings(iv)})
     return Verdict(Outcome.UNDECIDED, "interval", precision_cap, count, (product,),
-                   {"count": count, "product_interval": _interval_strings(iv)})
+                   {"count": count, "product_interval": interval_strings(iv)})
 
 
-def _interval_strings(iv: Interval) -> list[str]:
+def interval_strings(iv: Interval) -> list[str]:
+    """The two ends of iv as decimal strings, lower end first."""
     return [
         intervals.to_decimal_str(iv.lo_m, iv.lo_e),
         intervals.to_decimal_str(iv.hi_m, iv.hi_e),

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .graphs import from_edges, level_decomposition
+
 EXPECTED_EDGE_LISTS: tuple[tuple[tuple[int, int], ...], ...] = (
     # root degree 1
     ((0, 1), (1, 2), (2, 3)),
@@ -33,33 +35,12 @@ EXPECTED_EDGE_LISTS: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 
-def bfs_levels(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    """Breadth-first levels from vertex 0 of a connected edge list."""
-    adjacency: dict[int, list[int]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    dist = {0: 0}
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for w in sorted(adjacency.get(u, ())):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    depth = max(dist.values())
-    return tuple(
-        tuple(sorted(v for v, d in dist.items() if d == i)) for i in range(depth + 1)
-    )
-
-
 @lru_cache(maxsize=1)
 def expected_appearance_keys() -> frozenset[bytes]:
     from .local import leveled_canonical
 
-    return frozenset(
-        leveled_canonical(bfs_levels(edges), tuple(sorted(edges)))
-        for edges in EXPECTED_EDGE_LISTS
-    )
+    keys = set()
+    for edges in EXPECTED_EDGE_LISTS:
+        g = from_edges(1 + max(map(max, edges)), edges)
+        keys.add(leveled_canonical(level_decomposition(g, 0).levels, tuple(sorted(edges))))
+    return frozenset(keys)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import __version__
 from .local import Appearance
-from .products import MAX_DEGREE
+from .products import MAX_DEGREE, PRECISION_CAP, PRECISION_START
 from .search import SearchReport
 
 
@@ -24,8 +24,8 @@ class RunConfig:
     delta: int = MAX_DEGREE
     statement: int | None = None
     jobs: int = 1
-    precision_bits: int = 128
-    precision_cap: int = 8192
+    precision_bits: int = PRECISION_START
+    precision_cap: int = PRECISION_CAP
     json_path: str | None = None
     dot_dir: str | None = None
 

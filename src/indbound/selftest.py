@@ -77,11 +77,14 @@ def _run(name: str, trials: int, body: Callable[[random.Random, list], None], se
     return SuiteResult(name, trials, len(failures), failures)
 
 
-def suite_oracle_equivalence(seed: int = 0, trials: int = 1000, max_n: int = 16) -> SuiteResult:
+ORACLE_MAX_N = 16  # the oracle suite's largest graph: enumeration visits 2^n subsets
+
+
+def suite_oracle_equivalence(seed: int, trials: int) -> SuiteResult:
     """count_independent_sets equals brute-force subset enumeration."""
 
     def body(rng: random.Random, failures: list) -> None:
-        n = rng.randint(0, max_n)
+        n = rng.randint(0, ORACLE_MAX_N)
         g = random_graph_max_degree(rng, n, rng.uniform(0.05, 0.6), dmax=n or 1)
         if count_independent_sets(g) != count_bruteforce(g):
             failures.append(g)
@@ -89,7 +92,7 @@ def suite_oracle_equivalence(seed: int = 0, trials: int = 1000, max_n: int = 16)
     return _run("oracle_equivalence", trials, body, seed)
 
 
-def suite_recursion_identity(seed: int = 0, trials: int = 500) -> SuiteResult:
+def suite_recursion_identity(seed: int, trials: int) -> SuiteResult:
     """count(G) = count(G-x) + count(G-x-N(x)) at a random vertex."""
 
     def body(rng: random.Random, failures: list) -> None:
@@ -103,7 +106,7 @@ def suite_recursion_identity(seed: int = 0, trials: int = 500) -> SuiteResult:
     return _run("recursion_identity", trials, body, seed)
 
 
-def suite_cancellation(seed: int = 0, trials: int = 10_000) -> SuiteResult:
+def suite_cancellation(seed: int, trials: int) -> SuiteResult:
     """is_good (reduced) agrees with is_good_fullgraph (direct) on random
     rooted bipartite instances with degree <= 5: the same outcome by the
     same method, with the same reduced integers when exact."""
@@ -121,7 +124,7 @@ def suite_cancellation(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     return _run("cancellation", trials, body, seed)
 
 
-def suite_bound(seed: int = 0, trials: int = 10_000) -> SuiteResult:
+def suite_bound(seed: int, trials: int) -> SuiteResult:
     """ind(G) <= Pi(G) certified on random graphs (n <= 8, degree <= 4),
     with equality exactly when every component is complete bipartite or a
     single vertex."""
@@ -137,7 +140,7 @@ def suite_bound(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     return _run("bound", trials, body, seed)
 
 
-def suite_double_cover(seed: int = 0, trials: int = 10_000) -> SuiteResult:
+def suite_double_cover(seed: int, trials: int) -> SuiteResult:
     """ind(G)^2 <= ind(G x K2), with equality iff G is bipartite."""
 
     def body(rng: random.Random, failures: list) -> None:
@@ -152,18 +155,16 @@ def suite_double_cover(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     return _run("double_cover", trials, body, seed)
 
 
+# each suite with its default trial count, the one place that count is set
 DEFAULT_SUITES = (
-    ("oracle_equivalence", suite_oracle_equivalence, {"trials": 1000}),
-    ("recursion_identity", suite_recursion_identity, {"trials": 500}),
-    ("cancellation", suite_cancellation, {"trials": 10_000}),
-    ("bound", suite_bound, {"trials": 10_000}),
-    ("double_cover", suite_double_cover, {"trials": 10_000}),
+    (suite_oracle_equivalence, 1000),
+    (suite_recursion_identity, 500),
+    (suite_cancellation, 10_000),
+    (suite_bound, 10_000),
+    (suite_double_cover, 10_000),
 )
 
 
 def run_selftest(seed: int = 0, scale: float = 1.0) -> list[SuiteResult]:
-    results = []
-    for _, fn, kwargs in DEFAULT_SUITES:
-        trials = max(1, int(kwargs["trials"] * scale))
-        results.append(fn(seed=seed, trials=trials))
-    return results
+    return [fn(seed=seed, trials=max(1, int(trials * scale)))
+            for fn, trials in DEFAULT_SUITES]

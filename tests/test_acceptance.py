@@ -125,7 +125,7 @@ def test_criterion_6_counting():
         count_independent_sets(complete_bipartite(d, d)) == 2 ** (d + 1) - 1
         for d in range(1, 7)
     )
-    suite = suite_oracle_equivalence(seed=0, trials=1000, max_n=16)
+    suite = suite_oracle_equivalence(seed=0, trials=1000)
     ok = exact and suite.failures == 0 and suite.trials == 1000
     _report("6 counting", ok, f"K_dd d=1..6 exact, {suite.trials} oracle trials")
 

@@ -8,7 +8,6 @@ from indbound.counting import count_independent_sets
 from indbound.goodness import (
     NoGoodVertexError,
     check_kahn_bound,
-    decomposition_is_extremal,
     find_good_vertex,
     good_vertex_probes,
     goodness_vector,
@@ -16,7 +15,13 @@ from indbound.goodness import (
     is_good_fullgraph,
     probe_goodness,
 )
-from indbound.graphs import Graph, NotBipartiteError, from_edges, level_decomposition
+from indbound.graphs import (
+    Graph,
+    NotBipartiteError,
+    decomposition_is_extremal,
+    from_edges,
+    level_decomposition,
+)
 from indbound.products import DegreeBoundError, Outcome, compare_count_to_product, pi_product
 from indbound.selftest import random_bipartite_max_degree
 

@@ -3,19 +3,22 @@ import random
 import pytest
 
 from conftest import complete_bipartite, cycle, path, serialize_edge_list
+from indbound.goodness import check_kahn_bound
 from indbound.graphs import (
     Bipartition,
     Graph,
     GraphParseError,
+    NotBipartiteError,
     bipartition,
     component_is_extremal,
-    components,
+    decompositions,
     delete_closed,
     from_edges,
     is_bipartite,
     parse_edge_list,
     tensor_k2,
 )
+from indbound.products import Outcome
 from indbound.selftest import random_graph_max_degree
 
 
@@ -99,24 +102,41 @@ def test_delete_size_invariants():
         assert g2.n == g.n - 1 - len(g.adjacency[x])
 
 
-def test_components():
+def test_decompositions():
     two_edges = from_edges(4, [(0, 1), (2, 3)])
-    comps = components(two_edges)
-    assert len(comps) == 2
-    assert all(c.n == 2 and c.edge_count() == 1 for c, _ in comps)
-    assert components(Graph(0, ())) == []
-    assert len(components(complete_bipartite(2, 3))) == 1
+    lds = list(decompositions(two_edges))
+    assert [ld.root for ld in lds] == [0, 2]
+    assert [sorted(ld.dist) for ld in lds] == [[0, 1], [2, 3]]
+    assert list(decompositions(Graph(0, ()))) == []
+    assert len(list(decompositions(complete_bipartite(2, 3)))) == 1
+    # an odd component raises, wherever it comes in the vertex order
+    for g in (from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)]), cycle(5)):
+        with pytest.raises(NotBipartiteError):
+            list(decompositions(g))
 
 
-def test_components_partition_random():
+def test_decompositions_partition_random():
     rng = random.Random(4)
+    bipartite = 0
     for _ in range(50):
         g = random_graph_max_degree(rng, rng.randint(0, 12), 0.2, 12)
-        comps = components(g)
-        seen = sorted(v for _, mapping in comps for v in mapping)
-        assert seen == list(range(g.n))
-        # no cross edges: total edges preserved
-        assert sum(c.edge_count() for c, _ in comps) == g.edge_count()
+        try:
+            lds = list(decompositions(g))
+        except NotBipartiteError as e:
+            w = e.witness  # an odd closed walk of g
+            assert w[0] == w[-1] and (len(w) - 1) % 2 == 1
+            assert all(b in g.adjacency[a] for a, b in zip(w, w[1:]))
+            continue
+        bipartite += 1
+        # the components partition the vertices, each rooted at its least
+        # vertex, in order of that vertex
+        assert sorted(v for ld in lds for v in ld.dist) == list(range(g.n))
+        assert all(ld.root == min(ld.dist) for ld in lds)
+        assert [ld.root for ld in lds] == sorted(ld.root for ld in lds)
+        # no cross edges: every edge lies inside one component
+        comp = {v: i for i, ld in enumerate(lds) for v in ld.dist}
+        assert all(comp[u] == comp[v] for u, v in g.edges())
+    assert 0 < bipartite < 50
 
 
 def test_bipartition():
@@ -150,7 +170,7 @@ def test_tensor_k2():
     assert t.n == 6 and t.edge_count() == 6
     assert is_bipartite(t)
     assert all(d == 2 for d in t.degrees())
-    assert len(components(t)) == 1  # C3 x K2 is the single 6-cycle
+    assert len(list(decompositions(t))) == 1  # C3 x K2 is the single 6-cycle
     single = Graph(1, ((),))
     assert tensor_k2(single).iso_count() == 2
 
@@ -165,7 +185,7 @@ def test_tensor_properties_random():
         assert is_bipartite(t)
         if is_bipartite(g):
             # double cover of a bipartite graph is two disjoint copies
-            assert len(components(t)) == 2 * len(components(g))
+            assert len(list(decompositions(t))) == 2 * len(list(decompositions(g)))
 
 
 def test_is_complete_bipartite_component(fig1):
@@ -174,3 +194,16 @@ def test_is_complete_bipartite_component(fig1):
     assert component_is_extremal(Graph(1, ((),)), 0) is True
     assert component_is_extremal(fig1, 0) is False
     assert component_is_extremal(cycle(3), 0) is False
+
+
+def test_mixed_components_k23_and_c5():
+    # K_{2,3} on 0..4 beside a 5-cycle on 5..9: the complete bipartite
+    # component is extremal, the odd one is not, so the whole graph is not
+    # and its count stays strictly below the bound
+    g = from_edges(10, [(u, v) for u in (0, 1) for v in (2, 3, 4)]
+                   + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    assert component_is_extremal(g, 0) is True
+    assert all(component_is_extremal(g, x) is False for x in range(5, 10))
+    report = check_kahn_bound(g)
+    assert report.structural_extremal is False
+    assert report.verdict.outcome is Outcome.STRICTLY_LESS and report.consistent

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "indbound"
@@ -81,3 +82,38 @@ def test_every_method_is_used_in_the_package():
         and used.get(method.name, 0) == _used_names(method).count(method.name)
     ]
     assert not unused, unused
+
+
+BENCH = SRC.parent.parent / "perfbench"
+
+
+def _benchmark_names(path: Path):
+    """(module, name) for each name the file imports from the package and
+    each attribute it reads of a package module it imported by name."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "indbound":
+            for alias in node.names:
+                yield node.module, alias.name
+                if node.module == "indbound":
+                    modules[alias.asname or alias.name] = f"indbound.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr
+
+
+def _exists(module: str, name: str) -> bool:
+    """name is an attribute or a submodule of module."""
+    return (hasattr(importlib.import_module(module), name)
+            or importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def test_every_package_name_the_benchmark_uses_exists():
+    # the benchmark's graph pass reads graphs, goodness and counting by
+    # attribute; a name deleted from the package would only show there
+    names = sorted({hit for path in sorted(BENCH.glob("*.py")) for hit in _benchmark_names(path)})
+    assert ("indbound.graphs", "bipartition") in names
+    missing = [f"{module}.{name}" for module, name in names if not _exists(module, name)]
+    assert not missing, missing
