@@ -9,7 +9,9 @@ lower one: re-running the same computation with more bits can only shrink
 an interval, never grow it.
 
 Directed bounds of prime powers p^(num/den) have one owner: a table filled
-only by prime_power_interval, whose entries power_product multiplies.
+only by prime_power_interval.  table_product is its one reader: it multiplies
+the entries of a product of prime powers exactly, with no rounding, and
+power_product is that table product rounded once to the requested precision.
 """
 
 from __future__ import annotations
@@ -234,10 +236,10 @@ def prime_power_interval(p: int, num: int, den: int, prec: int) -> Interval:
     return iv
 
 
-def power_product(exponents, den: int, prec: int) -> Interval:
+def table_product(exponents, den: int, prec: int) -> Interval:
     """Interval of the product of p^(num/den) over (prime, signed numerator)
     pairs: the exact product of their table bounds at prec + GUARD_BITS,
-    rounded once."""
+    not rounded."""
     work = prec + GUARD_BITS
     bounds = _bounds.setdefault((den, work), {})
     lo_m, lo_e, hi_m, hi_e = 1, 0, 1, 0
@@ -249,5 +251,10 @@ def power_product(exponents, den: int, prec: int) -> Interval:
         lo_m, lo_e, hi_m, hi_e = lo_m * m, lo_e + e, hi_m * n, hi_e + f
     # Sound: every table bound is positive and directed, lo <= p^(num/den)
     # <= hi, so the exact products of the lower and of the upper bounds
-    # bracket the product; round_to's floor and ceiling are the only rounding.
-    return round_to(Interval(lo_m, lo_e, hi_m, hi_e), prec)
+    # bracket the product.
+    return Interval(lo_m, lo_e, hi_m, hi_e)
+
+
+def power_product(exponents, den: int, prec: int) -> Interval:
+    """table_product rounded once to prec bits, outward."""
+    return round_to(table_product(exponents, den, prec), prec)

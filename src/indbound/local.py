@@ -11,10 +11,10 @@ canonical_form is the one canonical pass over level-1 relabelings: it gives
 both the canonical key and the automorphisms used by appearance expansion.
 record_multisets is the one enumerator of multisets of level-2 records: the
 searches' degree-class aggregates use it with class vectors capped by the
-class sizes, carrying the ratio bounds of their A/B/C vectors, and a
-labeled record (b, subset) is the same thing over one-vertex classes, so
-stage 2 and appearance expansion use it with unit caps and read the subset
-off the 0/1 class vector.
+class sizes, carrying upper bounds of the ratios of their A/B/C vectors
+multiplied record by record, and a labeled record (b, subset) is the same
+thing over one-vertex classes, so stage 2 and appearance expansion use it
+with unit caps and read the subset off the 0/1 class vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
 aggregates of the searches are checked against it; so is the round trip
@@ -46,16 +46,18 @@ def record_multisets(
     max(|cvec|, b_lo) <= b <= b_hi, in a deterministic order without
     duplicates.  Yields (records, total, u, v): the records as ((b, cvec),
     multiplicity) pairs, unsorted (by class vector, then b); total, root
-    plus weight(b, cvec) over every record; and upper bounds u, v at scale
-    2^-scale of two functions that turn sums of weights into products (the
-    ratios of an A/B/C vector): bounds(w) of root times bounds(w) of each
-    spread option's summed weight w, every product rounded up (1 and 1
-    without bounds).
+    plus weight(b, cvec) over every copy of every record; and upper bounds
+    u, v at scale 2^-scale of two functions that turn sums of weights into
+    products (the ratios of an A/B/C vector): bounds(root) times
+    bounds(weight(b, cvec)) once per copy of every record, every product
+    rounded up (1 and 1 without bounds).  Each spread option multiplies its
+    records' bounds, and the recursion multiplies the options' products.
 
     Skeleton first: the multiset of class vectors is a vector partition of
     the quotas; each chosen class vector's multiplicity is then spread over
     its admissible b.  Partial partitions that cannot be completed are never
-    entered."""
+    entered.  Each record's weight and bounds are computed once per call,
+    on first use."""
     bounds = bounds or (lambda w: (1, 1))
     if not any(quotas):
         yield (), root, *bounds(root)
@@ -66,18 +68,30 @@ def record_multisets(
         if sum(cvec) and max(sum(cvec), b_lo) <= b_hi
     ]
 
+    records_of: dict[tuple[tuple[int, ...], int], tuple[int, int, int]] = {}
+
+    def record(cvec: tuple[int, ...], b: int) -> tuple[int, int, int]:
+        """(weight, u, v) of the record (b, cvec)."""
+        if (cvec, b) not in records_of:
+            w = weight(b, cvec)
+            records_of[cvec, b] = (w, *bounds(w))
+        return records_of[cvec, b]
+
     spreads: dict[tuple[tuple[int, ...], int], list] = {}
 
     def spread(cvec: tuple[int, ...], c: int) -> list:
         """(records, weight, u, v) for every way to give c copies of cvec
         admissible degrees b."""
         if (cvec, c) not in spreads:
-            weights = {b: weight(b, cvec) for b in range(max(sum(cvec), b_lo), b_hi + 1)}
             spreads[cvec, c] = out = []
-            for bs in itertools.combinations_with_replacement(weights, c):
+            admissible = range(max(sum(cvec), b_lo), b_hi + 1)
+            for bs in itertools.combinations_with_replacement(admissible, c):
                 recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
-                w = sum(weights[b] * cnt for (b, _), cnt in recs)
-                out.append((recs, w, *bounds(w)))
+                w, u, v = 0, 1 << scale, 1 << scale
+                for b in bs:  # one factor per copy, in the order of recs
+                    rw, ru, rv = record(cvec, b)
+                    w, u, v = w + rw, -(-u * ru >> scale), -(-v * rv >> scale)
+                out.append((recs, w, u, v))
         return spreads[cvec, c]
 
     moves_of: dict[tuple[int, tuple[int, ...]], list] = {}

@@ -467,9 +467,9 @@ def vector_outcome(
 
 
 # Carried bounds: the searches multiply ratio_bounds of the shard's root
-# vector and of each spread option's summed record vector down their
-# enumeration, rounding every product up.  Vectors add as their ratios
-# multiply, so the carried hx and hy bound X and Y from above.
+# vector and of each level-2 record's vector, once per copy of the record,
+# down their enumeration, rounding every product up.  Vectors add as their
+# ratios multiply, so the carried hx and hy bound X and Y from above.
 _LOW4 = sum(15 << 32 * i for i in range(_NP))  # the low 4 bits of every lane
 
 
@@ -481,10 +481,12 @@ def maybe_integral(key: int) -> bool:
 
 
 def ratio_bounds(vec: int, prec: int) -> tuple[int, int]:
-    """The upper ends of power_product's intervals of X = B/A and Y = C/A at
-    prec, in fixed point at scale 2^-(prec + GUARD_BITS), rounded up."""
-    return tuple(intervals.to_fixed(intervals.power_product(key_exponents(key), _SEARCH_DEN, prec),
-                                    prec + GUARD_BITS)[1] for key in ratio_keys(vec))
+    """Upper bounds of X = B/A and Y = C/A of a root or record vector at
+    scale 2^-(prec + GUARD_BITS): the fixed-point ceilings of the upper ends
+    of intervals.table_product, which power_product only rounds further up."""
+    scale = prec + GUARD_BITS
+    return tuple(intervals.to_fixed(intervals.table_product(key_exponents(key), _SEARCH_DEN, prec),
+                                    scale)[1] for key in ratio_keys(vec))
 
 
 @functools.cache
@@ -497,18 +499,25 @@ def carried_limit(prec: int) -> int:
     root entries r_lo <= q^(1/3600) <= r_hi of the intervals table at
     w = prec + GUARD_BITS.  Let I be the product of r_hi^n over the lane
     primes q with numerator n > 0 and of r_lo^n over those with n < 0.  The
-    carried bound splits each n by spread option, n = a - b with a, b >= 0,
-    and r_hi^a / r_lo^b is at least the single power in I; every rounding
-    only raises it, so hx >= I 2^s.  certify_exponents' upper end of X
-    exceeds I by the error of at most 11 table entries, each about 40
-    roundings at w bits from a root entry (|n| < 2^20), so by a relative
-    2^(-prec-5) at most, then by its rounding up to prec bits (a relative
-    2^(1-prec)) and to the fixed-point grid (under 1); so does Y's.  So if
-    certify_exponents' hi_x + hi_y reaches 2^s, then I_x + I_y > 1/4, the
-    widening's margin over those errors, about (I_x + I_y) 2^(s-prec),
-    exceeds 2, and the widened h reaches 2^s too: a carried strict is a
-    strict at prec by certify_exponents, and no tally or precision_stats
-    entry moves.  h << 2 >> prec is the floor for every prec >= 1."""
+    carried bound multiplies one factor per copy of each level-2 record and
+    one for the root vector: the upper end of that vector's unrounded table
+    product at w, a product of table entries.  The table derives every entry
+    from a root entry by outward rounding, so the entry of q^(m/3600) is at
+    least r_hi^m for m > 0 and r_lo^m for m < 0.  The factors' numerators
+    of a prime q sum to its n; with a the sum of the positive ones and b
+    minus that of the negative ones, n = a - b, their entries multiply to at
+    least r_hi^a / r_lo^b, which is at least the power of q in I.  Every
+    rounding only raises the product, so hx >= I 2^s.
+    certify_exponents' upper end of X exceeds I by the error of at most 11
+    table entries, each about 40 roundings at w bits from a root entry
+    (|n| < 2^20), so by a relative 2^(-prec-5) at most, then by its rounding
+    up to prec bits (a relative 2^(1-prec)) and to the fixed-point grid
+    (under 1); so does Y's.  So if certify_exponents' hi_x + hi_y reaches
+    2^s, then I_x + I_y > 1/4, the widening's margin over those errors,
+    about (I_x + I_y) 2^(s-prec), exceeds 2, and the widened h reaches 2^s
+    too: a carried strict is a strict at prec by certify_exponents, and no
+    tally or precision_stats entry moves.  h << 2 >> prec is the floor for
+    every prec >= 1."""
     one = hi = 1 << prec + GUARD_BITS
     lo = 0
     while hi - lo > 1:  # widened lo < one <= widened hi

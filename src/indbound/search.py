@@ -21,7 +21,8 @@ and how many neighbors it has in each level-1 degree class.
 _agg_enum_for_degrees enumerates them with local.record_multisets, the one
 record-multiset enumerator, each with its A/B/C exponent vector (built by
 products.root_vector and products.level2_vector, as is_good builds it) and
-carried upper bounds of its ratios X = B/A and Y = C/A:
+upper bounds of its ratios X = B/A and Y = C/A, carried as the product of
+the root's and each level-2 record's bounds:
 products.carried_strict decides most aggregates strict from the bounds, and
 vector_outcome decides the rest.  Every aggregate is realizable by a simple
 bipartite graph, so certified aggregates and concrete configurations cover
@@ -155,10 +156,14 @@ def _agg_enum_for_degrees(
     level-1 degree multiset: record_multisets over the per-class quotas
     s * (d - 1), each class vector entry capped by its class size, with the
     A/B/C vector vec summed onto the shard's root vector and the upper
-    bounds hx, hy of its X and Y carried from the root vector's ratio_bounds
-    at precision.  AggConfig.of makes the aggregate of the unsorted records.
+    bounds hx, hy of its X and Y: the root vector's ratio_bounds at
+    precision times each record's, computed once per shard and record.
+    AggConfig.of makes the aggregate of the unsorted records.
     Deterministic order, no duplicates (distinct degrees fix the class
-    order, so aggregates have no leftover symmetry).
+    order, so aggregates have no leftover symmetry).  A generator of one
+    item per aggregate, strict or not, which _agg_search_shard reaches
+    through this module's global: a layer tracer that wraps it counts the
+    aggregates of a run.
 
     Every aggregate is realizable by a simple bipartite graph, so none is
     skipped.  Classes are independent: a level-2 vertex's neighbors in

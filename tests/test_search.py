@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import multiprocessing
 import random
@@ -274,22 +275,27 @@ def test_ratio_keys_decode_to_exponent_differences(stage1_sample):
     assert negative and shared
 
 
-def _option_vectors(class_degrees, records):
-    """The summed record vector of each spread option in a leaf's records,
-    in enumeration order: one option per class vector."""
-    out = {}
+def _hand_carried(root_bounds, class_degrees, records, scale):
+    """A leaf's (hx, hy) by hand: the root's bounds times the product of
+    each spread option's records (the records of one class vector, in
+    enumeration order), each copy's bounds multiplied in order and every
+    product rounded up."""
+    options: dict = {}
     for (b, cvec), cnt in records:
-        out[cvec] = out.get(cvec, 0) + cnt * search._record_vector(5, class_degrees, b, cvec)
-    return list(out.values())
+        vec = search._record_vector(5, class_degrees, b, cvec)
+        options.setdefault(cvec, []).extend([ratio_bounds(vec, 128)] * cnt)
+    carried = list(root_bounds)
+    for first, *rest in options.values():
+        option = list(first)
+        for factor in rest:
+            option = [-(-o * f >> scale) for o, f in zip(option, factor)]
+        carried = [-(-h * o >> scale) for h, o in zip(carried, option)]
+    return carried
 
 
 def test_carried_bounds_live_for_one_shard(monkeypatch):
-    # every shard computes its own bounds at the start precision, first of
-    # its root vector, then of exactly the spread options its leaves are
-    # made of, each the fixed-point form of power_product's upper end, which
-    # it brackets; each leaf carries the root's bounds times its options',
-    # in enumeration order, every product rounded up; a shard enumerated
-    # again, after the others, yields the same leaves and bounds
+    # every shard computes its own bounds at the start precision, and a
+    # shard enumerated again, after the others, yields the same leaves
     calls = []
     scale = 128 + intervals.GUARD_BITS
 
@@ -300,28 +306,40 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
     monkeypatch.setattr(search, "ratio_bounds", spy)
     shards = [(d0, degrees) for d0 in range(3) for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5)]
     first = {}
+    copies = tighter = 0
     for d0, degrees in shards:
         start = len(calls)
         leaves = first[d0, degrees] = list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees))
         vecs, precs = zip(*calls[start:])
-        assert vecs[0] == root_vector(d0, degrees) and set(precs) == {128}
+        assert set(precs) == {128}
+        # the first call is the root vector
+        assert vecs[0] == root_vector(d0, degrees)
+        # the other calls are exactly the shard's (cvec, b) record vectors,
+        # each once
         class_degrees = tuple(sorted(set(degrees), reverse=True))
-        options = set()
+        kinds = {rec for records, *_ in leaves for rec, _ in records}
+        assert sorted(vecs[1:]) == sorted(search._record_vector(5, class_degrees, b, cvec)
+                                          for b, cvec in kinds)
+        # each leaf carries the root's bounds times its records' bounds, one
+        # factor per copy, in order, every product rounded up
+        root_bounds = ratio_bounds(vecs[0], 128)
         for records, _, hx, hy in leaves:
-            carried = list(ratio_bounds(vecs[0], 128))
-            for option in _option_vectors(class_degrees, records):
-                options.add(option)
-                carried = [-(-h * o >> scale) for h, o in zip(carried, ratio_bounds(option, 128))]
-            assert [hx, hy] == carried
-        assert set(vecs[1:]) == options and len(vecs) == 1 + len(options)
+            copies += any(cnt > 1 for _, cnt in records)
+            assert [hx, hy] == _hand_carried(root_bounds, class_degrees, records, scale)
+        # each bound is the fixed-point upper end of the unrounded table
+        # product, so it lies between that product and power_product
         for vec in vecs:
             for key, h in zip(ratio_keys(vec), ratio_bounds(vec, 128)):
-                iv = intervals.power_product(key_exponents(key), _SEARCH_DEN, 128)
-                assert h == intervals.to_fixed(iv, scale)[1]
-                assert intervals.dyadic_cmp(h, -scale, iv.hi_m, iv.hi_e) >= 0
+                exps = key_exponents(key)
+                table = intervals.table_product(exps, _SEARCH_DEN, 128)
+                rounded = intervals.to_fixed(intervals.power_product(exps, _SEARCH_DEN, 128), scale)[1]
+                assert h == intervals.to_fixed(table, scale)[1]
+                assert intervals.dyadic_cmp(h, -scale, table.hi_m, table.hi_e) >= 0
+                assert h <= rounded
+                tighter += h < rounded
     for d0, degrees in reversed(shards):
         assert list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees)) == first[d0, degrees]
-    assert len(first) == 16
+    assert len(first) == 16 and copies and tighter
 
 
 def test_carried_bounds_contain_the_512_bit_ratios():
@@ -378,6 +396,52 @@ def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
         monkeypatch.undo()
         assert seen == expected and len(seen) == slow
         assert sum(result.tally.values()) == total and result.tally["strict"] == total - slow
+
+
+def test_low_start_leaves_that_reach_vector_outcome(monkeypatch):
+    # at an 8-bit start the carried record bounds, unrounded table products,
+    # still decide all but these many leaves of two shards; bounds rounded
+    # to 8 bits leave 967 and 5,739 of them, and summed spread options 249
+    # and 1,474, so either loosening fails here
+    for degrees, total, slow in [((5, 5, 5), 3439, 38), ((5, 4, 3), 12033, 6)]:
+        seen = []
+
+        def spy(vec, *args):
+            seen.append(vec)
+            return vector_outcome(vec, *args)
+
+        monkeypatch.setattr(search, "vector_outcome", spy)
+        result = _agg_search_shard((5, RootRule.MIN_DEGREE.value, 3, degrees, 8, 8192))
+        monkeypatch.undo()
+        assert len(seen) == slow and result.raw == total
+
+
+def test_enumeration_keeps_the_trace_contract(monkeypatch):
+    # a layer tracer counts the aggregates of a run by wrapping
+    # search._agg_enum_for_degrees as a generator and compares the count
+    # with the tally: so it is a generator function, _agg_search_shard
+    # calls it through the module global and takes one item per aggregate,
+    # carried strict leaves included, and wrapping it changes no result
+    assert inspect.isgeneratorfunction(search._agg_enum_for_degrees)
+    original = search._agg_enum_for_degrees
+    seen = []
+
+    def counting(*args, **kwargs):
+        for item in original(*args, **kwargs):
+            seen.append(item)
+            yield item
+
+    shards = [(5, RootRule.MIN_DEGREE.value, d0, degrees, 128, 8192)
+              for d0, degrees in [(0, ()), (2, (2, 2)), (3, (5, 5, 5)), (3, (5, 4, 3))]]
+    plain = [_agg_search_shard(args) for args in shards] + [verify_regular(5)]
+    monkeypatch.setattr(search, "_agg_enum_for_degrees", counting)
+    for args, expected in zip(shards, plain):
+        seen.clear()
+        result = _agg_search_shard(args)
+        assert len(seen) == result.raw and result == expected
+    seen.clear()
+    regular = verify_regular(5)
+    assert len(seen) == regular.profiles == 192 and regular == plain[-1]
 
 
 def test_integrality_pretest_clears_only_non_integral_keys(stage1_sample):
