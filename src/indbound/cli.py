@@ -149,7 +149,7 @@ def _cmd_verify_all(args) -> int:
               f"{'PASS' if rep2.passed else 'FAIL'} {rep2.tally}")
 
     if args.statement in (None, 1) and args.delta == MAX_DEGREE:
-        s1 = verify_statement1_stage1(MAX_DEGREE, jobs=args.jobs,
+        s1 = verify_statement1_stage1(jobs=args.jobs,
                                       precision_start=args.precision_bits,
                                       precision_cap=args.precision_cap)
         doc.stage1 = s1
@@ -258,7 +258,7 @@ def _cmp_text(outcome: Outcome) -> str:
 
 def _cmd_export_exceptions(args) -> int:
     print("running the minimum-degree search to collect exceptional patterns...")
-    s1 = verify_statement1_stage1(MAX_DEGREE, jobs=args.jobs,
+    s1 = verify_statement1_stage1(jobs=args.jobs,
                                   precision_start=args.precision_bits,
                                   precision_cap=args.precision_cap)
     try:

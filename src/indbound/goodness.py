@@ -188,12 +188,15 @@ def check_kahn_bound(
     except NotBipartiteError:
         structural = False
     consistent = (verdict.outcome == Outcome.EQUAL) == structural
+    # a verdict decided by intervals at 128 bits already holds that interval
+    product_interval = (verdict.detail["product_interval"] if verdict.precision_bits == 128
+                        else interval_strings(product.value_interval(128)))
     return BoundCheckReport(
         n=g.n,
         edge_count=g.edge_count(),
         count=count,
         product=product,
-        product_interval=interval_strings(product.value_interval(128)),
+        product_interval=product_interval,
         verdict=verdict,
         structural_extremal=structural,
         consistent=consistent,

@@ -142,15 +142,7 @@ def iroot(x: int, n: int) -> int:
         raise ValueError("iroot of a negative number")
     if n == 1 or x < 2:
         return x
-    bl = x.bit_length()
-    r = 1 << -(-bl // n)  # 2**ceil(bl/n) >= root, a safe start
-    # float seed from the leading bits saves iterations when it is also >= root
-    top = x >> max(0, bl - 53)
-    est = (math.log2(top) + max(0, bl - 53)) / n
-    if est < 960:
-        cand = int(2**est) + 2
-        if cand < r and cand**n >= x:
-            r = cand
+    r = 1 << -(-x.bit_length() // n)  # 2**ceil(bits / n) >= root, a safe start
     while True:
         nr = ((n - 1) * r + x // r ** (n - 1)) // n
         if nr >= r:

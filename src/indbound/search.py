@@ -2,9 +2,9 @@
 
 Four searches back the main theorem:
 
-  * the regular case (d <= 5): one call of the min-degree shard whose root
-    and level-1 vertices have degree d, so levels 2 and padded 3 do too;
-    equality exactly on the complete-bipartite aggregate;
+  * the regular case (d <= 5): the one shard of the window d..d, whose
+    root and levels 1, 2 and padded 3 all have degree d; equality exactly on
+    the complete-bipartite aggregate;
   * statement 2 (max-degree root, Delta <= 4): every configuration rooted at
     a maximum-degree vertex certifies A >= B + C, with equality exactly on
     the complete-bipartite shapes;
@@ -33,13 +33,18 @@ exactly its extremal one (extremal_aggregate), if it has one.  The labeled
 per-vertex model, which the aggregation is checked against, is built only
 in the tests (tests/test_search.py).
 
-The space is sharded by (root degree, level-1 degree multiset); shards are
-independent, so workers run in parallel and reports merge deterministically.
+A search shard is (delta_eff, lo, d0, degrees, precision_start,
+precision_cap): root degree d0, level-1 degree multiset degrees, level-1 and
+level-2 degrees in the window lo..delta_eff, level 3 padded to delta_eff.
+Each search states its window once: 1..d0 padded to d0 for statement 2's
+maximum-degree root, stage1_window(d0) = max(1, d0)..5 for stage 1's
+minimum-degree root and for the free degrees of stage 2, d..d for the
+d-regular case.  Shards are independent, so workers run in parallel and
+reports merge deterministically.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import multiprocessing
@@ -73,25 +78,16 @@ from .products import (
 from .reference import expected_appearance_keys
 
 
-class RootRule(enum.Enum):
-    MAX_DEGREE = "max_degree_root"  # the root has maximum degree
-    MIN_DEGREE = "min_degree_root"  # the root has minimum degree
+def stage1_window(d0: int) -> tuple[int, int, int]:
+    """(delta_eff, lo, d0) of stage 1 at root degree d0: a minimum-degree
+    root at Delta = 5, so level-1 and level-2 degrees lie in max(1, d0)..5."""
+    return MAX_DEGREE, max(1, d0), d0
 
 
-def _degree_bounds(rule: RootRule, d0: int, delta_eff: int) -> tuple[int, int]:
-    if rule is RootRule.MAX_DEGREE:
-        return 1, d0
-    return max(1, d0), delta_eff
-
-
-def degree_tuples(rule: RootRule, d0: int, delta_eff: int) -> list[tuple[int, ...]]:
-    """Non-increasing level-1 degree tuples allowed by the root rule."""
-    if d0 == 0:
-        return [()]
-    lo, hi = _degree_bounds(rule, d0, delta_eff)
-    if lo > hi:
-        return []
-    return list(itertools.combinations_with_replacement(range(hi, lo - 1, -1), d0))
+def degree_tuples(lo: int, d0: int, delta_eff: int) -> list[tuple[int, ...]]:
+    """Non-increasing level-1 degree tuples of length d0 with every degree
+    in the window lo..delta_eff; the empty tuple when d0 = 0."""
+    return list(itertools.combinations_with_replacement(range(delta_eff, lo - 1, -1), d0))
 
 
 # --------------------------------------------------------------------------
@@ -149,15 +145,17 @@ def agg_vector(agg: AggConfig) -> int:
 
 
 def _agg_enum_for_degrees(
-    delta_eff: int, rule: RootRule, d0: int, degrees: tuple[int, ...],
+    delta_eff: int, lo: int, d0: int, degrees: tuple[int, ...],
     precision: int = PRECISION_START,
 ) -> Iterator[tuple[tuple, int, int, int]]:
     """(records, vec, hx, hy) for every aggregate configuration of one
-    level-1 degree multiset: record_multisets over the per-class quotas
-    s * (d - 1), each class vector entry capped by its class size, with the
-    A/B/C vector vec summed onto the shard's root vector and the upper
-    bounds hx, hy of its X and Y: the root vector's ratio_bounds at
-    precision times each record's, computed once per shard and record.
+    shard: level-1 degree multiset degrees, level-2 degrees in the window
+    lo..delta_eff, level 3 padded to delta_eff.  record_multisets runs over
+    the per-class quotas s * (d - 1), each class vector entry capped by its
+    class size, with the A/B/C vector vec summed onto the shard's root
+    vector and the upper bounds hx, hy of its X and Y: the root vector's
+    ratio_bounds at precision times each record's, computed once per shard
+    and record.
     AggConfig.of makes the aggregate of the unsorted records.
     Deterministic order, no duplicates (distinct degrees fix the class
     order, so aggregates have no leftover symmetry).  A generator of one
@@ -174,11 +172,10 @@ def _agg_enum_for_degrees(
     class_degrees = tuple(sorted(set(degrees), reverse=True))
     class_sizes = tuple(degrees.count(d) for d in class_degrees)
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
-    lo, hi = _degree_bounds(rule, d0, delta_eff)
     weight = functools.partial(_record_vector, delta_eff, class_degrees)
     bounds = functools.partial(ratio_bounds, prec=precision)
-    yield from record_multisets(quotas, class_sizes, lo, hi, weight, root_vector(d0, degrees),
-                                bounds, precision + GUARD_BITS)
+    yield from record_multisets(quotas, class_sizes, lo, delta_eff, weight,
+                                root_vector(d0, degrees), bounds, precision + GUARD_BITS)
 
 
 def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
@@ -300,13 +297,12 @@ class ShardResult:
 
 
 def _agg_search_shard(args) -> ShardResult:
-    """Certify every aggregate of one (root degree, level-1 degrees) shard."""
-    delta_eff, rule_value, d0, degrees, precision_start, precision_cap = args
+    """Certify every aggregate of one search shard."""
+    delta_eff, lo, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
     equal = set()
     carried = 0  # strict aggregates decided by their carried bounds, never built
-    for records, vec, hx, hy in _agg_enum_for_degrees(delta_eff, RootRule(rule_value), d0,
-                                                      degrees, precision_start):
+    for records, vec, hx, hy in _agg_enum_for_degrees(delta_eff, lo, d0, degrees, precision_start):
         if carried_strict(vec, hx, hy, precision_start):
             carried += 1
             continue
@@ -437,9 +433,11 @@ def _report(statement: str, delta: int, root_rule: str, merged: ShardResult, t0:
     )
 
 
-def _make_shards(delta_eff_of, rule: RootRule, d0_range, precision_start, precision_cap):
-    return [(delta_eff_of(d0), rule.value, d0, degrees, precision_start, precision_cap)
-            for d0 in d0_range for degrees in degree_tuples(rule, d0, delta_eff_of(d0))]
+def _shards(windows, precision_start: int, precision_cap: int) -> list[tuple]:
+    """The search shards of (delta_eff, lo, d0) windows: one per level-1
+    degree tuple of each window, in order."""
+    return [(delta_eff, lo, d0, degrees, precision_start, precision_cap)
+            for delta_eff, lo, d0 in windows for degrees in degree_tuples(lo, d0, delta_eff)]
 
 
 def verify_statement2(
@@ -448,25 +446,23 @@ def verify_statement2(
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> SearchReport:
-    """Max-degree-root search: for every root degree d0 <= delta, pad level 3
-    to d0 (the root has maximum degree) and certify every configuration.
-    PASS means no failures, no undecided, and equality exactly on the
-    complete-bipartite configurations."""
+    """Max-degree-root search: for every root degree d0 <= delta, certify
+    every configuration of the window 1..d0, padded to d0 (the root has
+    maximum degree).  PASS means no failures, no undecided, and equality
+    exactly on the complete-bipartite configurations."""
     if not 1 <= delta <= 4:
         raise ValueError("statement 2 is verified for delta in 1..4")
     jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
-    shards = _make_shards(lambda d0: d0, RootRule.MAX_DEGREE, range(0, delta + 1),
-                          precision_start, precision_cap)
+    shards = _shards([(d0, 1, d0) for d0 in range(delta + 1)], precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
     passed = not (merged.tally["failing"] or merged.tally["undecided"] or merged.inconsistencies)
-    return _report("statement2", delta, RootRule.MAX_DEGREE.value, merged, t0, passed,
+    return _report("statement2", delta, "max_degree_root", merged, t0, passed,
                    _sorted_unique(merged.configs["failing"]),
                    {"jobs": jobs, "aggregation": "level-1 degree classes"})
 
 
 def verify_statement1_stage1(
-    delta: int = MAX_DEGREE,
     jobs: int | None = None,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
@@ -478,12 +474,9 @@ def verify_statement1_stage1(
     undecided configurations, equality exactly on the complete-bipartite
     shapes, and the level-0..3 appearances of the failing patterns to match
     the fourteen expected exceptional neighborhoods."""
-    if delta != MAX_DEGREE:
-        raise ValueError(f"stage 1 is defined for delta = {MAX_DEGREE}")
     jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
-    shards = _make_shards(lambda d0: MAX_DEGREE, RootRule.MIN_DEGREE, range(0, MAX_DEGREE),
-                          precision_start, precision_cap)
+    shards = _shards(map(stage1_window, range(MAX_DEGREE)), precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
     exceptional = _sorted_unique(merged.configs["failing"])
     appearances = tuple(ap for cfg in exceptional for ap in expand_appearances(cfg))
@@ -491,7 +484,7 @@ def verify_statement1_stage1(
     expected = expected_appearance_keys()
     matches_expected = appearance_keys == expected and len(appearances) == len(expected)
     passed = matches_expected and not (merged.tally["undecided"] or merged.inconsistencies)
-    return _report("statement1_stage1", MAX_DEGREE, RootRule.MIN_DEGREE.value, merged, t0, passed,
+    return _report("statement1_stage1", MAX_DEGREE, "min_degree_root", merged, t0, passed,
                    exceptional, {
                        "jobs": jobs,
                        "aggregation": "level-1 degree classes",
@@ -538,12 +531,11 @@ def verify_regular(
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
 ) -> RegularReport:
-    """The d-regular case: the min-degree shard with root degree d and level-1
-    degrees (d,) * d, whose level-2 degrees are then d too.  PASS means no
+    """The d-regular case: the one shard of the window d..d at root degree
+    d, level-1 degrees (d,) * d and level-2 degrees d.  PASS means no
     failing or undecided aggregate, and equality exactly on the extremal
     aggregate (K_{d,d}: k = d - 1, every x_i = 0)."""
-    shard = _agg_search_shard((d, RootRule.MIN_DEGREE.value, d, (d,) * d,
-                               precision_start, precision_cap))
+    shard, = map(_agg_search_shard, _shards([(d, d, d)], precision_start, precision_cap))
     failing, undecided = shard.configs["failing"], shard.configs["undecided"]
     return RegularReport(
         d=d,
@@ -570,8 +562,10 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
     (their exact degrees); at distance two sit the other pattern level-1
     vertices (adjacencies forced by the pattern) and the endpoints of the
     pattern's level-3 edges, whose identification, degrees, and further
-    structure range freely subject to degree >= d0 (the old root has minimum
-    degree).  Duplicates are possible; callers deduplicate canonically."""
+    structure range freely over the pattern root's stage-1 window
+    (stage1_window: the old root has minimum degree d0, so every degree lies
+    in max(1, d0)..5).  Duplicates are possible; callers deduplicate
+    canonically."""
     if not 0 <= x1_index < pattern.d0:
         raise ValueError("x1_index must pick a level-1 vertex of the pattern")
     d_p = pattern.d0
@@ -587,13 +581,13 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
         nbrs_q = (0, *(1 + qpos for qpos, j in enumerate(s_indices) if u in pattern.l2[j][1]))
         forced.append((pattern.l1_degrees[u], nbrs_q))
     quotas = [pattern.l2[j][0] - len(pattern.l2[j][1]) for j in s_indices]
-    min_deg = max(1, d_p)
-    for wrecords, *_ in record_multisets(quotas, [1] * len(quotas), min_deg, MAX_DEGREE,
+    delta_eff, lo, _ = stage1_window(d_p)
+    for wrecords, *_ in record_multisets(quotas, [1] * len(quotas), lo, delta_eff,
                                         lambda b, cvec: 0):
         mapped = [(b, tuple(1 + pos for pos, x in enumerate(cvec) if x))
                   for (b, cvec), cnt in wrecords for _ in range(cnt)]
         records = tuple(sorted(forced + mapped))
-        yield LocalConfig(MAX_DEGREE, d_q, l1_q, records)
+        yield LocalConfig(delta_eff, d_q, l1_q, records)
 
 
 def _stage2_shard(args) -> ShardResult:

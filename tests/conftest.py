@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +37,7 @@ def fig1() -> Graph:
 def stage1_report():
     """The full stage-1 search, run once and shared by every test that
     checks it."""
-    return verify_statement1_stage1(5, jobs=default_jobs())
+    return verify_statement1_stage1(jobs=default_jobs())
 
 
 @pytest.fixture(scope="session")
@@ -44,11 +46,12 @@ def statement2_report():
     return verify_statement2(4, jobs=default_jobs())
 
 
-def shard_aggregates(delta_eff, rule, d0, degrees):
+def shard_aggregates(delta_eff, lo, d0, degrees):
     """(aggregate, A/B/C exponent vector) for every leaf of a shard's
-    enumeration, the aggregate made by AggConfig.of as the searches make it."""
+    enumeration, its degree window lo..delta_eff, the aggregate made by
+    AggConfig.of as the searches make it."""
     return [(AggConfig.of(delta_eff, d0, degrees, records), vec)
-            for records, vec, *_ in _agg_enum_for_degrees(delta_eff, rule, d0, degrees)]
+            for records, vec, *_ in _agg_enum_for_degrees(delta_eff, lo, d0, degrees)]
 
 
 def interval_add(a: intervals.Interval, b: intervals.Interval) -> intervals.Interval:
@@ -111,14 +114,23 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return from_edges(a + b, ((u, a + v) for u in range(a) for v in range(b)))
 
 
-def strip_timing(obj):
-    """Copy of a JSON-like structure with every "timing" block removed; used
-    by the reproducibility comparisons."""
+def strip_timing(obj, keys=("timing",)):
+    """Copy of a JSON-like structure with every key in keys removed at any
+    depth, by default the "timing" blocks; used by the reproducibility
+    comparisons."""
     if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items() if k != "timing"}
+        return {k: strip_timing(v, keys) for k, v in obj.items() if k not in keys}
     if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
+        return [strip_timing(v, keys) for v in obj]
     return obj
+
+
+def stripped_digest(cert: dict) -> str:
+    """SHA-256 of a certificate's canonical JSON (sorted keys) with every
+    "timing", "jobs" and "json_path" key removed at any depth: the same for
+    every --jobs value, and the form the pinned fingerprint digests take."""
+    text = json.dumps(strip_timing(cert, ("timing", "jobs", "json_path")), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -22,7 +22,14 @@ from indbound.graphs import (
     from_edges,
     level_decomposition,
 )
-from indbound.products import DegreeBoundError, Outcome, compare_count_to_product, pi_product
+from indbound.products import (
+    DegreeBoundError,
+    FactorProduct,
+    Outcome,
+    compare_count_to_product,
+    interval_strings,
+    pi_product,
+)
 from indbound.selftest import random_bipartite_max_degree
 
 
@@ -223,6 +230,26 @@ def test_check_kahn_bound_examples(fig1):
 
     r = check_kahn_bound(fig1)
     assert r.count == 43 and r.verdict.outcome == Outcome.STRICTLY_LESS
+
+
+def test_check_kahn_bound_builds_each_product_interval_once(fig1, monkeypatch):
+    # fig1's bound product is irrational: from a 128-bit start the verdict
+    # is decided by intervals at 128 bits, and the report shows that same
+    # interval without building it again; from a 64-bit start the report
+    # still shows the 128-bit interval, built for it
+    original = FactorProduct.value_interval
+    calls = []
+
+    def spy(product, prec):
+        calls.append(prec)
+        return original(product, prec)
+
+    monkeypatch.setattr(FactorProduct, "value_interval", spy)
+    for start, built in ((128, [128]), (64, [64, 128])):
+        calls.clear()
+        r = check_kahn_bound(fig1, precision_start=start)
+        assert calls == built and r.verdict.precision_bits == start
+        assert r.product_interval == interval_strings(original(r.product, 128))
 
 
 def test_induction_chain_on_good_vertices():

@@ -38,7 +38,7 @@ from indbound.products import (
     maybe_integral,
     pi_product,
 )
-from indbound.search import RootRule, _agg_search_shard
+from indbound.search import _agg_search_shard
 
 
 def test_factorize():
@@ -320,7 +320,7 @@ def test_root_bounds_the_searches_trust_hold_at_full_scale(monkeypatch):
     # at the searches' (3600, 144), and every root one stage-1 shard puts in
     # a fresh table, checked exactly as lo^den <= p <= hi^den
     monkeypatch.setattr(intervals, "_bounds", {})
-    _agg_search_shard((5, RootRule.MIN_DEGREE.value, 3, (5, 5, 5), PRECISION_START, PRECISION_CAP))
+    _agg_search_shard((5, 3, 3, (5, 5, 5), PRECISION_START, PRECISION_CAP))
     shard_roots = {(den, prec, p) for (den, prec), table in intervals._bounds.items() if den > 1
                    for p, num in table if num == 1}
     assert len(shard_roots) == 9

@@ -6,7 +6,6 @@ from indbound.graphs import from_edges
 from indbound.local import LocalConfig
 from indbound.products import Outcome, vector_outcome
 from indbound.search import (
-    RootRule,
     config_outcome,
     regular_profile,
     verify_regular,
@@ -50,10 +49,10 @@ def exchange_increases(d, xi, xj):  # (xi, xj) -> (xi + 1, xj - 1) raises g(xi) 
 
 
 def _shard(d):
-    """The d-regular shard of the min-degree search: (profile, outcome) per
+    """The d-regular shard, the degree window d..d: (profile, outcome) per
     aggregate."""
     return [(regular_profile(agg), vector_outcome(vec)[0])
-            for agg, vec in shard_aggregates(d, RootRule.MIN_DEGREE, d, (d,) * d)]
+            for agg, vec in shard_aggregates(d, d, d, (d,) * d)]
 
 
 def test_profile_enumeration_small():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import path, serialize_edge_list, strip_timing
+from conftest import path, serialize_edge_list, strip_timing, stripped_digest
 from indbound import cli
 from indbound.cli import main
 from indbound.counting import CountBudgetExceeded
@@ -105,6 +105,21 @@ def test_cli_verify_all_undecided_exit_at_tiny_precision(tmp_path):
     stage1 = json.loads(j.read_text())["statement1"]["stage1"]
     assert stage1["tally"] == {"strict": 103_129, "equal": 15, "failing": 1, "undecided": 91}
     assert stage1["precision_stats"] == {"exact": 15, "interval_8": 103_221}
+    assert stripped_digest(json.loads(j.read_text())) == \
+        "f341defc77ddb99d736a8ec65db6cdc6d1a7934b1f1be82ab752712fd6872c5e"
+
+
+@pytest.mark.parametrize("statement, digest", [
+    ("1", "8d8b58d0bcaa774cc73e861a8e3be5c96c70e64441fae699b6c5f31bb944a4c0"),
+    ("2", "dd04e24341a6146818b324fd4b421cd21c043839338d06fc66e54e7a99df230d"),
+], ids=["statement1", "statement2"])
+def test_cli_verify_all_certificate_digest(tmp_path, statement, digest):
+    # the pinned fingerprint, whole: the stripped digest of each statement's
+    # certificate, which any change to a certified fact, a tally, a pattern
+    # or a precision route moves
+    j = tmp_path / "cert.json"
+    assert main(["verify-all", "--statement", statement, "--jobs", "2", "--json", str(j)]) == 0
+    assert stripped_digest(json.loads(j.read_text())) == digest
 
 
 def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys):

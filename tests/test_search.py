@@ -38,10 +38,8 @@ from indbound.products import (
 )
 from indbound.search import (
     AggConfig,
-    RootRule,
     _agg_enum_for_degrees,
     _agg_search_shard,
-    _degree_bounds,
     agg_vector,
     aggregate_of_config,
     config_outcome,
@@ -52,6 +50,7 @@ from indbound.search import (
     regular_profile,
     stage2_completions,
     verify_regular,
+    verify_statement1_stage1,
     verify_statement1_stage2,
     verify_statement2,
 )
@@ -59,11 +58,12 @@ from indbound.selftest import random_bipartite_max_degree
 from test_local import FAILING_PATTERNS, random_config
 
 
-def _all_aggregates(delta_eff, rule, d0):
-    """(aggregate, A/B/C exponent vector) pairs, as the search certifies them."""
+def _all_aggregates(delta_eff, lo, d0):
+    """(aggregate, A/B/C exponent vector) pairs of the window lo..delta_eff,
+    as the search certifies them."""
     out = []
-    for degrees in degree_tuples(rule, d0, delta_eff):
-        out.extend(shard_aggregates(delta_eff, rule, d0, degrees))
+    for degrees in degree_tuples(lo, d0, delta_eff):
+        out.extend(shard_aggregates(delta_eff, lo, d0, degrees))
     return out
 
 
@@ -89,32 +89,33 @@ def _labeled_records(quotas, lo, hi):
     return rec(0, tuple(quotas))
 
 
-def _labeled_configs(delta_eff, rule, d0):
+def _labeled_configs(delta_eff, lo, d0):
     """The labeled reference model: the canonical key of every labeled
-    configuration with root degree d0 under the root rule, sorted.  Every
-    multiset of level-2 records over every allowed level-1 degree tuple,
-    canonicalized; shares no code with the aggregate enumerator."""
-    lo, hi = _degree_bounds(rule, d0, delta_eff)
+    configuration with root degree d0 and level-1 and level-2 degrees in the
+    window lo..delta_eff, sorted.  Every multiset of level-2 records over
+    every level-1 degree tuple of the window, canonicalized; shares no code
+    with the aggregate enumerator."""
     return sorted({
         canonical_tuple(LocalConfig(delta_eff, d0, degrees, records))
-        for degrees in degree_tuples(rule, d0, delta_eff)
-        for records in _labeled_records([d - 1 for d in degrees], lo, hi)
+        for degrees in itertools.combinations_with_replacement(range(delta_eff, lo - 1, -1), d0)
+        for records in _labeled_records([d - 1 for d in degrees], lo, delta_eff)
     })
 
 
 def test_enumerate_configs_hand_counts():
-    assert _labeled_configs(1, RootRule.MAX_DEGREE, 1) == [(1, 1, (1,), ())]
-    assert _labeled_configs(0, RootRule.MAX_DEGREE, 0) == [(0, 0, (), ())]
+    # max-degree roots: the window 1..d0
+    assert _labeled_configs(1, 1, 1) == [(1, 1, (1,), ())]
+    assert _labeled_configs(0, 1, 0) == [(0, 0, (), ())]
     # root degree 2, degrees bounded by 2: seven configurations
-    assert len(_labeled_configs(2, RootRule.MAX_DEGREE, 2)) == 7
+    assert len(_labeled_configs(2, 1, 2)) == 7
 
 
 def test_enumeration_is_canonical_and_duplicate_free():
-    for delta_eff, rule, d0 in [
-        (3, RootRule.MAX_DEGREE, 3),
-        (5, RootRule.MIN_DEGREE, 2),
+    for delta_eff, lo, d0 in [
+        (3, 1, 3),  # max-degree root
+        (5, 2, 2),  # min-degree root
     ]:
-        for key in _labeled_configs(delta_eff, rule, d0):
+        for key in _labeled_configs(delta_eff, lo, d0):
             cfg = LocalConfig(*key)
             validate_config(cfg)
             assert canonical_tuple(cfg) == key  # canonical representatives
@@ -122,11 +123,12 @@ def test_enumeration_is_canonical_and_duplicate_free():
 
 def test_enumeration_respects_root_rule():
     # on the aggregates the searches certify: class degrees and level-2
-    # degrees obey the root rule
-    for agg, _ in _all_aggregates(4, RootRule.MAX_DEGREE, 3):
+    # degrees stay in the window of the root rule: 1..d0 for a
+    # maximum-degree root, d0..5 for a minimum-degree one
+    for agg, _ in _all_aggregates(3, 1, 3):
         assert all(d <= 3 for d in agg.class_degrees)
         assert all(b <= 3 for (b, _), _ in agg.records)
-    for agg, _ in _all_aggregates(5, RootRule.MIN_DEGREE, 3):
+    for agg, _ in _all_aggregates(5, 3, 3):
         assert all(d >= 3 for d in agg.class_degrees)
         assert all(b >= 3 for (b, _), _ in agg.records)
 
@@ -141,14 +143,14 @@ def test_aggregate_model_matches_labeled_model():
     # level2_vector; the independent A/B/C checks are is_good_fullgraph and
     # FactorProduct.from_f_counts, in test_local.py); the configuration
     # extremality test agrees with the graph one
-    for delta_eff, rule, d0 in [
-        (2, RootRule.MAX_DEGREE, 2),
-        (3, RootRule.MAX_DEGREE, 3),
-        (5, RootRule.MIN_DEGREE, 1),
-        (5, RootRule.MIN_DEGREE, 2),
+    for delta_eff, lo, d0 in [
+        (2, 1, 2),  # max-degree roots
+        (3, 1, 3),
+        (5, 1, 1),  # min-degree roots
+        (5, 2, 2),
     ]:
         expanded = {}
-        for agg, vec in _all_aggregates(delta_eff, rule, d0):
+        for agg, vec in _all_aggregates(delta_eff, lo, d0):
             assert vec == agg_vector(agg)
             outcome = vector_outcome(vec)[0]
             members = labeled_configs_for_aggregate(agg)
@@ -159,7 +161,7 @@ def test_aggregate_model_matches_labeled_model():
                 g = realize_config(cfg)
                 assert is_good(g, 0).outcome == outcome
                 assert config_is_extremal(cfg) == component_is_extremal(g, 0)
-        assert sorted(expanded) == _labeled_configs(delta_eff, rule, d0)
+        assert sorted(expanded) == _labeled_configs(delta_eff, lo, d0)
 
 
 def _extracted_aggregates_are_enumerated(rng, trials, max_side):
@@ -172,8 +174,8 @@ def _extracted_aggregates_are_enumerated(rng, trials, max_side):
         cfg = extract_config(g, x, 5)
         agg = aggregate_of_config(cfg)
         key = (cfg.d0, tuple(sorted(cfg.l1_degrees, reverse=True)))
-        if key not in shards:
-            shards[key] = {a for a, _ in shard_aggregates(5, RootRule.MIN_DEGREE, *key)}
+        if key not in shards:  # the min-degree window max(1, d0)..5
+            shards[key] = {a for a, _ in shard_aggregates(5, max(1, cfg.d0), *key)}
         assert agg in shards[key]
 
 
@@ -210,14 +212,16 @@ def _knapsack_count(lo_hi, d0, degrees):
 
 
 def _shards(statement):
-    """(delta_eff, rule, d0, degrees, (lo, hi)) of every shard of a search."""
+    """(delta_eff, lo, d0, degrees) of every shard of statement 2 at Delta = 4
+    or of stage 1, in search order: level-1 and level-2 degrees lie in the
+    window lo..delta_eff and level 3 is padded to delta_eff."""
     for d0 in range(5):
-        if statement == 2:  # max-degree root: degrees in 1..d0
-            de, rule, lo, hi = d0, RootRule.MAX_DEGREE, 1, d0
+        if statement == 2:  # max-degree root: degrees in 1..d0, padded to d0
+            de, lo = d0, 1
         else:  # min-degree root at degree bound 5: degrees in d0..5
-            de, rule, lo, hi = 5, RootRule.MIN_DEGREE, max(1, d0), 5
-        for degrees in itertools.combinations_with_replacement(range(hi, lo - 1, -1), d0):
-            yield de, rule, d0, degrees, (lo, hi)
+            de, lo = 5, max(1, d0)
+        for degrees in itertools.combinations_with_replacement(range(de, lo - 1, -1), d0):
+            yield de, lo, d0, degrees
 
 
 def test_aggregate_counts_match_knapsack():
@@ -226,12 +230,12 @@ def test_aggregate_counts_match_knapsack():
     # both as yielded and as the sorted records of their aggregates
     totals = {1: 0, 2: 0}
     for statement in totals:
-        for de, rule, d0, degrees, lo_hi in _shards(statement):
-            expected = _knapsack_count(lo_hi, d0, degrees)
+        for de, lo, d0, degrees in _shards(statement):
+            expected = _knapsack_count((lo, de), d0, degrees)
             totals[statement] += expected
             if statement == 2 and d0 > 3:
                 continue
-            leaves = [records for records, *_ in _agg_enum_for_degrees(de, rule, d0, degrees)]
+            leaves = [records for records, *_ in _agg_enum_for_degrees(de, lo, d0, degrees)]
             records = [AggConfig.of(de, d0, degrees, leaf).records for leaf in leaves]
             assert len(leaves) == len(set(leaves)) == expected, (d0, degrees)
             assert len(records) == len(set(records)) == expected, (d0, degrees)
@@ -247,13 +251,12 @@ def stage1_sample():
     (X, Y) ratio keys."""
     rng = random.Random(404)
     out = []
-    for d0 in range(5):
-        for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5):
-            shard = shard_aggregates(5, RootRule.MIN_DEGREE, d0, degrees)
-            by_keys: dict = {}
-            for _, vec in shard:
-                by_keys.setdefault(ratio_keys(vec), []).append(vec)
-            out.append((rng.sample(shard, min(16, len(shard))), by_keys))
+    for args in _shards(1):
+        shard = shard_aggregates(*args)
+        by_keys: dict = {}
+        for _, vec in shard:
+            by_keys.setdefault(ratio_keys(vec), []).append(vec)
+        out.append((rng.sample(shard, min(16, len(shard))), by_keys))
     return out
 
 
@@ -304,12 +307,13 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
         return ratio_bounds(vec, prec)
 
     monkeypatch.setattr(search, "ratio_bounds", spy)
-    shards = [(d0, degrees) for d0 in range(3) for degrees in degree_tuples(RootRule.MIN_DEGREE, d0, 5)]
+    shards = [shard for shard in _shards(1) if shard[2] < 3]
     first = {}
     copies = tighter = 0
-    for d0, degrees in shards:
+    for shard in shards:
+        _, _, d0, degrees = shard
         start = len(calls)
-        leaves = first[d0, degrees] = list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees))
+        leaves = first[shard] = list(_agg_enum_for_degrees(*shard))
         vecs, precs = zip(*calls[start:])
         assert set(precs) == {128}
         # the first call is the root vector
@@ -337,8 +341,8 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
                 assert intervals.dyadic_cmp(h, -scale, table.hi_m, table.hi_e) >= 0
                 assert h <= rounded
                 tighter += h < rounded
-    for d0, degrees in reversed(shards):
-        assert list(_agg_enum_for_degrees(5, RootRule.MIN_DEGREE, d0, degrees)) == first[d0, degrees]
+    for shard in reversed(shards):
+        assert list(_agg_enum_for_degrees(*shard)) == first[shard]
     assert len(first) == 16 and copies and tighter
 
 
@@ -348,13 +352,13 @@ def test_carried_bounds_contain_the_512_bit_ratios():
     # 512-bit interval of X and of Y
     refs: dict = {}
     leaves = 0
-    for de, rule, d0, degrees in [(5, RootRule.MIN_DEGREE, 2, (2, 2)),
-                                  (5, RootRule.MIN_DEGREE, 3, (5, 4, 3)),
-                                  (5, RootRule.MIN_DEGREE, 4, (5, 5, 5, 4)),
-                                  (3, RootRule.MAX_DEGREE, 3, (3, 2, 1))]:
+    for de, lo, d0, degrees in [(5, 2, 2, (2, 2)),
+                                (5, 3, 3, (5, 4, 3)),
+                                (5, 4, 4, (5, 5, 5, 4)),
+                                (3, 1, 3, (3, 2, 1))]:
         for prec in (8, 128):
             scale = prec + intervals.GUARD_BITS
-            for _, vec, hx, hy in _agg_enum_for_degrees(de, rule, d0, degrees, prec):
+            for _, vec, hx, hy in _agg_enum_for_degrees(de, lo, d0, degrees, prec):
                 leaves += 1
                 for key, h in zip(ratio_keys(vec), (hx, hy)):
                     if key not in refs:
@@ -364,11 +368,11 @@ def test_carried_bounds_contain_the_512_bit_ratios():
     assert leaves > 1000
 
 
-def _vector_outcome_routes(de, rule, d0, degrees, prec):
+def _vector_outcome_routes(de, lo, d0, degrees, prec):
     """The decoded ratio keys of every leaf of a shard that certify_exponents
     must see at prec: not strict at prec, or possibly integral."""
     out = []
-    for _, vec, *_ in _agg_enum_for_degrees(de, rule, d0, degrees, prec):
+    for _, vec, *_ in _agg_enum_for_degrees(de, lo, d0, degrees, prec):
         keys = ratio_keys(vec)
         if vector_outcome(vec, prec)[:3] != (Outcome.STRICTLY_GREATER, "interval", prec) \
                 or all(map(maybe_integral, keys)):
@@ -384,7 +388,7 @@ def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
     # in enumeration order; a silent fall back to it for every leaf fails here
     for degrees, total, slow in [((5, 5, 5), 3439, 1), ((2, 2), 14, 3)]:
         d0 = len(degrees)
-        expected = _vector_outcome_routes(5, RootRule.MIN_DEGREE, d0, degrees, 128)
+        expected = _vector_outcome_routes(5, d0, d0, degrees, 128)
         seen = []
 
         def spy(ex, ey, *args):
@@ -392,7 +396,7 @@ def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
             return certify_exponents(ex, ey, *args)
 
         monkeypatch.setattr(products, "certify_exponents", spy)
-        result = _agg_search_shard((5, RootRule.MIN_DEGREE.value, d0, degrees, 128, 8192))
+        result = _agg_search_shard((5, d0, d0, degrees, 128, 8192))
         monkeypatch.undo()
         assert seen == expected and len(seen) == slow
         assert sum(result.tally.values()) == total and result.tally["strict"] == total - slow
@@ -411,7 +415,7 @@ def test_low_start_leaves_that_reach_vector_outcome(monkeypatch):
             return vector_outcome(vec, *args)
 
         monkeypatch.setattr(search, "vector_outcome", spy)
-        result = _agg_search_shard((5, RootRule.MIN_DEGREE.value, 3, degrees, 8, 8192))
+        result = _agg_search_shard((5, 3, 3, degrees, 8, 8192))
         monkeypatch.undo()
         assert len(seen) == slow and result.raw == total
 
@@ -431,7 +435,7 @@ def test_enumeration_keeps_the_trace_contract(monkeypatch):
             seen.append(item)
             yield item
 
-    shards = [(5, RootRule.MIN_DEGREE.value, d0, degrees, 128, 8192)
+    shards = [(5, max(1, d0), d0, degrees, 128, 8192)
               for d0, degrees in [(0, ()), (2, (2, 2)), (3, (5, 5, 5)), (3, (5, 4, 3))]]
     plain = [_agg_search_shard(args) for args in shards] + [verify_regular(5)]
     monkeypatch.setattr(search, "_agg_enum_for_degrees", counting)
@@ -468,14 +472,14 @@ def test_exact_route_under_carried_bounds():
     assert first[:2] == (Outcome.EQUAL, "exact")
     assert all(map(maybe_integral, ratio_keys(vec)))
     assert not carried_strict(vec, 0, 0, 128)
-    other = next(v for _, v in shard_aggregates(5, RootRule.MIN_DEGREE, 2, (2, 2))
+    other = next(v for _, v in shard_aggregates(5, 2, 2, (2, 2))
                  if all(num % _SEARCH_DEN for k in ratio_keys(v) for _, num in key_exponents(k)))
     (kx, ky), (ox, oy) = ratio_keys(vec), ratio_keys(other)
     for x, y in ((kx, oy), (ox, ky)):
         assert certify_exponents(key_exponents(x), key_exponents(y))[1] == "interval"
     for cap in (128, 8192):
         assert vector_outcome(vec, precision_cap=cap) == first
-        shard = _agg_search_shard((5, RootRule.MIN_DEGREE.value, 2, (2, 2), 128, cap))
+        shard = _agg_search_shard((5, 2, 2, (2, 2), 128, cap))
         assert shard.precision_stats == {("exact", None): 1, ("interval", 128): 13}
 
 
@@ -614,7 +618,7 @@ def test_shard_returns_aggregates_and_expands_nothing(monkeypatch):
         raise AssertionError("labeled expansion inside a shard")
 
     monkeypatch.setattr(search, "labeled_configs_for_aggregate", expansion)
-    shard = (5, RootRule.MIN_DEGREE.value, 2, (2, 2), 128, 8192)
+    shard = (5, 2, 2, (2, 2), 128, 8192)
     extremal = extremal_aggregate(5, 2, (2, 2))
     result = _agg_search_shard(shard)
     assert result.tally == {"strict": 11, "equal": 1, "failing": 2, "undecided": 0}
@@ -636,14 +640,38 @@ def test_regular_case_is_one_shard_call(monkeypatch):
 
     monkeypatch.setattr(search, "_agg_search_shard", spy)
     report = verify_regular(3)
-    assert calls == [(3, RootRule.MIN_DEGREE.value, 3, (3, 3, 3), 128, 8192)]
+    assert calls == [(3, 3, 3, (3, 3, 3), 128, 8192)]
     assert report.passed and report.profiles == 7 and len(report.equalities) == 1
+
+
+def test_searches_hand_their_windows_shards_to_the_worker(monkeypatch):
+    # each search hands _agg_search_shard exactly the shards of the windows
+    # stated by hand in _shards, in order: 50 for statement 2 at Delta = 4,
+    # 31 for stage 1, and one, the window d..d, for each regular d
+    calls = []
+
+    def spy(args):
+        calls.append(args)
+        return search.ShardResult()
+
+    def shards_of(run):
+        calls.clear()
+        run()
+        return list(calls)
+
+    monkeypatch.setattr(search, "_agg_search_shard", spy)
+    statement2 = shards_of(lambda: verify_statement2(4, jobs=1))
+    assert statement2 == [(*shard, 128, 8192) for shard in _shards(2)] and len(statement2) == 50
+    stage1 = shards_of(lambda: verify_statement1_stage1(jobs=1))
+    assert stage1 == [(*shard, 128, 8192) for shard in _shards(1)] and len(stage1) == 31
+    for d in range(1, 6):
+        assert shards_of(lambda: verify_regular(d)) == [(d, d, d, (d,) * d, 128, 8192)]
 
 
 def test_regular_failing_aggregate_fails_the_report(monkeypatch):
     # one strict aggregate of the d = 3 shard read as failing fails the
     # regular case and is listed, by its profile, as its one violation
-    first = next(agg for agg, vec in shard_aggregates(3, RootRule.MIN_DEGREE, 3, (3, 3, 3))
+    first = next(agg for agg, vec in shard_aggregates(3, 3, 3, (3, 3, 3))
                  if vector_outcome(vec)[0] is Outcome.STRICTLY_GREATER)
     once = iter([True])
     _flip_outcomes(monkeypatch, lambda o: Outcome.STRICTLY_LESS
