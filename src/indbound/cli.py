@@ -13,9 +13,14 @@ Subcommands:
 Each subcommand takes only the flags it reads; --jobs is for verify-all and
 export-exceptions, --seed and --scale for selftest.
 
-Exit codes: 0 pass, 1 fail, 2 undecided, 3 internal/parse/usage error (a
+Exit codes: 0 pass, 1 fail, 2 undecided (a command that does not pass
+with some comparison left undecided), 3 internal/parse/usage error (a
 precision below 1 bit and fewer than one worker included), and 4 for a
-degree above five in `check`.
+degree above five in `check`.  `check` passes when ind(G) <= bound with
+equality exactly on extremal components, and either the last good-vertex
+probe of a bipartite graph is good (the empty graph has none) or
+ind(G)^2 <= ind(G x K2) for a non-bipartite one.  The certificate of
+verify-all is assembled by reports.CertificateDocument alone.
 Exit codes are the machine contract; the human-readable stdout may evolve,
 the JSON schema may not.
 """
@@ -29,7 +34,7 @@ import time
 from pathlib import Path
 
 from .counting import CountBudgetExceeded, count_independent_sets
-from .goodness import NoGoodVertexError, check_kahn_bound, probe_goodness
+from .goodness import check_kahn_bound, probe_goodness
 from .graphs import GraphParseError, is_bipartite, parse_edge_list, tensor_k2
 from .products import (
     MAX_DEGREE,
@@ -46,6 +51,7 @@ from .reports import (
     write_certificate,
 )
 from .search import (
+    STATEMENT2_MAX_DEGREE,
     default_jobs,
     verify_regular,
     verify_statement1_stage1,
@@ -110,68 +116,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit(passed: bool, undecided: int) -> int:
+    """The exit code of a finished command: pass, else undecided if any
+    comparison was, else fail."""
+    if passed:
+        return EXIT_PASS
+    return EXIT_UNDECIDED if undecided else EXIT_FAIL
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
 def _cmd_verify_all(args) -> int:
-    config = RunConfig(
-        subcommand="verify-all",
-        delta=args.delta,
-        statement=args.statement,
-        jobs=args.jobs,
-        precision_bits=args.precision_bits,
-        precision_cap=args.precision_cap,
-        json_path=args.json_path,
-        dot_dir=args.dot_dir,
-    )
-    doc = CertificateDocument(config=config)
+    doc = CertificateDocument(config=RunConfig(**vars(args)))
     t_all = time.monotonic()
 
     t0 = time.monotonic()
-    doc.fact_check = check_f_fact(max(args.delta, 2)).to_json()
+    fact = doc.fact_check = check_f_fact(max(args.delta, 2))
     doc.timing["fact_check_s"] = time.monotonic() - t0
-    print(f"factor fact (delta={max(args.delta, 2)}): {doc.fact_check['verdict']}"
-          f" ({doc.fact_check['cases']} cases)")
+    print(f"factor fact (delta={fact.delta}): {_verdict(fact.passed)} ({len(fact.cases)} cases)")
 
     t0 = time.monotonic()
     for d in range(1, args.delta + 1):
         rep = verify_regular(d, precision_start=args.precision_bits,
                              precision_cap=args.precision_cap)
-        doc.regular.append(rep.to_json())
-        print(f"regular d={d}: {doc.regular[-1]['verdict']}"
+        doc.regular.append(rep)
+        print(f"regular d={d}: {_verdict(rep.passed)}"
               f" ({rep.profiles} profiles, {len(rep.equalities)} equality"
               + (f", {len(rep.undecided)} undecided" if rep.undecided else "") + ")")
     doc.timing["regular_s"] = time.monotonic() - t0
 
     if args.statement in (None, 2):
-        rep2 = verify_statement2(min(args.delta, 4), jobs=args.jobs,
-                                 precision_start=args.precision_bits,
-                                 precision_cap=args.precision_cap)
-        doc.statement2 = rep2
-        print(f"statement 2 (delta={min(args.delta, 4)}): "
-              f"{'PASS' if rep2.passed else 'FAIL'} {rep2.tally}")
+        st2 = doc.statement2 = verify_statement2(min(args.delta, STATEMENT2_MAX_DEGREE),
+                                                 jobs=args.jobs,
+                                                 precision_start=args.precision_bits,
+                                                 precision_cap=args.precision_cap)
+        print(f"statement 2 (delta={st2.delta}): {_verdict(st2.passed)} {st2.tally}")
 
     if args.statement in (None, 1) and args.delta == MAX_DEGREE:
-        s1 = verify_statement1_stage1(jobs=args.jobs,
-                                      precision_start=args.precision_bits,
-                                      precision_cap=args.precision_cap)
-        doc.stage1 = s1
-        print(f"statement 1 stage 1: {'PASS' if s1.passed else 'FAIL'} {s1.tally} "
+        s1 = doc.stage1 = verify_statement1_stage1(jobs=args.jobs,
+                                                   precision_start=args.precision_bits,
+                                                   precision_cap=args.precision_cap)
+        print(f"statement 1 stage 1: {_verdict(s1.passed)} {s1.tally} "
               f"({s1.extra['appearances']} exceptional appearances)")
-        for cfg in s1.exceptional_patterns:
-            doc.exceptions.append(
-                {
-                    "pattern": {
-                        "d0": cfg.d0,
-                        "l1_degrees": list(cfg.l1_degrees),
-                        "l2": [{"b": b, "level1_neighbors": list(nb)} for b, nb in cfg.l2],
-                    },
-                    "appearances": [_appearance_json(ap) for ap in s1.appearances
-                                    if ap.config == cfg],
-                }
-            )
-        s2 = verify_statement1_stage2(s1.exceptional_patterns,
-                                      precision_start=args.precision_bits,
-                                      precision_cap=args.precision_cap)
-        doc.stage2 = s2
-        print(f"statement 1 stage 2: {'PASS' if s2.passed else 'FAIL'} {s2.tally} "
+        s2 = doc.stage2 = verify_statement1_stage2(s1.exceptional_patterns,
+                                                   precision_start=args.precision_bits,
+                                                   precision_cap=args.precision_cap)
+        print(f"statement 1 stage 2: {_verdict(s2.passed)} {s2.tally} "
               f"({s2.extra['rootings']} rootings)")
         if args.dot_dir:
             written = export_exception_dots(s1.appearances, args.dot_dir)
@@ -182,14 +174,7 @@ def _cmd_verify_all(args) -> int:
         write_certificate(doc, args.json_path)
         print(f"certificate written to {args.json_path}")
     print(f"overall: {doc.overall}")
-    if doc.overall == "PASS":
-        return EXIT_PASS
-    return EXIT_UNDECIDED if doc.undecided_count() > 0 else EXIT_FAIL
-
-
-def _appearance_json(ap) -> dict:
-    levels, edges = ap.leveled_graph()
-    return {"level_sizes": [len(lv) for lv in levels], "edges": [list(e) for e in edges]}
+    return _exit(doc.overall == "PASS", doc.undecided_count())
 
 
 def _cmd_check(args) -> int:
@@ -231,20 +216,22 @@ def _cmd_check(args) -> int:
                                      for x, role, v in probes]
         for x, role, v in probes:
             print(f"good-vertex probe {role} (vertex {x}): {v.outcome.value}")
-        if probes and not probes[-1][2].outcome.is_good():
+        # the empty graph has no vertex to probe
+        good = not probes or probes[-1][2].outcome.is_good()
+        if not good:
             print(f"no good vertex among probes (unexpected for degree <= {MAX_DEGREE})")
     else:
+        probes = []
         sq = report.count ** 2
+        good = sq <= dc
         out["double_cover"] = {"ind_squared": str(sq), "ind_double_cover": str(dc)}
         print("graph is not bipartite; goodness is checked on the bipartite double")
-        print(f"cover: ind(G)^2 = {sq} <= {dc} = ind(G x K2): {sq <= dc}")
+        print(f"cover: ind(G)^2 = {sq} <= {dc} = ind(G x K2): {good}")
     if args.json_path:
         Path(args.json_path).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    if report.verdict.outcome == Outcome.UNDECIDED:
-        return EXIT_UNDECIDED
-    if not report.consistent or report.verdict.outcome == Outcome.STRICTLY_GREATER:
-        return EXIT_FAIL
-    return EXIT_PASS
+    outcomes = [report.verdict.outcome, *(v.outcome for _, _, v in probes)]
+    bound_holds = report.verdict.outcome in (Outcome.STRICTLY_LESS, Outcome.EQUAL)
+    return _exit(bound_holds and report.consistent and good, outcomes.count(Outcome.UNDECIDED))
 
 
 def _cmp_text(outcome: Outcome) -> str:
@@ -272,19 +259,19 @@ def _cmd_export_exceptions(args) -> int:
             json.dumps({"files": [p.name for p in written],
                         "appearances": len(s1.appearances)}, indent=2) + "\n"
         )
-    return EXIT_PASS if s1.passed else EXIT_UNDECIDED if s1.tally["undecided"] else EXIT_FAIL
+    return _exit(s1.passed, s1.tally["undecided"])
 
 
 def _cmd_selftest(args) -> int:
     results = run_selftest(seed=args.seed, scale=args.scale)
     for r in results:
-        print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} "
+        print(f"{r.name}: {_verdict(r.passed)} "
               f"({r.trials} trials, {r.failures} failures)")
     if args.json_path:
         Path(args.json_path).write_text(
             json.dumps([r.to_json() for r in results], indent=2, sort_keys=True) + "\n"
         )
-    return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
+    return _exit(all(r.passed for r in results), 0)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -297,21 +284,12 @@ def main(argv: list[str] | None = None) -> int:
               f"{args.precision_bits} and {args.precision_cap}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        if args.subcommand == "verify-all":
-            return _cmd_verify_all(args)
-        if args.subcommand == "check":
-            return _cmd_check(args)
-        if args.subcommand == "export-exceptions":
-            return _cmd_export_exceptions(args)
-        if args.subcommand == "selftest":
-            return _cmd_selftest(args)
-        raise AssertionError(f"unhandled subcommand {args.subcommand}")
-    except (DegreeBoundError,) as e:
+        return {"verify-all": _cmd_verify_all, "check": _cmd_check,
+                "export-exceptions": _cmd_export_exceptions,
+                "selftest": _cmd_selftest}[args.subcommand](args)
+    except DegreeBoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGREE
-    except NoGoodVertexError as e:
-        print(f"counterexample candidate: {e}", file=sys.stderr)
-        return EXIT_FAIL
     except Exception as e:  # internal errors are exit 3 by contract
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,8 +1,10 @@
-"""Certificate assembly, JSON serialization, and DOT export.
+"""The JSON certificate of a verification run, and DOT export.
 
-The JSON certificate is the machine-readable record of a verification run.
-Its layout is stable; wall-clock measurements live only under "timing" keys
-so reproducibility comparisons can strip them.
+CertificateDocument holds the report of each step a run made and is the one
+place the certificate is assembled, statement1.exceptions included; its
+verdict and undecided count read the reports.  The layout is stable;
+wall-clock measurements live only under "timing" keys so reproducibility
+comparisons can strip them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Sequence
 
 from . import __version__
 from .local import Appearance
-from .products import MAX_DEGREE, PRECISION_CAP, PRECISION_START
-from .search import SearchReport
+from .products import MAX_DEGREE, PRECISION_CAP, PRECISION_START, FFactReport
+from .search import RegularReport, SearchReport, pattern_json
 
 
 @dataclass
@@ -36,53 +38,58 @@ class RunConfig:
 @dataclass
 class CertificateDocument:
     config: RunConfig
-    fact_check: dict | None = None
-    regular: list[dict] = field(default_factory=list)
+    fact_check: FFactReport | None = None
+    regular: list[RegularReport] = field(default_factory=list)
     statement2: SearchReport | None = None
     stage1: SearchReport | None = None
     stage2: SearchReport | None = None
-    exceptions: list[dict] = field(default_factory=list)
     timing: dict = field(default_factory=dict)
 
-    def sub_verdicts(self) -> list[bool]:
-        out = []
-        if self.fact_check is not None:
-            out.append(self.fact_check["verdict"] == "PASS")
-        out.extend(r["verdict"] == "PASS" for r in self.regular)
-        for rep in (self.statement2, self.stage1, self.stage2):
-            if rep is not None:
-                out.append(rep.passed)
-        return out
-
     def undecided_count(self) -> int:
-        total = sum(len(r.get("undecided", ())) for r in self.regular)
-        for rep in (self.statement2, self.stage1, self.stage2):
-            if rep is not None:
-                total += rep.tally.get("undecided", 0)
-        return total
+        searches = [r for r in (self.statement2, self.stage1, self.stage2) if r is not None]
+        return sum(len(r.undecided) for r in self.regular) + sum(r.tally["undecided"] for r in searches)
 
     @property
     def overall(self) -> str:
-        verdicts = self.sub_verdicts()
-        if verdicts and all(verdicts) and self.undecided_count() == 0:
-            return "PASS"
-        return "FAIL"
+        """PASS when the run verified something and every step passed; a
+        step with an undecided comparison does not pass."""
+        reports = [r for r in (self.fact_check, *self.regular, self.statement2, self.stage1,
+                               self.stage2) if r is not None]
+        return "PASS" if reports and all(r.passed for r in reports) else "FAIL"
 
     def to_json(self) -> dict:
         return {
             "version": __version__,
             "config": self.config.to_json(),
-            "fact_check": self.fact_check,
-            "regular": self.regular,
-            "statement2": self.statement2.to_json() if self.statement2 else None,
+            "fact_check": _step_json(self.fact_check),
+            "regular": [r.to_json() for r in self.regular],
+            "statement2": _step_json(self.statement2),
             "statement1": {
-                "stage1": self.stage1.to_json() if self.stage1 else None,
-                "exceptions": self.exceptions,
-                "stage2": self.stage2.to_json() if self.stage2 else None,
+                "stage1": _step_json(self.stage1),
+                "exceptions": _exceptions_json(self.stage1),
+                "stage2": _step_json(self.stage2),
             },
             "overall": self.overall,
             "timing": self.timing,
         }
+
+
+def _step_json(rep: FFactReport | SearchReport | None) -> dict | None:
+    return None if rep is None else rep.to_json()
+
+
+def _exceptions_json(stage1: SearchReport | None) -> list[dict]:
+    """Each exceptional pattern of stage 1 with its level-0..3 appearances."""
+    if stage1 is None:
+        return []
+    return [{"pattern": pattern_json(cfg),
+             "appearances": [_appearance_json(ap) for ap in stage1.appearances if ap.config == cfg]}
+            for cfg in stage1.exceptional_patterns]
+
+
+def _appearance_json(ap: Appearance) -> dict:
+    levels, edges = ap.leveled_graph()
+    return {"level_sizes": [len(lv) for lv in levels], "edges": [list(e) for e in edges]}
 
 
 def dumps_certificate(doc: CertificateDocument) -> str:

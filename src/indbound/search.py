@@ -78,6 +78,9 @@ from .products import (
 from .reference import expected_appearance_keys
 
 
+STATEMENT2_MAX_DEGREE = 4  # statement 2's max-degree-root search is for Delta <= 4
+
+
 def stage1_window(d0: int) -> tuple[int, int, int]:
     """(delta_eff, lo, d0) of stage 1 at root degree d0: a minimum-degree
     root at Delta = 5, so level-1 and level-2 degrees lie in max(1, d0)..5."""
@@ -322,7 +325,7 @@ def _agg_search_shard(args) -> ShardResult:
 def _run_shards(shards: list, worker, jobs: int) -> ShardResult:
     merged = ShardResult()
     if jobs > 1 and len(shards) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
             for res in pool.imap(worker, shards, chunksize=1):
                 merged.absorb(res)
     else:
@@ -366,7 +369,8 @@ class SearchReport:
     passed: bool
     extra: dict = field(default_factory=dict)
     # stage 1: the level-0..3 appearances of the exceptional patterns, in
-    # pattern order; the CLI writes them, so they stay out of to_json
+    # pattern order; the certificate lists them under statement1.exceptions
+    # (reports.CertificateDocument), so they stay out of to_json
     appearances: tuple[Appearance, ...] = ()
 
     def to_json(self) -> dict:
@@ -390,14 +394,17 @@ class SearchReport:
         return out
 
 
-def _config_json(cfg: LocalConfig) -> dict:
+def pattern_json(cfg: LocalConfig) -> dict:
+    """Root degree, level-1 degrees and level-2 records of a configuration."""
     return {
-        "delta_eff": cfg.delta_eff,
         "d0": cfg.d0,
         "l1_degrees": list(cfg.l1_degrees),
         "l2": [{"b": b, "level1_neighbors": list(nbrs)} for b, nbrs in cfg.l2],
-        "description": config_describe(cfg),
     }
+
+
+def _config_json(cfg: LocalConfig) -> dict:
+    return {"delta_eff": cfg.delta_eff, **pattern_json(cfg), "description": config_describe(cfg)}
 
 
 def _sorted_unique(items: list) -> tuple[LocalConfig, ...]:
@@ -450,8 +457,8 @@ def verify_statement2(
     every configuration of the window 1..d0, padded to d0 (the root has
     maximum degree).  PASS means no failures, no undecided, and equality
     exactly on the complete-bipartite configurations."""
-    if not 1 <= delta <= 4:
-        raise ValueError("statement 2 is verified for delta in 1..4")
+    if not 1 <= delta <= STATEMENT2_MAX_DEGREE:
+        raise ValueError(f"statement 2 is verified for delta in 1..{STATEMENT2_MAX_DEGREE}")
     jobs = _resolve_jobs(jobs)
     t0 = time.monotonic()
     shards = _shards([(d0, 1, d0) for d0 in range(delta + 1)], precision_start, precision_cap)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -14,7 +15,8 @@ from indbound.reports import (
     dumps_certificate,
     export_exception_dots,
 )
-from indbound.search import verify_statement2
+from indbound.products import FFactReport, Outcome, check_f_fact
+from indbound.search import pattern_json, verify_regular, verify_statement2
 from test_local import FAILING_PATTERNS
 
 FIG1_TEXT = "n 7\n0 1\n1 2\n2 3\n3 4\n3 5\n3 6\n"
@@ -22,8 +24,8 @@ FIG1_TEXT = "n 7\n0 1\n1 2\n2 3\n3 4\n3 5\n3 6\n"
 
 def test_certificate_roundtrip_and_overall():
     doc = CertificateDocument(config=RunConfig("verify-all", delta=2, jobs=1))
-    doc.fact_check = {"verdict": "PASS", "cases": 1}
-    doc.regular = [{"d": 1, "verdict": "PASS"}]
+    doc.fact_check = check_f_fact(2)  # one case, passing
+    doc.regular = [verify_regular(1)]
     doc.statement2 = verify_statement2(1, jobs=1)
     text = dumps_certificate(doc)
     parsed = json.loads(text)
@@ -34,10 +36,28 @@ def test_certificate_roundtrip_and_overall():
 
 def test_certificate_fails_on_any_sub_failure():
     doc = CertificateDocument(config=RunConfig("verify-all", jobs=1))
-    doc.fact_check = {"verdict": "FAIL", "cases": 1}
+    doc.fact_check = FFactReport(2, (((2, 1, 2, 1), Outcome.STRICTLY_LESS),), 1)  # one case, failing
     assert doc.overall == "FAIL"
     empty = CertificateDocument(config=RunConfig("verify-all", jobs=1))
     assert empty.overall == "FAIL"  # nothing verified is not a pass
+    # an undecided step does not pass, and the document counts it
+    undecided = CertificateDocument(config=RunConfig("verify-all", delta=2, jobs=1))
+    undecided.regular = [verify_regular(2, precision_start=4, precision_cap=4)]
+    assert undecided.overall == "FAIL" and undecided.undecided_count() == 1
+    assert doc.undecided_count() == 0
+
+
+def test_certificate_lists_the_exceptions_of_stage1(stage1_report):
+    # statement1.exceptions pairs each exceptional pattern with its
+    # appearances; a run without stage 1 lists none
+    doc = CertificateDocument(config=RunConfig("verify-all", jobs=1))
+    assert doc.to_json()["statement1"] == {"stage1": None, "exceptions": [], "stage2": None}
+    doc.stage1 = stage1_report
+    exceptions = doc.to_json()["statement1"]["exceptions"]
+    assert [e["pattern"] for e in exceptions] == [pattern_json(c) for c in doc.stage1.exceptional_patterns]
+    assert sum(len(e["appearances"]) for e in exceptions) == 14
+    first = exceptions[0]["appearances"][0]
+    assert sum(first["level_sizes"]) == 1 + max(v for edge in first["edges"] for v in edge)
 
 
 def test_reproducible_json_apart_from_timing():
@@ -129,6 +149,42 @@ def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys
                  "--precision-bits", "8", "--precision-cap", "8"])
     assert "wrote 1 DOT files" in capsys.readouterr().out
     assert code == 2
+
+
+@pytest.mark.parametrize("text, digest", [
+    (FIG1_TEXT, "259e309c97ab4786cbc00b64180c6372b9ed8e16d05949008ce0a859f6511e9c"),
+    ("n 4\n0 2\n0 3\n1 2\n1 3\n", "19474bd96293c39720534a0f0a333205f436615766593fc68aa387b63256fc4d"),
+    ("n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+     "5744ce55982ce65262c0e6fa64eda16d3480caa7af0521ca440443369a3f878f"),
+], ids=["fig1", "K2,2", "C5"])
+def test_cli_check_json_bytes_are_pinned(tmp_path, text, digest):
+    # check --json is a machine contract: its bytes, hashed whole
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    j = tmp_path / "g.json"
+    assert main(["check", "--input", str(p), "--json", str(j)]) == 0
+    assert hashlib.sha256(j.read_bytes()).hexdigest() == digest
+
+
+def test_cli_check_undecided_probes_exit_2(tmp_path, capsys):
+    # at a 6-bit cap the bound is certified but no good-vertex probe is
+    # decided, so check cannot pass: undecided, exit 2
+    p = tmp_path / "g.txt"
+    p.write_text("n 6\n0 3\n0 5\n1 3\n1 4\n2 4\n")
+    assert main(["check", "--input", str(p), "--precision-bits", "6", "--precision-cap", "6"]) == 2
+    out = capsys.readouterr().out
+    assert "ind(G) = 21" in out and "< bound" in out
+    assert out.count(": undecided") == 3 and "no good vertex among probes" in out
+    assert main(["check", "--input", str(p)]) == 0
+
+
+def test_cli_check_empty_graph_passes(tmp_path, capsys):
+    # the empty graph meets the bound with equality and has no vertex to probe
+    p = tmp_path / "empty.txt"
+    p.write_text("n 0\n")
+    assert main(["check", "--input", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "ind(G) = 1" in out and "good-vertex probe" not in out
 
 
 def test_cli_check_parse_error(tmp_path, capsys):

@@ -37,6 +37,7 @@ from indbound.products import (
     vector_outcome,
 )
 from indbound.search import (
+    STATEMENT2_MAX_DEGREE,
     AggConfig,
     _agg_enum_for_degrees,
     _agg_search_shard,
@@ -687,6 +688,40 @@ def test_search_jobs_below_one_rejected_and_none_is_default():
         with pytest.raises(ValueError, match="jobs >= 1"):
             verify_statement2(1, jobs=jobs)
     assert verify_statement2(1).extra["jobs"] == default_jobs()
+
+
+def test_statement2_is_verified_up_to_its_max_degree():
+    # the bound the CLI reads is the one the search enforces
+    assert STATEMENT2_MAX_DEGREE == 4
+    for delta in (0, STATEMENT2_MAX_DEGREE + 1):
+        with pytest.raises(ValueError, match="delta in 1..4"):
+            verify_statement2(delta, jobs=1)
+
+
+def test_pool_starts_no_more_workers_than_shards(monkeypatch):
+    # stage 1 has 31 shards, so a pool of more workers would only fork idle
+    # processes; the fake pool records its size and maps in this process, so
+    # no worker is started whatever the requested count
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, shards, chunksize=1):
+            return map(worker, shards)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", SerialPool)
+    report = verify_statement1_stage1(jobs=1000)
+    assert sizes == [31]
+    assert sum(report.tally.values()) == report.configs_enumerated == 103_236
+    assert report.extra["jobs"] == 1000
 
 
 def test_config_automorphisms_match_brute_force():
