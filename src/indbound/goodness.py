@@ -5,12 +5,17 @@ the bound product.  Factors from edges at distance >= 3 of x and from other
 components appear identically on both sides, so the check reduces to the
 levels 0..2 of the one breadth-first decomposition around x
 (graphs.level_decomposition) plus the edges leaving level 2.  The reduced
-check (is_good) gathers the degrees around x from that decomposition,
-builds the A/B/C lane vector with products.root_vector and
-products.level2_vector, the builders the searches use, and certifies it
-through vector_outcome.  The direct whole-graph evaluation
-(is_good_fullgraph), its oracle, builds the three bound products and goes
-through certify_sum_inequality.
+check (is_good) gathers the degrees around x from that decomposition and
+builds the A/B/C lane vector from products.root_piece and
+products.level2_piece: root_vector and level2_vector, the builders the
+searches use, each cached with its ratio_bounds at the start precision.  In
+the same pass it multiplies those bounds into upper bounds of X = B/A and
+Y = C/A, rounding up, and decides the vertex strict by
+products.carried_strict as the searches decide their leaves; a vertex the
+bounds leave (equal, failing, possibly integral or too close) is certified
+through vector_outcome.  Both routes give the same Verdict.  The direct
+whole-graph evaluation (is_good_fullgraph), its oracle, builds the three
+bound products and goes through certify_sum_inequality.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .graphs import (
     delete_closed,
     level_decomposition,
 )
+from .intervals import GUARD_BITS
 from .products import (
     MAX_DEGREE,
     PRECISION_CAP,
@@ -37,33 +43,42 @@ from .products import (
     FactorProduct,
     Outcome,
     Verdict,
+    carried_strict,
     certify_sum_inequality,
     compare_count_to_product,
     interval_strings,
-    level2_vector,
+    level2_piece,
     pi_product,
-    root_vector,
+    precision_schedule,
+    root_piece,
     sum_verdict,
     vector_outcome,
 )
 
 
-def goodness_vector(g: Graph, ld: LevelDecomposition) -> int:
-    """The A/B/C lane vector of the reduced inequality at ld.root; every
-    degree of the component must be at most 5.  It is root_vector of the
-    root and level-1 degrees plus one level2_vector per level-2 vertex, from
-    the degrees of its level-1 and level-3 neighbors."""
+def goodness_vector(g: Graph, ld: LevelDecomposition,
+                    prec: int = PRECISION_START) -> tuple[int, int, int]:
+    """(vec, hx, hy): the A/B/C lane vector of the reduced inequality at
+    ld.root and upper bounds of its X and Y at scale 2^-(prec + GUARD_BITS);
+    every degree of the component must be at most 5.  vec is root_vector of
+    the root and level-1 degrees plus one level2_vector per level-2 vertex,
+    from the degrees of its level-1 and level-3 neighbors; hx and hy are the
+    root vector's ratio_bounds at prec times each level-2 vertex's, every
+    product rounded up, as the searches carry theirs."""
     adj = g.adjacency
     dist = ld.dist
     l1 = adj[ld.root]
-    vec = root_vector(len(l1), tuple(sorted((len(adj[u]) for u in l1), reverse=True)))
+    scale = prec + GUARD_BITS
+    vec, hx, hy = root_piece(len(l1), tuple(sorted((len(adj[u]) for u in l1), reverse=True)), prec)
     for v in ld.levels[2] if len(ld.levels) > 2 else ():
         down, up = [], []
         for w in adj[v]:
             (down if dist[w] == 1 else up).append(len(adj[w]))
-        vec += level2_vector(len(adj[v]), tuple(sorted(down, reverse=True)),
-                             tuple(sorted(up, reverse=True)))
-    return vec
+        piece, ux, uy = level2_piece(len(adj[v]), tuple(sorted(down, reverse=True)),
+                                     tuple(sorted(up, reverse=True)), prec)
+        vec += piece
+        hx, hy = -(-hx * ux >> scale), -(-hy * uy >> scale)
+    return vec, hx, hy
 
 
 def is_good(
@@ -75,14 +90,23 @@ def is_good(
     """Certified reduced goodness check; requires the component of x to be
     bipartite (non-bipartite graphs are handled by the double-cover lift)
     with degrees at most 5.  The Verdict carries the outcome and, when
-    exact, the reduced integers, but not the three terms."""
+    exact, the reduced integers, but not the three terms.  It is decided
+    strict from the carried bounds when carried_strict allows, with the
+    route and precision vector_outcome would report, and otherwise by
+    vector_outcome."""
     ld = level_decomposition(g, x)
-    worst = max(len(g.adjacency[v]) for v in ld.dist)
-    if worst > MAX_DEGREE:
-        raise DegreeBoundError(f"component of vertex {x} has degree {worst}, "
-                               f"is_good needs <= {MAX_DEGREE}")
-    return sum_verdict(vector_outcome(goodness_vector(g, ld), precision_start, precision_cap),
-                       decomposition_is_extremal(g, ld))
+    if max(map(len, g.adjacency)) > MAX_DEGREE:  # only then scan the component
+        worst = max(len(g.adjacency[v]) for v in ld.dist)
+        if worst > MAX_DEGREE:
+            raise DegreeBoundError(f"component of vertex {x} has degree {worst}, "
+                                   f"is_good needs <= {MAX_DEGREE}")
+    precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any bound
+    vec, hx, hy = goodness_vector(g, ld, precision_start)
+    if carried_strict(vec, hx, hy, precision_start):
+        certified = (Outcome.STRICTLY_GREATER, "interval", precision_start, ())
+    else:
+        certified = vector_outcome(vec, precision_start, precision_cap)
+    return sum_verdict(certified, decomposition_is_extremal(g, ld))
 
 
 def is_good_fullgraph(g: Graph, x: int) -> Verdict:

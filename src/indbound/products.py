@@ -15,9 +15,10 @@ Comparisons are certified, never floating point:
     intervals.power_product at escalating precision (no mantissa arithmetic
     is done here outside FactorProduct.value_interval).  The searches and
     goodness.is_good call it through vector_outcome on A/B/C lane vectors,
-    laid out below; the searches first try carried_strict, which decides
-    from upper bounds of X and Y carried down their enumeration what
-    certify_exponents would decide strict at the same precision.  The
+    laid out below; both first try carried_strict, which decides from upper
+    bounds of X and Y carried down the searches' enumeration or over the
+    level-2 vertices of is_good's root what certify_exponents would decide
+    strict at the same precision.  The
     whole-graph reference calls it through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
@@ -230,10 +231,12 @@ def compare_pure_products(p: FactorProduct, q: FactorProduct) -> Verdict:
 
 
 @functools.cache
-def _precision_schedule(start: int, cap: int) -> tuple[int, ...]:
+def precision_schedule(start: int, cap: int) -> tuple[int, ...]:
+    """The precisions tried from start, doubling up to cap; ValueError
+    unless 1 <= start <= cap."""
     if not 1 <= start <= cap:
         raise ValueError(f"need 1 <= precision start <= cap, got start {start}, cap {cap}")
-    return (start, *_precision_schedule(min(start * 2, cap), cap)) if start < cap else (cap,)
+    return (start, *precision_schedule(min(start * 2, cap), cap)) if start < cap else (cap,)
 
 
 def certify_sum_inequality(
@@ -288,7 +291,7 @@ def compare_count_to_product(
             outcome = Outcome.STRICTLY_LESS
         return Verdict(outcome, "exact", None, count, (product,),
                        {"count": count, "product_value": value})
-    for prec in _precision_schedule(precision_start, precision_cap):
+    for prec in precision_schedule(precision_start, precision_cap):
         iv = product.value_interval(prec)
         if intervals.dyadic_cmp(count, 0, iv.hi_m, iv.hi_e) > 0:
             return Verdict(Outcome.STRICTLY_GREATER, "interval", prec, count,
@@ -358,7 +361,7 @@ def certify_exponents(
         d = ia - (ib + ic)
         outcome = _GREATER if d > 0 else _EQUAL if d == 0 else _LESS
         return outcome, "exact", None, (ia, ib, ic)
-    for prec in _precision_schedule(precision_start, precision_cap):
+    for prec in precision_schedule(precision_start, precision_cap):
         scale = prec + GUARD_BITS
         lx, hx = intervals.to_fixed(intervals.power_product(ex, den, prec), scale)
         ly, hy = intervals.to_fixed(intervals.power_product(ey, den, prec), scale)
@@ -442,6 +445,22 @@ def level2_vector(b: int, down: tuple[int, ...], up: tuple[int, ...]) -> int:
     return vec
 
 
+# The pieces with their bounds, for is_good, which carries them over the
+# level-2 vertices of one graph; the searches carry their own per shard.
+@functools.cache
+def root_piece(d0: int, l1_degrees: tuple[int, ...], prec: int) -> tuple[int, int, int]:
+    """(root_vector(d0, l1_degrees), ux, uy): the vector and its ratio_bounds at prec."""
+    vec = root_vector(d0, l1_degrees)
+    return (vec, *ratio_bounds(vec, prec))
+
+
+@functools.cache
+def level2_piece(b: int, down: tuple[int, ...], up: tuple[int, ...], prec: int) -> tuple[int, int, int]:
+    """(level2_vector(b, down, up), ux, uy): the vector and its ratio_bounds at prec."""
+    vec = level2_vector(b, down, up)
+    return (vec, *ratio_bounds(vec, prec))
+
+
 def ratio_keys(vec: int) -> tuple[int, int]:
     """The keys of X = B/A and Y = C/A: the packed B and C parts minus the
     packed A part."""
@@ -468,8 +487,10 @@ def vector_outcome(
 
 # Carried bounds: the searches multiply ratio_bounds of the shard's root
 # vector and of each level-2 record's vector, once per copy of the record,
-# down their enumeration, rounding every product up.  Vectors add as their
-# ratios multiply, so the carried hx and hy bound X and Y from above.
+# down their enumeration, and is_good multiplies those of its root vector and
+# of each level-2 vertex's vector (root_piece, level2_piece), rounding every
+# product up.  Vectors add as their ratios multiply, so the carried hx and hy
+# bound X and Y from above.
 _LOW4 = sum(15 << 32 * i for i in range(_NP))  # the low 4 bits of every lane
 
 
@@ -499,19 +520,23 @@ def carried_limit(prec: int) -> int:
     root entries r_lo <= q^(1/3600) <= r_hi of the intervals table at
     w = prec + GUARD_BITS.  Let I be the product of r_hi^n over the lane
     primes q with numerator n > 0 and of r_lo^n over those with n < 0.  The
-    carried bound multiplies one factor per copy of each level-2 record and
-    one for the root vector: the upper end of that vector's unrounded table
-    product at w, a product of table entries.  The table derives every entry
-    from a root entry by outward rounding, so the entry of q^(m/3600) is at
-    least r_hi^m for m > 0 and r_lo^m for m < 0.  The factors' numerators
+    carried bound of a search leaf multiplies one factor for the root vector
+    and one per copy of each level-2 record; is_good's multiplies one for
+    the root vector and one per level-2 vertex, for its level2_vector.  Each
+    factor is the upper end of that vector's unrounded table product at w, a
+    product of table entries.  The table derives every entry from a root
+    entry by outward rounding, so the entry of q^(m/3600) is at least r_hi^m
+    for m > 0 and r_lo^m for m < 0.  The factors' numerators
     of a prime q sum to its n; with a the sum of the positive ones and b
     minus that of the negative ones, n = a - b, their entries multiply to at
     least r_hi^a / r_lo^b, which is at least the power of q in I.  Every
     rounding only raises the product, so hx >= I 2^s.
     certify_exponents' upper end of X exceeds I by the error of at most 11
     table entries, each about 40 roundings at w bits from a root entry
-    (|n| < 2^20), so by a relative 2^(-prec-5) at most, then by its rounding
-    up to prec bits (a relative 2^(1-prec)) and to the fixed-point grid
+    (|n| < 2^20: by the lane comment above, every lane of a search or
+    is_good vector stays below 125 * 7200 + 26 * 3600 < 2^20), so by a
+    relative 2^(-prec-5) at most, then by its rounding up to prec bits (a
+    relative 2^(1-prec)) and to the fixed-point grid
     (under 1); so does Y's.  So if certify_exponents' hi_x + hi_y reaches
     2^s, then I_x + I_y > 1/4, the widening's margin over those errors,
     about (I_x + I_y) 2^(s-prec), exceeds 2, and the widened h reaches 2^s

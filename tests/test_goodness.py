@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import complete_bipartite, cycle, path, vector_terms
+from indbound import products
 from indbound.counting import count_independent_sets
 from indbound.goodness import (
     NoGoodVertexError,
@@ -22,20 +23,29 @@ from indbound.graphs import (
     from_edges,
     level_decomposition,
 )
+from indbound.intervals import GUARD_BITS
 from indbound.products import (
     DegreeBoundError,
     FactorProduct,
     Outcome,
+    carried_strict,
     compare_count_to_product,
     interval_strings,
+    level2_piece,
+    level2_vector,
     pi_product,
+    ratio_bounds,
+    root_piece,
+    root_vector,
+    sum_verdict,
+    vector_outcome,
 )
 from indbound.selftest import random_bipartite_max_degree
 
 
 def _terms(g, x):
     """A, B and C of the reduced inequality at x, decoded from its vector."""
-    return vector_terms(goodness_vector(g, level_decomposition(g, x)))
+    return vector_terms(goodness_vector(g, level_decomposition(g, x))[0])
 
 
 def test_level_decomposition_k22():
@@ -108,6 +118,110 @@ def test_is_good_rejects_degree_above_five():
     for x in (0, 1):
         with pytest.raises(DegreeBoundError, match="degree 6"):
             is_good(star, x)
+
+
+def test_degree_guard_reads_only_the_component_of_x():
+    # a degree-6 vertex in another component does not stop is_good at x
+    g = from_edges(10, [(0, 1), (1, 2)] + [(3, v) for v in range(4, 10)])
+    p3 = path(3)
+    for x in range(3):
+        a, b = is_good(g, x), is_good(p3, x)
+        assert (a.outcome, a.method, a.precision_bits, a.detail) == \
+            (b.outcome, b.method, b.precision_bits, b.detail)
+    with pytest.raises(DegreeBoundError, match="component of vertex 4 has degree 6"):
+        is_good(g, 4)
+
+
+def _fallbacks_by_start(graphs, monkeypatch):
+    """Per start 128, 8 and 2: the vertices that is_good leaves to
+    certify_exponents, after checking that is_good at every non-isolated
+    vertex equals vector_outcome's verdict in outcome, method, precision and
+    detail, and that certify_exponents ran for exactly the vertices whose
+    carried bounds are not strict."""
+    calls = []
+    original = products.certify_exponents
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(products, "certify_exponents", spy)
+    fallbacks = {}
+    for start in (128, 8, 2):
+        fallbacks[start] = 0
+        for g in graphs:
+            for x in range(g.n):
+                if not g.adjacency[x]:
+                    continue
+                ld = level_decomposition(g, x)
+                vec, hx, hy = goodness_vector(g, ld, start)
+                want = sum_verdict(vector_outcome(vec, start, 8192), decomposition_is_extremal(g, ld))
+                calls.clear()
+                got = is_good(g, x, start)
+                assert (got.outcome, got.method, got.precision_bits, got.detail) == \
+                    (want.outcome, want.method, want.precision_bits, want.detail)
+                strict = carried_strict(vec, hx, hy, start)
+                assert len(calls) == (not strict)
+                fallbacks[start] += not strict
+    return fallbacks
+
+
+def test_is_good_carried_route_matches_vector_outcome(monkeypatch):
+    # the carried route reports what vector_outcome would, at every start,
+    # and certify_exponents sees only the vertices it leaves
+    rng = random.Random(49)
+    graphs = [random_bipartite_max_degree(rng, rng.randint(1, 10), rng.randint(1, 10),
+                                          rng.uniform(0.2, 0.9), 5) for _ in range(150)]
+    vertices = sum(1 for g in graphs for adj in g.adjacency if adj)
+    fallbacks = _fallbacks_by_start(graphs, monkeypatch)
+    # at 2 bits the carried bounds decide nothing
+    assert vertices == 1544 and fallbacks == {128: 166, 8: 443, 2: 1544}
+    # a schedule certify_exponents rejects is rejected at a carried vertex too
+    g = path(4)
+    vec, hx, hy = goodness_vector(g, level_decomposition(g, 0), 128)
+    assert carried_strict(vec, hx, hy, 128)
+    for start, cap in ((128, 64), (0, 64), (-20, -3)):
+        with pytest.raises(ValueError, match="precision start"):
+            is_good(g, 0, start, cap)
+
+
+def test_piece_bounds_are_the_ratio_bounds_of_their_vectors():
+    # each cached piece is its vector and that vector's ratio_bounds at the
+    # same precision, also when the piece was first asked for at another
+    rng = random.Random(50)
+    for _ in range(40):
+        g = random_bipartite_max_degree(rng, rng.randint(1, 6), rng.randint(1, 6),
+                                        rng.uniform(0.3, 0.9), 5)
+        adj = g.adjacency
+        for x in range(g.n):
+            ld = level_decomposition(g, x)
+            l1 = tuple(sorted((len(adj[u]) for u in adj[x]), reverse=True))
+            for prec in (128, 8, 2):
+                vec = root_vector(len(adj[x]), l1)
+                assert root_piece(len(adj[x]), l1, prec) == (vec, *ratio_bounds(vec, prec))
+                for v in ld.levels[2] if len(ld.levels) > 2 else ():
+                    down = tuple(sorted((len(adj[w]) for w in adj[v] if ld.dist[w] == 1), reverse=True))
+                    up = tuple(sorted((len(adj[w]) for w in adj[v] if ld.dist[w] == 3), reverse=True))
+                    vec = level2_vector(len(adj[v]), down, up)
+                    assert level2_piece(len(adj[v]), down, up, prec) == (vec, *ratio_bounds(vec, prec))
+
+
+def test_carried_bounds_of_one_vertex_by_hand():
+    # root 0 with level 1 {1, 2} (degrees 3, 3), level 2 {3, 4, 5} in that
+    # order and level 3 {6} (degree 2): the root's bounds times each
+    # level-2 vertex's, in level order, every product rounded up
+    g = from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (5, 6)])
+    ld = level_decomposition(g, 0)
+    assert ld.levels[2] == [3, 4, 5]
+    pieces = [root_vector(2, (3, 3)), level2_vector(2, (3,), (2,)),
+              level2_vector(2, (3, 3), ()), level2_vector(2, (3,), (2,))]
+    for prec in (128, 8, 2):
+        scale = prec + GUARD_BITS
+        hx, hy = ratio_bounds(pieces[0], prec)
+        for vec in pieces[1:]:
+            ux, uy = ratio_bounds(vec, prec)
+            hx, hy = -(-hx * ux >> scale), -(-hy * uy >> scale)
+        assert goodness_vector(g, ld, prec) == (sum(pieces), hx, hy)
 
 
 def test_is_good_agrees_with_fullgraph_in_detail():

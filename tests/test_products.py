@@ -26,7 +26,6 @@ from indbound.products import (
     DegreeBoundError,
     FactorProduct,
     Outcome,
-    _precision_schedule,
     certify_sum_inequality,
     check_f_fact,
     compare_count_to_product,
@@ -37,6 +36,7 @@ from indbound.products import (
     key_exponents,
     maybe_integral,
     pi_product,
+    precision_schedule,
 )
 from indbound.search import _agg_search_shard
 
@@ -278,10 +278,10 @@ def test_compare_count_to_non_integral_product_is_never_equal():
 
 
 def test_precision_schedule_needs_one_bit_up_to_the_cap():
-    assert list(_precision_schedule(1, 5)) == [1, 2, 4, 5]
+    assert list(precision_schedule(1, 5)) == [1, 2, 4, 5]
     for start, cap in [(0, 8), (-1, 8), (9, 3)]:
         with pytest.raises(ValueError):
-            list(_precision_schedule(start, cap))
+            list(precision_schedule(start, cap))
 
 
 def test_interval_soundness_brackets_integers():
