@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,6 +106,34 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def caterpillar(spine: int) -> Graph:
+    """A path 0..spine-1 with one leaf spine + i hung on each vertex i: a
+    tree whose inner spine vertices have degree 3, so counting it branches
+    along the spine instead of taking the path formula."""
+    return from_edges(2 * spine, [(i, i + 1) for i in range(spine - 1)]
+                      + [(i, spine + i) for i in range(spine)])
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    """Run the block under the interpreter recursion limit `limit`, so that
+    a test of the depth error needs a graph of hundreds of vertices, not
+    thousands."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

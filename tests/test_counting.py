@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import complete_bipartite, cycle, path
+from conftest import caterpillar, complete_bipartite, cycle, fibonacci, path, recursion_limit
 from indbound.counting import (
     CountBudgetExceeded,
     count_bruteforce,
@@ -10,13 +10,6 @@ from indbound.counting import (
 )
 from indbound.graphs import Graph, delete_closed, from_edges, tensor_k2
 from indbound.selftest import random_bipartite_max_degree, random_graph_max_degree
-
-
-def fibonacci(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
 
 
 def test_complete_bipartite_values():
@@ -89,17 +82,89 @@ def test_bruteforce_guard():
 
 
 def test_sparse_components_count_within_a_small_budget():
-    # ind(P_n) = F(n + 2) and ind(C_n) = L(n) = F(n - 1) + F(n + 1); the
-    # memo keyed by component masks makes both linear in n
+    # ind(P_n) = F(n + 2) and ind(C_n) = L(n) = F(n - 1) + F(n + 1); each
+    # graph is one component counted by its closed form, one budget node
     assert count_independent_sets(path(400), budget=10_000) == fibonacci(402)
     assert count_independent_sets(cycle(400), budget=10_000) == fibonacci(399) + fibonacci(401)
 
 
+def random_union_of_paths_and_cycles(rng: random.Random, size: int) -> Graph:
+    """A disjoint union, in shuffled labels, of isolated vertices, single
+    edges, paths and cycles (triangles included) on at most size vertices."""
+    pieces = []
+    n = 0
+    while True:
+        kind = rng.choice(("isolated", "edge", "path", "cycle"))
+        k = {"isolated": 1, "edge": 2, "path": rng.randint(3, 8), "cycle": rng.randint(3, 8)}[kind]
+        if n + k > size:
+            break
+        edges = [(i, i + 1) for i in range(k - 1)]
+        if kind == "cycle":
+            edges.append((k - 1, 0))
+        pieces.append([(n + u, n + v) for u, v in edges])
+        n += k
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return from_edges(n, [(labels[u], labels[v]) for piece in pieces for u, v in piece])
+
+
+def test_closed_forms_match_bruteforce():
+    # every component here is counted without branching: 2 for an isolated
+    # vertex, F(k + 2) for a path of k vertices, L(k) for a cycle of k
+    rng = random.Random(15)
+    for _ in range(100):
+        g = random_union_of_paths_and_cycles(rng, rng.randint(1, 18))
+        assert count_independent_sets(g) == count_bruteforce(g)
+
+
+def test_branching_meets_closed_form_components():
+    # a random core of maximum degree <= 5 with a path and a cycle each hung
+    # on a core vertex by one edge, plus isolated vertices: branching on the
+    # core splits off paths and cycles that take their closed forms
+    rng = random.Random(16)
+    for _ in range(200):
+        core = rng.randint(1, 7)
+        tail = rng.randint(1, 3)
+        ring = rng.randint(3, 5)
+        isolated = rng.randint(0, 2)
+        n = core + tail + ring + isolated
+        edges = list(random_graph_max_degree(rng, core, rng.uniform(0.2, 0.8), 4).edges())
+        edges += [(core + i, core + i + 1) for i in range(tail - 1)]
+        edges.append((rng.randrange(core), core))
+        c0 = core + tail
+        edges += [(c0 + i, c0 + (i + 1) % ring) for i in range(ring)]
+        edges.append((rng.randrange(core), c0))
+        g = from_edges(n, edges)
+        assert g.max_degree() <= 5
+        assert count_independent_sets(g) == count_bruteforce(g)
+
+
+def test_every_component_counts_against_the_budget():
+    # isolated vertices and closed-form components are one budget node each
+    for k in (1, 5, 12):
+        isolated = Graph(k, tuple(() for _ in range(k)))
+        assert count_independent_sets(isolated, budget=k) == 2 ** k
+        with pytest.raises(CountBudgetExceeded):
+            count_independent_sets(isolated, budget=k - 1)
+    union = from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 2)])  # edge, triangle, 2 isolated
+    assert count_independent_sets(union, budget=4) == 3 * 4 * 2 * 2
+    with pytest.raises(CountBudgetExceeded):
+        count_independent_sets(union, budget=3)
+    assert count_independent_sets(path(50), budget=1) == fibonacci(52)
+    with pytest.raises(CountBudgetExceeded):
+        count_independent_sets(cycle(50), budget=0)
+
+
 def test_recursion_depth_is_a_budget_error():
-    # a path recurses about n/2 levels deep, past the default interpreter
-    # limit of 1000 frames: a CountBudgetExceeded that names the limit
-    with pytest.raises(CountBudgetExceeded, match="depth limit of [0-9]+ frames"):
-        count_independent_sets(path(3000))
+    # paths and cycles take their closed forms and do not recurse at all
+    assert count_independent_sets(path(3000)) == fibonacci(3002)
+    assert count_independent_sets(cycle(3000)) == fibonacci(2999) + fibonacci(3001)
+    # a caterpillar branches along its spine, a frame per two spine vertices:
+    # past the limit that is a CountBudgetExceeded that names it
+    with recursion_limit(250), pytest.raises(
+        CountBudgetExceeded, match="depth limit of 250 frames"
+    ):
+        count_independent_sets(caterpillar(1000))
 
 
 def test_double_cover_of_bipartite_graphs_squares_the_count():

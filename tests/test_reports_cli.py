@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from conftest import path, serialize_edge_list, strip_timing, stripped_digest
+from conftest import (
+    caterpillar,
+    fibonacci,
+    path,
+    recursion_limit,
+    serialize_edge_list,
+    strip_timing,
+    stripped_digest,
+)
 from indbound import cli
 from indbound.cli import main
 from indbound.counting import CountBudgetExceeded
@@ -237,12 +245,21 @@ def test_cli_check_non_bipartite(tmp_path, capsys):
 
 
 def test_cli_check_too_deep_to_count_is_an_error(tmp_path, capsys):
-    p = tmp_path / "path3000.txt"
-    p.write_text(serialize_edge_list(path(3000)))
-    code = main(["check", "--input", str(p)])
+    p = tmp_path / "caterpillar1000.txt"
+    p.write_text(serialize_edge_list(caterpillar(1000)))
+    with recursion_limit(250):
+        code = main(["check", "--input", str(p)])
     err = capsys.readouterr().err
     assert code == 3  # counting recursed past the interpreter's depth limit
     assert err.startswith("error: graph too large") and "depth limit" in err
+
+
+def test_cli_check_counts_a_long_path(tmp_path, capsys):
+    # a path is counted by its closed form, F(n + 2), at any length
+    p = tmp_path / "path3000.txt"
+    p.write_text(serialize_edge_list(path(3000)))
+    assert main(["check", "--input", str(p)]) == 0
+    assert f"ind(G) = {fibonacci(3002)}\n" in capsys.readouterr().out
 
 
 def test_cli_check_double_cover_budget_is_an_error(tmp_path, capsys, monkeypatch):
