@@ -79,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser, jobs: bool) -> None:
     if jobs:
         p.add_argument("--jobs", type=int, default=default_jobs(),
-                       help="worker processes (default: all cores)")
+                       help="worker processes (default: the CPUs this process may use)")
     p.add_argument("--precision-bits", type=int, default=PRECISION_START, help="interval precision start")
     p.add_argument("--precision-cap", type=int, default=PRECISION_CAP, help="interval precision cap")
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write a JSON report here")

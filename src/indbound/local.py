@@ -12,9 +12,10 @@ both the canonical key and the automorphisms used by appearance expansion.
 record_multisets is the one enumerator of multisets of level-2 records: the
 searches' degree-class aggregates use it with class vectors capped by the
 class sizes, carrying upper bounds of the ratios of their A/B/C vectors
-multiplied record by record, and a labeled record (b, subset) is the same
-thing over one-vertex classes, so stage 2 and appearance expansion use it
-with unit caps and read the subset off the 0/1 class vector.
+multiplied record by record and skipping the subtrees those bounds decide,
+and a labeled record (b, subset) is the same thing over one-vertex classes,
+so stage 2 and appearance expansion use it with unit caps, no limit and so
+no pruning, and read the subset off the 0/1 class vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
 aggregates of the searches are checked against it; so is the round trip
@@ -26,6 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
+
+from .products import KEY_MODULUS, ratio_residues
 
 # level-2 record: (total degree b, sorted tuple of level-1 indices)
 Record = tuple[int, tuple[int, ...]]
@@ -40,7 +43,8 @@ def record_multisets(
     root: int = 0,
     bounds: Callable[[int], tuple[int, int]] | None = None,
     scale: int = 0,
-) -> Iterator[tuple[tuple, int, int, int]]:
+    limit: int = 0,
+) -> Iterator[tuple[tuple, int, int, int] | int]:
     """Every multiset of level-2 records (b, cvec) whose class vectors sum
     to `quotas`, each record with a nonzero cvec, cvec[i] <= caps[i] and
     max(|cvec|, b_lo) <= b <= b_hi, in a deterministic order without
@@ -57,7 +61,16 @@ def record_multisets(
     the quotas; each chosen class vector's multiplicity is then spread over
     its admissible b.  Partial partitions that cannot be completed are never
     entered.  Each record's weight and bounds are computed once per call,
-    on first use."""
+    on first use.
+
+    With a limit above 0, weights are A/B/C vectors, and a node of the
+    recursion (a class vector to start from and a remainder of the quotas)
+    is not entered when every completion of it is decided from its bounds
+    alone: for carried u, v, ceil(u max_u) + ceil(v max_v) < limit, with
+    max_u and max_v the largest product of bounds over the node's
+    completions, every product rounded up, and no completion whose ratio
+    residues (products.ratio_residues), added to those of the prefix total,
+    are both 0.  The node is yielded as its number of leaves instead."""
     bounds = bounds or (lambda w: (1, 1))
     if not any(quotas):
         yield (), root, *bounds(root)
@@ -113,19 +126,65 @@ def record_multisets(
             moves_of[key] = out
         return moves_of[key]
 
+    reach_of: dict[tuple[int, tuple[int, ...]], tuple[int, int, int]] = {}
+
+    def reach(start: int, rem: tuple[int, ...]) -> tuple[int, int, int]:
+        """(max_u, max_v, leaves) over the completions of a node."""
+        key = (start, rem)
+        if key not in reach_of:
+            mu = mv = n = 0
+            for nstart, nrem, done, options in moves(start, rem):
+                ou = max(option[2] for option in options)
+                ov = max(option[3] for option in options)
+                if done:
+                    mu, mv, n = max(mu, ou), max(mv, ov), n + len(options)
+                else:
+                    cu, cv, cn = reach(nstart, nrem)
+                    mu, mv = max(mu, -(-ou * cu >> scale)), max(mv, -(-ov * cv >> scale))
+                    n += len(options) * cn
+            reach_of[key] = mu, mv, n
+        return reach_of[key]
+
+    residues_of: dict[tuple[int, tuple[int, ...]], set[tuple[int, int]]] = {}
+
+    def residues(start: int, rem: tuple[int, ...]) -> set[tuple[int, int]]:
+        """The ratio residues of the node's completions' totals."""
+        key = (start, rem)
+        if key not in residues_of:
+            out = set()
+            for nstart, nrem, done, options in moves(start, rem):
+                ends = {(0, 0)} if done else residues(nstart, nrem)
+                for _, w, _, _ in options:
+                    x, y = ratio_residues(w)
+                    out.update(((x + ex) % KEY_MODULUS, (y + ey) % KEY_MODULUS) for ex, ey in ends)
+            residues_of[key] = out
+        return residues_of[key]
+
     def rec(start: int, rem: tuple[int, ...], records: tuple, total: int, nu: int, nv: int):
-        # nu = -u, nv = -v: a floor of the negated product is minus its ceiling
+        # nu = -u, nv = -v: a floor of the negated product is minus its
+        # ceiling, so the prune tests ceil(u max_u) + ceil(v max_v) < limit
         for nstart, nrem, done, options in moves(start, rem):
             if done:
                 for recs, w, ou, ov in options:
                     yield records + recs, total + w, -(nu * ou >> scale), -(nv * ov >> scale)
-            else:
-                for recs, w, ou, ov in options:
-                    yield from rec(nstart, nrem, records + recs, total + w,
-                                   nu * ou >> scale, nv * ov >> scale)
+                continue
+            if limit:
+                mu, mv, leaves = reach(nstart, nrem)
+            for recs, w, ou, ov in options:
+                cu, cv = nu * ou >> scale, nv * ov >> scale
+                if limit and (cu * mu >> scale) + (cv * mv >> scale) > -limit:
+                    x, y = ratio_residues(total + w)
+                    if (-x % KEY_MODULUS, -y % KEY_MODULUS) not in residues(nstart, nrem):
+                        yield leaves
+                        continue
+                yield from rec(nstart, nrem, records + recs, total + w, cu, cv)
 
     u, v = bounds(root)
-    yield from rec(0, tuple(quotas), (), root, -u, -v)
+    try:
+        yield from rec(0, tuple(quotas), (), root, -u, -v)
+    finally:  # the closures form a cycle: free the memos now, not at the next collection
+        for memo in (records_of, spreads, moves_of, reach_of, residues_of):
+            memo.clear()
 
 
 @dataclass(frozen=True)

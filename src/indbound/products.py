@@ -18,8 +18,9 @@ Comparisons are certified, never floating point:
     laid out below; both first try carried_strict, which decides from upper
     bounds of X and Y carried down the searches' enumeration or over the
     level-2 vertices of is_good's root what certify_exponents would decide
-    strict at the same precision.  The
-    whole-graph reference calls it through certify_sum_inequality;
+    strict at the same precision, and the searches' enumeration skips the
+    subtrees those bounds decide below carried_limit.  The whole-graph
+    reference calls it through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -492,13 +493,22 @@ def vector_outcome(
 # product up.  Vectors add as their ratios multiply, so the carried hx and hy
 # bound X and Y from above.
 _LOW4 = sum(15 << 32 * i for i in range(_NP))  # the low 4 bits of every lane
+KEY_MODULUS = _SEARCH_DEN // 16  # 225: a ratio key with integral lanes is a multiple
 
 
 def maybe_integral(key: int) -> bool:
     """False only when some lane of a ratio key is not a multiple of 3600 =
     16 * 225: a multiple of 16 leaves the low 4 bits of its digit in
     key + _KEY_BIAS zero, and multiples of 225 make the key one."""
-    return not ((key + _KEY_BIAS) & _LOW4 or key % 225)
+    return not ((key + _KEY_BIAS) & _LOW4 or key % KEY_MODULUS)
+
+
+def ratio_residues(vec: int) -> tuple[int, int]:
+    """The two ratio keys of vec modulo KEY_MODULUS.  The keys of a sum of
+    vectors are the sums of their keys, so a sum whose residues are not
+    both 0 fails maybe_integral on one of its keys."""
+    kx, ky = ratio_keys(vec)
+    return kx % KEY_MODULUS, ky % KEY_MODULUS
 
 
 def ratio_bounds(vec: int, prec: int) -> tuple[int, int]:
@@ -542,7 +552,17 @@ def carried_limit(prec: int) -> int:
     about (I_x + I_y) 2^(s-prec), exceeds 2, and the widened h reaches 2^s
     too: a carried strict is a strict at prec by certify_exponents, and no
     tally or precision_stats entry moves.  h << 2 >> prec is the floor for
-    every prec >= 1."""
+    every prec >= 1.
+
+    The searches also decide whole subtrees of their enumeration below this
+    limit (local.record_multisets): a node's bound multiplies the carried
+    bound of its prefix by the largest product over its completions.  That
+    is a product of the same factors, rounded up in some other order, and
+    still at least I 2^s for every leaf under the node, so the argument
+    covers it as it stands; the node's residue gate leaves no leaf under it
+    that may take the exact route.  An Equal or failing leaf has X + Y >= 1,
+    so every bound above it reaches 2^s >= this limit, and it never lies
+    under a pruned node."""
     one = hi = 1 << prec + GUARD_BITS
     lo = 0
     while hi - lo > 1:  # widened lo < one <= widened hi

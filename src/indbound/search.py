@@ -22,16 +22,18 @@ _agg_enum_for_degrees enumerates them with local.record_multisets, the one
 record-multiset enumerator, each with its A/B/C exponent vector (built by
 products.root_vector and products.level2_vector, as is_good builds it) and
 upper bounds of its ratios X = B/A and Y = C/A, carried as the product of
-the root's and each level-2 record's bounds:
-products.carried_strict decides most aggregates strict from the bounds, and
-vector_outcome decides the rest.  Every aggregate is realizable by a simple
-bipartite graph, so certified aggregates and concrete configurations cover
-each other exactly.  A shard returns its rare equal, failing and undecided
-aggregates themselves, which the parent expands into canonical labeled
-configurations for the report and for stage 2; its Equal aggregates must be
-exactly its extremal one (extremal_aggregate), if it has one.  The labeled
-per-vertex model, which the aggregation is checked against, is built only
-in the tests (tests/test_search.py).
+the root's and each level-2 record's bounds.  The enumeration does not
+enter a subtree whose bounds decide every aggregate under it strict
+(products.carried_limit) and yields None for each of those aggregates;
+products.carried_strict decides most other aggregates strict from their
+bounds, and vector_outcome decides the rest.  Every aggregate is realizable
+by a simple bipartite graph, so certified aggregates and concrete
+configurations cover each other exactly.  A shard returns its rare equal,
+failing and undecided aggregates themselves, which the parent expands into
+canonical labeled configurations for the report and for stage 2; its Equal
+aggregates must be exactly its extremal one (extremal_aggregate), if it has
+one.  The labeled per-vertex model, which the aggregation is checked
+against, is built only in the tests (tests/test_search.py).
 
 A search shard is (delta_eff, lo, d0, degrees, precision_start,
 precision_cap): root degree d0, level-1 degree multiset degrees, level-1 and
@@ -69,6 +71,7 @@ from .products import (
     PRECISION_CAP,
     PRECISION_START,
     Outcome,
+    carried_limit,
     carried_strict,
     level2_vector,
     ratio_bounds,
@@ -150,7 +153,8 @@ def agg_vector(agg: AggConfig) -> int:
 def _agg_enum_for_degrees(
     delta_eff: int, lo: int, d0: int, degrees: tuple[int, ...],
     precision: int = PRECISION_START,
-) -> Iterator[tuple[tuple, int, int, int]]:
+    limit: int | None = None,
+) -> Iterator[tuple[tuple, int, int, int] | None]:
     """(records, vec, hx, hy) for every aggregate configuration of one
     shard: level-1 degree multiset degrees, level-2 degrees in the window
     lo..delta_eff, level 3 padded to delta_eff.  record_multisets runs over
@@ -161,10 +165,13 @@ def _agg_enum_for_degrees(
     and record.
     AggConfig.of makes the aggregate of the unsorted records.
     Deterministic order, no duplicates (distinct degrees fix the class
-    order, so aggregates have no leftover symmetry).  A generator of one
-    item per aggregate, strict or not, which _agg_search_shard reaches
-    through this module's global: a layer tracer that wraps it counts the
-    aggregates of a run.
+    order, so aggregates have no leftover symmetry).  A subtree that
+    record_multisets decides below limit (by default carried_limit(precision);
+    0 prunes nothing) yields None in place of each of its aggregates, each
+    one strict at precision by intervals, as vector_outcome would decide it.
+    A generator of one item per aggregate, strict or not, pruned or not,
+    which _agg_search_shard reaches through this module's global: a layer
+    tracer that wraps it counts the aggregates of a run.
 
     Every aggregate is realizable by a simple bipartite graph, so none is
     skipped.  Classes are independent: a level-2 vertex's neighbors in
@@ -177,8 +184,14 @@ def _agg_enum_for_degrees(
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
     weight = functools.partial(_record_vector, delta_eff, class_degrees)
     bounds = functools.partial(ratio_bounds, prec=precision)
-    yield from record_multisets(quotas, class_sizes, lo, delta_eff, weight,
-                                root_vector(d0, degrees), bounds, precision + GUARD_BITS)
+    if limit is None:
+        limit = carried_limit(precision)
+    for item in record_multisets(quotas, class_sizes, lo, delta_eff, weight,
+                                 root_vector(d0, degrees), bounds, precision + GUARD_BITS, limit):
+        if isinstance(item, int):
+            yield from itertools.repeat(None, item)
+        else:
+            yield item
 
 
 def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
@@ -304,8 +317,12 @@ def _agg_search_shard(args) -> ShardResult:
     delta_eff, lo, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
     equal = set()
-    carried = 0  # strict aggregates decided by their carried bounds, never built
-    for records, vec, hx, hy in _agg_enum_for_degrees(delta_eff, lo, d0, degrees, precision_start):
+    carried = 0  # strict aggregates decided by carried bounds, pruned or never built
+    for item in _agg_enum_for_degrees(delta_eff, lo, d0, degrees, precision_start):
+        if item is None:
+            carried += 1
+            continue
+        records, vec, hx, hy = item
         if carried_strict(vec, hx, hy, precision_start):
             carried += 1
             continue
@@ -335,6 +352,13 @@ def _run_shards(shards: list, worker, jobs: int) -> ShardResult:
 
 
 def default_jobs() -> int:
+    """The CPUs this process may run on: os.process_cpu_count() where it
+    exists (Python 3.13+), else the size of its affinity mask, else
+    os.cpu_count(); 1 when none is known."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

@@ -50,9 +50,9 @@ def statement2_report():
 def shard_aggregates(delta_eff, lo, d0, degrees):
     """(aggregate, A/B/C exponent vector) for every leaf of a shard's
     enumeration, its degree window lo..delta_eff, the aggregate made by
-    AggConfig.of as the searches make it."""
+    AggConfig.of as the searches make it; nothing is pruned (limit=0)."""
     return [(AggConfig.of(delta_eff, d0, degrees, records), vec)
-            for records, vec, *_ in _agg_enum_for_degrees(delta_eff, lo, d0, degrees)]
+            for records, vec, *_ in _agg_enum_for_degrees(delta_eff, lo, d0, degrees, limit=0)]
 
 
 def interval_add(a: intervals.Interval, b: intervals.Interval) -> intervals.Interval:

@@ -1,6 +1,8 @@
+import functools
 import inspect
 import itertools
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -23,10 +25,12 @@ from indbound.local import (
     LocalConfig,
     _config_automorphisms,
     canonical_tuple,
+    record_multisets,
 )
 from indbound.products import (
     _SEARCH_DEN,
     Outcome,
+    carried_limit,
     carried_strict,
     certify_exponents,
     key_exponents,
@@ -227,16 +231,20 @@ def _shards(statement):
 
 def test_aggregate_counts_match_knapsack():
     # the full-scale aggregate counts, from a count independent of the
-    # enumerator; the enumerator yields exactly that many leaves, distinct
-    # both as yielded and as the sorted records of their aggregates
+    # enumerator; the enumerator yields exactly that many items, pruned
+    # subtrees one None per leaf, and without pruning exactly that many
+    # leaves, distinct both as yielded and as the sorted records of their
+    # aggregates
     totals = {1: 0, 2: 0}
     for statement in totals:
         for de, lo, d0, degrees in _shards(statement):
             expected = _knapsack_count((lo, de), d0, degrees)
             totals[statement] += expected
+            assert sum(1 for _ in _agg_enum_for_degrees(de, lo, d0, degrees)) == expected
             if statement == 2 and d0 > 3:
                 continue
-            leaves = [records for records, *_ in _agg_enum_for_degrees(de, lo, d0, degrees)]
+            leaves = [records for records, *_ in _agg_enum_for_degrees(de, lo, d0, degrees,
+                                                                        limit=0)]
             records = [AggConfig.of(de, d0, degrees, leaf).records for leaf in leaves]
             assert len(leaves) == len(set(leaves)) == expected, (d0, degrees)
             assert len(records) == len(set(records)) == expected, (d0, degrees)
@@ -314,7 +322,7 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
     for shard in shards:
         _, _, d0, degrees = shard
         start = len(calls)
-        leaves = first[shard] = list(_agg_enum_for_degrees(*shard))
+        leaves = first[shard] = list(_agg_enum_for_degrees(*shard, limit=0))
         vecs, precs = zip(*calls[start:])
         assert set(precs) == {128}
         # the first call is the root vector
@@ -343,7 +351,7 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
                 assert h <= rounded
                 tighter += h < rounded
     for shard in reversed(shards):
-        assert list(_agg_enum_for_degrees(*shard)) == first[shard]
+        assert list(_agg_enum_for_degrees(*shard, limit=0)) == first[shard]
     assert len(first) == 16 and copies and tighter
 
 
@@ -359,7 +367,7 @@ def test_carried_bounds_contain_the_512_bit_ratios():
                                 (3, 1, 3, (3, 2, 1))]:
         for prec in (8, 128):
             scale = prec + intervals.GUARD_BITS
-            for _, vec, hx, hy in _agg_enum_for_degrees(de, lo, d0, degrees, prec):
+            for _, vec, hx, hy in _agg_enum_for_degrees(de, lo, d0, degrees, prec, limit=0):
                 leaves += 1
                 for key, h in zip(ratio_keys(vec), (hx, hy)):
                     if key not in refs:
@@ -373,12 +381,123 @@ def _vector_outcome_routes(de, lo, d0, degrees, prec):
     """The decoded ratio keys of every leaf of a shard that certify_exponents
     must see at prec: not strict at prec, or possibly integral."""
     out = []
-    for _, vec, *_ in _agg_enum_for_degrees(de, lo, d0, degrees, prec):
+    for _, vec, *_ in _agg_enum_for_degrees(de, lo, d0, degrees, prec, limit=0):
         keys = ratio_keys(vec)
         if vector_outcome(vec, prec)[:3] != (Outcome.STRICTLY_GREATER, "interval", prec) \
                 or all(map(maybe_integral, keys)):
             out.append(tuple(map(key_exponents, keys)))
     return out
+
+
+# shards of both searches whose pruned subtrees the tests below open again;
+# the first two hold leaves that may be integral next to subtrees the bound
+# alone would prune
+_PRUNED_SHARDS = [(5, 4, 4, (4, 4, 4, 4)), (3, 1, 3, (3, 3, 3)), (5, 2, 2, (5, 3)),
+                  (5, 4, 4, (5, 5, 5, 5)), (5, 3, 3, (5, 4, 3)), (4, 1, 4, (4, 3, 2, 2))]
+
+
+def test_pruned_subtrees_hold_only_carried_strict_leaves():
+    # a pruned subtree yields one None per leaf in the leaves' place, so the
+    # pruned enumeration lines up with the unpruned one: every other item is
+    # the leaf itself, and every leaf under a pruned node is strict at the
+    # start precision by intervals, as vector_outcome decides it, and cannot
+    # take the exact route (checked once per pair of ratio keys, which
+    # decide the outcome); pruned plus visited is the shard's raw count
+    pruned, under = {}, {}
+    for shard in _PRUNED_SHARDS:
+        for prec in (8, 128):
+            items = list(_agg_enum_for_degrees(*shard, prec))
+            leaves = list(_agg_enum_for_degrees(*shard, prec, limit=0))
+            assert len(items) == len(leaves) == _agg_search_shard((*shard, prec, 8192)).raw
+            for item, leaf in zip(items, leaves):
+                if item is None:
+                    under.setdefault((ratio_keys(leaf[1]), prec), leaf[1])
+                else:
+                    assert item == leaf
+            pruned[shard, prec] = items.count(None)
+    assert all(pruned.values())
+    for (keys, prec), vec in under.items():
+        assert vector_outcome(vec, prec)[:3] == (Outcome.STRICTLY_GREATER, "interval", prec)
+        assert not all(map(maybe_integral, keys))
+
+
+def _hand_nodes(leaves, weight, bounds, root, scale):
+    """Per leaf of an unpruned enumeration, the least bound of a node on its
+    path that the enumeration tests (after each class vector's copies but
+    the last) and no leaf under which has both ratio keys a multiple of 225,
+    or None: ceil(u max_u) + ceil(v max_v), with u, v the root's bounds
+    times the spread options' so far and max_u, max_v the largest product
+    over the completions below that prefix, folded from the right, every
+    product rounded up at scale 2^-scale."""
+    def up(a, b):
+        return -(-a * b >> scale)
+
+    below, paths = {}, []
+    for records, total, *_ in leaves:
+        options = {}  # class vector -> [its spread option's bounds, its records]
+        for (b, cvec), cnt in records:
+            option = options.setdefault(cvec, [[1 << scale] * 2, ()])
+            for _ in range(cnt):
+                option[0] = list(map(up, option[0], bounds(weight(b, cvec))))
+            option[1] += (((b, cvec), cnt),)
+        path = list(options.values())
+        integral = all(key % 225 == 0 for key in ratio_keys(total))
+        carried, prefix, nodes = bounds(root), (), []
+        for k in range(len(path) - 1):
+            carried = list(map(up, carried, path[k][0]))
+            prefix += path[k][1]
+            rest = path[-1][0]
+            for option, _ in reversed(path[k + 1:-1]):
+                rest = list(map(up, option, rest))
+            node = below.setdefault(prefix, [0, 0, False])
+            node[:] = max(node[0], rest[0]), max(node[1], rest[1]), node[2] or integral
+            nodes.append((prefix, carried))
+        paths.append(nodes)
+    return [min((up(u, below[prefix][0]) + up(v, below[prefix][1])
+                 for prefix, (u, v) in nodes if not below[prefix][2]), default=None)
+            for nodes in paths]
+
+
+def _pruned_as_by_hand(enumerate_at, leaves, least, limits):
+    """enumerate_at(limit) replaces by None exactly the leaves whose least
+    gated node bound is below the limit, at each limit."""
+    for limit in sorted(limits):
+        expected = [None if h is not None and h < limit else leaf
+                    for leaf, h in zip(leaves, least)]
+        assert list(enumerate_at(limit)) == expected, limit
+
+
+def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
+    # the enumeration prunes exactly the leaves under a node that the bound
+    # and the gate of _hand_nodes decide: on shards of both searches at the
+    # search's limit, and with made-up bounds at scale 2^-2, where most
+    # roundings move a bound, at every limit that is some leaf's least
+    # bound, where that node must be entered; a subtree product rounded
+    # down, a missing gate or a wrong leaf count moves some None
+    for de, lo, d0, degrees in _PRUNED_SHARDS[:3]:
+        class_degrees = tuple(sorted(set(degrees), reverse=True))
+        sizes = tuple(map(degrees.count, class_degrees))
+        quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, sizes))
+        weight = functools.partial(search._record_vector, de, class_degrees)
+        root = root_vector(d0, degrees)
+        for prec in (8, 128):
+            leaves = list(_agg_enum_for_degrees(de, lo, d0, degrees, prec, limit=0))
+            bounds = functools.cache(functools.partial(ratio_bounds, prec=prec))
+            least = _hand_nodes(leaves, weight, bounds, root, prec + intervals.GUARD_BITS)
+            _pruned_as_by_hand(lambda limit: _agg_enum_for_degrees(de, lo, d0, degrees, prec,
+                                                                   limit=limit),
+                               leaves, least, [carried_limit(prec)])
+        coarse = lambda w: (3 + w % 7 % 4, 3 + w % 11 % 4)  # 3/4 to 3/2 at scale 2^-2
+
+        def enumerate_at(limit):  # a pruned subtree comes as its leaf count
+            for item in record_multisets(quotas, sizes, lo, de, weight, root, coarse, 2, limit):
+                yield from [None] * item if isinstance(item, int) else [item]
+
+        leaves = list(enumerate_at(0))
+        least = _hand_nodes(leaves, weight, coarse, root, 2)
+        sums = set(least) - {None}
+        assert sums
+        _pruned_as_by_hand(enumerate_at, leaves, least, {*sums, max(sums) + 1})
 
 
 def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
@@ -426,7 +545,8 @@ def test_enumeration_keeps_the_trace_contract(monkeypatch):
     # search._agg_enum_for_degrees as a generator and compares the count
     # with the tally: so it is a generator function, _agg_search_shard
     # calls it through the module global and takes one item per aggregate,
-    # carried strict leaves included, and wrapping it changes no result
+    # carried strict leaves and the aggregates of pruned subtrees included,
+    # and wrapping it changes no result
     assert inspect.isgeneratorfunction(search._agg_enum_for_degrees)
     original = search._agg_enum_for_degrees
     seen = []
@@ -444,6 +564,10 @@ def test_enumeration_keeps_the_trace_contract(monkeypatch):
         seen.clear()
         result = _agg_search_shard(args)
         assert len(seen) == result.raw and result == expected
+        # pruned subtrees arrive as one None per aggregate: the count is of
+        # aggregates, not of the leaves the enumeration visits
+        if args[3] == (5, 5, 5):
+            assert None in seen and seen.count(None) < len(seen)
     seen.clear()
     regular = verify_regular(5)
     assert len(seen) == regular.profiles == 192 and regular == plain[-1]
@@ -593,6 +717,7 @@ def _flip_outcomes(monkeypatch, flip):
         outcome, method, precision, values = vector_outcome(vec, *args)
         return flip(outcome), method, precision, values
 
+    monkeypatch.setattr(search, "carried_limit", lambda prec: 0)
     monkeypatch.setattr(search, "carried_strict", lambda *args: False)
     monkeypatch.setattr(search, "vector_outcome", mutant)
 
@@ -688,6 +813,21 @@ def test_search_jobs_below_one_rejected_and_none_is_default():
         with pytest.raises(ValueError, match="jobs >= 1"):
             verify_statement2(1, jobs=jobs)
     assert verify_statement2(1).extra["jobs"] == default_jobs()
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
+    # a process pinned to one CPU of a larger host gets one worker, read
+    # from process_cpu_count where it exists, else from the affinity mask;
+    # os.cpu_count, the whole host, is the last resort
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 1, raising=False)
+    assert default_jobs() == 1
+    monkeypatch.delattr(os, "process_cpu_count")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert default_jobs() == 1
+    assert verify_statement2(1).extra["jobs"] == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_jobs() == 64
 
 
 def test_statement2_is_verified_up_to_its_max_degree():
