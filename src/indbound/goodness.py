@@ -43,6 +43,7 @@ from .products import (
     FactorProduct,
     Outcome,
     Verdict,
+    carried_limit,
     carried_strict,
     certify_sum_inequality,
     compare_count_to_product,
@@ -102,7 +103,7 @@ def is_good(
                                    f"is_good needs <= {MAX_DEGREE}")
     precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any bound
     vec, hx, hy = goodness_vector(g, ld, precision_start)
-    if carried_strict(vec, hx, hy, precision_start):
+    if carried_strict(vec, hx, hy, carried_limit(precision_start)):
         certified = (Outcome.STRICTLY_GREATER, "interval", precision_start, ())
     else:
         certified = vector_outcome(vec, precision_start, precision_cap)

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .products import KEY_MODULUS, ratio_residues
+from .products import KEY_MODULUS, carried_strict, ratio_residues
 
 # level-2 record: (total degree b, sorted tuple of level-1 indices)
 Record = tuple[int, tuple[int, ...]]
@@ -63,18 +63,18 @@ def record_multisets(
     entered.  Each record's weight and bounds are computed once per call,
     on first use.
 
-    With a limit above 0, weights are A/B/C vectors, and a node of the
-    recursion (a class vector to start from and a remainder of the quotas)
-    is not entered when every completion of it is decided from its bounds
-    alone: for carried u, v, ceil(u max_u) + ceil(v max_v) < limit, with
-    max_u and max_v the largest product of bounds over the node's
-    completions, every product rounded up, and no completion whose ratio
-    residues (products.ratio_residues), added to those of the prefix total,
-    are both 0.  The node is yielded as its number of leaves instead."""
+    With a limit above 0, weights are A/B/C vectors, and what their bounds
+    decide is counted, not yielded: a leaf when
+    products.carried_strict(total, u, v, limit) holds, and a node of the
+    recursion (a class vector to start from and a nonempty remainder of the
+    quotas), as its number of leaves and without being entered, when every
+    completion of it is decided from its bounds alone: for carried u, v,
+    ceil(u max_u) + ceil(v max_v) < limit, with max_u and max_v the largest
+    product of bounds over the node's completions, every product rounded
+    up, and no completion whose ratio residues (products.ratio_residues),
+    added to those of the prefix total, are both 0.  With limit 0 every
+    leaf is yielded."""
     bounds = bounds or (lambda w: (1, 1))
-    if not any(quotas):
-        yield (), root, *bounds(root)
-        return
     cvecs = [
         cvec
         for cvec in itertools.product(*(range(min(cap, q) + 1) for cap, q in zip(caps, quotas)))
@@ -110,9 +110,9 @@ def record_multisets(
     moves_of: dict[tuple[int, tuple[int, ...]], list] = {}
 
     def moves(start: int, rem: tuple[int, ...]) -> list:
-        """(next start, remainder, done, spreads) for every c copies of a
-        class vector j >= start that leave a remainder coverable from j + 1
-        on."""
+        """(next start, remainder, spreads) for every c copies of a class
+        vector j >= start that leave a remainder coverable from j + 1 on,
+        the empty one included."""
         key = (start, rem)
         if key not in moves_of:
             out = []
@@ -120,40 +120,38 @@ def record_multisets(
                 cvec = cvecs[j]
                 for c in range(1, min(r // x for r, x in zip(rem, cvec) if x) + 1):
                     nrem = tuple(r - c * x for r, x in zip(rem, cvec))
-                    done = not any(nrem)
-                    if done or moves(j + 1, nrem):
-                        out.append((j + 1, nrem, done, spread(cvec, c)))
+                    if not any(nrem) or moves(j + 1, nrem):
+                        out.append((j + 1, nrem, spread(cvec, c)))
             moves_of[key] = out
         return moves_of[key]
 
     reach_of: dict[tuple[int, tuple[int, ...]], tuple[int, int, int]] = {}
 
     def reach(start: int, rem: tuple[int, ...]) -> tuple[int, int, int]:
-        """(max_u, max_v, leaves) over the completions of a node."""
+        """(max_u, max_v, leaves) over the completions of a node; a leaf
+        has the empty product 1, 1 and is one leaf."""
         key = (start, rem)
         if key not in reach_of:
-            mu = mv = n = 0
-            for nstart, nrem, done, options in moves(start, rem):
+            mu, mv, n = (0, 0, 0) if any(rem) else (1 << scale, 1 << scale, 1)
+            for nstart, nrem, options in moves(start, rem):
                 ou = max(option[2] for option in options)
                 ov = max(option[3] for option in options)
-                if done:
-                    mu, mv, n = max(mu, ou), max(mv, ov), n + len(options)
-                else:
-                    cu, cv, cn = reach(nstart, nrem)
-                    mu, mv = max(mu, -(-ou * cu >> scale)), max(mv, -(-ov * cv >> scale))
-                    n += len(options) * cn
+                cu, cv, cn = reach(nstart, nrem)
+                mu, mv = max(mu, -(-ou * cu >> scale)), max(mv, -(-ov * cv >> scale))
+                n += len(options) * cn
             reach_of[key] = mu, mv, n
         return reach_of[key]
 
     residues_of: dict[tuple[int, tuple[int, ...]], set[tuple[int, int]]] = {}
 
     def residues(start: int, rem: tuple[int, ...]) -> set[tuple[int, int]]:
-        """The ratio residues of the node's completions' totals."""
+        """The ratio residues of the node's completions' totals; a leaf
+        completes with nothing, 0 and 0."""
         key = (start, rem)
         if key not in residues_of:
-            out = set()
-            for nstart, nrem, done, options in moves(start, rem):
-                ends = {(0, 0)} if done else residues(nstart, nrem)
+            out = set() if any(rem) else {(0, 0)}
+            for nstart, nrem, options in moves(start, rem):
+                ends = residues(nstart, nrem)
                 for _, w, _, _ in options:
                     x, y = ratio_residues(w)
                     out.update(((x + ex) % KEY_MODULUS, (y + ey) % KEY_MODULUS) for ex, ey in ends)
@@ -163,10 +161,17 @@ def record_multisets(
     def rec(start: int, rem: tuple[int, ...], records: tuple, total: int, nu: int, nv: int):
         # nu = -u, nv = -v: a floor of the negated product is minus its
         # ceiling, so the prune tests ceil(u max_u) + ceil(v max_v) < limit
-        for nstart, nrem, done, options in moves(start, rem):
-            if done:
+        for nstart, nrem, options in moves(start, rem):
+            if not any(nrem):  # leaves
+                counted = 0
                 for recs, w, ou, ov in options:
-                    yield records + recs, total + w, -(nu * ou >> scale), -(nv * ov >> scale)
+                    u, v = -(nu * ou >> scale), -(nv * ov >> scale)
+                    if carried_strict(total + w, u, v, limit):
+                        counted += 1
+                    else:
+                        yield records + recs, total + w, u, v
+                if counted:
+                    yield counted
                 continue
             if limit:
                 mu, mv, leaves = reach(nstart, nrem)
@@ -180,6 +185,9 @@ def record_multisets(
                 yield from rec(nstart, nrem, records + recs, total + w, cu, cv)
 
     u, v = bounds(root)
+    if not any(quotas):  # the empty multiset, the one leaf
+        yield 1 if carried_strict(root, u, v, limit) else ((), root, u, v)
+        return
     try:
         yield from rec(0, tuple(quotas), (), root, -u, -v)
     finally:  # the closures form a cycle: free the memos now, not at the next collection

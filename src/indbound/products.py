@@ -18,8 +18,8 @@ Comparisons are certified, never floating point:
     laid out below; both first try carried_strict, which decides from upper
     bounds of X and Y carried down the searches' enumeration or over the
     level-2 vertices of is_good's root what certify_exponents would decide
-    strict at the same precision, and the searches' enumeration skips the
-    subtrees those bounds decide below carried_limit.  The whole-graph
+    strict at the same precision, and the searches' enumeration counts
+    what those bounds decide below carried_limit.  The whole-graph
     reference calls it through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
@@ -571,13 +571,12 @@ def carried_limit(prec: int) -> int:
     return hi
 
 
-def carried_strict(vec: int, hx: int, hy: int, prec: int) -> bool:
+def carried_strict(vec: int, hx: int, hy: int, limit: int) -> bool:
     """Whether upper ends hx, hy of X and Y of vec at scale 2^-(prec + GUARD_BITS)
-    decide A > B + C, as certify_exponents would by intervals at prec."""
-    a = vec & _PART
-    if maybe_integral((vec >> _PART_BITS & _PART) - a) and maybe_integral((vec >> 2 * _PART_BITS) - a):
-        return False  # possibly the exact route
-    return hx + hy < carried_limit(prec)
+    decide A > B + C, as certify_exponents would by intervals at prec, for
+    limit = carried_limit(prec): below the limit, unless both ratio keys may
+    be integral and so take the exact route.  A limit of 0 decides nothing."""
+    return hx + hy < limit and not all(map(maybe_integral, ratio_keys(vec)))
 
 
 @dataclass(frozen=True)

@@ -18,22 +18,22 @@ Four searches back the main theorem:
 The searches run on degree-class aggregates: the three products of the
 reduced inequality depend on a level-2 vertex only through its total degree
 and how many neighbors it has in each level-1 degree class.
-_agg_enum_for_degrees enumerates them with local.record_multisets, the one
+_shard_enumeration enumerates them with local.record_multisets, the one
 record-multiset enumerator, each with its A/B/C exponent vector (built by
 products.root_vector and products.level2_vector, as is_good builds it) and
 upper bounds of its ratios X = B/A and Y = C/A, carried as the product of
-the root's and each level-2 record's bounds.  The enumeration does not
-enter a subtree whose bounds decide every aggregate under it strict
-(products.carried_limit) and yields None for each of those aggregates;
-products.carried_strict decides most other aggregates strict from their
-bounds, and vector_outcome decides the rest.  Every aggregate is realizable
-by a simple bipartite graph, so certified aggregates and concrete
-configurations cover each other exactly.  A shard returns its rare equal,
-failing and undecided aggregates themselves, which the parent expands into
-canonical labeled configurations for the report and for stage 2; its Equal
-aggregates must be exactly its extremal one (extremal_aggregate), if it has
-one.  The labeled per-vertex model, which the aggregation is checked
-against, is built only in the tests (tests/test_search.py).
+the root's and each level-2 record's bounds.  The enumeration is the one
+place a search decides from carried bounds: below products.carried_limit it
+counts the aggregates they decide strict, a leaf by products.carried_strict
+and most of them in whole subtrees it does not enter, and yields only the
+others, which vector_outcome decides.  Every aggregate is realizable by a
+simple bipartite graph, so certified aggregates and concrete configurations
+cover each other exactly.  A shard returns its rare equal, failing and
+undecided aggregates themselves, which the parent expands into canonical
+labeled configurations for the report and for stage 2; its Equal aggregates
+must be exactly its extremal one (extremal_aggregate), if it has one.  The
+labeled per-vertex model, which the aggregation is checked against, is built
+only in the tests (tests/test_search.py).
 
 A search shard is (delta_eff, lo, d0, degrees, precision_start,
 precision_cap): root degree d0, level-1 degree multiset degrees, level-1 and
@@ -72,8 +72,8 @@ from .products import (
     PRECISION_START,
     Outcome,
     carried_limit,
-    carried_strict,
     level2_vector,
+    precision_schedule,
     ratio_bounds,
     root_vector,
     vector_outcome,
@@ -150,28 +150,24 @@ def agg_vector(agg: AggConfig) -> int:
     return vec
 
 
-def _agg_enum_for_degrees(
+def _shard_enumeration(
     delta_eff: int, lo: int, d0: int, degrees: tuple[int, ...],
     precision: int = PRECISION_START,
     limit: int | None = None,
-) -> Iterator[tuple[tuple, int, int, int] | None]:
-    """(records, vec, hx, hy) for every aggregate configuration of one
-    shard: level-1 degree multiset degrees, level-2 degrees in the window
-    lo..delta_eff, level 3 padded to delta_eff.  record_multisets runs over
-    the per-class quotas s * (d - 1), each class vector entry capped by its
-    class size, with the A/B/C vector vec summed onto the shard's root
-    vector and the upper bounds hx, hy of its X and Y: the root vector's
-    ratio_bounds at precision times each record's, computed once per shard
-    and record.
-    AggConfig.of makes the aggregate of the unsorted records.
-    Deterministic order, no duplicates (distinct degrees fix the class
-    order, so aggregates have no leftover symmetry).  A subtree that
-    record_multisets decides below limit (by default carried_limit(precision);
-    0 prunes nothing) yields None in place of each of its aggregates, each
-    one strict at precision by intervals, as vector_outcome would decide it.
-    A generator of one item per aggregate, strict or not, pruned or not,
-    which _agg_search_shard reaches through this module's global: a layer
-    tracer that wraps it counts the aggregates of a run.
+) -> Iterator[tuple[tuple, int, int, int] | int]:
+    """record_multisets over the aggregate configurations of one shard:
+    level-1 degree multiset degrees, level-2 degrees in the window
+    lo..delta_eff, level 3 padded to delta_eff.  It runs over the per-class
+    quotas s * (d - 1), each class vector entry capped by its class size,
+    with the A/B/C vector vec summed onto the shard's root vector and the
+    upper bounds hx, hy of its X and Y: the root vector's ratio_bounds at
+    precision times each record's, computed once per shard and record.  Its
+    items are leaves (records, vec, hx, hy), made aggregates by AggConfig.of,
+    and counts of the aggregates it decides strict below limit (by default
+    carried_limit(precision); 0 yields every leaf), each strict at precision
+    by intervals, as vector_outcome would decide it.  Deterministic order,
+    no duplicates (distinct degrees fix the class order, so aggregates have
+    no leftover symmetry).
 
     Every aggregate is realizable by a simple bipartite graph, so none is
     skipped.  Classes are independent: a level-2 vertex's neighbors in
@@ -183,15 +179,9 @@ def _agg_enum_for_degrees(
     class_sizes = tuple(degrees.count(d) for d in class_degrees)
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
     weight = functools.partial(_record_vector, delta_eff, class_degrees)
-    bounds = functools.partial(ratio_bounds, prec=precision)
-    if limit is None:
-        limit = carried_limit(precision)
-    for item in record_multisets(quotas, class_sizes, lo, delta_eff, weight,
-                                 root_vector(d0, degrees), bounds, precision + GUARD_BITS, limit):
-        if isinstance(item, int):
-            yield from itertools.repeat(None, item)
-        else:
-            yield item
+    return record_multisets(quotas, class_sizes, lo, delta_eff, weight, root_vector(d0, degrees),
+                            functools.partial(ratio_bounds, prec=precision), precision + GUARD_BITS,
+                            carried_limit(precision) if limit is None else limit)
 
 
 def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
@@ -317,15 +307,12 @@ def _agg_search_shard(args) -> ShardResult:
     delta_eff, lo, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
     equal = set()
-    carried = 0  # strict aggregates decided by carried bounds, pruned or never built
-    for item in _agg_enum_for_degrees(delta_eff, lo, d0, degrees, precision_start):
-        if item is None:
-            carried += 1
+    carried = 0  # strict aggregates decided by carried bounds
+    for item in _shard_enumeration(delta_eff, lo, d0, degrees, precision_start):
+        if isinstance(item, int):
+            carried += item
             continue
-        records, vec, hx, hy = item
-        if carried_strict(vec, hx, hy, precision_start):
-            carried += 1
-            continue
+        records, vec, _, _ = item
         outcome, method, precision, _ = vector_outcome(vec, precision_start, precision_cap)
         agg = AggConfig.of(delta_eff, d0, degrees, records)
         result.add(outcome, method, precision, agg)
@@ -466,7 +453,10 @@ def _report(statement: str, delta: int, root_rule: str, merged: ShardResult, t0:
 
 def _shards(windows, precision_start: int, precision_cap: int) -> list[tuple]:
     """The search shards of (delta_eff, lo, d0) windows: one per level-1
-    degree tuple of each window, in order."""
+    degree tuple of each window, in order.  An invalid precision schedule
+    fails here, before any shard runs: a shard whose carried bounds decide
+    every aggregate never reaches certify_exponents, which would reject it."""
+    precision_schedule(precision_start, precision_cap)
     return [(delta_eff, lo, d0, degrees, precision_start, precision_cap)
             for delta_eff, lo, d0 in windows for degrees in degree_tuples(lo, d0, delta_eff)]
 
@@ -645,6 +635,7 @@ def verify_statement1_stage2(
     that the neighbor is strictly good in every consistent completion.
     Equality anywhere is a failure here.  The rootings run in the calling
     process: the whole stage costs less than starting a pool."""
+    precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any rooting
     t0 = time.monotonic()
     shards = [(pattern, x1, precision_start, precision_cap)
               for pattern in exceptions for x1 in range(pattern.d0)]

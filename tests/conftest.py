@@ -18,7 +18,7 @@ from indbound.local import LocalConfig, canonical_tuple
 from indbound.products import _LANE_PRIMES, _SEARCH_DEN, FactorProduct
 from indbound.search import (
     AggConfig,
-    _agg_enum_for_degrees,
+    _shard_enumeration,
     aggregate_of_config,
     default_jobs,
     extremal_aggregate,
@@ -52,7 +52,7 @@ def shard_aggregates(delta_eff, lo, d0, degrees):
     enumeration, its degree window lo..delta_eff, the aggregate made by
     AggConfig.of as the searches make it; nothing is pruned (limit=0)."""
     return [(AggConfig.of(delta_eff, d0, degrees, records), vec)
-            for records, vec, *_ in _agg_enum_for_degrees(delta_eff, lo, d0, degrees, limit=0)]
+            for records, vec, *_ in _shard_enumeration(delta_eff, lo, d0, degrees, limit=0)]
 
 
 def interval_add(a: intervals.Interval, b: intervals.Interval) -> intervals.Interval:

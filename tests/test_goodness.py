@@ -28,6 +28,7 @@ from indbound.products import (
     DegreeBoundError,
     FactorProduct,
     Outcome,
+    carried_limit,
     carried_strict,
     compare_count_to_product,
     interval_strings,
@@ -160,7 +161,7 @@ def _fallbacks_by_start(graphs, monkeypatch):
                 got = is_good(g, x, start)
                 assert (got.outcome, got.method, got.precision_bits, got.detail) == \
                     (want.outcome, want.method, want.precision_bits, want.detail)
-                strict = carried_strict(vec, hx, hy, start)
+                strict = carried_strict(vec, hx, hy, carried_limit(start))
                 assert len(calls) == (not strict)
                 fallbacks[start] += not strict
     return fallbacks
@@ -179,7 +180,7 @@ def test_is_good_carried_route_matches_vector_outcome(monkeypatch):
     # a schedule certify_exponents rejects is rejected at a carried vertex too
     g = path(4)
     vec, hx, hy = goodness_vector(g, level_decomposition(g, 0), 128)
-    assert carried_strict(vec, hx, hy, 128)
+    assert carried_strict(vec, hx, hy, carried_limit(128))
     for start, cap in ((128, 64), (0, 64), (-20, -3)):
         with pytest.raises(ValueError, match="precision start"):
             is_good(g, 0, start, cap)

@@ -43,8 +43,8 @@ from indbound.products import (
 from indbound.search import (
     STATEMENT2_MAX_DEGREE,
     AggConfig,
-    _agg_enum_for_degrees,
     _agg_search_shard,
+    _shard_enumeration,
     agg_vector,
     aggregate_of_config,
     config_outcome,
@@ -229,22 +229,30 @@ def _shards(statement):
             yield de, lo, d0, degrees
 
 
+def _counts_and_leaves(items):
+    """The sum of the counts among enumeration items, and the leaves."""
+    leaves = [item for item in items if not isinstance(item, int)]
+    return sum(item for item in items if isinstance(item, int)), leaves
+
+
 def test_aggregate_counts_match_knapsack():
     # the full-scale aggregate counts, from a count independent of the
-    # enumerator; the enumerator yields exactly that many items, pruned
-    # subtrees one None per leaf, and without pruning exactly that many
-    # leaves, distinct both as yielded and as the sorted records of their
-    # aggregates
+    # enumerator; at the search's limit its counts plus its leaves make
+    # exactly that many, none of those leaves carried_strict there, and
+    # without pruning it yields exactly that many leaves, distinct both as
+    # yielded and as the sorted records of their aggregates
     totals = {1: 0, 2: 0}
+    limit = carried_limit(128)
     for statement in totals:
         for de, lo, d0, degrees in _shards(statement):
             expected = _knapsack_count((lo, de), d0, degrees)
             totals[statement] += expected
-            assert sum(1 for _ in _agg_enum_for_degrees(de, lo, d0, degrees)) == expected
+            counted, leaves = _counts_and_leaves(list(_shard_enumeration(de, lo, d0, degrees)))
+            assert counted + len(leaves) == expected
+            assert not any(carried_strict(vec, hx, hy, limit) for _, vec, hx, hy in leaves)
             if statement == 2 and d0 > 3:
                 continue
-            leaves = [records for records, *_ in _agg_enum_for_degrees(de, lo, d0, degrees,
-                                                                        limit=0)]
+            leaves = [records for records, *_ in _shard_enumeration(de, lo, d0, degrees, limit=0)]
             records = [AggConfig.of(de, d0, degrees, leaf).records for leaf in leaves]
             assert len(leaves) == len(set(leaves)) == expected, (d0, degrees)
             assert len(records) == len(set(records)) == expected, (d0, degrees)
@@ -322,7 +330,7 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
     for shard in shards:
         _, _, d0, degrees = shard
         start = len(calls)
-        leaves = first[shard] = list(_agg_enum_for_degrees(*shard, limit=0))
+        leaves = first[shard] = list(_shard_enumeration(*shard, limit=0))
         vecs, precs = zip(*calls[start:])
         assert set(precs) == {128}
         # the first call is the root vector
@@ -351,7 +359,7 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
                 assert h <= rounded
                 tighter += h < rounded
     for shard in reversed(shards):
-        assert list(_agg_enum_for_degrees(*shard, limit=0)) == first[shard]
+        assert list(_shard_enumeration(*shard, limit=0)) == first[shard]
     assert len(first) == 16 and copies and tighter
 
 
@@ -367,7 +375,7 @@ def test_carried_bounds_contain_the_512_bit_ratios():
                                 (3, 1, 3, (3, 2, 1))]:
         for prec in (8, 128):
             scale = prec + intervals.GUARD_BITS
-            for _, vec, hx, hy in _agg_enum_for_degrees(de, lo, d0, degrees, prec, limit=0):
+            for _, vec, hx, hy in _shard_enumeration(de, lo, d0, degrees, prec, limit=0):
                 leaves += 1
                 for key, h in zip(ratio_keys(vec), (hx, hy)):
                     if key not in refs:
@@ -381,7 +389,7 @@ def _vector_outcome_routes(de, lo, d0, degrees, prec):
     """The decoded ratio keys of every leaf of a shard that certify_exponents
     must see at prec: not strict at prec, or possibly integral."""
     out = []
-    for _, vec, *_ in _agg_enum_for_degrees(de, lo, d0, degrees, prec, limit=0):
+    for _, vec, *_ in _shard_enumeration(de, lo, d0, degrees, prec, limit=0):
         keys = ratio_keys(vec)
         if vector_outcome(vec, prec)[:3] != (Outcome.STRICTLY_GREATER, "interval", prec) \
                 or all(map(maybe_integral, keys)):
@@ -396,39 +404,52 @@ _PRUNED_SHARDS = [(5, 4, 4, (4, 4, 4, 4)), (3, 1, 3, (3, 3, 3)), (5, 2, 2, (5, 3
                   (5, 4, 4, (5, 5, 5, 5)), (5, 3, 3, (5, 4, 3)), (4, 1, 4, (4, 3, 2, 2))]
 
 
+def _decided(items, leaves):
+    """The leaves of an unpruned enumeration that a pruned one counts,
+    checking that the pruned one yields the others in the same order and
+    counts exactly as many leaves as it does not yield."""
+    counted, kept = _counts_and_leaves(items)
+    yielded = set(kept)
+    assert [leaf for leaf in leaves if leaf in yielded] == kept and len(yielded) == len(kept)
+    decided = [leaf for leaf in leaves if leaf not in yielded]
+    assert counted == len(decided)
+    return decided
+
+
 def test_pruned_subtrees_hold_only_carried_strict_leaves():
-    # a pruned subtree yields one None per leaf in the leaves' place, so the
-    # pruned enumeration lines up with the unpruned one: every other item is
-    # the leaf itself, and every leaf under a pruned node is strict at the
-    # start precision by intervals, as vector_outcome decides it, and cannot
-    # take the exact route (checked once per pair of ratio keys, which
-    # decide the outcome); pruned plus visited is the shard's raw count
-    pruned, under = {}, {}
+    # every leaf the enumeration counts, in a pruned subtree or on its own,
+    # is strict at the start precision by intervals, as vector_outcome
+    # decides it, and cannot take the exact route (checked once per pair of
+    # ratio keys, which decide the outcome); the leaves it yields come in
+    # the order of the unpruned enumeration, and counted plus yielded is
+    # the shard's raw count
+    counted, under = {}, {}
     for shard in _PRUNED_SHARDS:
         for prec in (8, 128):
-            items = list(_agg_enum_for_degrees(*shard, prec))
-            leaves = list(_agg_enum_for_degrees(*shard, prec, limit=0))
-            assert len(items) == len(leaves) == _agg_search_shard((*shard, prec, 8192)).raw
-            for item, leaf in zip(items, leaves):
-                if item is None:
-                    under.setdefault((ratio_keys(leaf[1]), prec), leaf[1])
-                else:
-                    assert item == leaf
-            pruned[shard, prec] = items.count(None)
-    assert all(pruned.values())
+            items = list(_shard_enumeration(*shard, prec))
+            leaves = list(_shard_enumeration(*shard, prec, limit=0))
+            assert len(leaves) == _agg_search_shard((*shard, prec, 8192)).raw
+            decided = _decided(items, leaves)
+            for leaf in decided:
+                under.setdefault((ratio_keys(leaf[1]), prec), leaf[1])
+            counted[shard, prec] = len(decided)
+    assert all(counted.values())
     for (keys, prec), vec in under.items():
         assert vector_outcome(vec, prec)[:3] == (Outcome.STRICTLY_GREATER, "interval", prec)
         assert not all(map(maybe_integral, keys))
 
 
 def _hand_nodes(leaves, weight, bounds, root, scale):
-    """Per leaf of an unpruned enumeration, the least bound of a node on its
-    path that the enumeration tests (after each class vector's copies but
-    the last) and no leaf under which has both ratio keys a multiple of 225,
-    or None: ceil(u max_u) + ceil(v max_v), with u, v the root's bounds
-    times the spread options' so far and max_u, max_v the largest product
-    over the completions below that prefix, folded from the right, every
-    product rounded up at scale 2^-scale."""
+    """Per leaf of an unpruned enumeration, (least, own).  own is the
+    leaf's own bound sum u + v: the root's bounds times every spread
+    option's, every product rounded up at scale 2^-scale.  least is the
+    least bound that decides the leaf, or None: that of a node on its path
+    that the enumeration tests (after each class vector's copies but the
+    last) and no leaf under which has both ratio keys a multiple of 225,
+    ceil(u max_u) + ceil(v max_v) with u, v the bounds so far and max_u,
+    max_v the largest product over the completions below that prefix,
+    folded from the right; or own, unless both of the leaf's ratio keys may
+    be integral (maybe_integral)."""
     def up(a, b):
         return -(-a * b >> scale)
 
@@ -441,7 +462,8 @@ def _hand_nodes(leaves, weight, bounds, root, scale):
                 option[0] = list(map(up, option[0], bounds(weight(b, cvec))))
             option[1] += (((b, cvec), cnt),)
         path = list(options.values())
-        integral = all(key % 225 == 0 for key in ratio_keys(total))
+        keys = ratio_keys(total)
+        integral = all(key % 225 == 0 for key in keys)
         carried, prefix, nodes = bounds(root), (), []
         for k in range(len(path) - 1):
             carried = list(map(up, carried, path[k][0]))
@@ -452,28 +474,35 @@ def _hand_nodes(leaves, weight, bounds, root, scale):
             node = below.setdefault(prefix, [0, 0, False])
             node[:] = max(node[0], rest[0]), max(node[1], rest[1]), node[2] or integral
             nodes.append((prefix, carried))
-        paths.append(nodes)
-    return [min((up(u, below[prefix][0]) + up(v, below[prefix][1])
-                 for prefix, (u, v) in nodes if not below[prefix][2]), default=None)
-            for nodes in paths]
+        own = sum(map(up, carried, path[-1][0])) if path else sum(carried)
+        paths.append((nodes, own, all(map(maybe_integral, keys))))
+    out = []
+    for nodes, own, may_be_integral in paths:
+        sums = [up(u, below[prefix][0]) + up(v, below[prefix][1])
+                for prefix, (u, v) in nodes if not below[prefix][2]]
+        out.append((min(sums + [own] * (not may_be_integral), default=None), own))
+    return out
 
 
-def _pruned_as_by_hand(enumerate_at, leaves, least, limits):
-    """enumerate_at(limit) replaces by None exactly the leaves whose least
-    gated node bound is below the limit, at each limit."""
+def _pruned_as_by_hand(enumerate_at, leaves, hand, limits):
+    """enumerate_at(limit) counts exactly the leaves whose least gated
+    bound is below the limit, and yields the others, at each limit."""
     for limit in sorted(limits):
-        expected = [None if h is not None and h < limit else leaf
-                    for leaf, h in zip(leaves, least)]
-        assert list(enumerate_at(limit)) == expected, limit
+        expected = [leaf for leaf, (h, _) in zip(leaves, hand) if h is not None and h < limit]
+        assert _decided(list(enumerate_at(limit)), leaves) == expected, limit
 
 
 def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
-    # the enumeration prunes exactly the leaves under a node that the bound
-    # and the gate of _hand_nodes decide: on shards of both searches at the
-    # search's limit, and with made-up bounds at scale 2^-2, where most
-    # roundings move a bound, at every limit that is some leaf's least
-    # bound, where that node must be entered; a subtree product rounded
-    # down, a missing gate or a wrong leaf count moves some None
+    # the enumeration counts exactly the leaves under a node, or the leaf
+    # itself, that the bound and the gate of _hand_nodes decide: on shards
+    # of both searches at the search's limit, and with made-up bounds at
+    # scale 2^-2, where most roundings move a bound, at every limit that is
+    # some leaf's least or own bound, where that node or leaf must be
+    # entered, and one above them all, where every leaf that may be integral
+    # must still be yielded; a subtree product rounded down, a missing gate
+    # or integrality test, a wrong leaf count or a limit that is not strict
+    # moves some count
+    never = 0  # coarse leaves no bound decides, each one possibly integral
     for de, lo, d0, degrees in _PRUNED_SHARDS[:3]:
         class_degrees = tuple(sorted(set(degrees), reverse=True))
         sizes = tuple(map(degrees.count, class_degrees))
@@ -481,23 +510,23 @@ def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
         weight = functools.partial(search._record_vector, de, class_degrees)
         root = root_vector(d0, degrees)
         for prec in (8, 128):
-            leaves = list(_agg_enum_for_degrees(de, lo, d0, degrees, prec, limit=0))
+            leaves = list(_shard_enumeration(de, lo, d0, degrees, prec, limit=0))
             bounds = functools.cache(functools.partial(ratio_bounds, prec=prec))
-            least = _hand_nodes(leaves, weight, bounds, root, prec + intervals.GUARD_BITS)
-            _pruned_as_by_hand(lambda limit: _agg_enum_for_degrees(de, lo, d0, degrees, prec,
-                                                                   limit=limit),
-                               leaves, least, [carried_limit(prec)])
+            hand = _hand_nodes(leaves, weight, bounds, root, prec + intervals.GUARD_BITS)
+            _pruned_as_by_hand(lambda limit: _shard_enumeration(de, lo, d0, degrees, prec,
+                                                                limit=limit),
+                               leaves, hand, [carried_limit(prec)])
         coarse = lambda w: (3 + w % 7 % 4, 3 + w % 11 % 4)  # 3/4 to 3/2 at scale 2^-2
 
-        def enumerate_at(limit):  # a pruned subtree comes as its leaf count
-            for item in record_multisets(quotas, sizes, lo, de, weight, root, coarse, 2, limit):
-                yield from [None] * item if isinstance(item, int) else [item]
+        def enumerate_at(limit):
+            return record_multisets(quotas, sizes, lo, de, weight, root, coarse, 2, limit)
 
         leaves = list(enumerate_at(0))
-        least = _hand_nodes(leaves, weight, coarse, root, 2)
-        sums = set(least) - {None}
-        assert sums
-        _pruned_as_by_hand(enumerate_at, leaves, least, {*sums, max(sums) + 1})
+        hand = _hand_nodes(leaves, weight, coarse, root, 2)
+        sums = {h for pair in hand for h in pair} - {None}
+        never += sum(h is None for h, _ in hand)
+        _pruned_as_by_hand(enumerate_at, leaves, hand, {*sums, max(sums) + 1})
+    assert never
 
 
 def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
@@ -540,37 +569,62 @@ def test_low_start_leaves_that_reach_vector_outcome(monkeypatch):
         assert len(seen) == slow and result.raw == total
 
 
-def test_enumeration_keeps_the_trace_contract(monkeypatch):
-    # a layer tracer counts the aggregates of a run by wrapping
-    # search._agg_enum_for_degrees as a generator and compares the count
-    # with the tally: so it is a generator function, _agg_search_shard
-    # calls it through the module global and takes one item per aggregate,
-    # carried strict leaves and the aggregates of pruned subtrees included,
-    # and wrapping it changes no result
-    assert inspect.isgeneratorfunction(search._agg_enum_for_degrees)
-    original = search._agg_enum_for_degrees
+def test_enumeration_counts_and_leaves_make_the_shard(monkeypatch):
+    # _agg_search_shard takes its items from search._shard_enumeration, a
+    # plain function that hands on record_multisets' iterator, and spying on
+    # them changes no result; the counts plus the leaves make the knapsack
+    # count, which is the shard's raw count, and no leaf it yields is
+    # carried_strict at the search's limit: those are counted in the
+    # enumeration, in pruned subtrees or one by one, and only the leaves it
+    # yields reach vector_outcome
+    assert not inspect.isgeneratorfunction(search._shard_enumeration)
+    original = search._shard_enumeration
     seen = []
 
-    def counting(*args, **kwargs):
-        for item in original(*args, **kwargs):
-            seen.append(item)
-            yield item
+    def spy(*args, **kwargs):
+        items = original(*args, **kwargs)
+        assert inspect.isgenerator(items)
+        seen.extend(items)
+        return iter(seen)
 
+    limit = carried_limit(128)
     shards = [(5, max(1, d0), d0, degrees, 128, 8192)
               for d0, degrees in [(0, ()), (2, (2, 2)), (3, (5, 5, 5)), (3, (5, 4, 3))]]
     plain = [_agg_search_shard(args) for args in shards] + [verify_regular(5)]
-    monkeypatch.setattr(search, "_agg_enum_for_degrees", counting)
+    monkeypatch.setattr(search, "_shard_enumeration", spy)
     for args, expected in zip(shards, plain):
+        de, lo, d0, degrees = args[:4]
         seen.clear()
         result = _agg_search_shard(args)
-        assert len(seen) == result.raw and result == expected
-        # pruned subtrees arrive as one None per aggregate: the count is of
-        # aggregates, not of the leaves the enumeration visits
-        if args[3] == (5, 5, 5):
-            assert None in seen and seen.count(None) < len(seen)
+        counted, leaves = _counts_and_leaves(seen)
+        assert counted + len(leaves) == result.raw == _knapsack_count((lo, de), d0, degrees)
+        assert result == expected
+        assert not any(carried_strict(vec, hx, hy, limit) for _, vec, hx, hy in leaves)
+        if degrees == (5, 5, 5):  # most of a shard is counted, not yielded
+            assert len(leaves) < counted
     seen.clear()
     regular = verify_regular(5)
-    assert len(seen) == regular.profiles == 192 and regular == plain[-1]
+    counted, leaves = _counts_and_leaves(seen)
+    assert counted + len(leaves) == regular.profiles == 192 and regular == plain[-1]
+
+
+@pytest.mark.parametrize("run", [
+    lambda start, cap: verify_statement2(4, jobs=1, precision_start=start, precision_cap=cap),
+    lambda start, cap: verify_statement1_stage1(jobs=1, precision_start=start, precision_cap=cap),
+    lambda start, cap: verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS], start, cap),
+    lambda start, cap: verify_regular(4, start, cap),
+], ids=["statement2", "stage1", "stage2", "regular"])
+def test_search_rejects_a_bad_schedule_before_any_shard(monkeypatch, run):
+    # a start above the cap fails before any shard runs: at 128 bits the
+    # carried bounds decide every aggregate of many shards, which then never
+    # reach certify_exponents, the only other place the schedule is checked
+    def shard(args):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(search, "_agg_search_shard", shard)
+    monkeypatch.setattr(search, "_stage2_shard", shard)
+    with pytest.raises(ValueError, match="precision start"):
+        run(128, 64)
 
 
 def test_integrality_pretest_clears_only_non_integral_keys(stage1_sample):
@@ -596,7 +650,7 @@ def test_exact_route_under_carried_bounds():
     first = vector_outcome(vec)
     assert first[:2] == (Outcome.EQUAL, "exact")
     assert all(map(maybe_integral, ratio_keys(vec)))
-    assert not carried_strict(vec, 0, 0, 128)
+    assert not carried_strict(vec, 0, 0, carried_limit(128))
     other = next(v for _, v in shard_aggregates(5, 2, 2, (2, 2))
                  if all(num % _SEARCH_DEN for k in ratio_keys(v) for _, num in key_exponents(k)))
     (kx, ky), (ox, oy) = ratio_keys(vec), ratio_keys(other)
@@ -718,7 +772,6 @@ def _flip_outcomes(monkeypatch, flip):
         return flip(outcome), method, precision, values
 
     monkeypatch.setattr(search, "carried_limit", lambda prec: 0)
-    monkeypatch.setattr(search, "carried_strict", lambda *args: False)
     monkeypatch.setattr(search, "vector_outcome", mutant)
 
 
