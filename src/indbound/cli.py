@@ -15,8 +15,9 @@ export-exceptions, --seed and --scale for selftest.
 
 Exit codes: 0 pass, 1 fail, 2 undecided (a command that does not pass
 with some comparison left undecided), 3 internal/parse/usage error (a
-precision below 1 bit and fewer than one worker included), and 4 for a
-degree above five in `check`.  `check` passes when ind(G) <= bound with
+precision below 1 bit, fewer than one worker, a --scale that is not finite
+and positive, and a verify-all --dot without stage 1 included), and 4 for
+a degree above five in `check`.  `check` passes when ind(G) <= bound with
 equality exactly on extremal components, and either the last good-vertex
 probe of a bipartite graph is good (the empty graph has none) or
 ind(G)^2 <= ind(G x K2) for a non-bipartite one.  The certificate of
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -124,6 +126,10 @@ def _exit(passed: bool, undecided: int) -> int:
     return EXIT_UNDECIDED if undecided else EXIT_FAIL
 
 
+def _runs_stage1(args) -> bool:
+    return args.statement in (None, 1) and args.delta == MAX_DEGREE
+
+
 def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
@@ -154,7 +160,7 @@ def _cmd_verify_all(args) -> int:
                                                  precision_cap=args.precision_cap)
         print(f"statement 2 (delta={st2.delta}): {_verdict(st2.passed)} {st2.tally}")
 
-    if args.statement in (None, 1) and args.delta == MAX_DEGREE:
+    if _runs_stage1(args):
         s1 = doc.stage1 = verify_statement1_stage1(jobs=args.jobs,
                                                    precision_start=args.precision_bits,
                                                    precision_cap=args.precision_cap)
@@ -282,6 +288,12 @@ def main(argv: list[str] | None = None) -> int:
     if "precision_bits" in args and not 1 <= args.precision_bits <= args.precision_cap:
         print(f"error: need 1 <= --precision-bits <= --precision-cap, got "
               f"{args.precision_bits} and {args.precision_cap}", file=sys.stderr)
+        return EXIT_ERROR
+    if args.subcommand == "verify-all" and args.dot_dir and not _runs_stage1(args):
+        print(f"error: --dot needs stage 1: --delta {MAX_DEGREE} and no --statement 2", file=sys.stderr)
+        return EXIT_ERROR
+    if "scale" in args and not 0 < args.scale < math.inf:
+        print(f"error: need a finite --scale > 0, got {args.scale}", file=sys.stderr)
         return EXIT_ERROR
     try:
         return {"verify-all": _cmd_verify_all, "check": _cmd_check,

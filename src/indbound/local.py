@@ -59,21 +59,24 @@ def record_multisets(
 
     Skeleton first: the multiset of class vectors is a vector partition of
     the quotas; each chosen class vector's multiplicity is then spread over
-    its admissible b.  Partial partitions that cannot be completed are never
-    entered.  Each record's weight and bounds are computed once per call,
-    on first use.
+    its admissible b.  A node of the recursion (a class vector to start
+    from and a remainder of the quotas) is one record, built once per call
+    and walked by reference: its moves, each to a child node with its
+    spread options, the largest products max_u, max_v of bounds over its
+    completions (every product rounded up), its number of leaves and, once
+    needed, its completions' ratio residues.  The empty remainder is the one
+    leaf node.  A move is kept only when its child has a leaf, so partial
+    partitions that cannot be completed are never entered.  Each record's
+    weight and bounds are computed once per call, on first use.
 
     With a limit above 0, weights are A/B/C vectors, and what their bounds
     decide is counted, not yielded: a leaf when
-    products.carried_strict(total, u, v, limit) holds, and a node of the
-    recursion (a class vector to start from and a nonempty remainder of the
-    quotas), as its number of leaves and without being entered, when every
-    completion of it is decided from its bounds alone: for carried u, v,
-    ceil(u max_u) + ceil(v max_v) < limit, with max_u and max_v the largest
-    product of bounds over the node's completions, every product rounded
-    up, and no completion whose ratio residues (products.ratio_residues),
-    added to those of the prefix total, are both 0.  With limit 0 every
-    leaf is yielded."""
+    products.carried_strict(total, u, v, limit) holds, and a node with a
+    nonempty remainder, as its number of leaves and without being entered,
+    when every completion of it is decided from its bounds alone: for
+    carried u, v, ceil(u max_u) + ceil(v max_v) < limit, and no completion
+    whose ratio residues (products.ratio_residues), added to those of the
+    prefix total, are both 0.  With limit 0 every leaf is yielded."""
     bounds = bounds or (lambda w: (1, 1))
     cvecs = [
         cvec
@@ -107,62 +110,48 @@ def record_multisets(
                 out.append((recs, w, u, v))
         return spreads[cvec, c]
 
-    moves_of: dict[tuple[int, tuple[int, ...]], list] = {}
+    leaf = [(), 1 << scale, 1 << scale, 1, {(0, 0)}]  # the empty product, one leaf, residues 0, 0
+    nodes: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    def moves(start: int, rem: tuple[int, ...]) -> list:
-        """(next start, remainder, spreads) for every c copies of a class
-        vector j >= start that leave a remainder coverable from j + 1 on,
-        the empty one included."""
+    def node(start: int, rem: tuple[int, ...]) -> list:
+        """[moves, max_u, max_v, leaves, residues] of a node with a nonempty
+        remainder: (child, spreads) for every c copies of a class vector
+        j >= start whose child, from j + 1 on, has a leaf; residues None."""
         key = (start, rem)
-        if key not in moves_of:
-            out = []
+        if key not in nodes:
+            out, mu, mv, n = [], 0, 0, 0
             for j in range(start, len(cvecs)):
                 cvec = cvecs[j]
                 for c in range(1, min(r // x for r, x in zip(rem, cvec) if x) + 1):
                     nrem = tuple(r - c * x for r, x in zip(rem, cvec))
-                    if not any(nrem) or moves(j + 1, nrem):
-                        out.append((j + 1, nrem, spread(cvec, c)))
-            moves_of[key] = out
-        return moves_of[key]
+                    child = node(j + 1, nrem) if any(nrem) else leaf
+                    if child[3]:
+                        options = spread(cvec, c)
+                        ou = max(option[2] for option in options)
+                        ov = max(option[3] for option in options)
+                        mu, mv = max(mu, -(-ou * child[1] >> scale)), max(mv, -(-ov * child[2] >> scale))
+                        n += len(options) * child[3]
+                        out.append((child, options))
+            nodes[key] = [out, mu, mv, n, None]
+        return nodes[key]
 
-    reach_of: dict[tuple[int, tuple[int, ...]], tuple[int, int, int]] = {}
-
-    def reach(start: int, rem: tuple[int, ...]) -> tuple[int, int, int]:
-        """(max_u, max_v, leaves) over the completions of a node; a leaf
-        has the empty product 1, 1 and is one leaf."""
-        key = (start, rem)
-        if key not in reach_of:
-            mu, mv, n = (0, 0, 0) if any(rem) else (1 << scale, 1 << scale, 1)
-            for nstart, nrem, options in moves(start, rem):
-                ou = max(option[2] for option in options)
-                ov = max(option[3] for option in options)
-                cu, cv, cn = reach(nstart, nrem)
-                mu, mv = max(mu, -(-ou * cu >> scale)), max(mv, -(-ov * cv >> scale))
-                n += len(options) * cn
-            reach_of[key] = mu, mv, n
-        return reach_of[key]
-
-    residues_of: dict[tuple[int, tuple[int, ...]], set[tuple[int, int]]] = {}
-
-    def residues(start: int, rem: tuple[int, ...]) -> set[tuple[int, int]]:
-        """The ratio residues of the node's completions' totals; a leaf
-        completes with nothing, 0 and 0."""
-        key = (start, rem)
-        if key not in residues_of:
-            out = set() if any(rem) else {(0, 0)}
-            for nstart, nrem, options in moves(start, rem):
-                ends = residues(nstart, nrem)
+    def residues(nd: list) -> set[tuple[int, int]]:
+        """The ratio residues of a node's completions' totals."""
+        if nd[4] is None:
+            out = set()
+            for child, options in nd[0]:
+                ends = residues(child)
                 for _, w, _, _ in options:
                     x, y = ratio_residues(w)
                     out.update(((x + ex) % KEY_MODULUS, (y + ey) % KEY_MODULUS) for ex, ey in ends)
-            residues_of[key] = out
-        return residues_of[key]
+            nd[4] = out
+        return nd[4]
 
-    def rec(start: int, rem: tuple[int, ...], records: tuple, total: int, nu: int, nv: int):
+    def rec(nd: list, records: tuple, total: int, nu: int, nv: int):
         # nu = -u, nv = -v: a floor of the negated product is minus its
         # ceiling, so the prune tests ceil(u max_u) + ceil(v max_v) < limit
-        for nstart, nrem, options in moves(start, rem):
-            if not any(nrem):  # leaves
+        for child, options in nd[0]:
+            if child is leaf:
                 counted = 0
                 for recs, w, ou, ov in options:
                     u, v = -(nu * ou >> scale), -(nv * ov >> scale)
@@ -173,25 +162,23 @@ def record_multisets(
                 if counted:
                     yield counted
                 continue
-            if limit:
-                mu, mv, leaves = reach(nstart, nrem)
             for recs, w, ou, ov in options:
                 cu, cv = nu * ou >> scale, nv * ov >> scale
-                if limit and (cu * mu >> scale) + (cv * mv >> scale) > -limit:
+                if limit and (cu * child[1] >> scale) + (cv * child[2] >> scale) > -limit:
                     x, y = ratio_residues(total + w)
-                    if (-x % KEY_MODULUS, -y % KEY_MODULUS) not in residues(nstart, nrem):
-                        yield leaves
+                    if (-x % KEY_MODULUS, -y % KEY_MODULUS) not in residues(child):
+                        yield child[3]
                         continue
-                yield from rec(nstart, nrem, records + recs, total + w, cu, cv)
+                yield from rec(child, records + recs, total + w, cu, cv)
 
     u, v = bounds(root)
     if not any(quotas):  # the empty multiset, the one leaf
         yield 1 if carried_strict(root, u, v, limit) else ((), root, u, v)
         return
     try:
-        yield from rec(0, tuple(quotas), (), root, -u, -v)
+        yield from rec(node(0, tuple(quotas)), (), root, -u, -v)
     finally:  # the closures form a cycle: free the memos now, not at the next collection
-        for memo in (records_of, spreads, moves_of, reach_of, residues_of):
+        for memo in (records_of, spreads, nodes):
             memo.clear()
 
 

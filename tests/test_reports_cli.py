@@ -90,6 +90,18 @@ def test_dot_export_idempotent(tmp_path):
     assert text.startswith("graph exception_01") and "rank=same" in text
 
 
+def test_cli_dot_files_of_verify_all_and_export_exceptions_agree(tmp_path, capsys):
+    # verify-all writes the DOT files of its own stage 1, byte for byte the
+    # fourteen that export-exceptions writes
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["verify-all", "--statement", "1", "--jobs", "1", "--dot", str(a)]) == 0
+    assert main(["export-exceptions", "--jobs", "1", "--dot", str(b)]) == 0
+    assert capsys.readouterr().out.count("wrote 14 DOT files") == 2
+    names = sorted(p.name for p in a.iterdir())
+    assert len(names) == 14 and names == sorted(p.name for p in b.iterdir())
+    assert all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
 def test_appearance_dot_levels():
     ap = expand_appearances(FAILING_PATTERNS[0][0])[0]
     dot = appearance_to_dot(ap, "x")
@@ -211,10 +223,16 @@ def test_cli_rejects_precision_below_one_bit(tmp_path, capsys):
                  ["check", "--input", str(p), "--precision-bits", "9", "--precision-cap", "3"],
                  ["verify-all", "--delta", "2", "--jobs", "0"],
                  ["verify-all", "--delta", "2", "--jobs", "-1"],
-                 ["export-exceptions", "--jobs", "0"]):
+                 ["export-exceptions", "--jobs", "0"],
+                 # stage 1 alone finds what --dot writes, and neither run has it
+                 ["verify-all", "--statement", "2", "--delta", "3", "--jobs", "1",
+                  "--dot", str(tmp_path / "dd")],
+                 ["verify-all", "--delta", "4", "--jobs", "1", "--dot", str(tmp_path / "dd")],
+                 *(["selftest", "--scale", scale] for scale in ("0", "-1", "nan", "inf"))):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "dd").exists()
 
 
 def test_cli_usage_error_exits_3_not_undecided(capsys):

@@ -230,9 +230,11 @@ def _shards(statement):
 
 
 def _counts_and_leaves(items):
-    """The sum of the counts among enumeration items, and the leaves."""
-    leaves = [item for item in items if not isinstance(item, int)]
-    return sum(item for item in items if isinstance(item, int)), leaves
+    """The sum of the counts among enumeration items, and the leaves.  No
+    count is 0: a move is kept only when its child node has a leaf."""
+    counts = [item for item in items if isinstance(item, int)]
+    assert all(counts)
+    return sum(counts), [item for item in items if not isinstance(item, int)]
 
 
 def test_aggregate_counts_match_knapsack():
