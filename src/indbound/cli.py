@@ -15,12 +15,13 @@ export-exceptions, --seed and --scale for selftest.
 
 Exit codes: 0 pass, 1 fail, 2 undecided (a command that does not pass
 with some comparison left undecided), 3 internal/parse/usage error (a
-precision below 1 bit, fewer than one worker, a --scale that is not finite
-and positive, and a verify-all --dot without stage 1 included), and 4 for
-a degree above five in `check`.  `check` passes when ind(G) <= bound with
-equality exactly on extremal components, and either the last good-vertex
-probe of a bipartite graph is good (the empty graph has none) or
-ind(G)^2 <= ind(G x K2) for a non-bipartite one.  The certificate of
+precision below 1 bit, a --jobs below 1, a --scale that is not finite and
+positive, and a verify-all --dot without stage 1 included; a crashed pool
+worker is an internal error), and 4 for a degree above five in `check`.
+`check` passes when ind(G) <= bound with equality exactly on extremal
+components, and either the last good-vertex probe of a bipartite graph is
+good (the empty graph has none) or ind(G)^2 <= ind(G x K2) for a
+non-bipartite one.  The certificate of
 verify-all is assembled by reports.CertificateDocument alone.
 Exit codes are the machine contract; the human-readable stdout may evolve,
 the JSON schema may not.
@@ -81,7 +82,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser, jobs: bool) -> None:
     if jobs:
         p.add_argument("--jobs", type=int, default=default_jobs(),
-                       help="worker processes (default: the CPUs this process may use)")
+                       help="processes that run the search shards, this one included "
+                            "(default: the CPUs this process may use)")
     p.add_argument("--precision-bits", type=int, default=PRECISION_START, help="interval precision start")
     p.add_argument("--precision-cap", type=int, default=PRECISION_CAP, help="interval precision cap")
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write a JSON report here")

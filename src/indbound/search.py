@@ -41,15 +41,15 @@ level-2 degrees in the window lo..delta_eff, level 3 padded to delta_eff.
 Each search states its window once: 1..d0 padded to d0 for statement 2's
 maximum-degree root, stage1_window(d0) = max(1, d0)..5 for stage 1's
 minimum-degree root and for the free degrees of stage 2, d..d for the
-d-regular case.  Shards are independent, so workers run in parallel and
-reports merge deterministically.
+d-regular case.  Shards are independent: at jobs > 1 the caller runs one
+lane of them, jobs - 1 workers the rest, and reports merge
+deterministically.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -326,15 +326,30 @@ def _agg_search_shard(args) -> ShardResult:
     return result
 
 
+def _run_lane(worker, lane: list) -> list[ShardResult]:
+    return [worker(args) for args in lane]
+
+
 def _run_shards(shards: list, worker, jobs: int) -> ShardResult:
-    merged = ShardResult()
-    if jobs > 1 and len(shards) > 1:
-        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
-            for res in pool.imap(worker, shards, chunksize=1):
-                merged.absorb(res)
+    """Run the shards in min(jobs, len(shards)) lanes, dealt round-robin:
+    the calling process runs lane 0 while a pool of one worker per other
+    lane runs the rest, each lane as one task.  Results merge in shard
+    order, so the report does not depend on jobs.  A worker that dies
+    breaks the pool, and its lane's result raises BrokenProcessPool."""
+    lanes = min(jobs, len(shards))
+    if lanes < 2:
+        done = [_run_lane(worker, shards)]
     else:
-        for args in shards:
-            merged.absorb(worker(args))
+        # imported here, not at the top: it loads multiprocessing's pool
+        # machinery, which a run at jobs=1 would pay for at every start
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(lanes - 1) as pool:
+            futures = [pool.submit(_run_lane, worker, shards[i::lanes]) for i in range(1, lanes)]
+            done = [_run_lane(worker, shards[::lanes]), *(f.result() for f in futures)]
+    merged = ShardResult()
+    for i in range(len(shards)):
+        merged.absorb(done[i % lanes][i // lanes])
     return merged
 
 
@@ -350,8 +365,8 @@ def default_jobs() -> int:
 
 
 def _resolve_jobs(jobs: int | None) -> int:
-    """The worker count of a search: default_jobs() for None, and an error
-    below 1."""
+    """The process count of a search, the caller included: default_jobs()
+    for None, and an error below 1."""
     if jobs is None:
         return default_jobs()
     if jobs < 1:

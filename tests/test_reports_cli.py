@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,7 @@ from conftest import (
     strip_timing,
     stripped_digest,
 )
+import indbound
 from indbound import cli
 from indbound.cli import main
 from indbound.counting import CountBudgetExceeded
@@ -160,6 +166,36 @@ def test_cli_verify_all_certificate_digest(tmp_path, statement, digest):
     j = tmp_path / "cert.json"
     assert main(["verify-all", "--statement", statement, "--jobs", "2", "--json", str(j)]) == 0
     assert stripped_digest(json.loads(j.read_text())) == digest
+
+
+def test_cli_killed_worker_exits_3():
+    # a pool worker killed in the middle of stage 1 breaks the pool: the run
+    # ends with exit 3 and no verdict, not in a hang.  The kill comes from a
+    # shard that runs outside the calling process, so only a worker dies;
+    # the run is a child interpreter under a timeout, so a hang fails the
+    # test.  Workers are forked so that they inherit the patched shard
+    # function.
+    script = textwrap.dedent("""
+        import functools, multiprocessing, os, signal, sys
+        from indbound import cli, search
+        multiprocessing.set_start_method("fork")
+        caller, shard = os.getpid(), search._agg_search_shard
+
+        @functools.wraps(shard)
+        def killing_shard(args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return shard(args)
+
+        search._agg_search_shard = killing_shard
+        sys.exit(cli.main(["verify-all", "--statement", "1", "--jobs", "2"]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(indbound.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "internal error: BrokenProcessPool" in done.stderr
+    assert "statement 1 stage 1" not in done.stdout and "overall" not in done.stdout
 
 
 def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys):

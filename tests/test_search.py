@@ -1,7 +1,7 @@
+import concurrent.futures
 import functools
 import inspect
 import itertools
-import multiprocessing
 import os
 import random
 
@@ -894,14 +894,20 @@ def test_statement2_is_verified_up_to_its_max_degree():
 
 
 def test_pool_starts_no_more_workers_than_shards(monkeypatch):
-    # stage 1 has 31 shards, so a pool of more workers would only fork idle
-    # processes; the fake pool records its size and maps in this process, so
-    # no worker is started whatever the requested count
-    sizes = []
+    # stage 1 has 31 shards, so at jobs=1000 it runs 31 lanes of one shard:
+    # the caller runs one and a pool of 30 workers the others, one task per
+    # worker; the fake executor records its size and runs each task in this
+    # process, so no worker is started whatever the requested count
+    sizes, tasks, lanes = [], [], []  # pool sizes, submitted lanes, every lane run
+    run_lane = search._run_lane
 
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def spy_lane(worker, lane):
+        lanes.append(len(lane))
+        return run_lane(worker, lane)
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -909,14 +915,28 @@ def test_pool_starts_no_more_workers_than_shards(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, worker, shards, chunksize=1):
-            return map(worker, shards)
+        def submit(self, fn, worker, lane):
+            tasks.append(len(lane))
+            future = concurrent.futures.Future()
+            future.set_result(fn(worker, lane))
+            return future
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(search, "_run_lane", spy_lane)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     report = verify_statement1_stage1(jobs=1000)
-    assert sizes == [31]
+    assert sizes == [30] and tasks == [1] * 30
+    assert lanes == [1] * 31  # the 30 tasks and the caller's own lane
     assert sum(report.tally.values()) == report.configs_enumerated == 103_236
     assert report.extra["jobs"] == 1000
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a search at jobs=1 started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    lanes.clear()
+    serial = verify_statement1_stage1(jobs=1)
+    assert lanes == [31]
+    assert _stripped(serial) == _stripped(report)
 
 
 def test_config_automorphisms_match_brute_force():
@@ -939,14 +959,24 @@ def test_config_automorphisms_match_brute_force():
         assert _config_automorphisms(cfg) == sorted(group), cfg
 
 
+def _stripped(report) -> dict:
+    out = report.to_json()
+    out.pop("timing")
+    out.pop("jobs", None)
+    return out
+
+
 def test_parallel_determinism_statement2():
-    a = verify_statement2(3, jobs=1)
-    b = verify_statement2(3, jobs=2)
-    sa, sb = a.to_json(), b.to_json()
-    for rep in (sa, sb):
-        rep.pop("timing")
-        rep.pop("jobs", None)
-    assert sa == sb
+    # 15 and 50 shards: two lanes split the first unevenly, three the second
+    for delta in (3, 4):
+        a, b, c = (_stripped(verify_statement2(delta, jobs=jobs)) for jobs in (1, 2, 3))
+        assert a == b == c
+
+
+def test_parallel_determinism_stage1():
+    # 31 shards: neither two nor three lanes divide them evenly
+    a, b, c = (_stripped(verify_statement1_stage1(jobs=jobs)) for jobs in (1, 2, 3))
+    assert a == b == c
 
 
 def test_stage2_completions_path_pattern():
@@ -978,7 +1008,7 @@ def test_stage2_runs_in_the_calling_process(monkeypatch):
         raise AssertionError("stage 2 started a process pool")
 
     monkeypatch.setattr(search, "default_jobs", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     report = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS])
     assert report.passed and report.extra["jobs"] == 1
     assert report.configs_after_dedup == 129
