@@ -14,10 +14,14 @@ Each subcommand takes only the flags it reads; --jobs is for verify-all and
 export-exceptions, --seed and --scale for selftest.
 
 Exit codes: 0 pass, 1 fail, 2 undecided (a command that does not pass
-with some comparison left undecided), 3 internal/parse/usage error (a
-precision below 1 bit, a --jobs below 1, a --scale that is not finite and
-positive, and a verify-all --dot without stage 1 included; a crashed pool
-worker is an internal error), and 4 for a degree above five in `check`.
+with some comparison left undecided), 4 a degree above five, and 3 for
+everything else: a usage error, a value the library rejects (a precision
+below 1 bit or above the cap, a --jobs below 1), a --scale that is not
+finite and positive, a verify-all --dot without stage 1, an input that
+cannot be read or parsed, a graph too large to count, an output path that
+cannot be written and an interrupt, each with `error: ...`, and a crash
+(a dead pool worker included) with `internal error: ...`.  main is the one
+place a failure becomes an exit code.
 `check` passes when ind(G) <= bound with equality exactly on extremal
 components, and either the last good-vertex probe of a bipartite graph is
 good (the empty graph has none) or ind(G)^2 <= ind(G x K2) for a
@@ -30,7 +34,6 @@ the JSON schema may not.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -46,16 +49,13 @@ from .products import (
     DegreeBoundError,
     Outcome,
     check_f_fact,
+    precision_schedule,
 )
-from .reports import (
-    CertificateDocument,
-    RunConfig,
-    export_exception_dots,
-    write_certificate,
-)
+from .reports import CertificateDocument, RunConfig, export_exception_dots, write_json
 from .search import (
     STATEMENT2_MAX_DEGREE,
     default_jobs,
+    resolve_jobs,
     verify_regular,
     verify_statement1_stage1,
     verify_statement1_stage2,
@@ -179,35 +179,18 @@ def _cmd_verify_all(args) -> int:
 
     doc.timing["total_s"] = time.monotonic() - t_all
     if args.json_path:
-        write_certificate(doc, args.json_path)
+        write_json(doc.to_json(), args.json_path)
         print(f"certificate written to {args.json_path}")
     print(f"overall: {doc.overall}")
     return _exit(doc.overall == "PASS", doc.undecided_count())
 
 
 def _cmd_check(args) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as e:
-        print(f"error: cannot read {args.input}: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        g = parse_edge_list(text)
-    except GraphParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    if g.max_degree() > MAX_DEGREE:
-        print(f"error: maximum degree {g.max_degree()} exceeds the verified bound {MAX_DEGREE}",
-              file=sys.stderr)
-        return EXIT_DEGREE
+    g = parse_edge_list(Path(args.input).read_text())
+    report = check_kahn_bound(g, precision_start=args.precision_bits,
+                              precision_cap=args.precision_cap)
     bipartite = is_bipartite(g)
-    try:
-        report = check_kahn_bound(g, precision_start=args.precision_bits,
-                                  precision_cap=args.precision_cap)
-        dc = None if bipartite else count_independent_sets(tensor_k2(g))
-    except CountBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    dc = None if bipartite else count_independent_sets(tensor_k2(g))
     out = report.to_json()
     print(f"vertices: {g.n}, edges: {g.edge_count()}, isolated: {g.iso_count()}")
     print(f"ind(G) = {report.count}")
@@ -236,7 +219,7 @@ def _cmd_check(args) -> int:
         print("graph is not bipartite; goodness is checked on the bipartite double")
         print(f"cover: ind(G)^2 = {sq} <= {dc} = ind(G x K2): {good}")
     if args.json_path:
-        Path(args.json_path).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        write_json(out, args.json_path)
     outcomes = [report.verdict.outcome, *(v.outcome for _, _, v in probes)]
     bound_holds = report.verdict.outcome in (Outcome.STRICTLY_LESS, Outcome.EQUAL)
     return _exit(bound_holds and report.consistent and good, outcomes.count(Outcome.UNDECIDED))
@@ -256,17 +239,11 @@ def _cmd_export_exceptions(args) -> int:
     s1 = verify_statement1_stage1(jobs=args.jobs,
                                   precision_start=args.precision_bits,
                                   precision_cap=args.precision_cap)
-    try:
-        written = export_exception_dots(s1.appearances, args.dot_dir)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    written = export_exception_dots(s1.appearances, args.dot_dir)
     print(f"wrote {len(written)} DOT files to {args.dot_dir}")
     if args.json_path:
-        Path(args.json_path).write_text(
-            json.dumps({"files": [p.name for p in written],
-                        "appearances": len(s1.appearances)}, indent=2) + "\n"
-        )
+        write_json({"files": [p.name for p in written], "appearances": len(s1.appearances)},
+                   args.json_path)
     return _exit(s1.passed, s1.tally["undecided"])
 
 
@@ -276,26 +253,23 @@ def _cmd_selftest(args) -> int:
         print(f"{r.name}: {_verdict(r.passed)} "
               f"({r.trials} trials, {r.failures} failures)")
     if args.json_path:
-        Path(args.json_path).write_text(
-            json.dumps([r.to_json() for r in results], indent=2, sort_keys=True) + "\n"
-        )
+        write_json([r.to_json() for r in results], args.json_path)
     return _exit(all(r.passed for r in results), 0)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if "jobs" in args and args.jobs < 1:
-        print(f"error: need --jobs >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_ERROR
-    if "precision_bits" in args and not 1 <= args.precision_bits <= args.precision_cap:
-        print(f"error: need 1 <= --precision-bits <= --precision-cap, got "
-              f"{args.precision_bits} and {args.precision_cap}", file=sys.stderr)
-        return EXIT_ERROR
-    if args.subcommand == "verify-all" and args.dot_dir and not _runs_stage1(args):
-        print(f"error: --dot needs stage 1: --delta {MAX_DEGREE} and no --statement 2", file=sys.stderr)
-        return EXIT_ERROR
-    if "scale" in args and not 0 < args.scale < math.inf:
-        print(f"error: need a finite --scale > 0, got {args.scale}", file=sys.stderr)
+    try:  # the library's own rules first, then the two only the CLI has
+        if "jobs" in args:
+            resolve_jobs(args.jobs)
+        if "precision_bits" in args:
+            precision_schedule(args.precision_bits, args.precision_cap)
+        if args.subcommand == "verify-all" and args.dot_dir and not _runs_stage1(args):
+            raise ValueError(f"--dot needs stage 1: --delta {MAX_DEGREE} and no --statement 2")
+        if "scale" in args and not 0 < args.scale < math.inf:
+            raise ValueError(f"need a finite --scale > 0, got {args.scale}")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     try:
         return {"verify-all": _cmd_verify_all, "check": _cmd_check,
@@ -304,7 +278,13 @@ def main(argv: list[str] | None = None) -> int:
     except DegreeBoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGREE
-    except Exception as e:  # internal errors are exit 3 by contract
+    except (OSError, GraphParseError, CountBudgetExceeded) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as e:  # anything else is a crash, exit 3 by contract
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -113,7 +113,7 @@ def is_good(
 def is_good_fullgraph(g: Graph, x: int) -> Verdict:
     """Direct evaluation of Pi(G) >= Pi(G-x) + Pi(G-x-N(x)) with no
     cancellation; the testing oracle for is_good."""
-    (g1, _), (g2, _) = delete_closed(g, x)
+    g1, g2 = delete_closed(g, x)
     return certify_sum_inequality(pi_product(g), pi_product(g1), pi_product(g2),
                                   equality_expected=component_is_extremal(g, x))
 
@@ -204,9 +204,10 @@ def check_kahn_bound(
     precision_cap: int = PRECISION_CAP,
 ) -> BoundCheckReport:
     """Exact count, bound product, certified comparison, and the structural
-    equality test (every component complete bipartite or a single vertex)."""
-    count = count_independent_sets(g)
+    equality test (every component complete bipartite or a single vertex).
+    A degree above MAX_DEGREE raises DegreeBoundError before any counting."""
     product = pi_product(g)
+    count = count_independent_sets(g)
     verdict = compare_count_to_product(count, product, precision_start, precision_cap)
     try:
         structural = all(decomposition_is_extremal(g, ld) for ld in decompositions(g))

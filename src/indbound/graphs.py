@@ -34,9 +34,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
     def iso_count(self) -> int:
         """Number of isolated vertices."""
         return sum(1 for a in self.adjacency if not a)
@@ -117,23 +114,20 @@ def parse_edge_list(text: str) -> Graph:
     return from_edges(n, edges)
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced on `keep`, densely re-indexed.
-
-    Returns (subgraph, old_of_new) where old_of_new[i] is the original index
-    of new vertex i; vertices keep their relative order.
-    """
-    old_of_new = tuple(sorted(set(keep)))
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
+    """Subgraph induced on `keep`, densely re-indexed; vertices keep their
+    relative order."""
+    old_of_new = sorted(set(keep))
     new_of_old = {old: new for new, old in enumerate(old_of_new)}
     adj = tuple(
         tuple(new_of_old[w] for w in g.adjacency[old] if w in new_of_old)
         for old in old_of_new
     )
-    return Graph(len(old_of_new), adj), old_of_new
+    return Graph(len(old_of_new), adj)
 
 
-def delete_closed(g: Graph, x: int) -> tuple[tuple[Graph, tuple[int, ...]], tuple[Graph, tuple[int, ...]]]:
-    """(G - x, G - x - N(x)), both densely re-indexed with their index maps."""
+def delete_closed(g: Graph, x: int) -> tuple[Graph, Graph]:
+    """(G - x, G - x - N(x)), both densely re-indexed."""
     if not (0 <= x < g.n):
         raise ValueError(f"vertex {x} out of range for n={g.n}")
     without_x = [v for v in range(g.n) if v != x]

@@ -92,12 +92,10 @@ def _appearance_json(ap: Appearance) -> dict:
     return {"level_sizes": [len(lv) for lv in levels], "edges": [list(e) for e in edges]}
 
 
-def dumps_certificate(doc: CertificateDocument) -> str:
-    return json.dumps(doc.to_json(), indent=2, sort_keys=True) + "\n"
-
-
-def write_certificate(doc: CertificateDocument, path: str | Path) -> None:
-    Path(path).write_text(dumps_certificate(doc))
+def write_json(obj, path: str | Path) -> None:
+    """The one layout of every JSON file the CLI writes, the certificate
+    included: sorted keys, indent 2, a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def appearance_to_dot(ap: Appearance, name: str) -> str:

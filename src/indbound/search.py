@@ -335,17 +335,29 @@ def _run_shards(shards: list, worker, jobs: int) -> ShardResult:
     the calling process runs lane 0 while a pool of one worker per other
     lane runs the rest, each lane as one task.  Results merge in shard
     order, so the report does not depend on jobs.  A worker that dies
-    breaks the pool, and its lane's result raises BrokenProcessPool."""
+    breaks the pool, and its lane's result raises BrokenProcessPool.  An
+    interrupt reaches the caller alone, and its KeyboardInterrupt leaves
+    this function once the workers have finished their lanes."""
     lanes = min(jobs, len(shards))
     if lanes < 2:
         done = [_run_lane(worker, shards)]
     else:
         # imported here, not at the top: it loads multiprocessing's pool
         # machinery, which a run at jobs=1 would pay for at every start
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(lanes - 1) as pool:
-            futures = [pool.submit(_run_lane, worker, shards[i::lanes]) for i in range(1, lanes)]
+        # workers ignore SIGINT, so an interrupt reaches the caller alone.
+        # The submits start them with SIGINT blocked, so one sent before a
+        # worker's initializer has run stays pending: the worker drops it
+        # on ignoring the signal, the caller takes it after the submits.
+        with ProcessPoolExecutor(lanes - 1, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                futures = [pool.submit(_run_lane, worker, shards[i::lanes]) for i in range(1, lanes)]
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             done = [_run_lane(worker, shards[::lanes]), *(f.result() for f in futures)]
     merged = ShardResult()
     for i in range(len(shards)):
@@ -364,7 +376,7 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _resolve_jobs(jobs: int | None) -> int:
+def resolve_jobs(jobs: int | None) -> int:
     """The process count of a search, the caller included: default_jobs()
     for None, and an error below 1."""
     if jobs is None:
@@ -488,7 +500,7 @@ def verify_statement2(
     exactly on the complete-bipartite configurations."""
     if not 1 <= delta <= STATEMENT2_MAX_DEGREE:
         raise ValueError(f"statement 2 is verified for delta in 1..{STATEMENT2_MAX_DEGREE}")
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     t0 = time.monotonic()
     shards = _shards([(d0, 1, d0) for d0 in range(delta + 1)], precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)
@@ -510,7 +522,7 @@ def verify_statement1_stage1(
     undecided configurations, equality exactly on the complete-bipartite
     shapes, and the level-0..3 appearances of the failing patterns to match
     the fourteen expected exceptional neighborhoods."""
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     t0 = time.monotonic()
     shards = _shards(map(stage1_window, range(MAX_DEGREE)), precision_start, precision_cap)
     merged = _run_shards(shards, _agg_search_shard, jobs)

@@ -64,7 +64,7 @@ def test_recursion_identity_any_vertex():
         n = rng.randint(1, 12)
         g = random_graph_max_degree(rng, n, rng.uniform(0.1, 0.8), n)
         x = rng.randrange(n)
-        (g1, _), (g2, _) = delete_closed(g, x)
+        g1, g2 = delete_closed(g, x)
         assert count_independent_sets(g) == count_independent_sets(
             g1
         ) + count_independent_sets(g2)
@@ -135,7 +135,7 @@ def test_branching_meets_closed_form_components():
         edges += [(c0 + i, c0 + (i + 1) % ring) for i in range(ring)]
         edges.append((rng.randrange(core), c0))
         g = from_edges(n, edges)
-        assert g.max_degree() <= 5
+        assert max(g.degrees(), default=0) <= 5
         assert count_independent_sets(g) == count_bruteforce(g)
 
 

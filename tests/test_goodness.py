@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import complete_bipartite, cycle, path, vector_terms
-from indbound import products
+from indbound import goodness, products
 from indbound.counting import count_independent_sets
 from indbound.goodness import (
     NoGoodVertexError,
@@ -367,6 +367,17 @@ def test_check_kahn_bound_builds_each_product_interval_once(fig1, monkeypatch):
         assert r.product_interval == interval_strings(original(r.product, 128))
 
 
+def test_check_kahn_bound_rejects_the_degree_before_counting(monkeypatch):
+    # the degree bound is checked by the bound product, which comes first, so
+    # a graph outside the verified range is never counted
+    counted = []
+    monkeypatch.setattr(goodness, "count_independent_sets", lambda g, *a: counted.append(g))
+    star = from_edges(7, [(0, v) for v in range(1, 7)])  # K_{1,6}
+    with pytest.raises(DegreeBoundError, match="degree 6"):
+        check_kahn_bound(star)
+    assert counted == []
+
+
 def test_induction_chain_on_good_vertices():
     # when x is good and the two deletions satisfy the bound, the counting
     # recursion is sandwiched: ind(G) <= Pi(G-x) + Pi(G-x-N(x)) <= Pi(G)
@@ -380,7 +391,7 @@ def test_induction_chain_on_good_vertices():
         verdict = is_good(g, x)
         if not verdict.outcome.is_good():
             continue
-        (g1, _), (g2, _) = delete_closed(g, x)
+        g1, g2 = delete_closed(g, x)
         for sub in (g, g1, g2):
             cmp = compare_count_to_product(count_independent_sets(sub), pi_product(sub))
             assert cmp.outcome in (Outcome.EQUAL, Outcome.STRICTLY_LESS)

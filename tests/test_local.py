@@ -220,7 +220,7 @@ def test_padding_monotone_under_level3_degree_reduction():
         leaves = [v for v in range(g.n) if len(g.adjacency[v]) == 1 and v > cfg.d0 + len(cfg.l2)]
         if not leaves:
             continue
-        reduced, _ = induced_subgraph(g, [v for v in range(g.n) if v != leaves[-1]])
+        reduced = induced_subgraph(g, [v for v in range(g.n) if v != leaves[-1]])
         assert is_good(reduced, 0).outcome.is_good()
         checked += 1
     assert checked > 20

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -26,8 +29,8 @@ from indbound.reports import (
     CertificateDocument,
     RunConfig,
     appearance_to_dot,
-    dumps_certificate,
     export_exception_dots,
+    write_json,
 )
 from indbound.products import FFactReport, Outcome, check_f_fact
 from indbound.search import pattern_json, verify_regular, verify_statement2
@@ -36,12 +39,13 @@ from test_local import FAILING_PATTERNS
 FIG1_TEXT = "n 7\n0 1\n1 2\n2 3\n3 4\n3 5\n3 6\n"
 
 
-def test_certificate_roundtrip_and_overall():
+def test_certificate_roundtrip_and_overall(tmp_path):
     doc = CertificateDocument(config=RunConfig("verify-all", delta=2, jobs=1))
     doc.fact_check = check_f_fact(2)  # one case, passing
     doc.regular = [verify_regular(1)]
     doc.statement2 = verify_statement2(1, jobs=1)
-    text = dumps_certificate(doc)
+    write_json(doc.to_json(), tmp_path / "cert.json")
+    text = (tmp_path / "cert.json").read_text()
     parsed = json.loads(text)
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == text
     assert parsed["overall"] == "PASS"
@@ -198,6 +202,70 @@ def test_cli_killed_worker_exits_3():
     assert "statement 1 stage 1" not in done.stdout and "overall" not in done.stdout
 
 
+@pytest.mark.parametrize("jobs, workers", [("1", "none"), ("2", "starting"), ("2", "idle")])
+def test_cli_interrupt_exits_3(jobs, workers):
+    # SIGINT to the whole process group in the middle of stage 1 ends the run
+    # with exit 3 and `error: interrupted`, and leaves no process behind.  The
+    # caller's first stage-1 shard (root degree below the window's top, which
+    # no regular shard has) prints a line and sleeps, and the test interrupts
+    # on that line.  A worker that did not ignore SIGINT would die with a
+    # traceback: "starting" workers are forked and still in a slowed
+    # initializer when it comes, "idle" ones come from a fork server started
+    # before the run (so they do not inherit the caller's signal mask) and
+    # have run their lanes.
+    script = textwrap.dedent("""
+        import functools, multiprocessing, multiprocessing.forkserver, os, signal, sys, time
+        from indbound import cli, search
+        jobs, workers = sys.argv[1:]
+        caller, shard, ignore = os.getpid(), search._agg_search_shard, signal.signal
+        if workers == "idle":
+            multiprocessing.set_start_method("forkserver")
+            multiprocessing.forkserver.ensure_running()
+        else:
+            multiprocessing.set_start_method("fork")
+            signal.signal = lambda *args: (time.sleep(1), ignore(*args))[1]
+
+        @functools.wraps(shard)
+        def waiting_shard(args):
+            delta_eff, _, d0 = args[:3]
+            if os.getpid() == caller and d0 < delta_eff:
+                time.sleep(1 if workers == "idle" else 0)
+                print("caller lane running", flush=True)
+                time.sleep(60)
+            return shard(args)
+
+        search._agg_search_shard = waiting_shard
+        sys.exit(cli.main(["verify-all", "--statement", "1", "--jobs", jobs]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(indbound.__file__).parent.parent))
+    child = subprocess.Popen([sys.executable, "-c", script, jobs, workers], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             start_new_session=True)
+    # a child that hangs is killed with its group after a minute, and fails
+    watchdog = threading.Timer(60, os.killpg, (child.pid, signal.SIGKILL))
+    watchdog.start()
+    try:
+        for line in child.stdout:
+            if line == "caller lane running\n":
+                os.killpg(child.pid, signal.SIGINT)
+                break
+        out, err = child.communicate()
+    finally:
+        watchdog.cancel()
+    assert child.returncode == 3, err
+    assert err == "error: interrupted\n" and "overall" not in out
+    # no process is left in the child's group once a fork server has seen
+    # its caller go
+    for _ in range(100):
+        try:
+            os.killpg(child.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    else:
+        pytest.fail("a process of the interrupted run is still running")
+
+
 def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys):
     # the same undecided stage 1 exits 2 from export-exceptions too, after
     # writing the DOT files of the failing patterns it did certify
@@ -269,6 +337,24 @@ def test_cli_rejects_precision_below_one_bit(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
     assert not (tmp_path / "dd").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "{graph}", "--json", "{dir}"],
+    ["verify-all", "--delta", "2", "--json", "{dir}"],
+    ["selftest", "--scale", "0.001", "--json", "{dir}"],
+    ["verify-all", "--statement", "1", "--jobs", "1", "--dot", "{file}"],
+    ["export-exceptions", "--jobs", "1", "--dot", "{file}"],
+], ids=["check-json", "verify-all-json", "selftest-json", "verify-all-dot", "export-exceptions-dot"])
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys, argv):
+    # a --json path that is a directory, or a --dot directory that is a file,
+    # exits 3 with `error: ...`: a bad path is the user's, not a crash
+    graph = tmp_path / "fig1.txt"
+    graph.write_text(FIG1_TEXT)
+    paths = {"graph": graph, "dir": tmp_path, "file": graph}
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
 
 
 def test_cli_usage_error_exits_3_not_undecided(capsys):

@@ -906,7 +906,7 @@ def test_pool_starts_no_more_workers_than_shards(monkeypatch):
         return run_lane(worker, lane)
 
     class SerialExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
 
         def __enter__(self):
