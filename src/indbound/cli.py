@@ -268,6 +268,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--dot needs stage 1: --delta {MAX_DEGREE} and no --statement 2")
         if "scale" in args and not 0 < args.scale < math.inf:
             raise ValueError(f"need a finite --scale > 0, got {args.scale}")
+        path = Path(args.json_path or ".")  # an unwritable output path fails before the work
+        if args.json_path and (path.is_dir() or not path.parent.is_dir()):
+            raise ValueError(f"cannot write --json {path}: a directory, or not in one")
+        path = Path(getattr(args, "dot_dir", None) or ".")
+        if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+            raise ValueError(f"cannot write --dot {path}: it or an ancestor is a file")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -11,11 +11,13 @@ canonical_form is the one canonical pass over level-1 relabelings: it gives
 both the canonical key and the automorphisms used by appearance expansion.
 record_multisets is the one enumerator of multisets of level-2 records: the
 searches' degree-class aggregates use it with class vectors capped by the
-class sizes, carrying upper bounds of the ratios of their A/B/C vectors
-multiplied record by record and skipping the subtrees those bounds decide,
-and a labeled record (b, subset) is the same thing over one-vertex classes,
-so stage 2 and appearance expansion use it with unit caps, no limit and so
-no pruning, and read the subset off the 0/1 class vector.
+class sizes, carrying the ratio residues of their A/B/C vectors and upper
+bounds of their ratios record by record (a spread of c copies of a record
+from one of c - 1) and returning the count of the leaves and subtrees these
+decide after the other leaves; a labeled record (b, subset) is the same
+thing over one-vertex classes, so stage 2 and appearance expansion use it
+with unit caps, no limit and so no pruning, and read the subset off the 0/1
+class vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
 aggregates of the searches are checked against it; so is the round trip
@@ -54,8 +56,8 @@ def record_multisets(
     u, v at scale 2^-scale of two functions that turn sums of weights into
     products (the ratios of an A/B/C vector): bounds(root) times
     bounds(weight(b, cvec)) once per copy of every record, every product
-    rounded up (1 and 1 without bounds).  Each spread option multiplies its
-    records' bounds, and the recursion multiplies the options' products.
+    rounded up (1 and 1 without bounds).  A spread option of c copies is
+    one of c - 1 times the last copy's, the recursion the options' products.
 
     Skeleton first: the multiset of class vectors is a vector partition of
     the quotas; each chosen class vector's multiplicity is then spread over
@@ -67,7 +69,7 @@ def record_multisets(
     needed, its completions' ratio residues.  The empty remainder is the one
     leaf node.  A move is kept only when its child has a leaf, so partial
     partitions that cannot be completed are never entered.  Each record's
-    weight and bounds are computed once per call, on first use.
+    weight, bounds and residues are computed once per call, on first use.
 
     With a limit above 0, weights are A/B/C vectors, and what their bounds
     decide is counted, not yielded: a leaf when
@@ -76,7 +78,11 @@ def record_multisets(
     when every completion of it is decided from its bounds alone: for
     carried u, v, ceil(u max_u) + ceil(v max_v) < limit, and no completion
     whose ratio residues (products.ratio_residues), added to those of the
-    prefix total, are both 0.  With limit 0 every leaf is yielded."""
+    prefix total, are both 0.  The recursion carries the prefix total's
+    residues, so a leaf below the limit with a residue not 0 is counted
+    without reading its vector.  It returns its count and collects the
+    other leaves: they are yielded in order, then the count when above 0.
+    With limit 0 every leaf is yielded."""
     bounds = bounds or (lambda w: (1, 1))
     cvecs = [
         cvec
@@ -84,34 +90,37 @@ def record_multisets(
         if sum(cvec) and max(sum(cvec), b_lo) <= b_hi
     ]
 
-    records_of: dict[tuple[tuple[int, ...], int], tuple[int, int, int]] = {}
+    records_of: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
-    def record(cvec: tuple[int, ...], b: int) -> tuple[int, int, int]:
-        """(weight, u, v) of the record (b, cvec)."""
+    def record(cvec: tuple[int, ...], b: int) -> tuple[int, ...]:
+        """(weight, u, v, x, y) of the record (b, cvec), x, y its ratio residues."""
         if (cvec, b) not in records_of:
             w = weight(b, cvec)
-            records_of[cvec, b] = (w, *bounds(w))
+            records_of[cvec, b] = (w, *bounds(w), *ratio_residues(w))
         return records_of[cvec, b]
 
     spreads: dict[tuple[tuple[int, ...], int], list] = {}
+    no_copies = [((), 0, 1 << scale, 1 << scale, 0, 0)]  # the one spread of 0 copies
 
     def spread(cvec: tuple[int, ...], c: int) -> list:
-        """(records, weight, u, v) for every way to give c copies of cvec
-        admissible degrees b."""
+        """(records, weight, u, v, x, y), x, y the weight's ratio residues, for
+        every way to give c copies of cvec admissible degrees b: each way for
+        c - 1 copies, in order, with a last copy of each b at least theirs."""
         if (cvec, c) not in spreads:
             spreads[cvec, c] = out = []
-            admissible = range(max(sum(cvec), b_lo), b_hi + 1)
-            for bs in itertools.combinations_with_replacement(admissible, c):
-                recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
-                w, u, v = 0, 1 << scale, 1 << scale
-                for b in bs:  # one factor per copy, in the order of recs
-                    rw, ru, rv = record(cvec, b)
-                    w, u, v = w + rw, -(-u * ru >> scale), -(-v * rv >> scale)
-                out.append((recs, w, u, v))
+            for recs, w, u, v, x, y in spread(cvec, c - 1) if c > 1 else no_copies:
+                last = recs[-1][0][0] if recs else max(sum(cvec), b_lo)
+                for b in range(last, b_hi + 1):
+                    rw, ru, rv, rx, ry = record(cvec, b)
+                    more = (recs[:-1] + (((b, cvec), recs[-1][1] + 1),) if recs and b == last
+                            else recs + (((b, cvec), 1),))
+                    out.append((more, w + rw, -(-u * ru >> scale), -(-v * rv >> scale),
+                                (x + rx) % KEY_MODULUS, (y + ry) % KEY_MODULUS))
         return spreads[cvec, c]
 
     leaf = [(), 1 << scale, 1 << scale, 1, {(0, 0)}]  # the empty product, one leaf, residues 0, 0
     nodes: dict[tuple[int, tuple[int, ...]], list] = {}
+    found: list[tuple[tuple, int, int, int]] = []  # the leaves not decided, in order
 
     def node(start: int, rem: tuple[int, ...]) -> list:
         """[moves, max_u, max_v, leaves, residues] of a node with a nonempty
@@ -141,45 +150,45 @@ def record_multisets(
             out = set()
             for child, options in nd[0]:
                 ends = residues(child)
-                for _, w, _, _ in options:
-                    x, y = ratio_residues(w)
+                for *_, x, y in options:
                     out.update(((x + ex) % KEY_MODULUS, (y + ey) % KEY_MODULUS) for ex, ey in ends)
             nd[4] = out
         return nd[4]
 
-    def rec(nd: list, records: tuple, total: int, nu: int, nv: int):
-        # nu = -u, nv = -v: a floor of the negated product is minus its
-        # ceiling, so the prune tests ceil(u max_u) + ceil(v max_v) < limit
+    def rec(nd: list, records: tuple, total: int, nu: int, nv: int, tx: int, ty: int) -> int:
+        """How many leaves under nd are decided; the others go to found.  tx, ty
+        are total's ratio residues; nu, nv = -u, -v, so each floor is minus a ceiling."""
+        counted = 0
         for child, options in nd[0]:
-            if child is leaf:
-                counted = 0
-                for recs, w, ou, ov in options:
+            if child is leaf:  # a residue not 0 decides carried_strict's second test
+                for recs, w, ou, ov, ox, oy in options:
                     u, v = -(nu * ou >> scale), -(nv * ov >> scale)
-                    if carried_strict(total + w, u, v, limit):
+                    if u + v < limit and ((tx + ox) % KEY_MODULUS or (ty + oy) % KEY_MODULUS
+                                          or carried_strict(total + w, u, v, limit)):
                         counted += 1
                     else:
-                        yield records + recs, total + w, u, v
-                if counted:
-                    yield counted
+                        found.append((records + recs, total + w, u, v))
                 continue
-            for recs, w, ou, ov in options:
+            for recs, w, ou, ov, ox, oy in options:
                 cu, cv = nu * ou >> scale, nv * ov >> scale
-                if limit and (cu * child[1] >> scale) + (cv * child[2] >> scale) > -limit:
-                    x, y = ratio_residues(total + w)
-                    if (-x % KEY_MODULUS, -y % KEY_MODULUS) not in residues(child):
-                        yield child[3]
-                        continue
-                yield from rec(child, records + recs, total + w, cu, cv)
+                x, y = (tx + ox) % KEY_MODULUS, (ty + oy) % KEY_MODULUS
+                if limit and (cu * child[1] >> scale) + (cv * child[2] >> scale) > -limit \
+                        and (-x % KEY_MODULUS, -y % KEY_MODULUS) not in residues(child):
+                    counted += child[3]
+                else:
+                    counted += rec(child, records + recs, total + w, cu, cv, x, y)
+        return counted
 
     u, v = bounds(root)
-    if not any(quotas):  # the empty multiset, the one leaf
-        yield 1 if carried_strict(root, u, v, limit) else ((), root, u, v)
-        return
+    top = node(0, tuple(quotas)) if any(quotas) else [[(leaf, no_copies)]]  # or the empty multiset
     try:
-        yield from rec(node(0, tuple(quotas)), (), root, -u, -v)
+        counted = rec(top, (), root, -u, -v, *ratio_residues(root))
     finally:  # the closures form a cycle: free the memos now, not at the next collection
         for memo in (records_of, spreads, nodes):
             memo.clear()
+    yield from found
+    if counted:
+        yield counted
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def _shard_enumeration(
     upper bounds hx, hy of its X and Y: the root vector's ratio_bounds at
     precision times each record's, computed once per shard and record.  Its
     items are leaves (records, vec, hx, hy), made aggregates by AggConfig.of,
-    and counts of the aggregates it decides strict below limit (by default
+    then the count of the aggregates it decides strict below limit (by default
     carried_limit(precision); 0 yields every leaf), each strict at precision
     by intervals, as vector_outcome would decide it.  Deterministic order,
     no duplicates (distinct degrees fix the class order, so aggregates have

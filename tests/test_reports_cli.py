@@ -341,20 +341,27 @@ def test_cli_rejects_precision_below_one_bit(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "{graph}", "--json", "{dir}"],
+    ["check", "--input", "{graph}", "--json", "{dir}/none/out.json"],
     ["verify-all", "--delta", "2", "--json", "{dir}"],
+    ["verify-all", "--delta", "2", "--json", "{file}/out.json"],
     ["selftest", "--scale", "0.001", "--json", "{dir}"],
     ["verify-all", "--statement", "1", "--jobs", "1", "--dot", "{file}"],
     ["export-exceptions", "--jobs", "1", "--dot", "{file}"],
-], ids=["check-json", "verify-all-json", "selftest-json", "verify-all-dot", "export-exceptions-dot"])
+    ["export-exceptions", "--jobs", "1", "--dot", "{file}/dots"],
+], ids=["check-json", "check-json-no-parent", "verify-all-json", "verify-all-json-in-file",
+        "selftest-json", "verify-all-dot", "export-exceptions-dot", "export-exceptions-dot-in-file"])
 def test_cli_unwritable_output_is_an_error(tmp_path, capsys, argv):
-    # a --json path that is a directory, or a --dot directory that is a file,
-    # exits 3 with `error: ...`: a bad path is the user's, not a crash
+    # a --json path that is a directory or not in one, or a --dot directory
+    # that is a file or under one, exits 3 with `error: ...` before any work:
+    # a bad path is the user's, not a crash, and no verdict is printed
     graph = tmp_path / "fig1.txt"
     graph.write_text(FIG1_TEXT)
     paths = {"graph": graph, "dir": tmp_path, "file": graph}
     assert main([arg.format(**paths) for arg in argv]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "internal error" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "internal error" not in captured.err
+    assert captured.out == ""  # no `regular d=`, `overall` or other line of a run
+    assert not (tmp_path / "none").exists()
 
 
 def test_cli_usage_error_exits_3_not_undecided(capsys):

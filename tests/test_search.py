@@ -4,6 +4,8 @@ import inspect
 import itertools
 import os
 import random
+import sys
+import types
 
 import pytest
 
@@ -18,7 +20,7 @@ from conftest import (
     validate_config,
     vector_terms,
 )
-from indbound import intervals, products, search
+from indbound import intervals, local, products, search
 from indbound.goodness import is_good
 from indbound.graphs import component_is_extremal
 from indbound.local import (
@@ -29,6 +31,7 @@ from indbound.local import (
 )
 from indbound.products import (
     _SEARCH_DEN,
+    KEY_MODULUS,
     Outcome,
     carried_limit,
     carried_strict,
@@ -37,6 +40,7 @@ from indbound.products import (
     maybe_integral,
     ratio_bounds,
     ratio_keys,
+    ratio_residues,
     root_vector,
     vector_outcome,
 )
@@ -529,6 +533,117 @@ def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
         never += sum(h is None for h, _ in hand)
         _pruned_as_by_hand(enumerate_at, leaves, hand, {*sums, max(sums) + 1})
     assert never
+
+
+def _closure_calls(name, run):
+    """(locals, return value) at the return of every call of
+    record_multisets' inner function `name` while run() runs, read by a
+    profile hook."""
+    code = next(c for c in local.record_multisets.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == name)
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            calls.append((dict(frame.f_locals), arg))
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _spread_by_hand(cvec, c, lo, hi, weight, bounds, scale, order=tuple):
+    """Every option of c copies of cvec from combinations_with_replacement:
+    (records, weight, u, v, ratio residues of the weight), u and v one
+    factor per copy, multiplied in the order order(bs), every product
+    rounded up at scale 2^-scale."""
+    out = []
+    for bs in itertools.combinations_with_replacement(range(max(sum(cvec), lo), hi + 1), c):
+        w, u, v = 0, 1 << scale, 1 << scale
+        for b in order(bs):
+            rw = weight(b, cvec)
+            ru, rv = bounds(rw)
+            w, u, v = w + rw, -(-u * ru >> scale), -(-v * rv >> scale)
+        recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
+        out.append((recs, w, u, v, *ratio_residues(w)))
+    return out
+
+
+def test_spread_options_match_the_direct_product():
+    # every spread option, built from one with a copy less, equals the
+    # direct product of its copies: the same records, weight, bounds (one
+    # factor per copy, in order, every product rounded up) and ratio
+    # residues, in the order of combinations_with_replacement; on the coarse
+    # bounds at scale 2^-2 of the test above, where multiplying the copies
+    # in reverse order moves some bound, and on a stage-1 shard at 128 bits
+    coarse = lambda w: (3 + w % 7 % 4, 3 + w % 11 % 4)  # 3/4 to 3/2 at scale 2^-2
+    fine = functools.cache(functools.partial(ratio_bounds, prec=128))
+    cases = [(*shard, coarse, 2) for shard in _PRUNED_SHARDS[:3]]
+    cases.append((5, 3, 3, (5, 4, 3), fine, 128 + intervals.GUARD_BITS))
+    copies = reordered = 0
+    for de, lo, d0, degrees, bounds, scale in cases:
+        class_degrees = tuple(sorted(set(degrees), reverse=True))
+        sizes = tuple(map(degrees.count, class_degrees))
+        quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, sizes))
+        weight = functools.partial(search._record_vector, de, class_degrees)
+        root = root_vector(d0, degrees)
+        calls = _closure_calls("spread", lambda: list(
+            record_multisets(quotas, sizes, lo, de, weight, root, bounds, scale)))
+        spreads = {(args["cvec"], args["c"]): options for args, options in calls}
+        assert spreads
+        for (cvec, c), options in spreads.items():
+            hand = (cvec, c, lo, de, weight, bounds, scale)
+            assert options == _spread_by_hand(*hand)
+            copies += c > 1
+            reordered += options != _spread_by_hand(*hand, order=lambda bs: bs[::-1])
+    assert copies and reordered
+
+
+def test_carried_residues_and_leaf_decisions(monkeypatch):
+    # the enumeration carries the ratio residues of the prefix total into
+    # every node it enters, and adds each leaf option's to them, which gives
+    # those of the leaf's vector: checked on every leaf with no limit (every
+    # node entered) and on the nodes entered at the search's limit; there
+    # it yields exactly the leaves that are not carried_strict, in order,
+    # counts the others, and consults carried_strict exactly on the leaves
+    # below the limit whose residues are both 0
+    consults = 0
+    for shard in _PRUNED_SHARDS:
+        for prec in (8, 128):
+            leaves = list(_shard_enumeration(*shard, prec, limit=0))
+            for limit in (0, carried_limit(prec)):
+                consulted, items = [], []
+
+                def spy(vec, hx, hy, lim):
+                    consulted.append((vec, hx, hy))
+                    return carried_strict(vec, hx, hy, lim)
+
+                monkeypatch.setattr(local, "carried_strict", spy)
+                calls = _closure_calls("rec", lambda: items.extend(
+                    _shard_enumeration(*shard, prec, limit=limit)))
+                monkeypatch.undo()
+                checked = 0
+                for args, _ in calls:
+                    tx, ty, total = args["tx"], args["ty"], args["total"]
+                    assert (tx, ty) == ratio_residues(total)
+                    for child, options in args["nd"][0]:
+                        if not child[0]:  # the leaf node has no moves
+                            for _, w, _, _, ox, oy in options:
+                                carried = (tx + ox) % KEY_MODULUS, (ty + oy) % KEY_MODULUS
+                                assert carried == ratio_residues(total + w)
+                                checked += 1
+                assert checked == len(leaves) or limit
+                strict = [carried_strict(vec, hx, hy, limit) for _, vec, hx, hy in leaves]
+                counted, kept = _counts_and_leaves(items)
+                assert kept == [leaf for leaf, s in zip(leaves, strict) if not s]
+                assert counted == sum(strict) and bool(counted) == bool(limit)
+                assert consulted == [(vec, hx, hy) for _, vec, hx, hy in leaves
+                                     if hx + hy < limit and ratio_residues(vec) == (0, 0)]
+                consults += len(consulted)
+    assert consults
 
 
 def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
