@@ -10,12 +10,14 @@ builds the A/B/C lane vector from products.root_piece and
 products.level2_piece: root_vector and level2_vector, the builders the
 searches use, each cached with its ratio_bounds at the start precision.  In
 the same pass it multiplies those bounds into upper bounds of X = B/A and
-Y = C/A, rounding up, and decides the vertex strict by
-products.carried_strict as the searches decide their leaves; a vertex the
-bounds leave (equal, failing, possibly integral or too close) is certified
-through vector_outcome.  Both routes give the same Verdict.  The direct
-whole-graph evaluation (is_good_fullgraph), its oracle, builds the three
-bound products and goes through certify_sum_inequality.
+Y = C/A, rounding up, and decides the vertex strict when their sum is below
+products.carried_limit, as the searches decide their leaves; a vertex the
+bounds leave (equal, failing or too close) is certified through
+vector_outcome.  Both routes give the same Verdict: below the limit,
+vector_outcome is strict by intervals at the start precision too, since it
+tries that interval before any exact route.  The direct whole-graph
+evaluation (is_good_fullgraph), its oracle, builds the three bound products
+and goes through certify_sum_inequality.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .products import (
     Outcome,
     Verdict,
     carried_limit,
-    carried_strict,
     certify_sum_inequality,
     compare_count_to_product,
     interval_strings,
@@ -92,8 +93,8 @@ def is_good(
     bipartite (non-bipartite graphs are handled by the double-cover lift)
     with degrees at most 5.  The Verdict carries the outcome and, when
     exact, the reduced integers, but not the three terms.  It is decided
-    strict from the carried bounds when carried_strict allows, with the
-    route and precision vector_outcome would report, and otherwise by
+    strict when the carried bounds sum below carried_limit, with the route
+    and precision vector_outcome would report, and otherwise by
     vector_outcome."""
     ld = level_decomposition(g, x)
     if max(map(len, g.adjacency)) > MAX_DEGREE:  # only then scan the component
@@ -103,7 +104,7 @@ def is_good(
                                    f"is_good needs <= {MAX_DEGREE}")
     precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any bound
     vec, hx, hy = goodness_vector(g, ld, precision_start)
-    if carried_strict(vec, hx, hy, carried_limit(precision_start)):
+    if hx + hy < carried_limit(precision_start):
         certified = (Outcome.STRICTLY_GREATER, "interval", precision_start, ())
     else:
         certified = vector_outcome(vec, precision_start, precision_cap)

@@ -11,13 +11,13 @@ canonical_form is the one canonical pass over level-1 relabelings: it gives
 both the canonical key and the automorphisms used by appearance expansion.
 record_multisets is the one enumerator of multisets of level-2 records: the
 searches' degree-class aggregates use it with class vectors capped by the
-class sizes, carrying the ratio residues of their A/B/C vectors and upper
-bounds of their ratios record by record (a spread of c copies of a record
-from one of c - 1) and returning the count of the leaves and subtrees these
-decide after the other leaves; a labeled record (b, subset) is the same
-thing over one-vertex classes, so stage 2 and appearance expansion use it
-with unit caps, no limit and so no pruning, and read the subset off the 0/1
-class vector.
+class sizes, carrying upper bounds of the ratios of their A/B/C vectors
+record by record (a spread of c copies of a record from one of c - 1) and
+returning the count of the leaves and subtrees these bounds decide after
+the other leaves; a labeled record (b, subset) is the same thing over
+one-vertex classes, so stage 2 and appearance expansion use it with unit
+caps, no limit and so no pruning, and read the subset off the 0/1 class
+vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
 aggregates of the searches are checked against it; so is the round trip
@@ -29,8 +29,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
-
-from .products import KEY_MODULUS, carried_strict, ratio_residues
 
 # level-2 record: (total degree b, sorted tuple of level-1 indices)
 Record = tuple[int, tuple[int, ...]]
@@ -65,22 +63,19 @@ def record_multisets(
     from and a remainder of the quotas) is one record, built once per call
     and walked by reference: its moves, each to a child node with its
     spread options, the largest products max_u, max_v of bounds over its
-    completions (every product rounded up), its number of leaves and, once
-    needed, its completions' ratio residues.  The empty remainder is the one
-    leaf node.  A move is kept only when its child has a leaf, so partial
-    partitions that cannot be completed are never entered.  Each record's
-    weight, bounds and residues are computed once per call, on first use.
+    completions (every product rounded up) and its number of leaves.  The
+    empty remainder is the one leaf node.  A move is kept only when its
+    child has a leaf, so partial partitions that cannot be completed are
+    never entered.  Each record's weight and bounds, and each spread's
+    options with their largest bounds, are computed once per call, on first
+    use.
 
     With a limit above 0, weights are A/B/C vectors, and what their bounds
-    decide is counted, not yielded: a leaf when
-    products.carried_strict(total, u, v, limit) holds, and a node with a
-    nonempty remainder, as its number of leaves and without being entered,
-    when every completion of it is decided from its bounds alone: for
-    carried u, v, ceil(u max_u) + ceil(v max_v) < limit, and no completion
-    whose ratio residues (products.ratio_residues), added to those of the
-    prefix total, are both 0.  The recursion carries the prefix total's
-    residues, so a leaf below the limit with a residue not 0 is counted
-    without reading its vector.  It returns its count and collects the
+    decide is counted, not yielded: a leaf when u + v < limit, and a node
+    with a nonempty remainder, as its number of leaves and without being
+    entered, when for carried u, v, ceil(u max_u) + ceil(v max_v) < limit.
+    For limit = products.carried_limit(p) each is strict by intervals at p
+    (see its proof).  The recursion returns its count and collects the
     other leaves: they are yielded in order, then the count when above 0.
     With limit 0 every leaf is yielded."""
     bounds = bounds or (lambda w: (1, 1))
@@ -90,42 +85,44 @@ def record_multisets(
         if sum(cvec) and max(sum(cvec), b_lo) <= b_hi
     ]
 
-    records_of: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    records_of: dict[tuple[tuple[int, ...], int], tuple[int, int, int]] = {}
 
-    def record(cvec: tuple[int, ...], b: int) -> tuple[int, ...]:
-        """(weight, u, v, x, y) of the record (b, cvec), x, y its ratio residues."""
+    def record(cvec: tuple[int, ...], b: int) -> tuple[int, int, int]:
+        """(weight, u, v) of the record (b, cvec)."""
         if (cvec, b) not in records_of:
             w = weight(b, cvec)
-            records_of[cvec, b] = (w, *bounds(w), *ratio_residues(w))
+            records_of[cvec, b] = (w, *bounds(w))
         return records_of[cvec, b]
 
-    spreads: dict[tuple[tuple[int, ...], int], list] = {}
-    no_copies = [((), 0, 1 << scale, 1 << scale, 0, 0)]  # the one spread of 0 copies
+    spreads: dict[tuple[tuple[int, ...], int], tuple[list, int, int]] = {}
+    no_copies = [((), 0, 1 << scale, 1 << scale)]  # the one option of 0 copies
 
-    def spread(cvec: tuple[int, ...], c: int) -> list:
-        """(records, weight, u, v, x, y), x, y the weight's ratio residues, for
-        every way to give c copies of cvec admissible degrees b: each way for
-        c - 1 copies, in order, with a last copy of each b at least theirs."""
+    def spread(cvec: tuple[int, ...], c: int) -> tuple[list, int, int]:
+        """(options, max_u, max_v): an option (records, weight, u, v) for
+        every way to give c copies of cvec admissible degrees b, each way for
+        c - 1 copies, in order, with a last copy of each b at least theirs,
+        and the options' largest u and v."""
         if (cvec, c) not in spreads:
-            spreads[cvec, c] = out = []
-            for recs, w, u, v, x, y in spread(cvec, c - 1) if c > 1 else no_copies:
+            out = []
+            for recs, w, u, v in spread(cvec, c - 1)[0] if c > 1 else no_copies:
                 last = recs[-1][0][0] if recs else max(sum(cvec), b_lo)
                 for b in range(last, b_hi + 1):
-                    rw, ru, rv, rx, ry = record(cvec, b)
+                    rw, ru, rv = record(cvec, b)
                     more = (recs[:-1] + (((b, cvec), recs[-1][1] + 1),) if recs and b == last
                             else recs + (((b, cvec), 1),))
-                    out.append((more, w + rw, -(-u * ru >> scale), -(-v * rv >> scale),
-                                (x + rx) % KEY_MODULUS, (y + ry) % KEY_MODULUS))
+                    out.append((more, w + rw, -(-u * ru >> scale), -(-v * rv >> scale)))
+            spreads[cvec, c] = (out, max(option[2] for option in out),
+                                max(option[3] for option in out))
         return spreads[cvec, c]
 
-    leaf = [(), 1 << scale, 1 << scale, 1, {(0, 0)}]  # the empty product, one leaf, residues 0, 0
+    leaf = [(), 1 << scale, 1 << scale, 1]  # the empty product, one leaf
     nodes: dict[tuple[int, tuple[int, ...]], list] = {}
     found: list[tuple[tuple, int, int, int]] = []  # the leaves not decided, in order
 
     def node(start: int, rem: tuple[int, ...]) -> list:
-        """[moves, max_u, max_v, leaves, residues] of a node with a nonempty
-        remainder: (child, spreads) for every c copies of a class vector
-        j >= start whose child, from j + 1 on, has a leaf; residues None."""
+        """[moves, max_u, max_v, leaves] of a node with a nonempty remainder:
+        (child, options) for every c copies of a class vector j >= start
+        whose child, from j + 1 on, has a leaf."""
         key = (start, rem)
         if key not in nodes:
             out, mu, mv, n = [], 0, 0, 0
@@ -135,54 +132,38 @@ def record_multisets(
                     nrem = tuple(r - c * x for r, x in zip(rem, cvec))
                     child = node(j + 1, nrem) if any(nrem) else leaf
                     if child[3]:
-                        options = spread(cvec, c)
-                        ou = max(option[2] for option in options)
-                        ov = max(option[3] for option in options)
+                        options, ou, ov = spread(cvec, c)
                         mu, mv = max(mu, -(-ou * child[1] >> scale)), max(mv, -(-ov * child[2] >> scale))
                         n += len(options) * child[3]
                         out.append((child, options))
-            nodes[key] = [out, mu, mv, n, None]
+            nodes[key] = [out, mu, mv, n]
         return nodes[key]
 
-    def residues(nd: list) -> set[tuple[int, int]]:
-        """The ratio residues of a node's completions' totals."""
-        if nd[4] is None:
-            out = set()
-            for child, options in nd[0]:
-                ends = residues(child)
-                for *_, x, y in options:
-                    out.update(((x + ex) % KEY_MODULUS, (y + ey) % KEY_MODULUS) for ex, ey in ends)
-            nd[4] = out
-        return nd[4]
-
-    def rec(nd: list, records: tuple, total: int, nu: int, nv: int, tx: int, ty: int) -> int:
-        """How many leaves under nd are decided; the others go to found.  tx, ty
-        are total's ratio residues; nu, nv = -u, -v, so each floor is minus a ceiling."""
+    def rec(nd: list, records: tuple, total: int, nu: int, nv: int) -> int:
+        """How many leaves under nd are decided; the others go to found.
+        nu, nv = -u, -v, so each floor is minus a ceiling."""
         counted = 0
         for child, options in nd[0]:
-            if child is leaf:  # a residue not 0 decides carried_strict's second test
-                for recs, w, ou, ov, ox, oy in options:
+            if child is leaf:
+                for recs, w, ou, ov in options:
                     u, v = -(nu * ou >> scale), -(nv * ov >> scale)
-                    if u + v < limit and ((tx + ox) % KEY_MODULUS or (ty + oy) % KEY_MODULUS
-                                          or carried_strict(total + w, u, v, limit)):
+                    if u + v < limit:
                         counted += 1
                     else:
                         found.append((records + recs, total + w, u, v))
                 continue
-            for recs, w, ou, ov, ox, oy in options:
+            for recs, w, ou, ov in options:
                 cu, cv = nu * ou >> scale, nv * ov >> scale
-                x, y = (tx + ox) % KEY_MODULUS, (ty + oy) % KEY_MODULUS
-                if limit and (cu * child[1] >> scale) + (cv * child[2] >> scale) > -limit \
-                        and (-x % KEY_MODULUS, -y % KEY_MODULUS) not in residues(child):
+                if limit and (cu * child[1] >> scale) + (cv * child[2] >> scale) > -limit:
                     counted += child[3]
                 else:
-                    counted += rec(child, records + recs, total + w, cu, cv, x, y)
+                    counted += rec(child, records + recs, total + w, cu, cv)
         return counted
 
     u, v = bounds(root)
     top = node(0, tuple(quotas)) if any(quotas) else [[(leaf, no_copies)]]  # or the empty multiset
     try:
-        counted = rec(top, (), root, -u, -v, *ratio_residues(root))
+        counted = rec(top, (), root, -u, -v)
     finally:  # the closures form a cycle: free the memos now, not at the next collection
         for memo in (records_of, spreads, nodes):
             memo.clear()

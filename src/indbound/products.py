@@ -10,17 +10,17 @@ real numbers iff their maps are equal).
 Comparisons are certified, never floating point:
   * pure products compare exactly by clearing denominators into big integers;
   * sums (A versus B + C) have one decision procedure, certify_exponents,
-    in ratio form: 1 against X + Y for X = B/A and Y = C/A, by exact
-    integers when the exponents are integral and otherwise by
-    intervals.power_product at escalating precision (no mantissa arithmetic
-    is done here outside FactorProduct.value_interval).  The searches and
-    goodness.is_good call it through vector_outcome on A/B/C lane vectors,
-    laid out below; both first try carried_strict, which decides from upper
-    bounds of X and Y carried down the searches' enumeration or over the
-    level-2 vertices of is_good's root what certify_exponents would decide
-    strict at the same precision, and the searches' enumeration counts
-    what those bounds decide below carried_limit.  The whole-graph
-    reference calls it through certify_sum_inequality;
+    in ratio form: 1 against X + Y for X = B/A and Y = C/A, by
+    intervals.power_product at escalating precision, and by exact integers
+    when an interval does not separate and the exponents are integral (no
+    mantissa arithmetic is done here outside FactorProduct.value_interval).
+    The searches and goodness.is_good call it through vector_outcome on
+    A/B/C lane vectors, laid out below; both first compare upper bounds of
+    X and Y, carried down the searches' enumeration or over the level-2
+    vertices of is_good's root, with carried_limit: below it the sum is
+    strict at the start precision by intervals, the route certify_exponents
+    takes first, and the searches' enumeration counts what it decides.  The
+    whole-graph reference calls it through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -342,26 +342,16 @@ def certify_exponents(
 ) -> tuple[Outcome, str, int | None, tuple]:
     """Certified outcome of A >= B + C, decided as 1 against X + Y for
     X = B/A and Y = C/A, given as lists ex and ey of (prime, signed
-    numerator over den) pairs.  When every numerator is a multiple of den,
-    A, B and C divided by their common factor compare as exact integers (the
-    only route that may return Equal).  Otherwise X and Y are
-    intervals.power_product's intervals, in fixed point (to_fixed) at scale
-    2^-s, s = p + GUARD_BITS, doubling the precision p up to the cap, where
-    Undecided is returned, never a silent pass.  Returns (outcome, method,
-    precision, values): the three reduced integers, or 2^s and the
-    fixed-point bounds of X + Y."""
-    if all(num % den == 0 for _, num in (*ex, *ey)):
-        ex, ey = dict(ex), dict(ey)
-        ia = ib = ic = 1
-        for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
-            xp, yp = ex.get(p, 0), ey.get(p, 0)
-            m = min(0, xp, yp)
-            ia *= p ** (-m // den)
-            ib *= p ** ((xp - m) // den)
-            ic *= p ** ((yp - m) // den)
-        d = ia - (ib + ic)
-        outcome = _GREATER if d > 0 else _EQUAL if d == 0 else _LESS
-        return outcome, "exact", None, (ia, ib, ic)
+    numerator over den) pairs.  At each precision p from the start,
+    doubling up to the cap, X and Y are intervals.power_product's
+    intervals, in fixed point (to_fixed) at scale 2^-s, s = p + GUARD_BITS,
+    and the first sum that separates from 1 decides.  When one does not and
+    every numerator is a multiple of den, A, B and C divided by their
+    common factor compare as exact integers (the only route that may return
+    Equal).  Otherwise Undecided is returned at the cap, never a silent
+    pass.  Returns (outcome, method, precision, values): the three reduced
+    integers, or 2^s and the fixed-point bounds of X + Y."""
+    integral = all(num % den == 0 for _, num in (*ex, *ey))
     for prec in precision_schedule(precision_start, precision_cap):
         scale = prec + GUARD_BITS
         lx, hx = intervals.to_fixed(intervals.power_product(ex, den, prec), scale)
@@ -374,6 +364,18 @@ def certify_exponents(
             return _GREATER, "interval", prec, (one, lo, hi)
         if lo > one:
             return _LESS, "interval", prec, (one, lo, hi)
+        if integral:
+            ex, ey = dict(ex), dict(ey)
+            ia = ib = ic = 1
+            for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
+                xp, yp = ex.get(p, 0), ey.get(p, 0)
+                m = min(0, xp, yp)
+                ia *= p ** (-m // den)
+                ib *= p ** ((xp - m) // den)
+                ic *= p ** ((yp - m) // den)
+            d = ia - (ib + ic)
+            outcome = _GREATER if d > 0 else _EQUAL if d == 0 else _LESS
+            return outcome, "exact", None, (ia, ib, ic)
     return _UNDECIDED, "interval", precision_cap, (one, lo, hi)
 
 
@@ -491,24 +493,8 @@ def vector_outcome(
 # down their enumeration, and is_good multiplies those of its root vector and
 # of each level-2 vertex's vector (root_piece, level2_piece), rounding every
 # product up.  Vectors add as their ratios multiply, so the carried hx and hy
-# bound X and Y from above.
-_LOW4 = sum(15 << 32 * i for i in range(_NP))  # the low 4 bits of every lane
-KEY_MODULUS = _SEARCH_DEN // 16  # 225: a ratio key with integral lanes is a multiple
-
-
-def maybe_integral(key: int) -> bool:
-    """False only when some lane of a ratio key is not a multiple of 3600 =
-    16 * 225: a multiple of 16 leaves the low 4 bits of its digit in
-    key + _KEY_BIAS zero, and multiples of 225 make the key one."""
-    return not ((key + _KEY_BIAS) & _LOW4 or key % KEY_MODULUS)
-
-
-def ratio_residues(vec: int) -> tuple[int, int]:
-    """The two ratio keys of vec modulo KEY_MODULUS.  The keys of a sum of
-    vectors are the sums of their keys, so a sum whose residues are not
-    both 0 fails maybe_integral on one of its keys."""
-    kx, ky = ratio_keys(vec)
-    return kx % KEY_MODULUS, ky % KEY_MODULUS
+# bound X and Y from above, and hx + hy < carried_limit(prec) decides the
+# vector strict by intervals at prec.
 
 
 def ratio_bounds(vec: int, prec: int) -> tuple[int, int]:
@@ -523,7 +509,11 @@ def ratio_bounds(vec: int, prec: int) -> tuple[int, int]:
 @functools.cache
 def carried_limit(prec: int) -> int:
     """The least h = hx + hy whose widening h + floor(h 2^(2-prec)) + 2
-    reaches 2^s, s = prec + GUARD_BITS: carried_strict decides below it.
+    reaches 2^s, s = prec + GUARD_BITS: carried upper ends hx, hy of X and
+    Y at scale 2^-s that sum below it decide A > B + C, reported as
+    certify_exponents reports it, by intervals at prec (the start of its
+    schedule, tried before the exact route whatever the integrality of the
+    exponents).  A limit of 0 decides nothing.
 
     hx + hy < 2^s alone proves X + Y < 1; the widening keeps the route and
     precision certify_exponents would report.  Both bound X by powers of the
@@ -550,33 +540,25 @@ def carried_limit(prec: int) -> int:
     (under 1); so does Y's.  So if certify_exponents' hi_x + hi_y reaches
     2^s, then I_x + I_y > 1/4, the widening's margin over those errors,
     about (I_x + I_y) 2^(s-prec), exceeds 2, and the widened h reaches 2^s
-    too: a carried strict is a strict at prec by certify_exponents, and no
-    tally or precision_stats entry moves.  h << 2 >> prec is the floor for
-    every prec >= 1.
+    too: a carried strict is a strict at prec by certify_exponents' first
+    interval, which it tries before any exact route, and no tally or
+    precision_stats entry moves.  h << 2 >> prec is the floor for every
+    prec >= 1.
 
     The searches also decide whole subtrees of their enumeration below this
     limit (local.record_multisets): a node's bound multiplies the carried
     bound of its prefix by the largest product over its completions.  That
     is a product of the same factors, rounded up in some other order, and
     still at least I 2^s for every leaf under the node, so the argument
-    covers it as it stands; the node's residue gate leaves no leaf under it
-    that may take the exact route.  An Equal or failing leaf has X + Y >= 1,
-    so every bound above it reaches 2^s >= this limit, and it never lies
-    under a pruned node."""
+    covers it as it stands.  An Equal or failing leaf has X + Y >= 1, so
+    every bound above it reaches 2^s >= this limit, and it never lies under
+    a pruned node."""
     one = hi = 1 << prec + GUARD_BITS
     lo = 0
     while hi - lo > 1:  # widened lo < one <= widened hi
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if mid + (mid << 2 >> prec) + 2 < one else (lo, mid)
     return hi
-
-
-def carried_strict(vec: int, hx: int, hy: int, limit: int) -> bool:
-    """Whether upper ends hx, hy of X and Y of vec at scale 2^-(prec + GUARD_BITS)
-    decide A > B + C, as certify_exponents would by intervals at prec, for
-    limit = carried_limit(prec): below the limit, unless both ratio keys may
-    be integral and so take the exact route.  A limit of 0 decides nothing."""
-    return hx + hy < limit and not all(map(maybe_integral, ratio_keys(vec)))
 
 
 @dataclass(frozen=True)

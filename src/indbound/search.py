@@ -23,17 +23,18 @@ record-multiset enumerator, each with its A/B/C exponent vector (built by
 products.root_vector and products.level2_vector, as is_good builds it) and
 upper bounds of its ratios X = B/A and Y = C/A, carried as the product of
 the root's and each level-2 record's bounds.  The enumeration is the one
-place a search decides from carried bounds: below products.carried_limit it
-counts the aggregates they decide strict, a leaf by products.carried_strict
-and most of them in whole subtrees it does not enter, and yields only the
-others, which vector_outcome decides.  Every aggregate is realizable by a
-simple bipartite graph, so certified aggregates and concrete configurations
-cover each other exactly.  A shard returns its rare equal, failing and
-undecided aggregates themselves, which the parent expands into canonical
-labeled configurations for the report and for stage 2; its Equal aggregates
-must be exactly its extremal one (extremal_aggregate), if it has one.  The
-labeled per-vertex model, which the aggregation is checked against, is built
-only in the tests (tests/test_search.py).
+place a search decides from carried bounds: it counts the aggregates whose
+bounds sum below products.carried_limit, strict by intervals at the start
+precision, a leaf at a time and most of them in whole subtrees it does not
+enter, and yields only the others, which vector_outcome decides.  Every
+aggregate is realizable by a simple bipartite graph, so certified
+aggregates and concrete configurations cover each other exactly.  A shard
+returns its rare equal, failing and undecided aggregates themselves, which
+the parent expands into canonical labeled configurations for the report and
+for stage 2; its Equal aggregates must be exactly its extremal one
+(extremal_aggregate), if it has one.  The labeled per-vertex model, which
+the aggregation is checked against, is built only in the tests
+(tests/test_search.py).
 
 A search shard is (delta_eff, lo, d0, degrees, precision_start,
 precision_cap): root degree d0, level-1 degree multiset degrees, level-1 and
@@ -318,7 +319,9 @@ def _agg_search_shard(args) -> ShardResult:
         result.add(outcome, method, precision, agg)
         if outcome is Outcome.EQUAL:
             equal.add(agg)
-    if carried:  # vector_outcome would give each of them the same route
+    # vector_outcome would give each of them the same route: it tries the
+    # interval at the start precision before any exact route
+    if carried:
         result.add(Outcome.STRICTLY_GREATER, "interval", precision_start, None, carried)
     # equality must hold on the extremal aggregate and nowhere else
     result.inconsistencies.extend(equal ^ ({extremal_aggregate(delta_eff, d0, degrees)} - {None}))

@@ -15,7 +15,7 @@ import pytest
 from indbound import intervals
 from indbound.graphs import Graph, from_edges, level_decomposition
 from indbound.local import LocalConfig, canonical_tuple
-from indbound.products import _LANE_PRIMES, _SEARCH_DEN, FactorProduct
+from indbound.products import _LANE_PRIMES, _SEARCH_DEN, FactorProduct, key_exponents, ratio_keys
 from indbound.search import (
     AggConfig,
     _shard_enumeration,
@@ -82,6 +82,12 @@ def vector_terms(vec: int) -> tuple[dict[int, int], ...]:
     return tuple(
         {p: x for p, x in zip(_LANE_PRIMES, lanes[k * len(_LANE_PRIMES):]) if x} for k in range(3)
     )
+
+
+def integral_keys(vec: int) -> bool:
+    """Whether both ratio keys of an A/B/C exponent vector are integral:
+    every numerator of B - A and C - A a multiple of 3600."""
+    return all(num % _SEARCH_DEN == 0 for key in ratio_keys(vec) for _, num in key_exponents(key))
 
 
 def exponent_product(exponents) -> FactorProduct:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import complete_bipartite, cycle, path, vector_terms
+from conftest import complete_bipartite, cycle, integral_keys, path, vector_terms
 from indbound import goodness, products
 from indbound.counting import count_independent_sets
 from indbound.goodness import (
@@ -29,7 +29,6 @@ from indbound.products import (
     FactorProduct,
     Outcome,
     carried_limit,
-    carried_strict,
     compare_count_to_product,
     interval_strings,
     level2_piece,
@@ -161,7 +160,7 @@ def _fallbacks_by_start(graphs, monkeypatch):
                 got = is_good(g, x, start)
                 assert (got.outcome, got.method, got.precision_bits, got.detail) == \
                     (want.outcome, want.method, want.precision_bits, want.detail)
-                strict = carried_strict(vec, hx, hy, carried_limit(start))
+                strict = hx + hy < carried_limit(start)
                 assert len(calls) == (not strict)
                 fallbacks[start] += not strict
     return fallbacks
@@ -176,14 +175,30 @@ def test_is_good_carried_route_matches_vector_outcome(monkeypatch):
     vertices = sum(1 for g in graphs for adj in g.adjacency if adj)
     fallbacks = _fallbacks_by_start(graphs, monkeypatch)
     # at 2 bits the carried bounds decide nothing
-    assert vertices == 1544 and fallbacks == {128: 166, 8: 443, 2: 1544}
+    assert vertices == 1544 and fallbacks == {128: 164, 8: 441, 2: 1544}
     # a schedule certify_exponents rejects is rejected at a carried vertex too
     g = path(4)
     vec, hx, hy = goodness_vector(g, level_decomposition(g, 0), 128)
-    assert carried_strict(vec, hx, hy, carried_limit(128))
+    assert hx + hy < carried_limit(128)
     for start, cap in ((128, 64), (0, 64), (-20, -3)):
         with pytest.raises(ValueError, match="precision start"):
             is_good(g, 0, start, cap)
+
+
+def test_strict_vertex_with_integral_keys_takes_the_interval_route():
+    # the middle vertex of a path on 7 vertices is strict, and both its
+    # ratio keys are integral (X = 5/7, Y = 9/35); its carried bounds decide
+    # it below the limit, and vector_outcome and the whole-graph check,
+    # which try the start precision's interval before the exact integers,
+    # report the same route
+    g = path(7)
+    vec, hx, hy = goodness_vector(g, level_decomposition(g, 3))
+    assert integral_keys(vec)
+    assert hx + hy < carried_limit(128)
+    assert vector_outcome(vec)[:3] == (Outcome.STRICTLY_GREATER, "interval", 128)
+    for verdict in (is_good(g, 3), is_good_fullgraph(g, 3)):
+        assert (verdict.outcome, verdict.method, verdict.precision_bits) == \
+            (Outcome.STRICTLY_GREATER, "interval", 128)
 
 
 def test_piece_bounds_are_the_ratio_bounds_of_their_vectors():
@@ -237,7 +252,8 @@ def test_is_good_agrees_with_fullgraph_in_detail():
             if not g.adjacency[x]:
                 continue
             a, b = is_good(g, x), is_good_fullgraph(g, x)
-            assert (a.outcome, a.method, a.detail) == (b.outcome, b.method, b.detail)
+            assert (a.outcome, a.method, a.precision_bits, a.detail) == \
+                (b.outcome, b.method, b.precision_bits, b.detail)
             probes += 1
     assert probes > 1000
 

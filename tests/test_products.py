@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import (
     complete_bipartite,
@@ -33,8 +31,6 @@ from indbound.products import (
     carried_limit,
     f_exponents,
     factorize,
-    key_exponents,
-    maybe_integral,
     pi_product,
     precision_schedule,
 )
@@ -153,8 +149,14 @@ def test_certify_sum_integer_identities():
     seven = FactorProduct({7: Fraction(1)})
     five = FactorProduct({5: Fraction(1)})
     assert certify_sum_inequality(seven, five, two).outcome == Outcome.EQUAL
+    # a strict sum with integral exponents is decided by the first interval
+    # that separates it; only where none does, as at a 1-bit start, do the
+    # exact integers decide it
     v = certify_sum_inequality(seven, two, two)
-    assert v.outcome == Outcome.STRICTLY_GREATER and v.method == "exact"
+    assert (v.outcome, v.method, v.precision_bits) == (Outcome.STRICTLY_GREATER, "interval", 128)
+    v = certify_sum_inequality(seven, two, two, precision_start=1)
+    assert (v.outcome, v.method, v.precision_bits) == (Outcome.STRICTLY_GREATER, "exact", None)
+    assert (v.detail["reduced_lhs"], v.detail["reduced_rhs"]) == (7, [2, 2])
 
 
 def _fig1_products():
@@ -220,29 +222,6 @@ def test_fast_outcome_matches_full():
             assert verdict.outcome == Outcome.STRICTLY_LESS
         else:  # these small products agree to 500 bits only in an identity
             assert verdict.outcome == Outcome.EQUAL and verdict.method == "exact"
-
-
-_LANE_MULTIPLES = (2**31 - 1) // _SEARCH_DEN
-
-
-@given(st.lists(st.integers(-_LANE_MULTIPLES, _LANE_MULTIPLES),
-                min_size=len(_LANE_PRIMES), max_size=len(_LANE_PRIMES)))
-def test_integrality_pretest_passes_every_integral_key(multiples):
-    # a ratio key packed from signed lanes that are all multiples of 3600,
-    # negative ones included, is never cleared by the pre-test
-    key = sum(_SEARCH_DEN * m << 32 * i for i, m in enumerate(multiples))
-    assert key_exponents(key) == [(p, _SEARCH_DEN * m) for p, m in zip(_LANE_PRIMES, multiples) if m]
-    assert maybe_integral(key)
-
-
-def test_integrality_pretest_clears_a_lane_off_by_any_residue():
-    # one lane off a multiple of 3600, by a residue below 16 or a multiple
-    # of 16, is cleared wherever it sits: each test catches its own part
-    rng = random.Random(16)
-    for _ in range(200):
-        lanes = [_SEARCH_DEN * rng.randint(1 - _LANE_MULTIPLES, _LANE_MULTIPLES - 1) for _ in _LANE_PRIMES]
-        lanes[rng.randrange(len(lanes))] += rng.choice([rng.randint(1, 15), 16 * rng.randint(1, 224)])
-        assert not maybe_integral(sum(x << 32 * i for i, x in enumerate(lanes)))
 
 
 def test_carried_limit_is_the_least_widened_sum_reaching_one():

@@ -13,7 +13,9 @@ from conftest import (
     config_is_extremal,
     exponent_product,
     extract_config,
+    integral_keys,
     interval_add,
+    path,
     realize_config,
     shard_aggregates,
     strictly_above,
@@ -21,8 +23,8 @@ from conftest import (
     vector_terms,
 )
 from indbound import intervals, local, products, search
-from indbound.goodness import is_good
-from indbound.graphs import component_is_extremal
+from indbound.goodness import goodness_vector, is_good
+from indbound.graphs import component_is_extremal, level_decomposition
 from indbound.local import (
     LocalConfig,
     _config_automorphisms,
@@ -31,16 +33,13 @@ from indbound.local import (
 )
 from indbound.products import (
     _SEARCH_DEN,
-    KEY_MODULUS,
     Outcome,
     carried_limit,
-    carried_strict,
     certify_exponents,
     key_exponents,
-    maybe_integral,
+    level2_vector,
     ratio_bounds,
     ratio_keys,
-    ratio_residues,
     root_vector,
     vector_outcome,
 )
@@ -244,7 +243,7 @@ def _counts_and_leaves(items):
 def test_aggregate_counts_match_knapsack():
     # the full-scale aggregate counts, from a count independent of the
     # enumerator; at the search's limit its counts plus its leaves make
-    # exactly that many, none of those leaves carried_strict there, and
+    # exactly that many, no bound sum of those leaves below it, and
     # without pruning it yields exactly that many leaves, distinct both as
     # yielded and as the sorted records of their aggregates
     totals = {1: 0, 2: 0}
@@ -255,7 +254,7 @@ def test_aggregate_counts_match_knapsack():
             totals[statement] += expected
             counted, leaves = _counts_and_leaves(list(_shard_enumeration(de, lo, d0, degrees)))
             assert counted + len(leaves) == expected
-            assert not any(carried_strict(vec, hx, hy, limit) for _, vec, hx, hy in leaves)
+            assert all(hx + hy >= limit for _, _, hx, hy in leaves)
             if statement == 2 and d0 > 3:
                 continue
             leaves = [records for records, *_ in _shard_enumeration(de, lo, d0, degrees, limit=0)]
@@ -393,19 +392,17 @@ def test_carried_bounds_contain_the_512_bit_ratios():
 
 def _vector_outcome_routes(de, lo, d0, degrees, prec):
     """The decoded ratio keys of every leaf of a shard that certify_exponents
-    must see at prec: not strict at prec, or possibly integral."""
+    must see at prec: those not strict at prec by intervals."""
     out = []
     for _, vec, *_ in _shard_enumeration(de, lo, d0, degrees, prec, limit=0):
-        keys = ratio_keys(vec)
-        if vector_outcome(vec, prec)[:3] != (Outcome.STRICTLY_GREATER, "interval", prec) \
-                or all(map(maybe_integral, keys)):
-            out.append(tuple(map(key_exponents, keys)))
+        if vector_outcome(vec, prec)[:3] != (Outcome.STRICTLY_GREATER, "interval", prec):
+            out.append(tuple(map(key_exponents, ratio_keys(vec))))
     return out
 
 
 # shards of both searches whose pruned subtrees the tests below open again;
-# the first two hold leaves that may be integral next to subtrees the bound
-# alone would prune
+# the first, second and fourth each hold one leaf with both ratio keys
+# integral, an Equal one
 _PRUNED_SHARDS = [(5, 4, 4, (4, 4, 4, 4)), (3, 1, 3, (3, 3, 3)), (5, 2, 2, (5, 3)),
                   (5, 4, 4, (5, 5, 5, 5)), (5, 3, 3, (5, 4, 3)), (4, 1, 4, (4, 3, 2, 2))]
 
@@ -425,10 +422,10 @@ def _decided(items, leaves):
 def test_pruned_subtrees_hold_only_carried_strict_leaves():
     # every leaf the enumeration counts, in a pruned subtree or on its own,
     # is strict at the start precision by intervals, as vector_outcome
-    # decides it, and cannot take the exact route (checked once per pair of
-    # ratio keys, which decide the outcome); the leaves it yields come in
-    # the order of the unpruned enumeration, and counted plus yielded is
-    # the shard's raw count
+    # decides it, whatever the integrality of its ratio keys (checked once
+    # per pair of ratio keys, which decide the outcome); the leaves it
+    # yields come in the order of the unpruned enumeration, and counted
+    # plus yielded is the shard's raw count
     counted, under = {}, {}
     for shard in _PRUNED_SHARDS:
         for prec in (8, 128):
@@ -442,34 +439,36 @@ def test_pruned_subtrees_hold_only_carried_strict_leaves():
     assert all(counted.values())
     for (keys, prec), vec in under.items():
         assert vector_outcome(vec, prec)[:3] == (Outcome.STRICTLY_GREATER, "interval", prec)
-        assert not all(map(maybe_integral, keys))
+
+
+def _path_options(records, weight, bounds, scale):
+    """The spread options of a record multiset, in order, one per class
+    vector: [its bounds, its records], the bounds the product of one
+    factor per copy, in order, every product rounded up at scale 2^-scale."""
+    options = {}
+    for (b, cvec), cnt in records:
+        option = options.setdefault(cvec, [[1 << scale] * 2, ()])
+        for _ in range(cnt):
+            option[0] = [-(-x * y >> scale) for x, y in zip(option[0], bounds(weight(b, cvec)))]
+        option[1] += (((b, cvec), cnt),)
+    return list(options.values())
 
 
 def _hand_nodes(leaves, weight, bounds, root, scale):
     """Per leaf of an unpruned enumeration, (least, own).  own is the
     leaf's own bound sum u + v: the root's bounds times every spread
     option's, every product rounded up at scale 2^-scale.  least is the
-    least bound that decides the leaf, or None: that of a node on its path
-    that the enumeration tests (after each class vector's copies but the
-    last) and no leaf under which has both ratio keys a multiple of 225,
+    least bound that decides the leaf: that of a node on its path that the
+    enumeration tests (after each class vector's copies but the last),
     ceil(u max_u) + ceil(v max_v) with u, v the bounds so far and max_u,
     max_v the largest product over the completions below that prefix,
-    folded from the right; or own, unless both of the leaf's ratio keys may
-    be integral (maybe_integral)."""
+    folded from the right, or own."""
     def up(a, b):
         return -(-a * b >> scale)
 
     below, paths = {}, []
-    for records, total, *_ in leaves:
-        options = {}  # class vector -> [its spread option's bounds, its records]
-        for (b, cvec), cnt in records:
-            option = options.setdefault(cvec, [[1 << scale] * 2, ()])
-            for _ in range(cnt):
-                option[0] = list(map(up, option[0], bounds(weight(b, cvec))))
-            option[1] += (((b, cvec), cnt),)
-        path = list(options.values())
-        keys = ratio_keys(total)
-        integral = all(key % 225 == 0 for key in keys)
+    for records, *_ in leaves:
+        path = _path_options(records, weight, bounds, scale)
         carried, prefix, nodes = bounds(root), (), []
         for k in range(len(path) - 1):
             carried = list(map(up, carried, path[k][0]))
@@ -477,38 +476,34 @@ def _hand_nodes(leaves, weight, bounds, root, scale):
             rest = path[-1][0]
             for option, _ in reversed(path[k + 1:-1]):
                 rest = list(map(up, option, rest))
-            node = below.setdefault(prefix, [0, 0, False])
-            node[:] = max(node[0], rest[0]), max(node[1], rest[1]), node[2] or integral
+            node = below.setdefault(prefix, [0, 0])
+            node[:] = max(node[0], rest[0]), max(node[1], rest[1])
             nodes.append((prefix, carried))
         own = sum(map(up, carried, path[-1][0])) if path else sum(carried)
-        paths.append((nodes, own, all(map(maybe_integral, keys))))
-    out = []
-    for nodes, own, may_be_integral in paths:
-        sums = [up(u, below[prefix][0]) + up(v, below[prefix][1])
-                for prefix, (u, v) in nodes if not below[prefix][2]]
-        out.append((min(sums + [own] * (not may_be_integral), default=None), own))
-    return out
+        paths.append((nodes, own))
+    return [(min([up(u, below[prefix][0]) + up(v, below[prefix][1]) for prefix, (u, v) in nodes]
+                 + [own]), own)
+            for nodes, own in paths]
 
 
 def _pruned_as_by_hand(enumerate_at, leaves, hand, limits):
-    """enumerate_at(limit) counts exactly the leaves whose least gated
-    bound is below the limit, and yields the others, at each limit."""
+    """enumerate_at(limit) counts exactly the leaves whose least bound is
+    below the limit, and yields the others, at each limit."""
     for limit in sorted(limits):
-        expected = [leaf for leaf, (h, _) in zip(leaves, hand) if h is not None and h < limit]
+        expected = [leaf for leaf, (h, _) in zip(leaves, hand) if h < limit]
         assert _decided(list(enumerate_at(limit)), leaves) == expected, limit
 
 
 def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
     # the enumeration counts exactly the leaves under a node, or the leaf
-    # itself, that the bound and the gate of _hand_nodes decide: on shards
-    # of both searches at the search's limit, and with made-up bounds at
-    # scale 2^-2, where most roundings move a bound, at every limit that is
-    # some leaf's least or own bound, where that node or leaf must be
-    # entered, and one above them all, where every leaf that may be integral
-    # must still be yielded; a subtree product rounded down, a missing gate
-    # or integrality test, a wrong leaf count or a limit that is not strict
-    # moves some count
-    never = 0  # coarse leaves no bound decides, each one possibly integral
+    # itself, that the bounds of _hand_nodes decide: on shards of both
+    # searches at the search's limit, and with made-up bounds at scale
+    # 2^-2, where most roundings move a bound, at every limit that is some
+    # leaf's least or own bound, where that node or leaf must be entered,
+    # and one above them all, where every leaf is counted, those with both
+    # ratio keys integral too; a subtree product rounded down, a wrong leaf
+    # count or a limit that is not strict moves some count
+    integral = 0  # leaves with both ratio keys integral, counted all the same
     for de, lo, d0, degrees in _PRUNED_SHARDS[:3]:
         class_degrees = tuple(sorted(set(degrees), reverse=True))
         sizes = tuple(map(degrees.count, class_degrees))
@@ -529,10 +524,11 @@ def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
 
         leaves = list(enumerate_at(0))
         hand = _hand_nodes(leaves, weight, coarse, root, 2)
-        sums = {h for pair in hand for h in pair} - {None}
-        never += sum(h is None for h, _ in hand)
+        sums = {h for pair in hand for h in pair}
+        integral += sum(integral_keys(total) for _, total, *_ in leaves)
         _pruned_as_by_hand(enumerate_at, leaves, hand, {*sums, max(sums) + 1})
-    assert never
+        assert list(enumerate_at(max(sums) + 1)) == [len(leaves)]
+    assert integral
 
 
 def _closure_calls(name, run):
@@ -557,9 +553,8 @@ def _closure_calls(name, run):
 
 def _spread_by_hand(cvec, c, lo, hi, weight, bounds, scale, order=tuple):
     """Every option of c copies of cvec from combinations_with_replacement:
-    (records, weight, u, v, ratio residues of the weight), u and v one
-    factor per copy, multiplied in the order order(bs), every product
-    rounded up at scale 2^-scale."""
+    (records, weight, u, v), u and v one factor per copy, multiplied in the
+    order order(bs), every product rounded up at scale 2^-scale."""
     out = []
     for bs in itertools.combinations_with_replacement(range(max(sum(cvec), lo), hi + 1), c):
         w, u, v = 0, 1 << scale, 1 << scale
@@ -568,17 +563,18 @@ def _spread_by_hand(cvec, c, lo, hi, weight, bounds, scale, order=tuple):
             ru, rv = bounds(rw)
             w, u, v = w + rw, -(-u * ru >> scale), -(-v * rv >> scale)
         recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
-        out.append((recs, w, u, v, *ratio_residues(w)))
+        out.append((recs, w, u, v))
     return out
 
 
 def test_spread_options_match_the_direct_product():
     # every spread option, built from one with a copy less, equals the
-    # direct product of its copies: the same records, weight, bounds (one
-    # factor per copy, in order, every product rounded up) and ratio
-    # residues, in the order of combinations_with_replacement; on the coarse
-    # bounds at scale 2^-2 of the test above, where multiplying the copies
-    # in reverse order moves some bound, and on a stage-1 shard at 128 bits
+    # direct product of its copies: the same records, weight and bounds
+    # (one factor per copy, in order, every product rounded up), in the
+    # order of combinations_with_replacement, and the spread holds its
+    # options' largest bounds; on the coarse bounds at scale 2^-2 of the
+    # test above, where multiplying the copies in reverse order moves some
+    # bound, and on a stage-1 shard at 128 bits
     coarse = lambda w: (3 + w % 7 % 4, 3 + w % 11 % 4)  # 3/4 to 3/2 at scale 2^-2
     fine = functools.cache(functools.partial(ratio_bounds, prec=128))
     cases = [(*shard, coarse, 2) for shard in _PRUNED_SHARDS[:3]]
@@ -592,58 +588,50 @@ def test_spread_options_match_the_direct_product():
         root = root_vector(d0, degrees)
         calls = _closure_calls("spread", lambda: list(
             record_multisets(quotas, sizes, lo, de, weight, root, bounds, scale)))
-        spreads = {(args["cvec"], args["c"]): options for args, options in calls}
+        spreads = {(args["cvec"], args["c"]): out for args, out in calls}
         assert spreads
-        for (cvec, c), options in spreads.items():
+        for (cvec, c), (options, max_u, max_v) in spreads.items():
             hand = (cvec, c, lo, de, weight, bounds, scale)
             assert options == _spread_by_hand(*hand)
+            assert (max_u, max_v) == (max(o[2] for o in options), max(o[3] for o in options))
             copies += c > 1
             reordered += options != _spread_by_hand(*hand, order=lambda bs: bs[::-1])
     assert copies and reordered
 
 
-def test_carried_residues_and_leaf_decisions(monkeypatch):
-    # the enumeration carries the ratio residues of the prefix total into
-    # every node it enters, and adds each leaf option's to them, which gives
-    # those of the leaf's vector: checked on every leaf with no limit (every
-    # node entered) and on the nodes entered at the search's limit; there
-    # it yields exactly the leaves that are not carried_strict, in order,
-    # counts the others, and consults carried_strict exactly on the leaves
-    # below the limit whose residues are both 0
-    consults = 0
+def test_carried_residues_and_leaf_decisions():
+    # the enumeration carries into every node it enters the total of the
+    # prefix and its bounds, the root's times each spread option's, every
+    # product rounded up: checked on every node entered with no limit and
+    # at the search's limit; there it yields exactly the leaves whose bound
+    # sum reaches the limit, in order, and counts the others
+    entered = 0
     for shard in _PRUNED_SHARDS:
+        de, _, d0, degrees = shard
+        class_degrees = tuple(sorted(set(degrees), reverse=True))
+        weight = functools.partial(search._record_vector, de, class_degrees)
+        root = root_vector(d0, degrees)
         for prec in (8, 128):
+            scale = prec + intervals.GUARD_BITS
+            bounds = functools.cache(functools.partial(ratio_bounds, prec=prec))
             leaves = list(_shard_enumeration(*shard, prec, limit=0))
             for limit in (0, carried_limit(prec)):
-                consulted, items = [], []
-
-                def spy(vec, hx, hy, lim):
-                    consulted.append((vec, hx, hy))
-                    return carried_strict(vec, hx, hy, lim)
-
-                monkeypatch.setattr(local, "carried_strict", spy)
+                items = []
                 calls = _closure_calls("rec", lambda: items.extend(
                     _shard_enumeration(*shard, prec, limit=limit)))
-                monkeypatch.undo()
-                checked = 0
                 for args, _ in calls:
-                    tx, ty, total = args["tx"], args["ty"], args["total"]
-                    assert (tx, ty) == ratio_residues(total)
-                    for child, options in args["nd"][0]:
-                        if not child[0]:  # the leaf node has no moves
-                            for _, w, _, _, ox, oy in options:
-                                carried = (tx + ox) % KEY_MODULUS, (ty + oy) % KEY_MODULUS
-                                assert carried == ratio_residues(total + w)
-                                checked += 1
-                assert checked == len(leaves) or limit
-                strict = [carried_strict(vec, hx, hy, limit) for _, vec, hx, hy in leaves]
+                    records = args["records"]
+                    carried = bounds(root)
+                    for option, _ in _path_options(records, weight, bounds, scale):
+                        carried = [-(-x * y >> scale) for x, y in zip(carried, option)]
+                    assert args["total"] == root + sum(weight(b, cvec) * cnt
+                                                       for (b, cvec), cnt in records)
+                    assert (-args["nu"], -args["nv"]) == tuple(carried)
+                entered += len(calls)
                 counted, kept = _counts_and_leaves(items)
-                assert kept == [leaf for leaf, s in zip(leaves, strict) if not s]
-                assert counted == sum(strict) and bool(counted) == bool(limit)
-                assert consulted == [(vec, hx, hy) for _, vec, hx, hy in leaves
-                                     if hx + hy < limit and ratio_residues(vec) == (0, 0)]
-                consults += len(consulted)
-    assert consults
+                assert kept == [leaf for leaf in leaves if leaf[2] + leaf[3] >= limit]
+                assert counted == len(leaves) - len(kept) and bool(counted) == bool(limit)
+    assert entered
 
 
 def test_certify_exponents_sees_only_the_leaves_bounds_leave(monkeypatch):
@@ -690,8 +678,8 @@ def test_enumeration_counts_and_leaves_make_the_shard(monkeypatch):
     # _agg_search_shard takes its items from search._shard_enumeration, a
     # plain function that hands on record_multisets' iterator, and spying on
     # them changes no result; the counts plus the leaves make the knapsack
-    # count, which is the shard's raw count, and no leaf it yields is
-    # carried_strict at the search's limit: those are counted in the
+    # count, which is the shard's raw count, and no leaf it yields has a
+    # bound sum below the search's limit: those are counted in the
     # enumeration, in pruned subtrees or one by one, and only the leaves it
     # yields reach vector_outcome
     assert not inspect.isgeneratorfunction(search._shard_enumeration)
@@ -716,7 +704,7 @@ def test_enumeration_counts_and_leaves_make_the_shard(monkeypatch):
         counted, leaves = _counts_and_leaves(seen)
         assert counted + len(leaves) == result.raw == _knapsack_count((lo, de), d0, degrees)
         assert result == expected
-        assert not any(carried_strict(vec, hx, hy, limit) for _, vec, hx, hy in leaves)
+        assert all(hx + hy >= limit for _, _, hx, hy in leaves)
         if degrees == (5, 5, 5):  # most of a shard is counted, not yielded
             assert len(leaves) < counted
     seen.clear()
@@ -744,30 +732,22 @@ def test_search_rejects_a_bad_schedule_before_any_shard(monkeypatch, run):
         run(128, 64)
 
 
-def test_integrality_pretest_clears_only_non_integral_keys(stage1_sample):
-    # every ratio key of the stage-1 sample that the pre-test clears has a
-    # lane that is not a multiple of 3600; the integral ones all pass it
-    cleared = integral = 0
-    for _, by_keys in stage1_sample:
-        for key in {key for keys in by_keys for key in keys}:
-            is_integral = all(num % _SEARCH_DEN == 0 for _, num in key_exponents(key))
-            integral += is_integral
-            if not maybe_integral(key):
-                cleared += 1
-                assert not is_integral, key
-    assert cleared and integral
-
-
 def test_exact_route_under_carried_bounds():
-    # an Equal pair is integral, so carried_strict leaves it to the exact
-    # route even with bounds that would decide it; a mixed pair, one key
-    # integral and one not, goes the interval route; inside its shard the
-    # Equal aggregate is the one exact verdict, whatever the cap
+    # an Equal pair is integral, and X + Y = 1 keeps its real carried
+    # bounds at or above the limit, so the enumeration yields it to the
+    # exact route; a mixed pair, one key integral and one not, goes the
+    # interval route; inside its shard the Equal aggregate is the one exact
+    # verdict, whatever the cap
     vec = agg_vector(extremal_aggregate(5, 2, (2, 2)))
     first = vector_outcome(vec)
     assert first[:2] == (Outcome.EQUAL, "exact")
-    assert all(map(maybe_integral, ratio_keys(vec)))
-    assert not carried_strict(vec, 0, 0, carried_limit(128))
+    assert integral_keys(vec)
+    limit = carried_limit(128)
+    [(hx, hy)] = [(hx, hy) for _, v, hx, hy in _shard_enumeration(5, 2, 2, (2, 2), limit=0)
+                  if v == vec]
+    assert hx + hy >= limit
+    _, kept = _counts_and_leaves(list(_shard_enumeration(5, 2, 2, (2, 2))))
+    assert vec in [v for _, v, *_ in kept]
     other = next(v for _, v in shard_aggregates(5, 2, 2, (2, 2))
                  if all(num % _SEARCH_DEN for k in ratio_keys(v) for _, num in key_exponents(k)))
     (kx, ky), (ox, oy) = ratio_keys(vec), ratio_keys(other)
@@ -777,6 +757,39 @@ def test_exact_route_under_carried_bounds():
         assert vector_outcome(vec, precision_cap=cap) == first
         shard = _agg_search_shard((5, 2, 2, (2, 2), 128, cap))
         assert shard.precision_stats == {("exact", None): 1, ("interval", 128): 13}
+
+
+def test_strict_leaf_with_integral_keys_is_counted():
+    # one level-1 class of two degree-2 vertices, each with one level-2
+    # neighbor of degree 2 whose other neighbor is a leaf: the one leaf of
+    # this enumeration is the vector of the middle vertex of a path on 7
+    # vertices, strict with both ratio keys integral; its carried bounds
+    # decide it below the limit, so it is counted and not yielded
+    g = path(7)
+    vec = goodness_vector(g, level_decomposition(g, 3))[0]
+    assert integral_keys(vec)
+    args = ((2,), (1,), 2, 2, lambda b, cvec: level2_vector(2, (2,), (1,)), root_vector(2, (2, 2)),
+            functools.partial(ratio_bounds, prec=128), 128 + intervals.GUARD_BITS)
+    [(records, total, hx, hy)] = record_multisets(*args)
+    assert (records, total) == ((((2, (1,)), 2),), vec)
+    assert hx + hy < carried_limit(128)
+    assert list(record_multisets(*args, carried_limit(128))) == [1]
+    assert vector_outcome(vec)[:3] == (Outcome.STRICTLY_GREATER, "interval", 128)
+
+
+def test_stage1_leaves_with_integral_keys_are_its_equal_ones():
+    # certify_exponents tries the interval before the exact integers, so a
+    # strict leaf with both ratio keys integral is tallied by intervals;
+    # stage 1 has none: its 15 leaves with both keys integral are the
+    # extremal aggregates of their shards, its Equal ones, so its exact
+    # count stays 15
+    integral = []
+    for de, lo, d0, degrees in _shards(1):
+        for records, vec, *_ in _shard_enumeration(de, lo, d0, degrees, limit=0):
+            if integral_keys(vec):
+                integral.append((AggConfig.of(de, d0, degrees, records),
+                                 extremal_aggregate(de, d0, degrees)))
+    assert len(integral) == 15 and all(agg == extremal for agg, extremal in integral)
 
 
 def test_low_start_precisions_keep_their_precision_stats():
