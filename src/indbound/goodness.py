@@ -7,8 +7,8 @@ levels 0..2 of the one breadth-first decomposition around x
 (graphs.level_decomposition) plus the edges leaving level 2.  The reduced
 check (is_good) gathers the degrees around x from that decomposition and
 builds the A/B/C lane vector from products.root_piece and
-products.level2_piece: root_vector and level2_vector, the builders the
-searches use, each cached with its ratio_bounds at the start precision.  In
+products.level2_piece, the pieces the searches carry too: root_vector and
+level2_vector, each cached with its ratio_bounds at the start precision.  In
 the same pass it multiplies those bounds into upper bounds of X = B/A and
 Y = C/A, rounding up, and decides the vertex strict when their sum is below
 products.carried_limit, as the searches decide their leaves; a vertex the

@@ -11,13 +11,14 @@ canonical_form is the one canonical pass over level-1 relabelings: it gives
 both the canonical key and the automorphisms used by appearance expansion.
 record_multisets is the one enumerator of multisets of level-2 records: the
 searches' degree-class aggregates use it with class vectors capped by the
-class sizes, carrying upper bounds of the ratios of their A/B/C vectors
-record by record (a spread of c copies of a record from one of c - 1) and
-returning the count of the leaves and subtrees these bounds decide after
-the other leaves; a labeled record (b, subset) is the same thing over
-one-vertex classes, so stage 2 and appearance expansion use it with unit
-caps, no limit and so no pruning, and read the subset off the 0/1 class
-vector.
+class sizes and the pieces is_good uses (products.level2_piece and
+root_piece), carrying upper bounds of the ratios of their A/B/C vectors
+record by record (a spread of c copies of a record from one of c - 1); it
+returns the leaves these bounds leave and the count of those they decide,
+a leaf at a time or in whole subtrees.  A labeled record (b, subset) is
+the same thing over one-vertex classes, so stage 2 and appearance
+expansion use it with unit pieces and caps, no limit and so no pruning,
+and read the subset off the 0/1 class vector.
 The labeled per-vertex model, every canonical configuration of a root degree,
 is built only in the tests (tests/test_search.py), where the degree-class
 aggregates of the searches are checked against it; so is the round trip
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 # level-2 record: (total degree b, sorted tuple of level-1 indices)
 Record = tuple[int, tuple[int, ...]]
@@ -39,23 +40,24 @@ def record_multisets(
     caps: Sequence[int],
     b_lo: int,
     b_hi: int,
-    weight: Callable[[int, tuple[int, ...]], int],
-    root: int = 0,
-    bounds: Callable[[int], tuple[int, int]] | None = None,
+    piece: Callable[[int, tuple[int, ...]], tuple[int, int, int]] | None = None,
+    root: tuple[int, int, int] | None = None,
     scale: int = 0,
     limit: int = 0,
-) -> Iterator[tuple[tuple, int, int, int] | int]:
+) -> tuple[list[tuple[tuple, int, int, int]], int]:
     """Every multiset of level-2 records (b, cvec) whose class vectors sum
     to `quotas`, each record with a nonzero cvec, cvec[i] <= caps[i] and
     max(|cvec|, b_lo) <= b <= b_hi, in a deterministic order without
-    duplicates.  Yields (records, total, u, v): the records as ((b, cvec),
-    multiplicity) pairs, unsorted (by class vector, then b); total, root
-    plus weight(b, cvec) over every copy of every record; and upper bounds
+    duplicates.  Each record has a piece(b, cvec) = (weight, ru, rv), and
+    the root a piece (weight, ru, rv); without them every piece is the unit
+    (0, 1, 1) at scale 2^-scale.  A leaf is (records, total, u, v): the
+    records as ((b, cvec), multiplicity) pairs, unsorted (by class vector,
+    then b); total, the root's weight plus every copy's; and upper bounds
     u, v at scale 2^-scale of two functions that turn sums of weights into
-    products (the ratios of an A/B/C vector): bounds(root) times
-    bounds(weight(b, cvec)) once per copy of every record, every product
-    rounded up (1 and 1 without bounds).  A spread option of c copies is
-    one of c - 1 times the last copy's, the recursion the options' products.
+    products (the ratios of an A/B/C vector): the root's ru, rv times those
+    of every copy of every record, every product rounded up.  A spread
+    option of c copies is one of c - 1 times the last copy's, the recursion
+    the options' products.
 
     Skeleton first: the multiset of class vectors is a vector partition of
     the quotas; each chosen class vector's multiplicity is then spread over
@@ -64,38 +66,30 @@ def record_multisets(
     and walked by reference: its moves, each to a child node with its
     spread options, the largest products max_u, max_v of bounds over its
     completions (every product rounded up) and its number of leaves.  The
-    empty remainder is the one leaf node.  A move is kept only when its
-    child has a leaf, so partial partitions that cannot be completed are
-    never entered.  Each record's weight and bounds, and each spread's
-    options with their largest bounds, are computed once per call, on first
-    use.
+    empty remainder is the leaf node: no moves, max_u and max_v the unit
+    bound 1 and one leaf.  A move is kept only when its child has a leaf,
+    so partial partitions that cannot be completed are never entered.  Each
+    spread's options with their largest bounds are computed once per call,
+    on first use, from one piece call per admissible b.
 
     With a limit above 0, weights are A/B/C vectors, and what their bounds
-    decide is counted, not yielded: a leaf when u + v < limit, and a node
-    with a nonempty remainder, as its number of leaves and without being
-    entered, when for carried u, v, ceil(u max_u) + ceil(v max_v) < limit.
-    For limit = products.carried_limit(p) each is strict by intervals at p
-    (see its proof).  The recursion returns its count and collects the
-    other leaves: they are yielded in order, then the count when above 0.
-    With limit 0 every leaf is yielded."""
-    bounds = bounds or (lambda w: (1, 1))
+    decide is counted, not listed: a child of a node, with carried u, v,
+    as its number of leaves and without being entered, when
+    ceil(u max_u) + ceil(v max_v) < limit; at the leaf node that is
+    u + v < limit.  For limit = products.carried_limit(p) each is strict by
+    intervals at p (see its proof).  Returns (leaves, decided): the leaves
+    not decided, in order, and the count of those decided.  With limit 0
+    every leaf is listed."""
+    unit = (0, 1 << scale, 1 << scale)
+    piece = piece or (lambda b, cvec: unit)
     cvecs = [
         cvec
         for cvec in itertools.product(*(range(min(cap, q) + 1) for cap, q in zip(caps, quotas)))
         if sum(cvec) and max(sum(cvec), b_lo) <= b_hi
     ]
 
-    records_of: dict[tuple[tuple[int, ...], int], tuple[int, int, int]] = {}
-
-    def record(cvec: tuple[int, ...], b: int) -> tuple[int, int, int]:
-        """(weight, u, v) of the record (b, cvec)."""
-        if (cvec, b) not in records_of:
-            w = weight(b, cvec)
-            records_of[cvec, b] = (w, *bounds(w))
-        return records_of[cvec, b]
-
     spreads: dict[tuple[tuple[int, ...], int], tuple[list, int, int]] = {}
-    no_copies = [((), 0, 1 << scale, 1 << scale)]  # the one option of 0 copies
+    no_copies = [((), *unit)]  # the one option of 0 copies
 
     def spread(cvec: tuple[int, ...], c: int) -> tuple[list, int, int]:
         """(options, max_u, max_v): an option (records, weight, u, v) for
@@ -103,11 +97,13 @@ def record_multisets(
         c - 1 copies, in order, with a last copy of each b at least theirs,
         and the options' largest u and v."""
         if (cvec, c) not in spreads:
+            first = max(sum(cvec), b_lo)
+            pieces = [piece(b, cvec) for b in range(first, b_hi + 1)]
             out = []
             for recs, w, u, v in spread(cvec, c - 1)[0] if c > 1 else no_copies:
-                last = recs[-1][0][0] if recs else max(sum(cvec), b_lo)
+                last = recs[-1][0][0] if recs else first
                 for b in range(last, b_hi + 1):
-                    rw, ru, rv = record(cvec, b)
+                    rw, ru, rv = pieces[b - first]
                     more = (recs[:-1] + (((b, cvec), recs[-1][1] + 1),) if recs and b == last
                             else recs + (((b, cvec), 1),))
                     out.append((more, w + rw, -(-u * ru >> scale), -(-v * rv >> scale)))
@@ -115,7 +111,7 @@ def record_multisets(
                                 max(option[3] for option in out))
         return spreads[cvec, c]
 
-    leaf = [(), 1 << scale, 1 << scale, 1]  # the empty product, one leaf
+    leaf = [(), *unit[1:], 1]  # the empty product, one leaf
     nodes: dict[tuple[int, tuple[int, ...]], list] = {}
     found: list[tuple[tuple, int, int, int]] = []  # the leaves not decided, in order
 
@@ -144,32 +140,24 @@ def record_multisets(
         nu, nv = -u, -v, so each floor is minus a ceiling."""
         counted = 0
         for child, options in nd[0]:
-            if child is leaf:
-                for recs, w, ou, ov in options:
-                    u, v = -(nu * ou >> scale), -(nv * ov >> scale)
-                    if u + v < limit:
-                        counted += 1
-                    else:
-                        found.append((records + recs, total + w, u, v))
-                continue
             for recs, w, ou, ov in options:
                 cu, cv = nu * ou >> scale, nv * ov >> scale
                 if limit and (cu * child[1] >> scale) + (cv * child[2] >> scale) > -limit:
                     counted += child[3]
+                elif child is leaf:
+                    found.append((records + recs, total + w, -cu, -cv))
                 else:
                     counted += rec(child, records + recs, total + w, cu, cv)
         return counted
 
-    u, v = bounds(root)
+    total, u, v = root or unit
     top = node(0, tuple(quotas)) if any(quotas) else [[(leaf, no_copies)]]  # or the empty multiset
     try:
-        counted = rec(top, (), root, -u, -v)
+        counted = rec(top, (), total, -u, -v)
     finally:  # the closures form a cycle: free the memos now, not at the next collection
-        for memo in (records_of, spreads, nodes):
+        for memo in (spreads, nodes):
             memo.clear()
-    yield from found
-    if counted:
-        yield counted
+    return found, counted
 
 
 @dataclass(frozen=True)
@@ -296,7 +284,7 @@ def expand_appearances(cfg: LocalConfig) -> list[Appearance]:
     # level-2 neighbors (one-vertex classes); with b_lo = b_hi = k every
     # class vector has exactly one admissible b
     k = len(quotas)
-    for records, *_ in record_multisets(quotas, [1] * k, k, k, lambda b, cvec: 0):
+    for records, *_ in record_multisets(quotas, [1] * k, k, k)[0]:
         subsets = [tuple(j for j, x in enumerate(cvec) if x)
                    for (_, cvec), cnt in records for _ in range(cnt)]
         key = min(

@@ -237,7 +237,10 @@ def precision_schedule(start: int, cap: int) -> tuple[int, ...]:
     unless 1 <= start <= cap."""
     if not 1 <= start <= cap:
         raise ValueError(f"need 1 <= precision start <= cap, got start {start}, cap {cap}")
-    return (start, *precision_schedule(min(start * 2, cap), cap)) if start < cap else (cap,)
+    out = [start]
+    while out[-1] < cap:  # a loop, not a recursion: a huge cap means many doublings
+        out.append(min(out[-1] * 2, cap))
+    return tuple(out)
 
 
 def certify_sum_inequality(
@@ -448,8 +451,9 @@ def level2_vector(b: int, down: tuple[int, ...], up: tuple[int, ...]) -> int:
     return vec
 
 
-# The pieces with their bounds, for is_good, which carries them over the
-# level-2 vertices of one graph; the searches carry their own per shard.
+# The pieces with their bounds, cached once per process for the two callers
+# that carry them: is_good over the level-2 vertices of one graph, and the
+# searches' enumeration over the records of a shard.
 @functools.cache
 def root_piece(d0: int, l1_degrees: tuple[int, ...], prec: int) -> tuple[int, int, int]:
     """(root_vector(d0, l1_degrees), ux, uy): the vector and its ratio_bounds at prec."""
@@ -491,10 +495,10 @@ def vector_outcome(
 # Carried bounds: the searches multiply ratio_bounds of the shard's root
 # vector and of each level-2 record's vector, once per copy of the record,
 # down their enumeration, and is_good multiplies those of its root vector and
-# of each level-2 vertex's vector (root_piece, level2_piece), rounding every
-# product up.  Vectors add as their ratios multiply, so the carried hx and hy
-# bound X and Y from above, and hx + hy < carried_limit(prec) decides the
-# vector strict by intervals at prec.
+# of each level-2 vertex's vector, both from root_piece and level2_piece,
+# rounding every product up.  Vectors add as their ratios multiply, so the
+# carried hx and hy bound X and Y from above, and hx + hy < carried_limit(prec)
+# decides the vector strict by intervals at prec.
 
 
 def ratio_bounds(vec: int, prec: int) -> tuple[int, int]:

@@ -19,14 +19,15 @@ The searches run on degree-class aggregates: the three products of the
 reduced inequality depend on a level-2 vertex only through its total degree
 and how many neighbors it has in each level-1 degree class.
 _shard_enumeration enumerates them with local.record_multisets, the one
-record-multiset enumerator, each with its A/B/C exponent vector (built by
-products.root_vector and products.level2_vector, as is_good builds it) and
-upper bounds of its ratios X = B/A and Y = C/A, carried as the product of
-the root's and each level-2 record's bounds.  The enumeration is the one
-place a search decides from carried bounds: it counts the aggregates whose
-bounds sum below products.carried_limit, strict by intervals at the start
-precision, a leaf at a time and most of them in whole subtrees it does not
-enter, and yields only the others, which vector_outcome decides.  Every
+record-multiset enumerator, each with its A/B/C exponent vector and upper
+bounds of its ratios X = B/A and Y = C/A, carried as the product of the
+root's and each level-2 record's bounds.  The vectors and bounds are the
+pieces is_good carries, products.root_piece and level2_piece, cached once
+per process.  The enumeration is the one place a search decides from
+carried bounds: it counts the aggregates whose bounds sum below
+products.carried_limit, strict by intervals at the start precision, a leaf
+at a time and most of them in whole subtrees it does not enter, and returns
+the others, which vector_outcome decides, with that count.  Every
 aggregate is realizable by a simple bipartite graph, so certified
 aggregates and concrete configurations cover each other exactly.  A shard
 returns its rare equal, failing and undecided aggregates themselves, which
@@ -49,7 +50,6 @@ deterministically.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import time
@@ -73,9 +73,10 @@ from .products import (
     PRECISION_START,
     Outcome,
     carried_limit,
+    level2_piece,
     level2_vector,
     precision_schedule,
-    ratio_bounds,
+    root_piece,
     root_vector,
     vector_outcome,
 )
@@ -136,18 +137,20 @@ def extremal_aggregate(delta_eff: int, d0: int, degrees: Sequence[int]) -> AggCo
     return AggConfig.of(delta_eff, d0, degrees, [((d0, (d0,)), d - 1)] if d > 1 else [])
 
 
-def _record_vector(delta_eff: int, class_degrees, b: int, cvec: tuple[int, ...]) -> int:
-    """One level-2 vertex of degree b with cvec[i] neighbors in class i and
-    its other b - |cvec| neighbors at level 3, padded to degree delta_eff."""
+def _record_degrees(delta_eff: int, class_degrees, b: int,
+                    cvec: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(b, down, up) of one level-2 vertex of degree b with cvec[i]
+    neighbors in class i and its other b - |cvec| neighbors at level 3,
+    padded to degree delta_eff: the arguments of level2_vector."""
     down = tuple(d for d, c in zip(class_degrees, cvec) for _ in range(c))
-    return level2_vector(b, down, (delta_eff,) * (b - len(down)))
+    return b, down, (delta_eff,) * (b - len(down))
 
 
 def agg_vector(agg: AggConfig) -> int:
     """The A/B/C exponent vector of an aggregate."""
     vec = root_vector(agg.d0, agg.degree_multiset())
     for (b, cvec), cnt in agg.records:
-        vec += cnt * _record_vector(agg.delta_eff, agg.class_degrees, b, cvec)
+        vec += cnt * level2_vector(*_record_degrees(agg.delta_eff, agg.class_degrees, b, cvec))
     return vec
 
 
@@ -155,20 +158,21 @@ def _shard_enumeration(
     delta_eff: int, lo: int, d0: int, degrees: tuple[int, ...],
     precision: int = PRECISION_START,
     limit: int | None = None,
-) -> Iterator[tuple[tuple, int, int, int] | int]:
+) -> tuple[list[tuple[tuple, int, int, int]], int]:
     """record_multisets over the aggregate configurations of one shard:
     level-1 degree multiset degrees, level-2 degrees in the window
     lo..delta_eff, level 3 padded to delta_eff.  It runs over the per-class
     quotas s * (d - 1), each class vector entry capped by its class size,
     with the A/B/C vector vec summed onto the shard's root vector and the
     upper bounds hx, hy of its X and Y: the root vector's ratio_bounds at
-    precision times each record's, computed once per shard and record.  Its
-    items are leaves (records, vec, hx, hy), made aggregates by AggConfig.of,
-    then the count of the aggregates it decides strict below limit (by default
-    carried_limit(precision); 0 yields every leaf), each strict at precision
-    by intervals, as vector_outcome would decide it.  Deterministic order,
-    no duplicates (distinct degrees fix the class order, so aggregates have
-    no leftover symmetry).
+    precision times each record's, from root_piece and level2_piece, the
+    pieces is_good carries.  It returns (leaves, decided): the leaves
+    (records, vec, hx, hy), made aggregates by AggConfig.of, and the count
+    of the aggregates it decides strict below limit (by default
+    carried_limit(precision); 0 returns every leaf), each strict at
+    precision by intervals, as vector_outcome would decide it.
+    Deterministic order, no duplicates (distinct degrees fix the class
+    order, so aggregates have no leftover symmetry).
 
     Every aggregate is realizable by a simple bipartite graph, so none is
     skipped.  Classes are independent: a level-2 vertex's neighbors in
@@ -179,9 +183,12 @@ def _shard_enumeration(
     class_degrees = tuple(sorted(set(degrees), reverse=True))
     class_sizes = tuple(degrees.count(d) for d in class_degrees)
     quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, class_sizes))
-    weight = functools.partial(_record_vector, delta_eff, class_degrees)
-    return record_multisets(quotas, class_sizes, lo, delta_eff, weight, root_vector(d0, degrees),
-                            functools.partial(ratio_bounds, prec=precision), precision + GUARD_BITS,
+
+    def piece(b: int, cvec: tuple[int, ...]) -> tuple[int, int, int]:
+        return level2_piece(*_record_degrees(delta_eff, class_degrees, b, cvec), precision)
+
+    return record_multisets(quotas, class_sizes, lo, delta_eff, piece,
+                            root_piece(d0, degrees, precision), precision + GUARD_BITS,
                             carried_limit(precision) if limit is None else limit)
 
 
@@ -308,12 +315,9 @@ def _agg_search_shard(args) -> ShardResult:
     delta_eff, lo, d0, degrees, precision_start, precision_cap = args
     result = ShardResult()
     equal = set()
-    carried = 0  # strict aggregates decided by carried bounds
-    for item in _shard_enumeration(delta_eff, lo, d0, degrees, precision_start):
-        if isinstance(item, int):
-            carried += item
-            continue
-        records, vec, _, _ = item
+    # carried counts the strict aggregates decided by carried bounds
+    leaves, carried = _shard_enumeration(delta_eff, lo, d0, degrees, precision_start)
+    for records, vec, _, _ in leaves:
         outcome, method, precision, _ = vector_outcome(vec, precision_start, precision_cap)
         agg = AggConfig.of(delta_eff, d0, degrees, records)
         result.add(outcome, method, precision, agg)
@@ -633,8 +637,7 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
         forced.append((pattern.l1_degrees[u], nbrs_q))
     quotas = [pattern.l2[j][0] - len(pattern.l2[j][1]) for j in s_indices]
     delta_eff, lo, _ = stage1_window(d_p)
-    for wrecords, *_ in record_multisets(quotas, [1] * len(quotas), lo, delta_eff,
-                                        lambda b, cvec: 0):
+    for wrecords, *_ in record_multisets(quotas, [1] * len(quotas), lo, delta_eff)[0]:
         mapped = [(b, tuple(1 + pos for pos, x in enumerate(cvec) if x))
                   for (b, cvec), cnt in wrecords for _ in range(cnt)]
         records = tuple(sorted(forced + mapped))

@@ -52,7 +52,7 @@ def shard_aggregates(delta_eff, lo, d0, degrees):
     enumeration, its degree window lo..delta_eff, the aggregate made by
     AggConfig.of as the searches make it; nothing is pruned (limit=0)."""
     return [(AggConfig.of(delta_eff, d0, degrees, records), vec)
-            for records, vec, *_ in _shard_enumeration(delta_eff, lo, d0, degrees, limit=0)]
+            for records, vec, *_ in _shard_enumeration(delta_eff, lo, d0, degrees, limit=0)[0]]
 
 
 def interval_add(a: intervals.Interval, b: intervals.Interval) -> intervals.Interval:

@@ -201,6 +201,29 @@ def test_strict_vertex_with_integral_keys_takes_the_interval_route():
             (Outcome.STRICTLY_GREATER, "interval", 128)
 
 
+def test_is_good_decides_from_bounds_only_below_the_limit(monkeypatch):
+    # with the limit equal to the vertex's own bound sum, is_good asks
+    # vector_outcome, and one above it, it does not; the verdict is the
+    # same either way.  A comparison that is not strict fails here
+    g = path(7)
+    _, hx, hy = goodness_vector(g, level_decomposition(g, 3))
+    asked = []
+
+    def spy(vec, *args):
+        asked.append(vec)
+        return vector_outcome(vec, *args)
+
+    monkeypatch.setattr(goodness, "vector_outcome", spy)
+    verdicts = []
+    for limit, calls in ((hx + hy, 1), (hx + hy + 1, 0)):
+        asked.clear()
+        monkeypatch.setattr(goodness, "carried_limit", lambda prec: limit)
+        verdicts.append(is_good(g, 3))
+        assert len(asked) == calls, limit
+    assert verdicts[0] == verdicts[1]
+    assert (verdicts[0].outcome, verdicts[0].method) == (Outcome.STRICTLY_GREATER, "interval")
+
+
 def test_piece_bounds_are_the_ratio_bounds_of_their_vectors():
     # each cached piece is its vector and that vector's ratio_bounds at the
     # same precision, also when the piece was first asked for at another

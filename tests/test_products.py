@@ -31,8 +31,10 @@ from indbound.products import (
     carried_limit,
     f_exponents,
     factorize,
+    level2_piece,
     pi_product,
     precision_schedule,
+    root_piece,
 )
 from indbound.search import _agg_search_shard
 
@@ -297,8 +299,11 @@ def test_root_bounds_the_searches_trust_hold_at_full_scale(monkeypatch):
     # every interval verdict rests on the table's roots, the (p, 1) entries
     # whose powers and reciprocals are all other bounds: each lane prime's
     # at the searches' (3600, 144), and every root one stage-1 shard puts in
-    # a fresh table, checked exactly as lo^den <= p <= hi^den
+    # a fresh table, checked exactly as lo^den <= p <= hi^den.  The cached
+    # pieces hold bounds read from the table, so they are emptied with it
     monkeypatch.setattr(intervals, "_bounds", {})
+    root_piece.cache_clear()
+    level2_piece.cache_clear()
     _agg_search_shard((5, 3, 3, (5, 5, 5), PRECISION_START, PRECISION_CAP))
     shard_roots = {(den, prec, p) for (den, prec), table in intervals._bounds.items() if den > 1
                    for p, num in table if num == 1}

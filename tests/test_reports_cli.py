@@ -311,6 +311,16 @@ def test_cli_check_empty_graph_passes(tmp_path, capsys):
     assert "ind(G) = 1" in out and "good-vertex probe" not in out
 
 
+def test_cli_check_takes_a_huge_precision_cap(tmp_path, capsys):
+    # the schedule doubles from 128 bits 1,193 times up to a cap of 2^1200
+    # bits, and K2 never needs a second precision: both of its comparisons
+    # are exact, so the check passes (exit 0, not a traceback)
+    p = tmp_path / "k2.txt"
+    p.write_text("n 2\n0 1\n")
+    assert main(["check", "--input", str(p), "--precision-cap", str(2**1200)]) == 0
+    assert "ind(G) = bound (exact)" in capsys.readouterr().out
+
+
 def test_cli_check_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("n 2\n0 1\n0 1\n")

@@ -37,9 +37,11 @@ from indbound.products import (
     carried_limit,
     certify_exponents,
     key_exponents,
+    level2_piece,
     level2_vector,
     ratio_bounds,
     ratio_keys,
+    root_piece,
     root_vector,
     vector_outcome,
 )
@@ -232,32 +234,24 @@ def _shards(statement):
             yield de, lo, d0, degrees
 
 
-def _counts_and_leaves(items):
-    """The sum of the counts among enumeration items, and the leaves.  No
-    count is 0: a move is kept only when its child node has a leaf."""
-    counts = [item for item in items if isinstance(item, int)]
-    assert all(counts)
-    return sum(counts), [item for item in items if not isinstance(item, int)]
-
-
 def test_aggregate_counts_match_knapsack():
     # the full-scale aggregate counts, from a count independent of the
-    # enumerator; at the search's limit its counts plus its leaves make
+    # enumerator; at the search's limit its count plus its leaves make
     # exactly that many, no bound sum of those leaves below it, and
-    # without pruning it yields exactly that many leaves, distinct both as
-    # yielded and as the sorted records of their aggregates
+    # without pruning it returns exactly that many leaves, distinct both as
+    # returned and as the sorted records of their aggregates
     totals = {1: 0, 2: 0}
     limit = carried_limit(128)
     for statement in totals:
         for de, lo, d0, degrees in _shards(statement):
             expected = _knapsack_count((lo, de), d0, degrees)
             totals[statement] += expected
-            counted, leaves = _counts_and_leaves(list(_shard_enumeration(de, lo, d0, degrees)))
+            leaves, counted = _shard_enumeration(de, lo, d0, degrees)
             assert counted + len(leaves) == expected
             assert all(hx + hy >= limit for _, _, hx, hy in leaves)
             if statement == 2 and d0 > 3:
                 continue
-            leaves = [records for records, *_ in _shard_enumeration(de, lo, d0, degrees, limit=0)]
+            leaves = [records for records, *_ in _shard_enumeration(de, lo, d0, degrees, limit=0)[0]]
             records = [AggConfig.of(de, d0, degrees, leaf).records for leaf in leaves]
             assert len(leaves) == len(set(leaves)) == expected, (d0, degrees)
             assert len(records) == len(set(records)) == expected, (d0, degrees)
@@ -300,15 +294,35 @@ def test_ratio_keys_decode_to_exponent_differences(stage1_sample):
     assert negative and shared
 
 
-def _hand_carried(root_bounds, class_degrees, records, scale):
+def _hand_pieces(delta_eff, d0, degrees, bounds):
+    """(piece, root) of a shard by hand: its records' piece(b, cvec) and its
+    root's piece, each a vector with bounds(vector), not read from the
+    cached pieces of products."""
+    class_degrees = tuple(sorted(set(degrees), reverse=True))
+    root = root_vector(d0, degrees)
+
+    @functools.cache
+    def piece(b, cvec):
+        vec = level2_vector(*search._record_degrees(delta_eff, class_degrees, b, cvec))
+        return (vec, *bounds(vec))
+
+    return piece, (root, *bounds(root))
+
+
+def _coarse(vec):
+    """Made-up bounds of a vector: 3/4 to 3/2 at scale 2^-2, where most
+    roundings move a bound."""
+    return 3 + vec % 7 % 4, 3 + vec % 11 % 4
+
+
+def _hand_carried(root_bounds, piece, records, scale):
     """A leaf's (hx, hy) by hand: the root's bounds times the product of
     each spread option's records (the records of one class vector, in
     enumeration order), each copy's bounds multiplied in order and every
     product rounded up."""
     options: dict = {}
     for (b, cvec), cnt in records:
-        vec = search._record_vector(5, class_degrees, b, cvec)
-        options.setdefault(cvec, []).extend([ratio_bounds(vec, 128)] * cnt)
+        options.setdefault(cvec, []).extend([piece(b, cvec)[1:]] * cnt)
     carried = list(root_bounds)
     for first, *rest in options.values():
         option = list(first)
@@ -318,9 +332,12 @@ def _hand_carried(root_bounds, class_degrees, records, scale):
     return carried
 
 
-def test_carried_bounds_live_for_one_shard(monkeypatch):
-    # every shard computes its own bounds at the start precision, and a
-    # shard enumerated again, after the others, yields the same leaves
+def test_carried_bounds_come_from_the_pieces_of_is_good(monkeypatch):
+    # every shard takes its root's and its records' vectors and bounds at the
+    # start precision from products.root_piece and level2_piece, the cached
+    # pieces is_good carries, so ratio_bounds runs once per vector and
+    # precision in the process; a shard enumerated again, after the others,
+    # returns the same leaves and computes no bound again
     calls = []
     scale = 128 + intervals.GUARD_BITS
 
@@ -328,43 +345,54 @@ def test_carried_bounds_live_for_one_shard(monkeypatch):
         calls.append((vec, prec))
         return ratio_bounds(vec, prec)
 
-    monkeypatch.setattr(search, "ratio_bounds", spy)
+    pieces = {"root_piece": [], "level2_piece": []}
+    for name, seen in pieces.items():
+        def piece_spy(*args, real=getattr(products, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, name, piece_spy)
+    products.root_piece.cache_clear()
+    products.level2_piece.cache_clear()
+    monkeypatch.setattr(products, "ratio_bounds", spy)
     shards = [shard for shard in _shards(1) if shard[2] < 3]
     first = {}
     copies = tighter = 0
     for shard in shards:
-        _, _, d0, degrees = shard
-        start = len(calls)
-        leaves = first[shard] = list(_shard_enumeration(*shard, limit=0))
-        vecs, precs = zip(*calls[start:])
-        assert set(precs) == {128}
-        # the first call is the root vector
-        assert vecs[0] == root_vector(d0, degrees)
-        # the other calls are exactly the shard's (cvec, b) record vectors,
-        # each once
+        de, _, d0, degrees = shard
+        for seen in pieces.values():
+            seen.clear()
+        leaves = first[shard] = _shard_enumeration(*shard, limit=0)[0]
+        # the root's piece is asked for once, and the records' pieces are
+        # exactly the shard's (b, down, up) triples, each at 128 bits
+        assert pieces["root_piece"] == [(d0, degrees, 128)]
         class_degrees = tuple(sorted(set(degrees), reverse=True))
         kinds = {rec for records, *_ in leaves for rec, _ in records}
-        assert sorted(vecs[1:]) == sorted(search._record_vector(5, class_degrees, b, cvec)
-                                          for b, cvec in kinds)
+        assert set(pieces["level2_piece"]) == {
+            (*search._record_degrees(de, class_degrees, b, cvec), 128) for b, cvec in kinds}
         # each leaf carries the root's bounds times its records' bounds, one
         # factor per copy, in order, every product rounded up
-        root_bounds = ratio_bounds(vecs[0], 128)
+        piece, root = _hand_pieces(de, d0, degrees, functools.partial(ratio_bounds, prec=128))
         for records, _, hx, hy in leaves:
             copies += any(cnt > 1 for _, cnt in records)
-            assert [hx, hy] == _hand_carried(root_bounds, class_degrees, records, scale)
-        # each bound is the fixed-point upper end of the unrounded table
-        # product, so it lies between that product and power_product
-        for vec in vecs:
-            for key, h in zip(ratio_keys(vec), ratio_bounds(vec, 128)):
-                exps = key_exponents(key)
-                table = intervals.table_product(exps, _SEARCH_DEN, 128)
-                rounded = intervals.to_fixed(intervals.power_product(exps, _SEARCH_DEN, 128), scale)[1]
-                assert h == intervals.to_fixed(table, scale)[1]
-                assert intervals.dyadic_cmp(h, -scale, table.hi_m, table.hi_e) >= 0
-                assert h <= rounded
-                tighter += h < rounded
+            assert [hx, hy] == _hand_carried(root[1:], piece, records, scale)
+    # one bound per vector and precision, over all the shards
+    assert len(calls) == len(set(calls)) and {prec for _, prec in calls} == {128}
+    # each bound is the fixed-point upper end of the unrounded table
+    # product, so it lies between that product and power_product
+    for vec, _ in calls:
+        for key, h in zip(ratio_keys(vec), ratio_bounds(vec, 128)):
+            exps = key_exponents(key)
+            table = intervals.table_product(exps, _SEARCH_DEN, 128)
+            rounded = intervals.to_fixed(intervals.power_product(exps, _SEARCH_DEN, 128), scale)[1]
+            assert h == intervals.to_fixed(table, scale)[1]
+            assert intervals.dyadic_cmp(h, -scale, table.hi_m, table.hi_e) >= 0
+            assert h <= rounded
+            tighter += h < rounded
+    computed = len(calls)
     for shard in reversed(shards):
-        assert list(_shard_enumeration(*shard, limit=0)) == first[shard]
+        assert _shard_enumeration(*shard, limit=0)[0] == first[shard]
+    assert len(calls) == computed
     assert len(first) == 16 and copies and tighter
 
 
@@ -380,7 +408,7 @@ def test_carried_bounds_contain_the_512_bit_ratios():
                                 (3, 1, 3, (3, 2, 1))]:
         for prec in (8, 128):
             scale = prec + intervals.GUARD_BITS
-            for _, vec, hx, hy in _shard_enumeration(de, lo, d0, degrees, prec, limit=0):
+            for _, vec, hx, hy in _shard_enumeration(de, lo, d0, degrees, prec, limit=0)[0]:
                 leaves += 1
                 for key, h in zip(ratio_keys(vec), (hx, hy)):
                     if key not in refs:
@@ -394,7 +422,7 @@ def _vector_outcome_routes(de, lo, d0, degrees, prec):
     """The decoded ratio keys of every leaf of a shard that certify_exponents
     must see at prec: those not strict at prec by intervals."""
     out = []
-    for _, vec, *_ in _shard_enumeration(de, lo, d0, degrees, prec, limit=0):
+    for _, vec, *_ in _shard_enumeration(de, lo, d0, degrees, prec, limit=0)[0]:
         if vector_outcome(vec, prec)[:3] != (Outcome.STRICTLY_GREATER, "interval", prec):
             out.append(tuple(map(key_exponents, ratio_keys(vec))))
     return out
@@ -407,14 +435,15 @@ _PRUNED_SHARDS = [(5, 4, 4, (4, 4, 4, 4)), (3, 1, 3, (3, 3, 3)), (5, 2, 2, (5, 3
                   (5, 4, 4, (5, 5, 5, 5)), (5, 3, 3, (5, 4, 3)), (4, 1, 4, (4, 3, 2, 2))]
 
 
-def _decided(items, leaves):
-    """The leaves of an unpruned enumeration that a pruned one counts,
-    checking that the pruned one yields the others in the same order and
-    counts exactly as many leaves as it does not yield."""
-    counted, kept = _counts_and_leaves(items)
-    yielded = set(kept)
-    assert [leaf for leaf in leaves if leaf in yielded] == kept and len(yielded) == len(kept)
-    decided = [leaf for leaf in leaves if leaf not in yielded]
+def _decided(enumeration, leaves):
+    """The leaves of an unpruned enumeration that a pruned one, (kept,
+    counted), counts, checking that the pruned one returns the others in
+    the same order and counts exactly as many leaves as it does not
+    return."""
+    kept, counted = enumeration
+    returned = set(kept)
+    assert [leaf for leaf in leaves if leaf in returned] == kept and len(returned) == len(kept)
+    decided = [leaf for leaf in leaves if leaf not in returned]
     assert counted == len(decided)
     return decided
 
@@ -424,15 +453,14 @@ def test_pruned_subtrees_hold_only_carried_strict_leaves():
     # is strict at the start precision by intervals, as vector_outcome
     # decides it, whatever the integrality of its ratio keys (checked once
     # per pair of ratio keys, which decide the outcome); the leaves it
-    # yields come in the order of the unpruned enumeration, and counted
-    # plus yielded is the shard's raw count
+    # returns come in the order of the unpruned enumeration, and counted
+    # plus returned is the shard's raw count
     counted, under = {}, {}
     for shard in _PRUNED_SHARDS:
         for prec in (8, 128):
-            items = list(_shard_enumeration(*shard, prec))
-            leaves = list(_shard_enumeration(*shard, prec, limit=0))
+            leaves = _shard_enumeration(*shard, prec, limit=0)[0]
             assert len(leaves) == _agg_search_shard((*shard, prec, 8192)).raw
-            decided = _decided(items, leaves)
+            decided = _decided(_shard_enumeration(*shard, prec), leaves)
             for leaf in decided:
                 under.setdefault((ratio_keys(leaf[1]), prec), leaf[1])
             counted[shard, prec] = len(decided)
@@ -441,22 +469,23 @@ def test_pruned_subtrees_hold_only_carried_strict_leaves():
         assert vector_outcome(vec, prec)[:3] == (Outcome.STRICTLY_GREATER, "interval", prec)
 
 
-def _path_options(records, weight, bounds, scale):
+def _path_options(records, piece, scale):
     """The spread options of a record multiset, in order, one per class
-    vector: [its bounds, its records], the bounds the product of one
-    factor per copy, in order, every product rounded up at scale 2^-scale."""
+    vector: [its bounds, its records], the bounds the product of each
+    copy's piece bounds, in order, every product rounded up at scale
+    2^-scale."""
     options = {}
     for (b, cvec), cnt in records:
         option = options.setdefault(cvec, [[1 << scale] * 2, ()])
         for _ in range(cnt):
-            option[0] = [-(-x * y >> scale) for x, y in zip(option[0], bounds(weight(b, cvec)))]
+            option[0] = [-(-x * y >> scale) for x, y in zip(option[0], piece(b, cvec)[1:])]
         option[1] += (((b, cvec), cnt),)
     return list(options.values())
 
 
-def _hand_nodes(leaves, weight, bounds, root, scale):
+def _hand_nodes(leaves, piece, root, scale):
     """Per leaf of an unpruned enumeration, (least, own).  own is the
-    leaf's own bound sum u + v: the root's bounds times every spread
+    leaf's own bound sum u + v: the root piece's bounds times every spread
     option's, every product rounded up at scale 2^-scale.  least is the
     least bound that decides the leaf: that of a node on its path that the
     enumeration tests (after each class vector's copies but the last),
@@ -468,8 +497,8 @@ def _hand_nodes(leaves, weight, bounds, root, scale):
 
     below, paths = {}, []
     for records, *_ in leaves:
-        path = _path_options(records, weight, bounds, scale)
-        carried, prefix, nodes = bounds(root), (), []
+        path = _path_options(records, piece, scale)
+        carried, prefix, nodes = root[1:], (), []
         for k in range(len(path) - 1):
             carried = list(map(up, carried, path[k][0]))
             prefix += path[k][1]
@@ -488,10 +517,10 @@ def _hand_nodes(leaves, weight, bounds, root, scale):
 
 def _pruned_as_by_hand(enumerate_at, leaves, hand, limits):
     """enumerate_at(limit) counts exactly the leaves whose least bound is
-    below the limit, and yields the others, at each limit."""
+    below the limit, and returns the others, at each limit."""
     for limit in sorted(limits):
         expected = [leaf for leaf, (h, _) in zip(leaves, hand) if h < limit]
-        assert _decided(list(enumerate_at(limit)), leaves) == expected, limit
+        assert _decided(enumerate_at(limit), leaves) == expected, limit
 
 
 def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
@@ -508,26 +537,25 @@ def test_subtrees_pruned_are_exactly_those_their_bounds_decide():
         class_degrees = tuple(sorted(set(degrees), reverse=True))
         sizes = tuple(map(degrees.count, class_degrees))
         quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, sizes))
-        weight = functools.partial(search._record_vector, de, class_degrees)
-        root = root_vector(d0, degrees)
         for prec in (8, 128):
-            leaves = list(_shard_enumeration(de, lo, d0, degrees, prec, limit=0))
-            bounds = functools.cache(functools.partial(ratio_bounds, prec=prec))
-            hand = _hand_nodes(leaves, weight, bounds, root, prec + intervals.GUARD_BITS)
+            leaves = _shard_enumeration(de, lo, d0, degrees, prec, limit=0)[0]
+            hand = _hand_nodes(leaves, *_hand_pieces(de, d0, degrees,
+                                                     functools.partial(ratio_bounds, prec=prec)),
+                               prec + intervals.GUARD_BITS)
             _pruned_as_by_hand(lambda limit: _shard_enumeration(de, lo, d0, degrees, prec,
                                                                 limit=limit),
                                leaves, hand, [carried_limit(prec)])
-        coarse = lambda w: (3 + w % 7 % 4, 3 + w % 11 % 4)  # 3/4 to 3/2 at scale 2^-2
+        coarse = _hand_pieces(de, d0, degrees, _coarse)
 
         def enumerate_at(limit):
-            return record_multisets(quotas, sizes, lo, de, weight, root, coarse, 2, limit)
+            return record_multisets(quotas, sizes, lo, de, *coarse, 2, limit)
 
-        leaves = list(enumerate_at(0))
-        hand = _hand_nodes(leaves, weight, coarse, root, 2)
+        leaves = enumerate_at(0)[0]
+        hand = _hand_nodes(leaves, *coarse, 2)
         sums = {h for pair in hand for h in pair}
         integral += sum(integral_keys(total) for _, total, *_ in leaves)
         _pruned_as_by_hand(enumerate_at, leaves, hand, {*sums, max(sums) + 1})
-        assert list(enumerate_at(max(sums) + 1)) == [len(leaves)]
+        assert enumerate_at(max(sums) + 1) == ([], len(leaves))
     assert integral
 
 
@@ -551,7 +579,7 @@ def _closure_calls(name, run):
     return calls
 
 
-def _spread_by_hand(cvec, c, lo, hi, weight, bounds, scale, order=tuple):
+def _spread_by_hand(cvec, c, lo, hi, piece, scale, order=tuple):
     """Every option of c copies of cvec from combinations_with_replacement:
     (records, weight, u, v), u and v one factor per copy, multiplied in the
     order order(bs), every product rounded up at scale 2^-scale."""
@@ -559,8 +587,7 @@ def _spread_by_hand(cvec, c, lo, hi, weight, bounds, scale, order=tuple):
     for bs in itertools.combinations_with_replacement(range(max(sum(cvec), lo), hi + 1), c):
         w, u, v = 0, 1 << scale, 1 << scale
         for b in order(bs):
-            rw = weight(b, cvec)
-            ru, rv = bounds(rw)
+            rw, ru, rv = piece(b, cvec)
             w, u, v = w + rw, -(-u * ru >> scale), -(-v * rv >> scale)
         recs = tuple(((b, cvec), bs.count(b)) for b in sorted(set(bs)))
         out.append((recs, w, u, v))
@@ -575,23 +602,21 @@ def test_spread_options_match_the_direct_product():
     # options' largest bounds; on the coarse bounds at scale 2^-2 of the
     # test above, where multiplying the copies in reverse order moves some
     # bound, and on a stage-1 shard at 128 bits
-    coarse = lambda w: (3 + w % 7 % 4, 3 + w % 11 % 4)  # 3/4 to 3/2 at scale 2^-2
-    fine = functools.cache(functools.partial(ratio_bounds, prec=128))
-    cases = [(*shard, coarse, 2) for shard in _PRUNED_SHARDS[:3]]
+    fine = functools.partial(ratio_bounds, prec=128)
+    cases = [(*shard, _coarse, 2) for shard in _PRUNED_SHARDS[:3]]
     cases.append((5, 3, 3, (5, 4, 3), fine, 128 + intervals.GUARD_BITS))
     copies = reordered = 0
     for de, lo, d0, degrees, bounds, scale in cases:
         class_degrees = tuple(sorted(set(degrees), reverse=True))
         sizes = tuple(map(degrees.count, class_degrees))
         quotas = tuple(s * (d - 1) for d, s in zip(class_degrees, sizes))
-        weight = functools.partial(search._record_vector, de, class_degrees)
-        root = root_vector(d0, degrees)
-        calls = _closure_calls("spread", lambda: list(
-            record_multisets(quotas, sizes, lo, de, weight, root, bounds, scale)))
+        piece, root = _hand_pieces(de, d0, degrees, bounds)
+        calls = _closure_calls("spread", lambda: record_multisets(quotas, sizes, lo, de, piece,
+                                                                  root, scale))
         spreads = {(args["cvec"], args["c"]): out for args, out in calls}
         assert spreads
         for (cvec, c), (options, max_u, max_v) in spreads.items():
-            hand = (cvec, c, lo, de, weight, bounds, scale)
+            hand = (cvec, c, lo, de, piece, scale)
             assert options == _spread_by_hand(*hand)
             assert (max_u, max_v) == (max(o[2] for o in options), max(o[3] for o in options))
             copies += c > 1
@@ -603,32 +628,29 @@ def test_carried_residues_and_leaf_decisions():
     # the enumeration carries into every node it enters the total of the
     # prefix and its bounds, the root's times each spread option's, every
     # product rounded up: checked on every node entered with no limit and
-    # at the search's limit; there it yields exactly the leaves whose bound
+    # at the search's limit; there it returns exactly the leaves whose bound
     # sum reaches the limit, in order, and counts the others
     entered = 0
     for shard in _PRUNED_SHARDS:
         de, _, d0, degrees = shard
-        class_degrees = tuple(sorted(set(degrees), reverse=True))
-        weight = functools.partial(search._record_vector, de, class_degrees)
-        root = root_vector(d0, degrees)
         for prec in (8, 128):
             scale = prec + intervals.GUARD_BITS
-            bounds = functools.cache(functools.partial(ratio_bounds, prec=prec))
-            leaves = list(_shard_enumeration(*shard, prec, limit=0))
+            piece, root = _hand_pieces(de, d0, degrees, functools.partial(ratio_bounds, prec=prec))
+            leaves = _shard_enumeration(*shard, prec, limit=0)[0]
             for limit in (0, carried_limit(prec)):
-                items = []
-                calls = _closure_calls("rec", lambda: items.extend(
+                out = []
+                calls = _closure_calls("rec", lambda: out.append(
                     _shard_enumeration(*shard, prec, limit=limit)))
                 for args, _ in calls:
                     records = args["records"]
-                    carried = bounds(root)
-                    for option, _ in _path_options(records, weight, bounds, scale):
+                    carried = root[1:]
+                    for option, _ in _path_options(records, piece, scale):
                         carried = [-(-x * y >> scale) for x, y in zip(carried, option)]
-                    assert args["total"] == root + sum(weight(b, cvec) * cnt
-                                                       for (b, cvec), cnt in records)
+                    assert args["total"] == root[0] + sum(piece(b, cvec)[0] * cnt
+                                                          for (b, cvec), cnt in records)
                     assert (-args["nu"], -args["nv"]) == tuple(carried)
                 entered += len(calls)
-                counted, kept = _counts_and_leaves(items)
+                [(kept, counted)] = out
                 assert kept == [leaf for leaf in leaves if leaf[2] + leaf[3] >= limit]
                 assert counted == len(leaves) - len(kept) and bool(counted) == bool(limit)
     assert entered
@@ -675,22 +697,22 @@ def test_low_start_leaves_that_reach_vector_outcome(monkeypatch):
 
 
 def test_enumeration_counts_and_leaves_make_the_shard(monkeypatch):
-    # _agg_search_shard takes its items from search._shard_enumeration, a
-    # plain function that hands on record_multisets' iterator, and spying on
-    # them changes no result; the counts plus the leaves make the knapsack
-    # count, which is the shard's raw count, and no leaf it yields has a
-    # bound sum below the search's limit: those are counted in the
-    # enumeration, in pruned subtrees or one by one, and only the leaves it
-    # yields reach vector_outcome
+    # _agg_search_shard takes (leaves, decided) from
+    # search._shard_enumeration, which returns record_multisets' plain
+    # return, and spying on it changes no result; the count plus the leaves
+    # make the knapsack count, which is the shard's raw count, and no leaf
+    # it returns has a bound sum below the search's limit: those are counted
+    # in the enumeration, in pruned subtrees or one by one, and only the
+    # leaves it returns reach vector_outcome
+    assert not inspect.isgeneratorfunction(local.record_multisets)
     assert not inspect.isgeneratorfunction(search._shard_enumeration)
     original = search._shard_enumeration
     seen = []
 
     def spy(*args, **kwargs):
-        items = original(*args, **kwargs)
-        assert inspect.isgenerator(items)
-        seen.extend(items)
-        return iter(seen)
+        out = original(*args, **kwargs)
+        seen.append(out)
+        return out
 
     limit = carried_limit(128)
     shards = [(5, max(1, d0), d0, degrees, 128, 8192)
@@ -701,7 +723,8 @@ def test_enumeration_counts_and_leaves_make_the_shard(monkeypatch):
         de, lo, d0, degrees = args[:4]
         seen.clear()
         result = _agg_search_shard(args)
-        counted, leaves = _counts_and_leaves(seen)
+        [(leaves, counted)] = seen
+        assert type(leaves) is list
         assert counted + len(leaves) == result.raw == _knapsack_count((lo, de), d0, degrees)
         assert result == expected
         assert all(hx + hy >= limit for _, _, hx, hy in leaves)
@@ -709,7 +732,7 @@ def test_enumeration_counts_and_leaves_make_the_shard(monkeypatch):
             assert len(leaves) < counted
     seen.clear()
     regular = verify_regular(5)
-    counted, leaves = _counts_and_leaves(seen)
+    [(leaves, counted)] = seen
     assert counted + len(leaves) == regular.profiles == 192 and regular == plain[-1]
 
 
@@ -734,7 +757,7 @@ def test_search_rejects_a_bad_schedule_before_any_shard(monkeypatch, run):
 
 def test_exact_route_under_carried_bounds():
     # an Equal pair is integral, and X + Y = 1 keeps its real carried
-    # bounds at or above the limit, so the enumeration yields it to the
+    # bounds at or above the limit, so the enumeration returns it to the
     # exact route; a mixed pair, one key integral and one not, goes the
     # interval route; inside its shard the Equal aggregate is the one exact
     # verdict, whatever the cap
@@ -743,10 +766,10 @@ def test_exact_route_under_carried_bounds():
     assert first[:2] == (Outcome.EQUAL, "exact")
     assert integral_keys(vec)
     limit = carried_limit(128)
-    [(hx, hy)] = [(hx, hy) for _, v, hx, hy in _shard_enumeration(5, 2, 2, (2, 2), limit=0)
+    [(hx, hy)] = [(hx, hy) for _, v, hx, hy in _shard_enumeration(5, 2, 2, (2, 2), limit=0)[0]
                   if v == vec]
     assert hx + hy >= limit
-    _, kept = _counts_and_leaves(list(_shard_enumeration(5, 2, 2, (2, 2))))
+    kept, _ = _shard_enumeration(5, 2, 2, (2, 2))
     assert vec in [v for _, v, *_ in kept]
     other = next(v for _, v in shard_aggregates(5, 2, 2, (2, 2))
                  if all(num % _SEARCH_DEN for k in ratio_keys(v) for _, num in key_exponents(k)))
@@ -764,17 +787,42 @@ def test_strict_leaf_with_integral_keys_is_counted():
     # neighbor of degree 2 whose other neighbor is a leaf: the one leaf of
     # this enumeration is the vector of the middle vertex of a path on 7
     # vertices, strict with both ratio keys integral; its carried bounds
-    # decide it below the limit, so it is counted and not yielded
+    # decide it below the limit, so it is counted and not returned
     g = path(7)
     vec = goodness_vector(g, level_decomposition(g, 3))[0]
     assert integral_keys(vec)
-    args = ((2,), (1,), 2, 2, lambda b, cvec: level2_vector(2, (2,), (1,)), root_vector(2, (2, 2)),
-            functools.partial(ratio_bounds, prec=128), 128 + intervals.GUARD_BITS)
-    [(records, total, hx, hy)] = record_multisets(*args)
-    assert (records, total) == ((((2, (1,)), 2),), vec)
+    args = ((2,), (1,), 2, 2, lambda b, cvec: level2_piece(2, (2,), (1,), 128),
+            root_piece(2, (2, 2), 128), 128 + intervals.GUARD_BITS)
+    [(records, total, hx, hy)], decided = record_multisets(*args)
+    assert (records, total, decided) == ((((2, (1,)), 2),), vec, 0)
     assert hx + hy < carried_limit(128)
-    assert list(record_multisets(*args, carried_limit(128))) == [1]
+    assert record_multisets(*args, carried_limit(128)) == ([], 1)
     assert vector_outcome(vec)[:3] == (Outcome.STRICTLY_GREATER, "interval", 128)
+
+
+def test_empty_multiset_is_one_leaf_tested_against_the_limit():
+    # with every quota 0 the one leaf is the empty multiset, carrying the
+    # root piece alone, and no record piece is asked for: the isolated
+    # root, Equal, so X + Y = 1 and its bounds reach the search's limit; the
+    # leaf is counted only when its bound sum is below the limit, and
+    # returned when the sum reaches it or the limit is 0
+    def piece(b, cvec):
+        raise AssertionError("a record piece was asked for")
+
+    root = root_piece(0, (), 128)
+    vec, hx, hy = root
+    assert vector_outcome(vec)[0] is Outcome.EQUAL
+    leaf = ((), vec, hx, hy)
+    for quotas in ((), (0,), (0, 0)):
+        args = (quotas, (1,) * len(quotas), 1, 5, piece, root, 128 + intervals.GUARD_BITS)
+        assert record_multisets(*args) == ([leaf], 0)
+        assert hx + hy >= carried_limit(128)
+        for limit in (carried_limit(128), hx + hy):
+            assert record_multisets(*args, limit) == ([leaf], 0), limit
+        assert record_multisets(*args, hx + hy + 1) == ([], 1)
+    # unit pieces without a root piece: the leaf's bounds are 1 and 1
+    assert record_multisets((0,), (1,), 1, 5, scale=3, limit=16) == ([((), 0, 8, 8)], 0)
+    assert record_multisets((0,), (1,), 1, 5, scale=3, limit=17) == ([], 1)
 
 
 def test_stage1_leaves_with_integral_keys_are_its_equal_ones():
@@ -785,7 +833,7 @@ def test_stage1_leaves_with_integral_keys_are_its_equal_ones():
     # count stays 15
     integral = []
     for de, lo, d0, degrees in _shards(1):
-        for records, vec, *_ in _shard_enumeration(de, lo, d0, degrees, limit=0):
+        for records, vec, *_ in _shard_enumeration(de, lo, d0, degrees, limit=0)[0]:
             if integral_keys(vec):
                 integral.append((AggConfig.of(de, d0, degrees, records),
                                  extremal_aggregate(de, d0, degrees)))
