@@ -20,7 +20,7 @@ below 1 bit or above the cap, a --jobs below 1), a --scale that is not
 finite and positive, a verify-all --dot without stage 1, an input that
 cannot be read or parsed, a graph too large to count, an output path that
 cannot be written and an interrupt, each with `error: ...`, and a crash
-(a dead pool worker included) with `internal error: ...`.  main is the one
+(a dead lane worker included) with `internal error: ...`.  main is the one
 place a failure becomes an exit code.
 `check` passes when ind(G) <= bound with equality exactly on extremal
 components, and either the last good-vertex probe of a bipartite graph is

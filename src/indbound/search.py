@@ -44,8 +44,10 @@ Each search states its window once: 1..d0 padded to d0 for statement 2's
 maximum-degree root, stage1_window(d0) = max(1, d0)..5 for stage 1's
 minimum-degree root and for the free degrees of stage 2, d..d for the
 d-regular case.  Shards are independent: at jobs > 1 the caller runs one
-lane of them, jobs - 1 workers the rest, and reports merge
-deterministically.
+lane of them and jobs - 1 children forked with os.fork the rest, each
+writing its lane's result to a pipe, and reports merge deterministically.
+Forked children inherit the cached pieces; an interrupt or a failure in
+any lane kills and reaps every child before the search returns or raises.
 """
 
 from __future__ import annotations
@@ -337,35 +339,111 @@ def _run_lane(worker, lane: list) -> list[ShardResult]:
     return [worker(args) for args in lane]
 
 
+class WorkerDied(RuntimeError):
+    """A forked lane worker ended without writing its whole result."""
+
+
+def _fork_lane(worker, lane: list, workers: list) -> None:
+    """Fork a child that runs the lane and writes its pickled result, or
+    the exception the lane raised, to a pipe; append (pid, read end of the
+    pipe) to workers.  The child is forked with SIGINT blocked and ignores
+    it before it unblocks it, so an interrupt reaches the caller alone; the
+    caller records the child before it unblocks SIGINT itself, so no
+    KeyboardInterrupt leaves a child unrecorded."""
+    import pickle
+    import signal
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            # the child: every way out is os._exit, so it never runs the
+            # caller's code after the fork, and a failure exits nonzero
+            status = 1
+            try:
+                os.close(read)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                try:
+                    payload = pickle.dumps((True, _run_lane(worker, lane)))
+                except Exception as exc:
+                    payload = pickle.dumps((False, exc))
+                with open(write, "wb") as pipe:
+                    pipe.write(payload)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        workers.append((pid, open(read, "rb")))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _lane_result(pid: int, status: int, data: bytes) -> list[ShardResult]:
+    """The result a reaped lane worker wrote, or the lane's exception
+    raised again.  A worker that died, or exited before it wrote its whole
+    result, raises WorkerDied."""
+    import pickle
+
+    if status:  # a worker exits 0 only once its whole result is written
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        raise WorkerDied(f"lane worker {pid} {how} (wait status {status}) "
+                         f"before it wrote its result ({len(data)} bytes read)")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _kill_workers(workers: list) -> None:
+    """SIGKILL and reap every worker of the list not yet reaped."""
+    import signal
+
+    for pid, pipe in workers:
+        pipe.close()
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already
+            pass
+
+
 def _run_shards(shards: list, worker, jobs: int) -> ShardResult:
     """Run the shards in min(jobs, len(shards)) lanes, dealt round-robin:
-    the calling process runs lane 0 while a pool of one worker per other
-    lane runs the rest, each lane as one task.  Results merge in shard
-    order, so the report does not depend on jobs.  A worker that dies
-    breaks the pool, and its lane's result raises BrokenProcessPool.  An
-    interrupt reaches the caller alone, and its KeyboardInterrupt leaves
-    this function once the workers have finished their lanes."""
-    lanes = min(jobs, len(shards))
+    one forked child per lane after the first runs its lane while the
+    calling process runs lane 0, then the caller reads each child's result
+    to EOF and reaps it, in lane order.  Results merge in shard order, so
+    the report does not depend on jobs.  A lane's exception is raised again
+    in the caller; a worker that dies raises WorkerDied.  Whatever leaves
+    this function, an interrupt included (workers ignore SIGINT), first
+    kills and reaps every worker not yet reaped.  Without os.fork every
+    lane runs in the caller."""
+    lanes = min(jobs, len(shards)) if hasattr(os, "fork") else 1
     if lanes < 2:
         done = [_run_lane(worker, shards)]
     else:
-        # imported here, not at the top: it loads multiprocessing's pool
-        # machinery, which a run at jobs=1 would pay for at every start
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-
-        # workers ignore SIGINT, so an interrupt reaches the caller alone.
-        # The submits start them with SIGINT blocked, so one sent before a
-        # worker's initializer has run stays pending: the worker drops it
-        # on ignoring the signal, the caller takes it after the submits.
-        with ProcessPoolExecutor(lanes - 1, initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                futures = [pool.submit(_run_lane, worker, shards[i::lanes]) for i in range(1, lanes)]
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            done = [_run_lane(worker, shards[::lanes]), *(f.result() for f in futures)]
+        workers = []  # (pid, pipe) of each lane worker not yet reaped
+        try:
+            for i in range(1, lanes):
+                _fork_lane(worker, shards[i::lanes], workers)
+            done = [_run_lane(worker, shards[::lanes])]
+            while workers:
+                pid, pipe = workers[0]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                workers.pop(0)
+                done.append(_lane_result(pid, status, data))
+        finally:
+            _kill_workers(workers)
     merged = ShardResult()
     for i in range(len(shards)):
         merged.absorb(done[i % lanes][i // lanes])
@@ -667,7 +745,8 @@ def verify_statement1_stage2(
     """For every exceptional pattern and every neighbor of its root, certify
     that the neighbor is strictly good in every consistent completion.
     Equality anywhere is a failure here.  The rootings run in the calling
-    process: the whole stage costs less than starting a pool."""
+    process, whatever the default job count: the whole stage takes about
+    10 ms, too little for a forked lane to shorten."""
     precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any rooting
     t0 = time.monotonic()
     shards = [(pattern, x1, precision_start, precision_cap)

@@ -21,7 +21,7 @@ from conftest import (
     stripped_digest,
 )
 import indbound
-from indbound import cli
+from indbound import cli, search
 from indbound.cli import main
 from indbound.counting import CountBudgetExceeded
 from indbound.local import expand_appearances
@@ -173,16 +173,14 @@ def test_cli_verify_all_certificate_digest(tmp_path, statement, digest):
 
 
 def test_cli_killed_worker_exits_3():
-    # a pool worker killed in the middle of stage 1 breaks the pool: the run
-    # ends with exit 3 and no verdict, not in a hang.  The kill comes from a
-    # shard that runs outside the calling process, so only a worker dies;
-    # the run is a child interpreter under a timeout, so a hang fails the
-    # test.  Workers are forked so that they inherit the patched shard
-    # function.
+    # a lane worker killed in the middle of stage 1 ends the run with exit 3
+    # and no verdict, not in a hang.  The kill comes from a shard that runs
+    # outside the calling process, so only a worker dies; the run is a child
+    # interpreter under a timeout, so a hang fails the test.  Workers are
+    # forked, so they inherit the patched shard function.
     script = textwrap.dedent("""
-        import functools, multiprocessing, os, signal, sys
+        import functools, os, signal, sys
         from indbound import cli, search
-        multiprocessing.set_start_method("fork")
         caller, shard = os.getpid(), search._agg_search_shard
 
         @functools.wraps(shard)
@@ -198,8 +196,52 @@ def test_cli_killed_worker_exits_3():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 3, done.stderr
-    assert "internal error: BrokenProcessPool" in done.stderr
+    assert "internal error: WorkerDied: lane worker " in done.stderr
+    assert "was killed by signal 9 (wait status 9)" in done.stderr
     assert "statement 1 stage 1" not in done.stdout and "overall" not in done.stdout
+
+
+def test_cli_worker_exception_is_an_internal_error(monkeypatch, capsys):
+    # an exception raised in a worker's lane alone reaches main with its
+    # type and message, and the worker is reaped
+    caller, shard = os.getpid(), search._agg_search_shard
+
+    def failing_shard(args):
+        if os.getpid() != caller:
+            raise ValueError("a worker's shard failed")
+        return shard(args)
+
+    monkeypatch.setattr(search, "_agg_search_shard", failing_shard)
+    assert main(["verify-all", "--statement", "1", "--jobs", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "internal error: ValueError: a worker's shard failed\n"
+    assert "statement 1 stage 1" not in out and "overall" not in out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _interrupted_run(script: str, *args: str):
+    # run script in a child interpreter in its own session, send SIGINT to
+    # its group on its line "caller lane running", and return the child, its
+    # output and the seconds from the interrupt to its exit.  A child that
+    # hangs is killed with its group after a minute, and fails
+    env = dict(os.environ, PYTHONPATH=str(Path(indbound.__file__).parent.parent))
+    child = subprocess.Popen([sys.executable, "-c", script, *args], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             start_new_session=True)
+    watchdog = threading.Timer(60, os.killpg, (child.pid, signal.SIGKILL))
+    watchdog.start()
+    sent = None
+    try:
+        for line in child.stdout:
+            if line == "caller lane running\n":
+                sent = time.monotonic()
+                os.killpg(child.pid, signal.SIGINT)
+                break
+        out, err = child.communicate()
+    finally:
+        watchdog.cancel()
+    return child, out, err, time.monotonic() - (sent or 0)
 
 
 @pytest.mark.parametrize("jobs, workers", [("1", "none"), ("2", "starting"), ("2", "idle")])
@@ -208,11 +250,13 @@ def test_cli_interrupt_exits_3(jobs, workers):
     # with exit 3 and `error: interrupted`, and leaves no process behind.  The
     # caller's first stage-1 shard (root degree below the window's top, which
     # no regular shard has) prints a line and sleeps, and the test interrupts
-    # on that line.  A worker that did not ignore SIGINT would die with a
-    # traceback: "starting" workers are forked and still in a slowed
-    # initializer when it comes, "idle" ones come from a fork server started
-    # before the run (so they do not inherit the caller's signal mask) and
-    # have run their lanes.
+    # on that line.  The caller kills and reaps its workers whatever they are
+    # doing: "starting" workers are still in a slowed signal.signal call
+    # when it comes, before they ignore SIGINT, and "idle" ones have run
+    # their lanes and written their results (that workers ignore SIGINT is
+    # test_search.test_workers_ignore_sigint).  The "idle" run also sets
+    # multiprocessing's start method to a fork server started before the
+    # run, which the lanes must not depend on: they are forked directly
     script = textwrap.dedent("""
         import functools, multiprocessing, multiprocessing.forkserver, os, signal, sys, time
         from indbound import cli, search
@@ -237,21 +281,7 @@ def test_cli_interrupt_exits_3(jobs, workers):
         search._agg_search_shard = waiting_shard
         sys.exit(cli.main(["verify-all", "--statement", "1", "--jobs", jobs]))
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(indbound.__file__).parent.parent))
-    child = subprocess.Popen([sys.executable, "-c", script, jobs, workers], env=env, text=True,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             start_new_session=True)
-    # a child that hangs is killed with its group after a minute, and fails
-    watchdog = threading.Timer(60, os.killpg, (child.pid, signal.SIGKILL))
-    watchdog.start()
-    try:
-        for line in child.stdout:
-            if line == "caller lane running\n":
-                os.killpg(child.pid, signal.SIGINT)
-                break
-        out, err = child.communicate()
-    finally:
-        watchdog.cancel()
+    child, out, err, _ = _interrupted_run(script, jobs, workers)
     assert child.returncode == 3, err
     assert err == "error: interrupted\n" and "overall" not in out
     # no process is left in the child's group once a fork server has seen
@@ -264,6 +294,37 @@ def test_cli_interrupt_exits_3(jobs, workers):
         time.sleep(0.05)
     else:
         pytest.fail("a process of the interrupted run is still running")
+
+
+def test_cli_interrupt_stops_the_worker_lanes():
+    # an interrupt at --jobs 2 ends the run at once, not once the worker has
+    # run its lane: every shard of the worker's lane sleeps a minute, and
+    # the test interrupts the group at the caller's first stage-1 shard.
+    # The run exits 3 with `error: interrupted` within seconds, and has
+    # killed and reaped its worker before it exits
+    script = textwrap.dedent("""
+        import functools, os, sys, time
+        from indbound import cli, search
+        caller, shard = os.getpid(), search._agg_search_shard
+
+        @functools.wraps(shard)
+        def slow_worker_shard(args):
+            delta_eff, _, d0 = args[:3]
+            if os.getpid() != caller:
+                time.sleep(60)
+            elif d0 < delta_eff:
+                print("caller lane running", flush=True)
+            return shard(args)
+
+        search._agg_search_shard = slow_worker_shard
+        sys.exit(cli.main(["verify-all", "--statement", "1", "--jobs", "2"]))
+    """)
+    child, out, err, seconds = _interrupted_run(script)
+    assert child.returncode == 3, err
+    assert err == "error: interrupted\n" and "overall" not in out
+    assert seconds < 5
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
 
 
 def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys):

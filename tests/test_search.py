@@ -1,10 +1,11 @@
-import concurrent.futures
 import functools
 import inspect
 import itertools
 import os
 import random
+import signal
 import sys
+import time
 import types
 
 import pytest
@@ -1069,50 +1070,121 @@ def test_statement2_is_verified_up_to_its_max_degree():
             verify_statement2(delta, jobs=1)
 
 
+def _no_worker_left():
+    # every child this process forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_starts_no_more_workers_than_shards(monkeypatch):
     # stage 1 has 31 shards, so at jobs=1000 it runs 31 lanes of one shard:
-    # the caller runs one and a pool of 30 workers the others, one task per
-    # worker; the fake executor records its size and runs each task in this
-    # process, so no worker is started whatever the requested count
-    sizes, tasks, lanes = [], [], []  # pool sizes, submitted lanes, every lane run
+    # the caller runs one and 30 forked workers the others, one lane each.
+    # A worker's own calls of the spies touch only its copy of this process,
+    # so the caller's lane is seen at _run_lane and each worker's at the
+    # result the caller reads back
+    forked, lanes = [], []  # the lanes forked, every lane run
+    run_lane, fork_lane, lane_result = search._run_lane, search._fork_lane, search._lane_result
+
+    def spy_lane(worker, lane):
+        lanes.append(len(lane))
+        return run_lane(worker, lane)
+
+    def spy_fork(worker, lane, workers):
+        forked.append(len(lane))
+        fork_lane(worker, lane, workers)
+
+    def spy_result(pid, status, data):
+        result = lane_result(pid, status, data)
+        lanes.append(len(result))
+        return result
+
+    monkeypatch.setattr(search, "_run_lane", spy_lane)
+    monkeypatch.setattr(search, "_fork_lane", spy_fork)
+    monkeypatch.setattr(search, "_lane_result", spy_result)
+    report = verify_statement1_stage1(jobs=1000)
+    assert forked == [1] * 30
+    assert lanes == [1] * 31  # the caller's own lane and the 30 workers'
+    assert sum(report.tally.values()) == report.configs_enumerated == 103_236
+    assert report.extra["jobs"] == 1000
+    _no_worker_left()
+
+    def no_fork():
+        raise AssertionError("a search at jobs=1 forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    lanes.clear()
+    serial = verify_statement1_stage1(jobs=1)
+    assert lanes == [31] and forked == [1] * 30
+    assert _stripped(serial) == _stripped(report)
+
+
+def test_lanes_run_in_the_caller_without_fork(monkeypatch):
+    # where os.fork does not exist, every lane runs in the caller and the
+    # report is the serial one
+    lanes = []
     run_lane = search._run_lane
 
     def spy_lane(worker, lane):
         lanes.append(len(lane))
         return run_lane(worker, lane)
 
-    class SerialExecutor:
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, worker, lane):
-            tasks.append(len(lane))
-            future = concurrent.futures.Future()
-            future.set_result(fn(worker, lane))
-            return future
-
-    monkeypatch.setattr(search, "_run_lane", spy_lane)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    report = verify_statement1_stage1(jobs=1000)
-    assert sizes == [30] and tasks == [1] * 30
-    assert lanes == [1] * 31  # the 30 tasks and the caller's own lane
-    assert sum(report.tally.values()) == report.configs_enumerated == 103_236
-    assert report.extra["jobs"] == 1000
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a search at jobs=1 started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    lanes.clear()
     serial = verify_statement1_stage1(jobs=1)
-    assert lanes == [31]
-    assert _stripped(serial) == _stripped(report)
+    monkeypatch.setattr(search, "_run_lane", spy_lane)
+    monkeypatch.delattr(os, "fork")
+    report = verify_statement1_stage1(jobs=2)
+    assert lanes == [31] and report.extra["jobs"] == 2
+    assert _stripped(report) == _stripped(serial)
+    _no_worker_left()
+
+
+def _patched_shard(monkeypatch, *, in_caller, in_worker):
+    # stage 1's shard function, patched to call in_caller(args) in the
+    # calling process and in_worker(args) in a forked worker first
+    caller, shard = os.getpid(), search._agg_search_shard
+
+    def patched(args):
+        (in_caller if os.getpid() == caller else in_worker)(args)
+        return shard(args)
+
+    monkeypatch.setattr(search, "_agg_search_shard", patched)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    # an exception raised only in a worker's lane is raised again in the
+    # caller, with its type and message, once the worker is reaped; at two
+    # lanes the worker's first shard is stage 1's second, (5, 1, 1, (5,))
+    def fail(args):
+        raise ValueError(f"worker shard {args[:4]} failed")
+
+    _patched_shard(monkeypatch, in_caller=lambda args: None, in_worker=fail)
+    with pytest.raises(ValueError, match=r"^worker shard \(5, 1, 1, \(5,\)\) failed$") as info:
+        verify_statement1_stage1(jobs=2)
+    assert info.type is ValueError
+    _no_worker_left()
+
+
+def test_workers_ignore_sigint(monkeypatch):
+    # an interrupt sent to a worker alone does not end its lane: each of the
+    # worker's shards sends itself SIGINT, and the run gives the serial report
+    serial = verify_statement1_stage1(jobs=1)
+    _patched_shard(monkeypatch, in_caller=lambda args: None,
+                   in_worker=lambda args: os.kill(os.getpid(), signal.SIGINT))
+    assert _stripped(verify_statement1_stage1(jobs=2)) == _stripped(serial)
+    _no_worker_left()
+
+
+def test_caller_lane_exception_kills_the_workers(monkeypatch):
+    # an exception in the caller's own lane leaves at once: the worker, a
+    # minute into its first shard, is killed and reaped, not waited for
+    def fail(args):
+        raise ValueError("caller shard failed")
+
+    _patched_shard(monkeypatch, in_caller=fail, in_worker=lambda args: time.sleep(60))
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="^caller shard failed$"):
+        verify_statement1_stage1(jobs=2)
+    assert time.monotonic() - t0 < 5
+    _no_worker_left()
 
 
 def test_config_automorphisms_match_brute_force():
@@ -1178,13 +1250,13 @@ def test_stage2_on_known_patterns():
 
 
 def test_stage2_runs_in_the_calling_process(monkeypatch):
-    # stage 2 costs less than a pool's start-up, so it starts none, whatever
-    # the default worker count
-    def no_pool(*args, **kwargs):
-        raise AssertionError("stage 2 started a process pool")
+    # stage 2 takes too little time for a forked lane to shorten, so it
+    # forks nothing, whatever the default worker count
+    def no_fork():
+        raise AssertionError("stage 2 forked a worker")
 
     monkeypatch.setattr(search, "default_jobs", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     report = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS])
     assert report.passed and report.extra["jobs"] == 1
     assert report.configs_after_dedup == 129
