@@ -29,6 +29,14 @@ non-bipartite one.  The certificate of
 verify-all is assembled by reports.CertificateDocument alone.
 Exit codes are the machine contract; the human-readable stdout may evolve,
 the JSON schema may not.
+
+The module imports only the standard library, so `import indbound.cli`
+loads no other module of the package.  Each subcommand imports the layers
+it runs when it starts, before it times anything: verify-all and
+export-exceptions load products, search and reports and never goodness,
+counting or selftest; check loads the graph layers and goodness; selftest
+loads selftest.  main matches a failure only against the error classes of
+modules already loaded, since no other module can have raised one.
 """
 
 from __future__ import annotations
@@ -38,30 +46,6 @@ import math
 import sys
 import time
 from pathlib import Path
-
-from .counting import CountBudgetExceeded, count_independent_sets
-from .goodness import check_kahn_bound, probe_goodness
-from .graphs import GraphParseError, is_bipartite, parse_edge_list, tensor_k2
-from .products import (
-    MAX_DEGREE,
-    PRECISION_CAP,
-    PRECISION_START,
-    DegreeBoundError,
-    Outcome,
-    check_f_fact,
-    precision_schedule,
-)
-from .reports import CertificateDocument, RunConfig, export_exception_dots, write_json
-from .search import (
-    STATEMENT2_MAX_DEGREE,
-    default_jobs,
-    resolve_jobs,
-    verify_regular,
-    verify_statement1_stage1,
-    verify_statement1_stage2,
-    verify_statement2,
-)
-from .selftest import run_selftest
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -80,8 +64,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser, jobs: bool) -> None:
-    if jobs:
-        p.add_argument("--jobs", type=int, default=default_jobs(),
+    from .products import PRECISION_CAP, PRECISION_START
+
+    if jobs:  # main resolves the default, so that building the parser loads no search
+        p.add_argument("--jobs", type=int, default=None,
                        help="processes that run the search shards, this one included "
                             "(default: the CPUs this process may use)")
     p.add_argument("--precision-bits", type=int, default=PRECISION_START, help="interval precision start")
@@ -90,6 +76,8 @@ def _add_common(p: argparse.ArgumentParser, jobs: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .products import MAX_DEGREE
+
     parser = _Parser(prog="indbound", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -129,6 +117,8 @@ def _exit(passed: bool, undecided: int) -> int:
 
 
 def _runs_stage1(args) -> bool:
+    from .products import MAX_DEGREE
+
     return args.statement in (None, 1) and args.delta == MAX_DEGREE
 
 
@@ -137,6 +127,16 @@ def _verdict(passed: bool) -> str:
 
 
 def _cmd_verify_all(args) -> int:
+    from .products import check_f_fact
+    from .reports import CertificateDocument, RunConfig, export_exception_dots, write_json
+    from .search import (
+        STATEMENT2_MAX_DEGREE,
+        verify_regular,
+        verify_statement1_stage1,
+        verify_statement1_stage2,
+        verify_statement2,
+    )
+
     doc = CertificateDocument(config=RunConfig(**vars(args)))
     t_all = time.monotonic()
 
@@ -186,6 +186,11 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .counting import count_independent_sets
+    from .goodness import check_kahn_bound, probe_goodness
+    from .graphs import is_bipartite, parse_edge_list, tensor_k2
+    from .products import MAX_DEGREE, Outcome
+
     g = parse_edge_list(Path(args.input).read_text())
     report = check_kahn_bound(g, precision_start=args.precision_bits,
                               precision_cap=args.precision_cap)
@@ -219,13 +224,17 @@ def _cmd_check(args) -> int:
         print("graph is not bipartite; goodness is checked on the bipartite double")
         print(f"cover: ind(G)^2 = {sq} <= {dc} = ind(G x K2): {good}")
     if args.json_path:
+        from .reports import write_json
+
         write_json(out, args.json_path)
     outcomes = [report.verdict.outcome, *(v.outcome for _, _, v in probes)]
     bound_holds = report.verdict.outcome in (Outcome.STRICTLY_LESS, Outcome.EQUAL)
     return _exit(bound_holds and report.consistent and good, outcomes.count(Outcome.UNDECIDED))
 
 
-def _cmp_text(outcome: Outcome) -> str:
+def _cmp_text(outcome) -> str:
+    from .products import Outcome
+
     return {
         Outcome.STRICTLY_LESS: "<",
         Outcome.EQUAL: "=",
@@ -235,6 +244,9 @@ def _cmp_text(outcome: Outcome) -> str:
 
 
 def _cmd_export_exceptions(args) -> int:
+    from .reports import export_exception_dots, write_json
+    from .search import verify_statement1_stage1
+
     print("running the minimum-degree search to collect exceptional patterns...")
     s1 = verify_statement1_stage1(jobs=args.jobs,
                                   precision_start=args.precision_bits,
@@ -248,23 +260,44 @@ def _cmd_export_exceptions(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(seed=args.seed, scale=args.scale)
     for r in results:
         print(f"{r.name}: {_verdict(r.passed)} "
               f"({r.trials} trials, {r.failures} failures)")
     if args.json_path:
+        from .reports import write_json
+
         write_json([r.to_json() for r in results], args.json_path)
     return _exit(all(r.passed for r in results), 0)
+
+
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The classes named "module.Class" whose package module is loaded.
+    main's except clauses call it only while they match an exception, so
+    matching loads no layer: a module no command loaded raised nothing."""
+    found = []
+    for name in names:
+        module, _, cls = name.partition(".")
+        found.append(getattr(sys.modules.get(f"{__package__}.{module}"), cls, None))
+    return tuple(c for c in found if c is not None)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:  # the library's own rules first, then the two only the CLI has
         if "jobs" in args:
-            resolve_jobs(args.jobs)
+            from .search import resolve_jobs
+
+            args.jobs = resolve_jobs(args.jobs)  # the certificate records the count
         if "precision_bits" in args:
+            from .products import precision_schedule
+
             precision_schedule(args.precision_bits, args.precision_cap)
         if args.subcommand == "verify-all" and args.dot_dir and not _runs_stage1(args):
+            from .products import MAX_DEGREE
+
             raise ValueError(f"--dot needs stage 1: --delta {MAX_DEGREE} and no --statement 2")
         if "scale" in args and not 0 < args.scale < math.inf:
             raise ValueError(f"need a finite --scale > 0, got {args.scale}")
@@ -281,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         return {"verify-all": _cmd_verify_all, "check": _cmd_check,
                 "export-exceptions": _cmd_export_exceptions,
                 "selftest": _cmd_selftest}[args.subcommand](args)
-    except DegreeBoundError as e:
+    except _loaded("products.DegreeBoundError") as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGREE
-    except (OSError, GraphParseError, CountBudgetExceeded) as e:
+    except (OSError, *_loaded("graphs.GraphParseError", "counting.CountBudgetExceeded")) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except KeyboardInterrupt:

@@ -6,16 +6,17 @@ components appear identically on both sides, so the check reduces to the
 levels 0..2 of the one breadth-first decomposition around x
 (graphs.level_decomposition) plus the edges leaving level 2.  The reduced
 check (is_good) gathers the degrees around x from that decomposition and
-builds the A/B/C lane vector from products.root_piece and
-products.level2_piece, the pieces the searches carry too: root_vector and
-level2_vector, each cached with its ratio_bounds at the start precision.  In
-the same pass it multiplies those bounds into upper bounds of X = B/A and
-Y = C/A, rounding up, and decides the vertex strict when their sum is below
-products.carried_limit, as the searches decide their leaves; a vertex the
-bounds leave (equal, failing or too close) is certified through
-vector_outcome.  Both routes give the same Verdict: below the limit,
-vector_outcome is strict by intervals at the start precision too, since it
-tries that interval before any exact route.  The direct whole-graph
+builds the A/B/C lane vector with products.carried_piece, from
+products.root_piece and level2_piece, the pieces the searches and stage 2
+carry too: root_vector and level2_vector, each cached with its ratio_bounds
+at the start precision.  In the same pass carried_piece multiplies those
+bounds into upper bounds of X = B/A and Y = C/A, rounding up; is_good
+decides the vertex strict when their sum is below products.carried_limit,
+as the searches decide their leaves; a vertex the bounds leave (equal,
+failing or too close) is certified through vector_outcome.  Both routes
+give the same Verdict: below the limit, vector_outcome is strict by
+intervals at the start precision too, since it tries that interval before
+any exact route.  The direct whole-graph
 evaluation (is_good_fullgraph), its oracle, builds the three bound products
 and goes through certify_sum_inequality.
 """
@@ -36,7 +37,6 @@ from .graphs import (
     delete_closed,
     level_decomposition,
 )
-from .intervals import GUARD_BITS
 from .products import (
     MAX_DEGREE,
     PRECISION_CAP,
@@ -46,13 +46,12 @@ from .products import (
     Outcome,
     Verdict,
     carried_limit,
+    carried_piece,
     certify_sum_inequality,
     compare_count_to_product,
     interval_strings,
-    level2_piece,
     pi_product,
     precision_schedule,
-    root_piece,
     sum_verdict,
     vector_outcome,
 )
@@ -62,25 +61,23 @@ def goodness_vector(g: Graph, ld: LevelDecomposition,
                     prec: int = PRECISION_START) -> tuple[int, int, int]:
     """(vec, hx, hy): the A/B/C lane vector of the reduced inequality at
     ld.root and upper bounds of its X and Y at scale 2^-(prec + GUARD_BITS);
-    every degree of the component must be at most 5.  vec is root_vector of
-    the root and level-1 degrees plus one level2_vector per level-2 vertex,
-    from the degrees of its level-1 and level-3 neighbors; hx and hy are the
-    root vector's ratio_bounds at prec times each level-2 vertex's, every
-    product rounded up, as the searches carry theirs."""
+    every degree of the component must be at most 5.  It is carried_piece of
+    the root and level-1 degrees and of one (b, down, up) per level-2
+    vertex, from the degrees of its level-1 and level-3 neighbors: vec is
+    root_vector plus the level2_vectors, and hx and hy multiply their
+    ratio_bounds at prec, every product rounded up, as the searches carry
+    theirs."""
     adj = g.adjacency
     dist = ld.dist
     l1 = adj[ld.root]
-    scale = prec + GUARD_BITS
-    vec, hx, hy = root_piece(len(l1), tuple(sorted((len(adj[u]) for u in l1), reverse=True)), prec)
+    level2 = []
     for v in ld.levels[2] if len(ld.levels) > 2 else ():
         down, up = [], []
         for w in adj[v]:
             (down if dist[w] == 1 else up).append(len(adj[w]))
-        piece, ux, uy = level2_piece(len(adj[v]), tuple(sorted(down, reverse=True)),
-                                     tuple(sorted(up, reverse=True)), prec)
-        vec += piece
-        hx, hy = -(-hx * ux >> scale), -(-hy * uy >> scale)
-    return vec, hx, hy
+        level2.append((len(adj[v]), tuple(sorted(down, reverse=True)), tuple(sorted(up, reverse=True))))
+    return carried_piece(len(l1), tuple(sorted((len(adj[u]) for u in l1), reverse=True)),
+                         level2, prec)
 
 
 def is_good(
@@ -130,6 +127,10 @@ class NoGoodVertexError(RuntimeError):
             + ", ".join(f"{v}:{verdict.outcome.value}" for v, verdict in trace)
         )
         self.trace = trace
+
+    def __reduce__(self):
+        # pickle calls the class with args, the message here, not the trace
+        return type(self), (self.trace,)
 
 
 def good_vertex_probes(g: Graph) -> list[tuple[int, str]]:

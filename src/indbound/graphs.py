@@ -25,6 +25,11 @@ class NotBipartiteError(ValueError):
         super().__init__(message)
         self.witness = witness  # odd closed walk
 
+    def __reduce__(self):
+        # pickle calls the class with args, which lack the witness; a search
+        # lane sends the caller its exception pickled
+        return type(self), (self.args[0], self.witness)
+
 
 @dataclass(frozen=True)
 class Graph:

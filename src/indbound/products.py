@@ -451,8 +451,9 @@ def level2_vector(b: int, down: tuple[int, ...], up: tuple[int, ...]) -> int:
     return vec
 
 
-# The pieces with their bounds, cached once per process for the two callers
-# that carry them: is_good over the level-2 vertices of one graph, and the
+# The pieces with their bounds, cached once per process for the callers
+# that carry them: is_good over the level-2 vertices of one graph and stage 2
+# over the records of one completion, both through carried_piece, and the
 # searches' enumeration over the records of a shard.
 @functools.cache
 def root_piece(d0: int, l1_degrees: tuple[int, ...], prec: int) -> tuple[int, int, int]:
@@ -466,6 +467,22 @@ def level2_piece(b: int, down: tuple[int, ...], up: tuple[int, ...], prec: int) 
     """(level2_vector(b, down, up), ux, uy): the vector and its ratio_bounds at prec."""
     vec = level2_vector(b, down, up)
     return (vec, *ratio_bounds(vec, prec))
+
+
+def carried_piece(d0: int, l1_degrees: tuple[int, ...], level2, prec: int) -> tuple[int, int, int]:
+    """(vec, hx, hy) of one lane: root_piece(d0, l1_degrees, prec) and a
+    level2_piece per (b, down, up) of level2, the vectors summed and the
+    bounds multiplied, every product rounded up at scale
+    2^-(prec + GUARD_BITS).  is_good carries a vertex's lane this way and
+    stage 2 a completion's; the searches multiply the same pieces down
+    their enumeration."""
+    scale = prec + GUARD_BITS
+    vec, hx, hy = root_piece(d0, l1_degrees, prec)
+    for b, down, up in level2:
+        piece, ux, uy = level2_piece(b, down, up, prec)
+        vec += piece
+        hx, hy = -(-hx * ux >> scale), -(-hy * uy >> scale)
+    return vec, hx, hy
 
 
 def ratio_keys(vec: int) -> tuple[int, int]:
@@ -494,11 +511,12 @@ def vector_outcome(
 
 # Carried bounds: the searches multiply ratio_bounds of the shard's root
 # vector and of each level-2 record's vector, once per copy of the record,
-# down their enumeration, and is_good multiplies those of its root vector and
-# of each level-2 vertex's vector, both from root_piece and level2_piece,
-# rounding every product up.  Vectors add as their ratios multiply, so the
-# carried hx and hy bound X and Y from above, and hx + hy < carried_limit(prec)
-# decides the vector strict by intervals at prec.
+# down their enumeration, and carried_piece those of a root vector and of
+# each level-2 vertex's vector, for is_good and stage 2, all from root_piece
+# and level2_piece, rounding every product up.  Vectors add as their ratios
+# multiply, so the carried hx and hy bound X and Y from above, and
+# hx + hy < carried_limit(prec) decides the vector strict by intervals at
+# prec.
 
 
 def ratio_bounds(vec: int, prec: int) -> tuple[int, int]:
@@ -525,13 +543,13 @@ def carried_limit(prec: int) -> int:
     w = prec + GUARD_BITS.  Let I be the product of r_hi^n over the lane
     primes q with numerator n > 0 and of r_lo^n over those with n < 0.  The
     carried bound of a search leaf multiplies one factor for the root vector
-    and one per copy of each level-2 record; is_good's multiplies one for
-    the root vector and one per level-2 vertex, for its level2_vector.  Each
-    factor is the upper end of that vector's unrounded table product at w, a
-    product of table entries.  The table derives every entry from a root
-    entry by outward rounding, so the entry of q^(m/3600) is at least r_hi^m
-    for m > 0 and r_lo^m for m < 0.  The factors' numerators
-    of a prime q sum to its n; with a the sum of the positive ones and b
+    and one per copy of each level-2 record; carried_piece, is_good's and
+    stage 2's, multiplies one for the root vector and one per level-2
+    vertex, for its level2_vector.  Each factor is the upper end of that
+    vector's unrounded table product at w, a product of table entries.  The
+    table derives every entry from a root entry by outward rounding, so the
+    entry of q^(m/3600) is at least r_hi^m for m > 0 and r_lo^m for m < 0.
+    The factors' numerators of a prime q sum to its n; with a the sum of the positive ones and b
     minus that of the negative ones, n = a - b, their entries multiply to at
     least r_hi^a / r_lo^b, which is at least the power of q in I.  Every
     rounding only raises the product, so hx >= I 2^s.

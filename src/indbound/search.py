@@ -27,7 +27,9 @@ per process.  The enumeration is the one place a search decides from
 carried bounds: it counts the aggregates whose bounds sum below
 products.carried_limit, strict by intervals at the start precision, a leaf
 at a time and most of them in whole subtrees it does not enter, and returns
-the others, which vector_outcome decides, with that count.  Every
+the others, which vector_outcome decides, with that count.  Stage 2 decides
+each distinct completion the same way, from products.carried_piece of its
+root and records, and sends the rest to config_outcome.  Every
 aggregate is realizable by a simple bipartite graph, so certified
 aggregates and concrete configurations cover each other exactly.  A shard
 returns its rare equal, failing and undecided aggregates themselves, which
@@ -47,7 +49,8 @@ d-regular case.  Shards are independent: at jobs > 1 the caller runs one
 lane of them and jobs - 1 children forked with os.fork the rest, each
 writing its lane's result to a pipe, and reports merge deterministically.
 Forked children inherit the cached pieces; an interrupt or a failure in
-any lane kills and reaps every child before the search returns or raises.
+any lane kills and reaps every child before the search returns or raises,
+and a child whose caller was killed outright leaves before its next shard.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from .products import (
     PRECISION_START,
     Outcome,
     carried_limit,
+    carried_piece,
     level2_piece,
     level2_vector,
     precision_schedule,
@@ -349,9 +353,19 @@ def _fork_lane(worker, lane: list, workers: list) -> None:
     pipe) to workers.  The child is forked with SIGINT blocked and ignores
     it before it unblocks it, so an interrupt reaches the caller alone; the
     caller records the child before it unblocks SIGINT itself, so no
-    KeyboardInterrupt leaves a child unrecorded."""
+    KeyboardInterrupt leaves a child unrecorded.  A caller killed outright
+    (SIGKILL) cannot kill its children, so before each shard the child
+    checks that its parent is still the caller, and leaves through
+    os._exit once it is not."""
     import pickle
     import signal
+
+    caller = os.getpid()
+
+    def shard_of_live_caller(args):
+        if os.getppid() != caller:  # orphaned: nobody reads the result
+            os._exit(1)
+        return worker(args)
 
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
@@ -371,7 +385,7 @@ def _fork_lane(worker, lane: list, workers: list) -> None:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 try:
-                    payload = pickle.dumps((True, _run_lane(worker, lane)))
+                    payload = pickle.dumps((True, _run_lane(shard_of_live_caller, lane)))
                 except Exception as exc:
                     payload = pickle.dumps((False, exc))
                 with open(write, "wb") as pipe:
@@ -722,18 +736,36 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
         yield LocalConfig(delta_eff, d_q, l1_q, records)
 
 
+def _completion_piece(cfg: LocalConfig, prec: int) -> tuple[int, int, int]:
+    """carried_piece of a labeled configuration at prec: the vector of its
+    aggregate (agg_vector, level 3 padded to delta_eff) with the carried
+    upper bounds of its X and Y, as is_good carries a vertex's."""
+    degrees = cfg.l1_degrees
+    level2 = ((b, tuple(sorted((degrees[u] for u in nbrs), reverse=True)),
+               (cfg.delta_eff,) * (b - len(nbrs))) for b, nbrs in cfg.l2)
+    return carried_piece(cfg.d0, tuple(sorted(degrees, reverse=True)), level2, prec)
+
+
 def _stage2_shard(args) -> ShardResult:
+    """Certify the distinct completions of one rooting: strict by intervals
+    at the start precision when their carried bounds sum below
+    carried_limit, as is_good and the searches decide, else config_outcome."""
     pattern, x1_index, precision_start, precision_cap = args
     result = ShardResult()
     seen = set()
+    limit = carried_limit(precision_start)
     for cfg in stage2_completions(pattern, x1_index):
         result.raw += 1
         key = canonical_tuple(cfg)
         if key in seen:
             continue
         seen.add(key)
-        outcome, method, precision, _ = config_outcome(cfg, precision_start, precision_cap)
-        result.add(outcome, method, precision, cfg)
+        _, hx, hy = _completion_piece(cfg, precision_start)
+        if hx + hy < limit:
+            result.add(Outcome.STRICTLY_GREATER, "interval", precision_start, cfg)
+        else:
+            outcome, method, precision, _ = config_outcome(cfg, precision_start, precision_cap)
+            result.add(outcome, method, precision, cfg)
     return result
 
 
@@ -746,7 +778,7 @@ def verify_statement1_stage2(
     that the neighbor is strictly good in every consistent completion.
     Equality anywhere is a failure here.  The rootings run in the calling
     process, whatever the default job count: the whole stage takes about
-    10 ms, too little for a forked lane to shorten."""
+    5 ms, too little for a forked lane to shorten."""
     precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any rooting
     t0 = time.monotonic()
     shards = [(pattern, x1, precision_start, precision_cap)

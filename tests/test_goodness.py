@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -442,3 +443,13 @@ def test_induction_chain_on_good_vertices():
 def test_no_good_vertex_error_payload(fig1):
     err = NoGoodVertexError([(0, is_good(fig1, 0))])
     assert err.trace and "0:strictly_less" in str(err)
+
+
+def test_no_good_vertex_error_survives_pickling(fig1):
+    # a search lane sends the caller its exception pickled; the class, the
+    # message and the probe trace must come back
+    err = NoGoodVertexError([(0, is_good(fig1, 0)), (3, is_good(fig1, 3))])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is NoGoodVertexError
+    assert str(back) == str(err) and back.args == err.args
+    assert back.trace == err.trace and [x for x, _ in back.trace] == [0, 3]

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -113,6 +114,17 @@ def test_decompositions():
     for g in (from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)]), cycle(5)):
         with pytest.raises(NotBipartiteError):
             list(decompositions(g))
+
+
+def test_not_bipartite_error_survives_pickling():
+    # a search lane sends the caller its exception pickled; the class, the
+    # message and the odd walk must come back
+    with pytest.raises(NotBipartiteError) as exc:
+        list(decompositions(cycle(5)))
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert type(back) is NotBipartiteError
+    assert str(back) == str(exc.value) and back.args == exc.value.args
+    assert back.witness == exc.value.witness and len(back.witness) == 6
 
 
 def test_decompositions_partition_random():

@@ -1,6 +1,13 @@
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "indbound"
 
@@ -117,3 +124,40 @@ def test_every_package_name_the_benchmark_uses_exists():
     assert ("indbound.graphs", "bipartition") in names
     missing = [f"{module}.{name}" for module, name in names if not _exists(module, name)]
     assert not missing, missing
+
+
+# what a fresh interpreter loads of the package: after `import indbound.cli`,
+# then after main(argv), each as a sorted JSON list
+_LOADED = textwrap.dedent("""
+    import contextlib, io, json, sys
+    def package():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "indbound")
+    import indbound.cli
+    print(json.dumps(package()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = indbound.cli.main(sys.argv[1:])
+    print(json.dumps([code, package()]))
+""")
+
+
+@pytest.mark.parametrize("argv, loaded, never", [
+    (["verify-all", "--delta", "2", "--jobs", "1"],
+     {"products", "search", "reports"}, {"goodness", "counting", "selftest"}),
+    (["check", "--input", "k2.txt"],
+     {"graphs", "goodness", "counting"}, {"search", "reports", "selftest"}),
+], ids=["verify-all", "check"])
+def test_cli_imports_only_the_layers_its_command_runs(tmp_path, argv, loaded, never):
+    # a run without cached bytecode compiles every module it imports, so
+    # `import indbound.cli` loads no other module of the package, and each
+    # command loads the layers it runs and none of the others
+    (tmp_path / "k2.txt").write_text("n 2\n0 1\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, last = done.stdout.splitlines()
+    assert json.loads(first) == ["indbound", "indbound.cli"]
+    code, modules = json.loads(last)
+    assert code == 0
+    layers = {m.removeprefix("indbound.") for m in modules}
+    assert loaded <= layers and not never & layers, sorted(layers)

@@ -21,7 +21,7 @@ from conftest import (
     stripped_digest,
 )
 import indbound
-from indbound import cli, search
+from indbound import cli, counting, search
 from indbound.cli import main
 from indbound.counting import CountBudgetExceeded
 from indbound.local import expand_appearances
@@ -180,7 +180,7 @@ def test_cli_killed_worker_exits_3():
     # forked, so they inherit the patched shard function.
     script = textwrap.dedent("""
         import functools, os, signal, sys
-        from indbound import cli, search
+        from indbound import cli, counting, search
         caller, shard = os.getpid(), search._agg_search_shard
 
         @functools.wraps(shard)
@@ -259,7 +259,7 @@ def test_cli_interrupt_exits_3(jobs, workers):
     # run, which the lanes must not depend on: they are forked directly
     script = textwrap.dedent("""
         import functools, multiprocessing, multiprocessing.forkserver, os, signal, sys, time
-        from indbound import cli, search
+        from indbound import cli, counting, search
         jobs, workers = sys.argv[1:]
         caller, shard, ignore = os.getpid(), search._agg_search_shard, signal.signal
         if workers == "idle":
@@ -304,7 +304,7 @@ def test_cli_interrupt_stops_the_worker_lanes():
     # killed and reaped its worker before it exits
     script = textwrap.dedent("""
         import functools, os, sys, time
-        from indbound import cli, search
+        from indbound import cli, counting, search
         caller, shard = os.getpid(), search._agg_search_shard
 
         @functools.wraps(shard)
@@ -481,14 +481,16 @@ def test_cli_check_counts_a_long_path(tmp_path, capsys):
 
 
 def test_cli_check_double_cover_budget_is_an_error(tmp_path, capsys, monkeypatch):
-    real_count = cli.count_independent_sets
+    # check imports count_independent_sets from counting when it starts, so
+    # the patch reaches its count of the double cover
+    real_count = counting.count_independent_sets
 
     def count(g, budget=10_000_000):
         if g.n == 6:  # the double cover of the triangle
             raise CountBudgetExceeded("graph too large: double cover")
         return real_count(g, budget)
 
-    monkeypatch.setattr(cli, "count_independent_sets", count)
+    monkeypatch.setattr(counting, "count_independent_sets", count)
     p = tmp_path / "c3.txt"
     p.write_text("n 3\n0 1\n0 2\n1 2\n")
     assert main(["check", "--input", str(p)]) == 3

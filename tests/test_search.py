@@ -4,9 +4,13 @@ import itertools
 import os
 import random
 import signal
+import subprocess
 import sys
+import textwrap
+import threading
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +29,7 @@ from conftest import (
 )
 from indbound import intervals, local, products, search
 from indbound.goodness import goodness_vector, is_good
-from indbound.graphs import component_is_extremal, level_decomposition
+from indbound.graphs import NotBipartiteError, component_is_extremal, level_decomposition
 from indbound.local import (
     LocalConfig,
     _config_automorphisms,
@@ -34,6 +38,7 @@ from indbound.local import (
 )
 from indbound.products import (
     _SEARCH_DEN,
+    PRECISION_CAP,
     Outcome,
     carried_limit,
     certify_exponents,
@@ -50,6 +55,7 @@ from indbound.search import (
     STATEMENT2_MAX_DEGREE,
     AggConfig,
     _agg_search_shard,
+    _completion_piece,
     _shard_enumeration,
     agg_vector,
     aggregate_of_config,
@@ -1163,6 +1169,72 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     _no_worker_left()
 
 
+def test_worker_package_exception_reaches_the_caller_as_itself(monkeypatch):
+    # the package's exceptions survive the pipe: a NotBipartiteError raised
+    # only in the worker's lane reaches the caller with its class, message
+    # and witness, not as an error of unpickling it
+    def fail(args):
+        raise NotBipartiteError(f"worker shard {args[:4]}", (0, 1, 2, 0))
+
+    _patched_shard(monkeypatch, in_caller=lambda args: None, in_worker=fail)
+    with pytest.raises(NotBipartiteError, match=r"^worker shard \(5, 1, 1, \(5,\)\)$") as info:
+        verify_statement1_stage1(jobs=2)
+    assert info.type is NotBipartiteError and info.value.witness == (0, 1, 2, 0)
+    _no_worker_left()
+
+
+def _running(pid: int) -> bool:
+    # the process exists and is not a zombie: an orphan's new parent may
+    # reap it late
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_orphaned_worker_stops():
+    # a caller killed with SIGKILL runs no cleanup, so its worker checks
+    # before each shard that its parent is still the caller.  The worker's
+    # lane is 20 shards of 0.5 s; once the caller is killed in the first of
+    # them, the worker must be gone within seconds, not at the end of its lane
+    script = textwrap.dedent("""
+        import os, time
+        from indbound import search
+        caller = os.getpid()
+
+        def shard(args):
+            if os.getpid() != caller and args == 1:  # the worker's first shard
+                print(os.getpid(), flush=True)
+            time.sleep(0.5)
+            return search.ShardResult()
+
+        search._run_shards(list(range(40)), shard, 2)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parent.parent))
+    child = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                             stdout=subprocess.PIPE)
+    watchdog = threading.Timer(60, child.kill)
+    watchdog.start()
+    worker = None
+    try:
+        worker = int(child.stdout.readline())
+        child.kill()
+        child.wait()
+        deadline = time.monotonic() + 5
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(worker), "the orphaned worker still runs its lane"
+    finally:
+        watchdog.cancel()
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
+        child.kill()
+        child.wait()
+        child.stdout.close()
+
+
 def test_workers_ignore_sigint(monkeypatch):
     # an interrupt sent to a worker alone does not end its lane: each of the
     # worker's shards sends itself SIGINT, and the run gives the serial report
@@ -1247,6 +1319,61 @@ def test_stage2_on_known_patterns():
     assert report.extra["rootings"] == sum(cfg.d0 for cfg, _ in FAILING_PATTERNS)
     assert report.configs_enumerated == 160
     assert report.configs_after_dedup == 129
+
+
+@pytest.mark.parametrize("start, stats", [
+    (128, {("interval", 128): 129}),
+    (8, {("interval", 8): 122, ("interval", 16): 7}),
+    (4, {("interval", 8): 122, ("interval", 16): 7}),
+    (2, {("interval", 8): 122, ("interval", 16): 7}),
+])
+def test_stage2_tally_and_routes_are_pinned(start, stats):
+    # stage 2 decides from carried pieces where it can, with the route
+    # config_outcome would report, so its tally and precision_stats are
+    # those of certifying every distinct completion through config_outcome
+    report = verify_statement1_stage2([cfg for cfg, _ in FAILING_PATTERNS], precision_start=start)
+    assert report.tally == {"strict": 129, "equal": 0, "failing": 0, "undecided": 0}
+    assert report.precision_stats == stats
+    assert report.configs_enumerated == 160 and report.passed
+
+
+@pytest.mark.parametrize("start, carried", [(128, 129), (8, 13)])
+def test_stage2_decides_from_carried_pieces_only_below_the_limit(monkeypatch, start, carried):
+    # a distinct completion whose carried bounds sum below carried_limit is
+    # one vector_outcome decides strict by intervals at the start precision,
+    # through the vector of its aggregate, so the shard may tally it so
+    # without asking.  At a limit equal to one completion's hx + hy the
+    # shard must ask config_outcome about it, and at one above it must not
+    below = []
+    for pattern, _ in FAILING_PATTERNS:
+        for x1 in range(pattern.d0):
+            seen = set()
+            for cfg in stage2_completions(pattern, x1):
+                key = canonical_tuple(cfg)
+                if key in seen:
+                    continue
+                seen.add(key)
+                vec, hx, hy = _completion_piece(cfg, start)
+                assert vec == agg_vector(aggregate_of_config(cfg))
+                if hx + hy < carried_limit(start):
+                    assert vector_outcome(vec, start)[:3] == \
+                        (Outcome.STRICTLY_GREATER, "interval", start)
+                    below.append((pattern, x1, key, hx + hy))
+    assert len(below) == carried
+    pattern, x1, key, h = below[-1]
+    asked, real = [], search.config_outcome
+
+    def spy(cfg, *args):
+        asked.append(canonical_tuple(cfg))
+        return real(cfg, *args)
+
+    monkeypatch.setattr(search, "config_outcome", spy)
+    for limit, asks in ((h, True), (h + 1, False)):
+        monkeypatch.setattr(search, "carried_limit", lambda prec, limit=limit: limit)
+        asked.clear()
+        shard = search._stage2_shard((pattern, x1, start, PRECISION_CAP))
+        assert (key in asked) is asks, limit - h
+        assert shard.tally["strict"] == sum(shard.tally.values())
 
 
 def test_stage2_runs_in_the_calling_process(monkeypatch):
