@@ -23,8 +23,7 @@ and goes through certify_sum_inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .counting import count_independent_sets
 from .graphs import (
@@ -174,8 +173,7 @@ def find_good_vertex(
     raise NoGoodVertexError(trace)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCheckReport:
+class BoundCheckReport(NamedTuple):
     """Result of checking ind(G) <= Pi(G) on one graph."""
 
     n: int

@@ -10,8 +10,7 @@ graphs compare and hash identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -31,8 +30,7 @@ class NotBipartiteError(ValueError):
         return type(self), (self.args[0], self.witness)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     n: int
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -53,8 +51,7 @@ class Graph:
         return sum(len(a) for a in self.adjacency) // 2
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """A valid 2-coloring: side[v] in {0, 1} and every edge crosses sides."""
 
     side: tuple[int, ...]
@@ -141,8 +138,7 @@ def delete_closed(g: Graph, x: int) -> tuple[Graph, Graph]:
     return induced_subgraph(g, without_x), induced_subgraph(g, without_closed)
 
 
-@dataclass(frozen=True, eq=False)
-class LevelDecomposition:
+class LevelDecomposition(NamedTuple):
     """Breadth-first layering of the component of a root: levels[i] lists
     the vertices at distance i in discovery order, and dist maps every
     vertex of the component to its distance."""
@@ -244,10 +240,7 @@ def is_bipartite(g: Graph) -> bool:
 
 def tensor_k2(g: Graph) -> Graph:
     """Tensor product with K2 (bipartite double cover): vertex (v, i) maps to
-    v + i*n, with (u,0)~(v,1) and (u,1)~(v,0) for every edge uv."""
+    v + i*n, with (u,0)~(v,1) and (u,1)~(v,0) for every edge uv.  Shifting a
+    sorted adjacency list by n keeps it sorted."""
     n = g.n
-    edges = []
-    for u, v in g.edges():
-        edges.append((min(u, v + n), max(u, v + n)))
-        edges.append((min(v, u + n), max(v, u + n)))
-    return from_edges(2 * n, edges)
+    return Graph(2 * n, tuple(tuple(w + n for w in a) for a in g.adjacency) + g.adjacency)

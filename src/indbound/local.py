@@ -28,8 +28,7 @@ between configurations and concrete graphs (tests/conftest.py).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # level-2 record: (total degree b, sorted tuple of level-1 indices)
 Record = tuple[int, tuple[int, ...]]
@@ -160,8 +159,7 @@ def record_multisets(
     return found, counted
 
 
-@dataclass(frozen=True)
-class LocalConfig:
+class LocalConfig(NamedTuple):
     delta_eff: int
     d0: int
     l1_degrees: tuple[int, ...]
@@ -243,8 +241,7 @@ def _config_automorphisms(cfg: LocalConfig) -> list[tuple[int, ...]]:
     return sorted(autos)
 
 
-@dataclass(frozen=True)
-class Appearance:
+class Appearance(NamedTuple):
     """The induced levels-0..3 subgraph of one realization of a failing
     configuration: which level-3 endpoints coincide is not determined by the
     configuration, so one configuration can have several appearances."""

@@ -29,10 +29,9 @@ from __future__ import annotations
 import enum
 import functools
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import intervals
 from .graphs import Graph
@@ -65,14 +64,24 @@ class Outcome(enum.Enum):
         return self in (Outcome.STRICTLY_GREATER, Outcome.EQUAL)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """A certified comparison; equality and hashing ignore detail."""
+
     outcome: Outcome
     method: str  # "exact" | "interval"
     precision_bits: int | None
     lhs: "FactorProduct | int | None"
     rhs: tuple["FactorProduct", ...]
-    detail: dict = field(default_factory=dict, compare=False)
+    detail: dict
+
+    def __eq__(self, other):
+        return isinstance(other, Verdict) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:5])
 
     def to_json(self) -> dict:
         def plain(v):
@@ -583,8 +592,7 @@ def carried_limit(prec: int) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class FFactReport:
+class FFactReport(NamedTuple):
     """Exact check of the factor exchange inequality
     f(a-a', b) * f(a, b-b') >= f(a-a', b-b') * f(a, b)
     over 0 < a' < a <= delta, 0 < b' < b <= delta."""

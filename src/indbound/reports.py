@@ -10,9 +10,8 @@ comparisons can strip them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .local import Appearance
@@ -20,8 +19,7 @@ from .products import MAX_DEGREE, PRECISION_CAP, PRECISION_START, FFactReport
 from .search import RegularReport, SearchReport, pattern_json
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     delta: int = MAX_DEGREE
     statement: int | None = None
@@ -32,18 +30,22 @@ class RunConfig:
     dot_dir: str | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
 class CertificateDocument:
-    config: RunConfig
-    fact_check: FFactReport | None = None
-    regular: list[RegularReport] = field(default_factory=list)
-    statement2: SearchReport | None = None
-    stage1: SearchReport | None = None
-    stage2: SearchReport | None = None
-    timing: dict = field(default_factory=dict)
+    """The step reports of one run; cli fills them in as the steps finish."""
+
+    __slots__ = ("config", "fact_check", "regular", "statement2", "stage1", "stage2", "timing")
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.fact_check: FFactReport | None = None
+        self.regular: list[RegularReport] = []
+        self.statement2: SearchReport | None = None
+        self.stage1: SearchReport | None = None
+        self.stage2: SearchReport | None = None
+        self.timing: dict = {}
 
     def undecided_count(self) -> int:
         searches = [r for r in (self.statement2, self.stage1, self.stage2) if r is not None]

@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 from .intervals import GUARD_BITS
@@ -108,8 +107,7 @@ def degree_tuples(lo: int, d0: int, delta_eff: int) -> list[tuple[int, ...]]:
 # degree-class aggregation
 
 
-@dataclass(frozen=True)
-class AggConfig:
+class AggConfig(NamedTuple):
     """A configuration up to exchanging equal-degree level-1 vertices.
 
     class_degrees are the distinct level-1 degrees (descending) with their
@@ -283,17 +281,21 @@ _TALLY_NAME = {
 }
 
 
-@dataclass
 class ShardResult:
-    raw: int = 0
-    tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_TALLY_NAME.values(), 0))
-    # what is behind every outcome but strict: the aggregates of a search
-    # shard, the labeled completions of a stage-2 shard
-    configs: dict[str, list] = field(
-        default_factory=lambda: {"equal": [], "failing": [], "undecided": []}
-    )
-    inconsistencies: list[AggConfig] = field(default_factory=list)
-    precision_stats: dict[tuple[str, int | None], int] = field(default_factory=dict)
+    __slots__ = ("raw", "tally", "configs", "inconsistencies", "precision_stats")
+
+    def __init__(self):
+        self.raw = 0
+        self.tally: dict[str, int] = dict.fromkeys(_TALLY_NAME.values(), 0)
+        # what is behind every outcome but strict: the aggregates of a search
+        # shard, the labeled completions of a stage-2 shard
+        self.configs: dict[str, list] = {"equal": [], "failing": [], "undecided": []}
+        self.inconsistencies: list[AggConfig] = []
+        self.precision_stats: dict[tuple[str, int | None], int] = {}
+
+    def __eq__(self, other):
+        return isinstance(other, ShardResult) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def add(self, outcome: Outcome, method: str, precision: int | None, item, n: int = 1) -> None:
         """Tally n certified outcomes by (method, precision), keeping item
@@ -489,8 +491,7 @@ def resolve_jobs(jobs: int | None) -> int:
 # reports
 
 
-@dataclass(frozen=True, eq=False)
-class SearchReport:
+class SearchReport(NamedTuple):
     statement: str
     delta: int
     root_rule: str
@@ -504,7 +505,7 @@ class SearchReport:
     precision_stats: dict
     wall_time_s: float
     passed: bool
-    extra: dict = field(default_factory=dict)
+    extra: dict
     # stage 1: the level-0..3 appearances of the exceptional patterns, in
     # pattern order; the certificate lists them under statement1.exceptions
     # (reports.CertificateDocument), so they stay out of to_json
@@ -655,8 +656,7 @@ def regular_profile(agg: AggConfig) -> Profile:
     return Profile(len(xs), tuple(sorted(xs, reverse=True)))
 
 
-@dataclass(frozen=True)
-class RegularReport:
+class RegularReport(NamedTuple):
     d: int
     profiles: int
     strict: int

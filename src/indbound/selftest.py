@@ -11,8 +11,7 @@ them at their full published sizes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .counting import count_bruteforce, count_independent_sets
 from .goodness import check_kahn_bound, is_good, is_good_fullgraph
@@ -48,8 +47,7 @@ def random_bipartite_max_degree(
                          p, dmax)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     trials: int
     failures: int

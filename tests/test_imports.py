@@ -126,8 +126,13 @@ def test_every_package_name_the_benchmark_uses_exists():
     assert not missing, missing
 
 
+# the standard-library modules a command must not load: dataclasses loads
+# inspect, ast, dis and tokenize, and each decorator execs generated code
+NEVER_STDLIB = ("dataclasses", "inspect")
+
 # what a fresh interpreter loads of the package: after `import indbound.cli`,
-# then after main(argv), each as a sorted JSON list
+# then after main(argv), each as a sorted JSON list, with the modules of
+# NEVER_STDLIB loaded by then
 _LOADED = textwrap.dedent("""
     import contextlib, io, json, sys
     def package():
@@ -136,8 +141,8 @@ _LOADED = textwrap.dedent("""
     print(json.dumps(package()))
     with contextlib.redirect_stdout(io.StringIO()):
         code = indbound.cli.main(sys.argv[1:])
-    print(json.dumps([code, package()]))
-""")
+    print(json.dumps([code, package(), sorted(set(%r) & set(sys.modules))]))
+""" % (NEVER_STDLIB,))
 
 
 @pytest.mark.parametrize("argv, loaded, never", [
@@ -149,7 +154,8 @@ _LOADED = textwrap.dedent("""
 def test_cli_imports_only_the_layers_its_command_runs(tmp_path, argv, loaded, never):
     # a run without cached bytecode compiles every module it imports, so
     # `import indbound.cli` loads no other module of the package, and each
-    # command loads the layers it runs and none of the others
+    # command loads the layers it runs and none of the others, nor
+    # dataclasses and what it imports
     (tmp_path / "k2.txt").write_text("n 2\n0 1\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, cwd=tmp_path,
@@ -157,7 +163,17 @@ def test_cli_imports_only_the_layers_its_command_runs(tmp_path, argv, loaded, ne
     assert done.returncode == 0, done.stderr
     first, last = done.stdout.splitlines()
     assert json.loads(first) == ["indbound", "indbound.cli"]
-    code, modules = json.loads(last)
+    code, modules, stdlib = json.loads(last)
     assert code == 0
     layers = {m.removeprefix("indbound.") for m in modules}
     assert loaded <= layers and not never & layers, sorted(layers)
+    assert stdlib == [], stdlib
+
+
+def test_no_module_imports_dataclasses():
+    # the package's value types are NamedTuples and slotted classes
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] in NEVER_STDLIB for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in NEVER_STDLIB]
+    assert not found, found
