@@ -187,34 +187,26 @@ def test_tensor_k2():
     assert tensor_k2(single).iso_count() == 2
 
 
-def test_tensor_properties_random():
-    rng = random.Random(6)
-    for _ in range(50):
-        g = random_graph_max_degree(rng, rng.randint(0, 8), 0.5, 8)
-        t = tensor_k2(g)
-        assert t.edge_count() == 2 * g.edge_count()
-        assert t.iso_count() == 2 * g.iso_count()
-        assert is_bipartite(t)
-        if is_bipartite(g):
-            # double cover of a bipartite graph is two disjoint copies
-            assert len(list(decompositions(t))) == 2 * len(list(decompositions(g)))
-
-
 def _tensor_k2_reference(g: Graph) -> Graph:
     """The double cover through its edge list: (u,0)~(v,1) and (u,1)~(v,0)."""
     n = g.n
     return from_edges(2 * n, [e for u, v in g.edges() for e in ((u, v + n), (v, u + n))])
 
 
-def test_tensor_k2_matches_the_edge_list_construction():
-    rng = random.Random(35)
-    graphs = [Graph(0, ()), Graph(1, ((),)), Graph(3, ((), (), ()))]
-    graphs += [random_graph_max_degree(rng, rng.randint(0, 12), rng.random(), 5) for _ in range(200)]
-    assert sum(g.iso_count() > 0 for g in graphs) > 20
+def test_tensor_properties_random():
+    rng = random.Random(6)
+    graphs = [Graph(0, ()), Graph(3, ((), (), ())), from_edges(4, [(0, 1), (1, 2)])]
+    graphs += [random_graph_max_degree(rng, rng.randint(0, 8), 0.5, 8) for _ in range(50)]
     for g in graphs:
         t = tensor_k2(g)
-        assert t == _tensor_k2_reference(g) and hash(t) == hash(_tensor_k2_reference(g))
+        assert t == _tensor_k2_reference(g)
         assert all(list(a) == sorted(set(a)) for a in t.adjacency)
+        assert t.edge_count() == 2 * g.edge_count()
+        assert t.iso_count() == 2 * g.iso_count()
+        assert is_bipartite(t)
+        if is_bipartite(g):
+            # double cover of a bipartite graph is two disjoint copies
+            assert len(list(decompositions(t))) == 2 * len(list(decompositions(g)))
 
 
 def test_is_complete_bipartite_component(fig1):

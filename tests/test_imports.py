@@ -74,9 +74,11 @@ def test_every_top_level_definition_is_used_in_the_package():
 def test_every_method_is_used_in_the_package():
     # the same for the methods of the package's classes; dunder methods are
     # called by the language, and a class with a base outside the package
-    # may override a method its base calls (cli._Parser.error)
+    # may override a method its base calls (cli._Parser.error); a NamedTuple
+    # base calls none of its subclasses' methods, so those are checked too
     trees, used = _package_uses()
     classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    classes.add("NamedTuple")
     unused = [
         f"{module}:{method.lineno} {cls.name}.{method.name}"
         for module, tree in trees.items()
