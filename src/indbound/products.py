@@ -3,12 +3,14 @@
 The bound assigns every edge uv the factor f(a,b) = (2^a + 2^b - 1)^(1/ab)
 with a = d(u), b = d(v) at most MAX_DEGREE, and every isolated vertex the
 factor 2.  A FactorProduct is a finite product of such factors, built by
-FactorProduct.from_f_counts and stored as a map from prime bases to exact
-rational exponents (bases are factorized, so two products are equal as
+FactorProduct.from_f_counts and stored as a map from prime bases to
+integer exponent numerators over _SEARCH_DEN = 3600, as the A/B/C lane
+vectors below are (bases are factorized, so two products are equal as
 real numbers iff their maps are equal).
 
 Comparisons are certified, never floating point:
-  * pure products compare exactly by clearing denominators into big integers;
+  * pure products compare exactly as big integers, their ratio raised to
+    the least power that makes every exponent integral;
   * sums (A versus B + C) have one decision procedure, certify_exponents,
     in ratio form: 1 against X + Y for X = B/A and Y = C/A, by
     intervals.power_product at escalating precision, and by exact integers
@@ -29,8 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import struct
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Mapping, NamedTuple
 
 from . import intervals
@@ -42,11 +43,11 @@ PRECISION_CAP = 8192
 
 # The degree bound Delta of the verified theorem: every search, check and
 # report reads it here.  The lane bound of the A/B/C vectors below ("No lane
-# reaches 2^31") is proved for 5 only, and _SEARCH_DEN = 3600 must stay a
-# multiple of every a * b, so raising it means checking both again.
+# reaches 2^31") is proved for 5 only, and _SEARCH_DEN, the one denominator
+# of every exponent, must stay a multiple of every a * b (3600 is one for
+# all a, b <= 6), so raising it means checking both again.
 MAX_DEGREE = 5
-
-_ZERO = Fraction(0)
+_SEARCH_DEN = 3600
 
 
 class DegreeBoundError(ValueError):
@@ -106,44 +107,41 @@ class Verdict(NamedTuple):
 
 
 class FactorProduct:
-    """Product of integer bases raised to exact rational exponents."""
+    """Product of prime bases raised to rational exponents, each stored as
+    its integer numerator over _SEARCH_DEN."""
 
     __slots__ = ("_exp",)
 
-    def __init__(self, _exp: dict[int, Fraction]):
-        # internal: from_f_counts is the one builder of bound products
+    def __init__(self, _exp: dict[int, int]):
+        # internal: prime -> nonzero numerator over _SEARCH_DEN;
+        # from_f_counts is the one builder of bound products
         self._exp = _exp
 
     @classmethod
     def from_f_counts(cls, counts: Mapping[tuple[int, int], int], two_exp: int = 0) -> "FactorProduct":
-        """Product of f(a,b)^m over a multiplicity map, times 2^two_exp.
-
-        Exponents are summed as integer numerators over den = lcm(a*b), one
-        Fraction per prime at the end; the bases 2^a + 2^b - 1 are odd, so
-        the prime 2 comes from two_exp alone."""
-        den = lcm(*(a * b for (a, b), m in counts.items() if m))
-        num: dict[int, int] = {}
+        """Product of f(a,b)^m over a multiplicity map, times 2^two_exp: m
+        times the numerators of f(a, b), summed per prime; the bases
+        2^a + 2^b - 1 are odd, so the prime 2 comes from two_exp alone."""
+        exp = {2: two_exp * _SEARCH_DEN} if two_exp else {}
         for (a, b), m in counts.items():
             if m:
-                scale = m * (den // (a * b))
-                for p, k in factorize((1 << a) + (1 << b) - 1):
-                    num[p] = num.get(p, 0) + k * scale
-        exp = {2: Fraction(two_exp)} if two_exp else {}
-        exp.update((p, Fraction(x, den)) for p, x in num.items() if x)
-        return cls(exp)
+                for p, k in _f_numerators(a, b):
+                    exp[p] = exp.get(p, 0) + k * m
+        return cls({p: x for p, x in exp.items() if x})
 
-    def exponents(self) -> tuple[tuple[int, Fraction], ...]:
+    def exponents(self) -> tuple[tuple[int, int], ...]:
+        """((prime, numerator over _SEARCH_DEN), ...), primes ascending."""
         return tuple(sorted(self._exp.items()))
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 and e >= 0 for e in self._exp.values())
+        return all(e >= 0 and e % _SEARCH_DEN == 0 for e in self._exp.values())
 
     def as_integer(self) -> int:
         if not self.is_integral():
             raise ValueError(f"{self} is not an integer product")
         out = 1
         for p, e in self._exp.items():
-            out *= p ** int(e)
+            out *= p ** (e // _SEARCH_DEN)
         return out
 
     def value_interval(self, precision_bits: int = PRECISION_START) -> Interval:
@@ -155,7 +153,8 @@ class FactorProduct:
         pos = intervals.exact(1)
         neg = intervals.exact(1)
         for p, e in self._exp.items():
-            iv = intervals.prime_power_interval(p, abs(e.numerator), e.denominator, work)
+            g = gcd(e, _SEARCH_DEN)
+            iv = intervals.prime_power_interval(p, abs(e) // g, _SEARCH_DEN // g, work)
             if e > 0:
                 pos = intervals.mul(pos, iv, work)
             else:
@@ -174,10 +173,12 @@ class FactorProduct:
             return "1"
         parts = []
         for p, e in sorted(self._exp.items()):
-            if e.denominator == 1:
-                parts.append(f"{p}^{e.numerator}" if e != 1 else str(p))
+            g = gcd(e, _SEARCH_DEN)
+            num, den = e // g, _SEARCH_DEN // g
+            if den == 1:
+                parts.append(f"{p}^{num}" if num != 1 else str(p))
             else:
-                parts.append(f"{p}^({e.numerator}/{e.denominator})")
+                parts.append(f"{p}^({num}/{den})")
         return " * ".join(parts)
 
     def __repr__(self) -> str:
@@ -198,32 +199,21 @@ def pi_product(g: Graph) -> FactorProduct:
     return FactorProduct.from_f_counts(counts, two_exp=g.iso_count())
 
 
-def _cleared_sides(diff: dict[int, Fraction]) -> tuple[int, int, int]:
-    """Clear denominators of an exponent difference; returns (L, lhs, rhs)
-    with lhs/rhs integers such that the original ratio compares as lhs vs rhs."""
-    denominators = [e.denominator for e in diff.values()]
-    L = lcm(*denominators) if denominators else 1
-    pos = 1
-    neg = 1
-    for p, e in diff.items():
-        k = int(e * L)
-        if k > 0:
-            pos *= p**k
-        elif k < 0:
-            neg *= p**-k
-    return L, pos, neg
-
-
 def compare_pure_products(p: FactorProduct, q: FactorProduct) -> Verdict:
-    """Exact ordering of two products; never Undecided."""
-    diff: dict[int, Fraction] = dict(p._exp)
+    """Exact ordering of two products; never Undecided.  Their ratio raised
+    to L, the least power that makes every exponent integral, is lhs / rhs:
+    integers, the primes of positive exponent against the others."""
+    diff = dict(p._exp)
     for prime, e in q._exp.items():
-        d = diff.get(prime, _ZERO) - e
-        if d:
-            diff[prime] = d
-        elif prime in diff:
-            del diff[prime]
-    L, lhs, rhs = _cleared_sides(diff)
+        diff[prime] = diff.get(prime, 0) - e
+    L = _SEARCH_DEN // gcd(_SEARCH_DEN, *diff.values())
+    lhs = rhs = 1
+    for prime, e in diff.items():
+        k = e * L // _SEARCH_DEN
+        if k > 0:
+            lhs *= prime**k
+        elif k < 0:
+            rhs *= prime**-k
     if lhs > rhs:
         outcome = Outcome.STRICTLY_GREATER
     elif lhs < rhs:
@@ -263,14 +253,12 @@ def certify_sum_inequality(
     """Certified comparison of a against b + c, reported as a Verdict; the
     whole-graph reference check uses it.
 
-    B/A and C/A become integer numerators over one common denominator and go
-    through certify_exponents, the decision procedure the searches use.
+    The numerators of B/A and C/A go through certify_exponents, the
+    decision procedure the searches use.
     """
-    den = lcm(_SEARCH_DEN, *(e.denominator for t in (a, b, c) for e in t._exp.values()))
-    ea, eb, ec = ({p: e.numerator * (den // e.denominator) for p, e in t._exp.items()}
-                  for t in (a, b, c))
-    x, y = (tuple((p, t.get(p, 0) - ea.get(p, 0)) for p in ea.keys() | t.keys()) for t in (eb, ec))
-    return sum_verdict(certify_exponents(x, y, precision_start, precision_cap, den),
+    ea = a._exp
+    x, y = (tuple((p, t.get(p, 0) - ea.get(p, 0)) for p in ea.keys() | t.keys()) for t in (b._exp, c._exp))
+    return sum_verdict(certify_exponents(x, y, precision_start, precision_cap),
                        equality_expected, a, (b, c))
 
 
@@ -328,21 +316,28 @@ def interval_strings(iv: Interval) -> list[str]:
 # the decision procedure
 #
 # certify_exponents takes the signed exponent numerators of B - A and C - A
-# over one denominator: the common factor cancels in the ratios.  The
-# products of the searches and is_good are 2^k * prod f(a,b)^m with a,b <= 5,
-# so their denominator is 3600 = lcm of all a*b.
+# over one denominator: the common factor cancels in the ratios.  Every
+# bound product is 2^k * prod f(a,b)^m, so that denominator is _SEARCH_DEN.
 
-_SEARCH_DEN = 3600
 _GREATER, _EQUAL, _LESS, _UNDECIDED = Outcome  # in definition order
 
 
 @functools.cache
-def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """f(a, b) as ((prime, exponent numerator over _SEARCH_DEN), ...)."""
-    if not (1 <= a <= MAX_DEGREE and 1 <= b <= MAX_DEGREE):
-        raise ValueError(f"search exponents need degrees in 1..{MAX_DEGREE}, got f{min(a, b), max(a, b)}")
+def _f_numerators(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """f(a, b) as ((prime, exponent numerator over _SEARCH_DEN), ...), for
+    degrees a, b >= 1 whose product divides _SEARCH_DEN (every a, b <= 6)."""
+    if a < 1 or b < 1 or _SEARCH_DEN % (a * b):
+        raise ValueError(f"f({a}, {b}) has no exponents over {_SEARCH_DEN}: degrees must be at least 1 "
+                         f"and a * b must divide {_SEARCH_DEN}, as it does for every a, b <= 6")
     step = _SEARCH_DEN // (a * b)
     return tuple((p, k * step) for p, k in factorize((1 << a) + (1 << b) - 1))
+
+
+def f_exponents(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """_f_numerators(a, b) for the degrees of a search, 1..MAX_DEGREE."""
+    if not (1 <= a <= MAX_DEGREE and 1 <= b <= MAX_DEGREE):
+        raise ValueError(f"search exponents need degrees in 1..{MAX_DEGREE}, got f{min(a, b), max(a, b)}")
+    return _f_numerators(a, b)
 
 
 def certify_exponents(
@@ -350,24 +345,23 @@ def certify_exponents(
     ey,
     precision_start: int = PRECISION_START,
     precision_cap: int = PRECISION_CAP,
-    den: int = _SEARCH_DEN,
 ) -> tuple[Outcome, str, int | None, tuple]:
     """Certified outcome of A >= B + C, decided as 1 against X + Y for
     X = B/A and Y = C/A, given as lists ex and ey of (prime, signed
-    numerator over den) pairs.  At each precision p from the start,
-    doubling up to the cap, X and Y are intervals.power_product's
+    numerator over _SEARCH_DEN) pairs.  At each precision p from the
+    start, doubling up to the cap, X and Y are intervals.power_product's
     intervals, in fixed point (to_fixed) at scale 2^-s, s = p + GUARD_BITS,
-    and the first sum that separates from 1 decides.  When one does not and
-    every numerator is a multiple of den, A, B and C divided by their
-    common factor compare as exact integers (the only route that may return
-    Equal).  Otherwise Undecided is returned at the cap, never a silent
-    pass.  Returns (outcome, method, precision, values): the three reduced
+    and the first sum that separates from 1 decides.  When one does not
+    and every numerator is a multiple of _SEARCH_DEN, A, B and C divided
+    by their common factor compare as exact integers (the only route that
+    may return Equal).  Otherwise Undecided is returned at the cap, never
+    a silent pass.  Returns (outcome, method, precision, values): the three reduced
     integers, or 2^s and the fixed-point bounds of X + Y."""
-    integral = all(num % den == 0 for _, num in (*ex, *ey))
+    integral = all(num % _SEARCH_DEN == 0 for _, num in (*ex, *ey))
     for prec in precision_schedule(precision_start, precision_cap):
         scale = prec + GUARD_BITS
-        lx, hx = intervals.to_fixed(intervals.power_product(ex, den, prec), scale)
-        ly, hy = intervals.to_fixed(intervals.power_product(ey, den, prec), scale)
+        lx, hx = intervals.to_fixed(intervals.power_product(ex, _SEARCH_DEN, prec), scale)
+        ly, hy = intervals.to_fixed(intervals.power_product(ey, _SEARCH_DEN, prec), scale)
         # Sound: the floor of the lower end and the ceiling of the upper end
         # only widen power_product's interval, so lo * 2^-scale <= X <= hi *
         # 2^-scale (the same for Y), and the sums bracket X + Y.
@@ -382,9 +376,9 @@ def certify_exponents(
             for p in ex.keys() | ey.keys():  # a, b and c minus min(a, b, c)
                 xp, yp = ex.get(p, 0), ey.get(p, 0)
                 m = min(0, xp, yp)
-                ia *= p ** (-m // den)
-                ib *= p ** ((xp - m) // den)
-                ic *= p ** ((yp - m) // den)
+                ia *= p ** (-m // _SEARCH_DEN)
+                ib *= p ** ((xp - m) // _SEARCH_DEN)
+                ic *= p ** ((yp - m) // _SEARCH_DEN)
             d = ia - (ib + ic)
             outcome = _GREATER if d > 0 else _EQUAL if d == 0 else _LESS
             return outcome, "exact", None, (ia, ib, ic)
@@ -619,7 +613,8 @@ class FFactReport(NamedTuple):
 
 
 def check_f_fact(delta: int) -> FFactReport:
-    """FFactReport of every case up to delta; exact, so any delta >= 2."""
+    """FFactReport of every case up to delta, 2 <= delta <= 6: exact, and
+    ValueError from delta 7 on, where some a * b does not divide _SEARCH_DEN."""
     if delta < 2:
         raise ValueError("delta must be at least 2")
     cases = []

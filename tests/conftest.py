@@ -92,18 +92,20 @@ def integral_keys(vec: int) -> bool:
 
 def exponent_product(exponents) -> FactorProduct:
     """The FactorProduct of (prime, numerator over 3600) pairs."""
-    return FactorProduct({p: Fraction(num, _SEARCH_DEN) for p, num in exponents if num})
+    return FactorProduct({p: num for p, num in exponents if num})
 
 
 def factor_by_factor_product(counts, two_exp: int = 0) -> FactorProduct:
     """The reference for FactorProduct.from_f_counts: 2^two_exp times each
     f(a, b)^m in turn, its base factorized and k m / (a b) added to the
-    prime's exponent as a Fraction, with no common denominator."""
+    prime's exponent as a Fraction, with no common denominator; each sum
+    must then be a numerator over 3600."""
     exp = {2: Fraction(two_exp)}
     for (a, b), m in counts.items():
         for p, k in intervals.factorize((1 << a) + (1 << b) - 1):
             exp[p] = exp.get(p, 0) + Fraction(k * m, a * b)
-    return FactorProduct({p: e for p, e in exp.items() if e})
+    assert all(_SEARCH_DEN % e.denominator == 0 for e in exp.values()), exp
+    return FactorProduct({p: int(e * _SEARCH_DEN) for p, e in exp.items() if e})
 
 
 def cycle(n: int) -> Graph:

@@ -129,8 +129,10 @@ def test_every_package_name_the_benchmark_uses_exists():
 
 
 # the standard-library modules a command must not load: dataclasses loads
-# inspect, ast, dis and tokenize, and each decorator execs generated code
-NEVER_STDLIB = ("dataclasses", "inspect")
+# inspect, ast, dis and tokenize, and each decorator execs generated code;
+# fractions loads decimal and numbers, and every exponent is an integer
+# numerator over products._SEARCH_DEN
+NEVER_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 
 # what a fresh interpreter loads of the package: after `import indbound.cli`,
 # then after main(argv), each as a sorted JSON list, with the modules of
@@ -156,8 +158,8 @@ _LOADED = textwrap.dedent("""
 def test_cli_imports_only_the_layers_its_command_runs(tmp_path, argv, loaded, never):
     # a run without cached bytecode compiles every module it imports, so
     # `import indbound.cli` loads no other module of the package, and each
-    # command loads the layers it runs and none of the others, nor
-    # dataclasses and what it imports
+    # command loads the layers it runs and none of the others, nor any
+    # module of NEVER_STDLIB
     (tmp_path / "k2.txt").write_text("n 2\n0 1\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, cwd=tmp_path,
@@ -173,7 +175,8 @@ def test_cli_imports_only_the_layers_its_command_runs(tmp_path, argv, loaded, ne
 
 
 def test_no_module_imports_dataclasses():
-    # the package's value types are NamedTuples and slotted classes
+    # nor any other module of NEVER_STDLIB: the package's value types are
+    # NamedTuples and slotted classes, and its exponents integers
     found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Import) and any(a.name.split(".")[0] in NEVER_STDLIB for a in node.names)

@@ -13,7 +13,7 @@ from conftest import (
 from indbound.goodness import goodness_vector, is_good, is_good_fullgraph
 from indbound.graphs import level_decomposition
 from indbound.local import LocalConfig, canonical_tuple, expand_appearances, leveled_canonical
-from indbound.products import _SEARCH_DEN, FactorProduct, Outcome
+from indbound.products import FactorProduct, Outcome
 from indbound.search import agg_vector, aggregate_of_config, config_outcome
 from indbound.selftest import random_bipartite_max_degree
 
@@ -75,7 +75,7 @@ def test_pad_level3_changes_e23_factor():
         )
         terms = vector_terms(agg_vector(aggregate_of_config(cfg)))
         for got, want in zip(terms, expected):
-            assert got == {p: int(e * _SEARCH_DEN) for p, e in want.exponents()}
+            assert got == dict(want.exponents())
 
 
 def test_config_goodness_examples():

@@ -56,7 +56,7 @@ def _product_of(p: FactorProduct, q: FactorProduct) -> FactorProduct:
 def test_product_merging_and_identity():
     p = FactorProduct.from_f_counts({(1, 3): 3})  # 9^(3/3) = 9 = 3^2
     assert p.is_integral() and p.as_integer() == 9
-    assert p == FactorProduct({3: Fraction(2)})
+    assert p == FactorProduct({3: 2 * _SEARCH_DEN})
     q = FactorProduct.from_f_counts({(1, 1): 2, (1, 3): -3})  # 3^2 / 9
     assert q == FactorProduct({})
 
@@ -132,24 +132,65 @@ def test_check_f_fact():
         assert check_f_fact(delta).passed
     with pytest.raises(ValueError):
         check_f_fact(1)
-    assert check_f_fact(MAX_DEGREE + 1).passed
+    # every a * b with a, b <= 6 divides 3600, the denominator of every
+    # exponent; 7 does not, and the error names 3600
+    report = check_f_fact(MAX_DEGREE + 1)
+    assert report.passed and len(report.cases) == 225
+    with pytest.raises(ValueError, match="3600"):
+        check_f_fact(7)
 
 
 def test_f_exponents_rejects_degrees_outside_one_to_five():
-    # 3600 / (a * b) must be exact, and f(0, b) has no exponent
+    # 3600 / (a * b) must be exact, and f(0, b) has no exponent; from_f_counts
+    # takes f(6, 6), a search does not
     assert f_exponents(5, 5) == ((3, 288), (7, 144))  # 63^(1/25) = 3^(2/25) 7^(1/25)
-    for a, b in ((1, 7), (3, 7), (2, 11), (0, 3)):
+    for a, b in ((1, 7), (3, 7), (2, 11), (0, 3), (6, 6), (1, 6)):
         with pytest.raises(ValueError):
             f_exponents(a, b)
+    assert FactorProduct.from_f_counts({(6, 6): 36}).as_integer() == 127
+    for a, b in ((1, 7), (0, 3)):
+        with pytest.raises(ValueError, match="3600"):
+            FactorProduct.from_f_counts({(a, b): 1})
+
+
+def test_str_reduces_each_exponent():
+    assert str(FactorProduct.from_f_counts({(5, 5): 1})) == "3^(2/25) * 7^(1/25)"
+    assert str(FactorProduct.from_f_counts({(1, 2): 1, (2, 2): -2}, 3)) == "2^3 * 5^(1/2) * 7^(-1/2)"
+    assert str(FactorProduct.from_f_counts({(1, 3): 3})) == "3^2"
+    assert str(FactorProduct.from_f_counts({(1, 1): 1})) == "3"
+    assert str(FactorProduct.from_f_counts({})) == "1"
+
+
+def test_value_interval_reads_the_reduced_exponents():
+    # the table is read at each exponent in lowest terms: 7^(900/3600) is
+    # the entry of 7^(1/4), not the 900th power of 7^(1/3600).  These
+    # products hold their primes in ascending order, the order
+    # value_interval multiplies them in
+    cases = [({(2, 2): 1}, 0), ({(5, 5): 1}, 0), ({(1, 3): 3}, 0),
+             ({(1, 2): 1, (2, 2): -2}, 3), ({(1, 4): -1}, 1)]
+    for counts, two_exp in cases:
+        p = FactorProduct.from_f_counts(counts, two_exp)
+        for prec in (8, 128):
+            work = prec + GUARD_BITS
+            pos = neg = intervals.exact(1)
+            for q, num in p.exponents():
+                e = Fraction(num, _SEARCH_DEN)
+                iv = intervals.prime_power_interval(q, abs(e.numerator), e.denominator, work)
+                if e > 0:
+                    pos = intervals.mul(pos, iv, work)
+                else:
+                    neg = intervals.mul(neg, iv, work)
+            want = pos if neg == intervals.exact(1) else intervals.div(pos, neg, work)
+            assert p.value_interval(prec) == intervals.round_to(want, prec), (counts, prec)
 
 
 def test_certify_sum_integer_identities():
-    three = FactorProduct({3: Fraction(1)})
-    two = FactorProduct({2: Fraction(1)})
+    three = FactorProduct({3: _SEARCH_DEN})
+    two = FactorProduct({2: _SEARCH_DEN})
     one = FactorProduct({})
     assert certify_sum_inequality(three, two, one).outcome == Outcome.EQUAL
-    seven = FactorProduct({7: Fraction(1)})
-    five = FactorProduct({5: Fraction(1)})
+    seven = FactorProduct({7: _SEARCH_DEN})
+    five = FactorProduct({5: _SEARCH_DEN})
     assert certify_sum_inequality(seven, five, two).outcome == Outcome.EQUAL
     # a strict sum with integral exponents is decided by the first interval
     # that separates it; only where none does, as at a 1-bit start, do the
@@ -187,17 +228,17 @@ def test_certify_sum_undecided_at_tiny_precision():
 
 def test_certify_cleared_equality_with_shared_irrational_factor():
     # K_{2,2} equality 7 = 5 + 2 multiplied through by the P4 product, and
-    # by a factor whose exponent denominator does not divide 3600
+    # by 13^(7/3600), a prime that is no base of an f(a, b)
     p4 = pi_product(path(4))
-    for shared in (p4, _product_of(p4, FactorProduct({13: Fraction(3, 49)}))):
-        a = _product_of(FactorProduct({7: Fraction(1)}), shared)
-        b = _product_of(FactorProduct({5: Fraction(1)}), shared)
-        c = _product_of(FactorProduct({2: Fraction(1)}), shared)
+    for shared in (p4, _product_of(p4, FactorProduct({13: 7}))):
+        a = _product_of(FactorProduct({7: _SEARCH_DEN}), shared)
+        b = _product_of(FactorProduct({5: _SEARCH_DEN}), shared)
+        c = _product_of(FactorProduct({2: _SEARCH_DEN}), shared)
         v = certify_sum_inequality(a, b, c, equality_expected=True)
         assert v.outcome == Outcome.EQUAL and v.method == "exact"
         assert v.detail["reduced_lhs"] == 7 and v.detail["reduced_rhs"] == [5, 2]
-        # 2^(48/49) < 2 leaves 7 > 5 + 2^(48/49), decided by intervals
-        v = certify_sum_inequality(a, b, _product_of(FactorProduct({2: Fraction(48, 49)}), shared))
+        # 2^(3599/3600) < 2 leaves 7 > 5 + 2^(3599/3600), decided by intervals
+        v = certify_sum_inequality(a, b, _product_of(FactorProduct({2: _SEARCH_DEN - 1}), shared))
         assert v.outcome == Outcome.STRICTLY_GREATER and v.method == "interval"
 
 
@@ -253,7 +294,7 @@ def test_compare_count_to_non_integral_product_is_never_equal():
     # agrees with it to float precision but is below it
     count = int(float(3**40) / 2)
     assert 2 * count < 3**40
-    v = compare_count_to_product(count, FactorProduct({3: Fraction(40), 2: Fraction(-1)}),
+    v = compare_count_to_product(count, FactorProduct({3: 40 * _SEARCH_DEN, 2: -_SEARCH_DEN}),
                                  precision_start=8)
     assert v.outcome == Outcome.STRICTLY_LESS and v.method == "interval"
 
@@ -270,7 +311,7 @@ def test_interval_soundness_brackets_integers():
     for _ in range(100):
         n = rng.randint(2, 40)
         k = rng.randint(1, 6)
-        p = FactorProduct({q: Fraction(e * k) for q, e in factorize(n)})
+        p = FactorProduct({q: e * k * _SEARCH_DEN for q, e in factorize(n)})
         iv = p.value_interval(256)
         assert contains_int(iv, n**k)
 
