@@ -1,17 +1,17 @@
 """Command-line driver.
 
 Subcommands:
-  verify-all         the full verification pipeline (factor fact, regular
-                     case, max-degree search, min-degree search + exceptional
-                     clearing, all at the given precision), emitting a JSON
-                     certificate
-  check              report ind(G), the bound product, the certified
-                     comparison and good-vertex probes for one graph file
-  export-exceptions  write the fourteen exceptional neighborhoods as DOT
-  selftest           the randomized cross-validation suites
+  verify-all  the full verification pipeline (factor fact, regular case,
+              max-degree search, min-degree search + exceptional clearing,
+              all at the given precision), emitting a JSON certificate;
+              with --dot DIR it also writes the fourteen exceptional
+              neighborhoods of stage 1 as DOT files
+  check       report ind(G), the bound product, the certified comparison
+              and good-vertex probes for one graph file
+  selftest    the randomized cross-validation suites
 
-Each subcommand takes only the flags it reads; --jobs is for verify-all and
-export-exceptions, --seed and --scale for selftest.
+Each subcommand takes only the flags it reads; --jobs and --dot are for
+verify-all, --seed and --scale for selftest.
 
 Exit codes: 0 pass, 1 fail, 2 undecided (a command that does not pass
 with some comparison left undecided), 4 a degree above five, and 3 for
@@ -32,11 +32,11 @@ the JSON schema may not.
 
 The module imports only the standard library, so `import indbound.cli`
 loads no other module of the package.  Each subcommand imports the layers
-it runs when it starts, before it times anything: verify-all and
-export-exceptions load products, search and reports and never goodness,
-counting or selftest; check loads the graph layers and goodness; selftest
-loads selftest.  main matches a failure only against the error classes of
-modules already loaded, since no other module can have raised one.
+it runs when it starts, before it times anything: verify-all loads
+products, search and reports and never goodness, counting or selftest;
+check loads the graph layers and goodness; selftest loads selftest.  main
+matches a failure only against the error classes of modules already
+loaded, since no other module can have raised one.
 """
 
 from __future__ import annotations
@@ -63,13 +63,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, jobs: bool) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     from .products import PRECISION_CAP, PRECISION_START
 
-    if jobs:  # main resolves the default, so that building the parser loads no search
-        p.add_argument("--jobs", type=int, default=None,
-                       help="processes that run the search shards, this one included "
-                            "(default: the CPUs this process may use)")
     p.add_argument("--precision-bits", type=int, default=PRECISION_START, help="interval precision start")
     p.add_argument("--precision-cap", type=int, default=PRECISION_CAP, help="interval precision cap")
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write a JSON report here")
@@ -89,16 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the searches to one statement")
     p.add_argument("--dot", dest="dot_dir", metavar="DIR",
                    help="also export exceptional patterns as DOT files")
-    _add_common(p, jobs=True)
+    # main resolves the default, so that building the parser loads no search
+    p.add_argument("--jobs", type=int, default=None,
+                   help="processes that run the search shards, this one included "
+                        "(default: the CPUs this process may use)")
+    _add_common(p)
 
     p = sub.add_parser("check", help="check one graph file")
     p.add_argument("--input", required=True, metavar="PATH", help="edge-list file")
-    _add_common(p, jobs=False)
-
-    p = sub.add_parser("export-exceptions", help="export the exceptional patterns as DOT")
-    p.add_argument("--dot", dest="dot_dir", default="exceptions", metavar="DIR",
-                   help="output directory (default: exceptions/)")
-    _add_common(p, jobs=True)
+    _add_common(p)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
     p.add_argument("--seed", type=int, default=0, help="seed of the randomized suites")
@@ -243,22 +238,6 @@ def _cmp_text(outcome) -> str:
     }[outcome]
 
 
-def _cmd_export_exceptions(args) -> int:
-    from .reports import export_exception_dots, write_json
-    from .search import verify_statement1_stage1
-
-    print("running the minimum-degree search to collect exceptional patterns...")
-    s1 = verify_statement1_stage1(jobs=args.jobs,
-                                  precision_start=args.precision_bits,
-                                  precision_cap=args.precision_cap)
-    written = export_exception_dots(s1.appearances, args.dot_dir)
-    print(f"wrote {len(written)} DOT files to {args.dot_dir}")
-    if args.json_path:
-        write_json({"files": [p.name for p in written], "appearances": len(s1.appearances)},
-                   args.json_path)
-    return _exit(s1.passed, s1.tally["undecided"])
-
-
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
@@ -312,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return {"verify-all": _cmd_verify_all, "check": _cmd_check,
-                "export-exceptions": _cmd_export_exceptions,
                 "selftest": _cmd_selftest}[args.subcommand](args)
     except _loaded("products.DegreeBoundError") as e:
         print(f"error: {e}", file=sys.stderr)

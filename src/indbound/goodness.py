@@ -10,15 +10,12 @@ builds the A/B/C lane vector with products.carried_piece, from
 products.root_piece and level2_piece, the pieces the searches and stage 2
 carry too: root_vector and level2_vector, each cached with its ratio_bounds
 at the start precision.  In the same pass carried_piece multiplies those
-bounds into upper bounds of X = B/A and Y = C/A, rounding up; is_good
-decides the vertex strict when their sum is below products.carried_limit,
-as the searches decide their leaves; a vertex the bounds leave (equal,
-failing or too close) is certified through vector_outcome.  Both routes
-give the same Verdict: below the limit, vector_outcome is strict by
-intervals at the start precision too, since it tries that interval before
-any exact route.  The direct whole-graph
-evaluation (is_good_fullgraph), its oracle, builds the three bound products
-and goes through certify_sum_inequality.
+bounds into upper bounds of X = B/A and Y = C/A, rounding up, and
+products.carried_outcome decides the piece, as stage 2 decides its
+completions: strict when the sum is below products.carried_limit, else
+through vector_outcome.  The direct whole-graph evaluation
+(is_good_fullgraph), its oracle, builds the three bound products and goes
+through certify_sum_inequality.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .products import (
     FactorProduct,
     Outcome,
     Verdict,
-    carried_limit,
+    carried_outcome,
     carried_piece,
     certify_sum_inequality,
     compare_count_to_product,
@@ -52,7 +49,6 @@ from .products import (
     pi_product,
     precision_schedule,
     sum_verdict,
-    vector_outcome,
 )
 
 
@@ -60,12 +56,12 @@ def goodness_vector(g: Graph, ld: LevelDecomposition,
                     prec: int = PRECISION_START) -> tuple[int, int, int]:
     """(vec, hx, hy): the A/B/C lane vector of the reduced inequality at
     ld.root and upper bounds of its X and Y at scale 2^-(prec + GUARD_BITS);
-    every degree of the component must be at most 5.  It is carried_piece of
-    the root and level-1 degrees and of one (b, down, up) per level-2
-    vertex, from the degrees of its level-1 and level-3 neighbors: vec is
-    root_vector plus the level2_vectors, and hx and hy multiply their
-    ratio_bounds at prec, every product rounded up, as the searches carry
-    theirs."""
+    every degree of the component must be at most MAX_DEGREE.  It is
+    carried_piece of the root and level-1 degrees and of one (b, down, up)
+    per level-2 vertex, from the degrees of its level-1 and level-3
+    neighbors: vec is root_vector plus the level2_vectors, and hx and hy
+    multiply their ratio_bounds at prec, every product rounded up, as the
+    searches carry theirs."""
     adj = g.adjacency
     dist = ld.dist
     l1 = adj[ld.root]
@@ -87,11 +83,9 @@ def is_good(
 ) -> Verdict:
     """Certified reduced goodness check; requires the component of x to be
     bipartite (non-bipartite graphs are handled by the double-cover lift)
-    with degrees at most 5.  The Verdict carries the outcome and, when
-    exact, the reduced integers, but not the three terms.  It is decided
-    strict when the carried bounds sum below carried_limit, with the route
-    and precision vector_outcome would report, and otherwise by
-    vector_outcome."""
+    with degrees at most MAX_DEGREE.  The Verdict carries the outcome and,
+    when exact, the reduced integers, but not the three terms: the
+    carried_outcome of the vertex's goodness_vector."""
     ld = level_decomposition(g, x)
     if max(map(len, g.adjacency)) > MAX_DEGREE:  # only then scan the component
         worst = max(len(g.adjacency[v]) for v in ld.dist)
@@ -99,12 +93,9 @@ def is_good(
             raise DegreeBoundError(f"component of vertex {x} has degree {worst}, "
                                    f"is_good needs <= {MAX_DEGREE}")
     precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any bound
-    vec, hx, hy = goodness_vector(g, ld, precision_start)
-    if hx + hy < carried_limit(precision_start):
-        certified = (Outcome.STRICTLY_GREATER, "interval", precision_start, ())
-    else:
-        certified = vector_outcome(vec, precision_start, precision_cap)
-    return sum_verdict(certified, decomposition_is_extremal(g, ld))
+    piece = goodness_vector(g, ld, precision_start)
+    return sum_verdict(carried_outcome(piece, precision_start, precision_cap),
+                       decomposition_is_extremal(g, ld))
 
 
 def is_good_fullgraph(g: Graph, x: int) -> Verdict:

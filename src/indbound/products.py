@@ -16,13 +16,14 @@ Comparisons are certified, never floating point:
     intervals.power_product at escalating precision, and by exact integers
     when an interval does not separate and the exponents are integral (no
     mantissa arithmetic is done here outside FactorProduct.value_interval).
-    The searches and goodness.is_good call it through vector_outcome on
-    A/B/C lane vectors, laid out below; both first compare upper bounds of
-    X and Y, carried down the searches' enumeration or over the level-2
-    vertices of is_good's root, with carried_limit: below it the sum is
-    strict at the start precision by intervals, the route certify_exponents
-    takes first, and the searches' enumeration counts what it decides.  The
-    whole-graph reference calls it through certify_sum_inequality;
+    The searches, stage 2 and goodness.is_good call it through
+    vector_outcome on A/B/C lane vectors, laid out below; all first compare
+    upper bounds of X and Y, carried down the searches' enumeration or
+    over the level-2 vertices of a root (carried_outcome), with
+    carried_limit: below it the sum is strict at the start precision by
+    intervals, the route certify_exponents takes first, and the searches'
+    enumeration counts what it decides.  The whole-graph reference calls
+    it through certify_sum_inequality;
   * Equal is only ever declared by an exact integer identity.
 """
 
@@ -584,6 +585,21 @@ def carried_limit(prec: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if mid + (mid << 2 >> prec) + 2 < one else (lo, mid)
     return hi
+
+
+def carried_outcome(
+    piece: tuple[int, int, int],
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+) -> tuple[Outcome, str, int | None, tuple]:
+    """vector_outcome's (outcome, method, precision, values) of a carried
+    piece (vec, hx, hy): strict by intervals at precision_start when hx + hy
+    is below carried_limit(precision_start), as vector_outcome would report
+    it (see carried_limit), else vector_outcome(vec)."""
+    vec, hx, hy = piece
+    if hx + hy < carried_limit(precision_start):
+        return Outcome.STRICTLY_GREATER, "interval", precision_start, ()
+    return vector_outcome(vec, precision_start, precision_cap)
 
 
 class FFactReport(NamedTuple):

@@ -23,21 +23,21 @@ record-multiset enumerator, each with its A/B/C exponent vector and upper
 bounds of its ratios X = B/A and Y = C/A, carried as the product of the
 root's and each level-2 record's bounds.  The vectors and bounds are the
 pieces is_good carries, products.root_piece and level2_piece, cached once
-per process.  The enumeration is the one place a search decides from
-carried bounds: it counts the aggregates whose bounds sum below
-products.carried_limit, strict by intervals at the start precision, a leaf
-at a time and most of them in whole subtrees it does not enter, and returns
-the others, which vector_outcome decides, with that count.  Stage 2 decides
-each distinct completion the same way, from products.carried_piece of its
-root and records, and sends the rest to config_outcome.  Every
-aggregate is realizable by a simple bipartite graph, so certified
-aggregates and concrete configurations cover each other exactly.  A shard
-returns its rare equal, failing and undecided aggregates themselves, which
-the parent expands into canonical labeled configurations for the report and
-for stage 2; its Equal aggregates must be exactly its extremal one
-(extremal_aggregate), if it has one.  The labeled per-vertex model, which
-the aggregation is checked against, is built only in the tests
-(tests/test_search.py).
+per process.  The enumeration counts the aggregates whose bounds sum
+below products.carried_limit, strict by intervals at the start precision,
+a leaf at a time and most of them in whole subtrees it does not enter, and
+returns the others, which vector_outcome decides, with that count; the
+shard tallies the count with the route products.carried_outcome gives
+below the limit.  Stage 2 decides each distinct completion by
+carried_outcome of the carried_piece of its root and records, as is_good
+decides a vertex.  Every aggregate is realizable by a simple bipartite
+graph, so certified aggregates and concrete configurations cover each
+other exactly.  A shard returns its rare equal, failing and undecided
+aggregates themselves, which the parent expands into canonical labeled
+configurations for the report and for stage 2; its Equal aggregates must be
+exactly its extremal one (extremal_aggregate), if it has one.  The labeled
+per-vertex model, which the aggregation is checked against, is built only
+in the tests (tests/conftest.py, tests/test_search.py).
 
 A search shard is (delta_eff, lo, d0, degrees, precision_start,
 precision_cap): root degree d0, level-1 degree multiset degrees, level-1 and
@@ -77,12 +77,11 @@ from .products import (
     PRECISION_START,
     Outcome,
     carried_limit,
+    carried_outcome,
     carried_piece,
     level2_piece,
-    level2_vector,
     precision_schedule,
     root_piece,
-    root_vector,
     vector_outcome,
 )
 from .reference import expected_appearance_keys
@@ -150,14 +149,6 @@ def _record_degrees(delta_eff: int, class_degrees, b: int,
     return b, down, (delta_eff,) * (b - len(down))
 
 
-def agg_vector(agg: AggConfig) -> int:
-    """The A/B/C exponent vector of an aggregate."""
-    vec = root_vector(agg.d0, agg.degree_multiset())
-    for (b, cvec), cnt in agg.records:
-        vec += cnt * level2_vector(*_record_degrees(agg.delta_eff, agg.class_degrees, b, cvec))
-    return vec
-
-
 def _shard_enumeration(
     delta_eff: int, lo: int, d0: int, degrees: tuple[int, ...],
     precision: int = PRECISION_START,
@@ -194,29 +185,6 @@ def _shard_enumeration(
     return record_multisets(quotas, class_sizes, lo, delta_eff, piece,
                             root_piece(d0, degrees, precision), precision + GUARD_BITS,
                             carried_limit(precision) if limit is None else limit)
-
-
-def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
-    """The degree-class aggregate a labeled configuration belongs to."""
-    class_of = {d: i for i, d in enumerate(sorted(set(cfg.l1_degrees), reverse=True))}
-    counted: dict[tuple[int, tuple[int, ...]], int] = {}
-    for b, nbrs in cfg.l2:
-        cvec = [0] * len(class_of)
-        for u in nbrs:
-            cvec[class_of[cfg.l1_degrees[u]]] += 1
-        key = (b, tuple(cvec))
-        counted[key] = counted.get(key, 0) + 1
-    return AggConfig.of(cfg.delta_eff, cfg.d0, cfg.l1_degrees, counted.items())
-
-
-def config_outcome(
-    cfg: LocalConfig,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> tuple[Outcome, str, int | None, tuple]:
-    """vector_outcome of the reduced inequality for a labeled
-    configuration, through the vector of its aggregate."""
-    return vector_outcome(agg_vector(aggregate_of_config(cfg)), precision_start, precision_cap)
 
 
 def labeled_configs_for_aggregate(agg: AggConfig) -> list[LocalConfig]:
@@ -331,10 +299,11 @@ def _agg_search_shard(args) -> ShardResult:
         result.add(outcome, method, precision, agg)
         if outcome is Outcome.EQUAL:
             equal.add(agg)
-    # vector_outcome would give each of them the same route: it tries the
-    # interval at the start precision before any exact route
+    # each gets the route carried_outcome gives every piece below the limit,
+    # such as one whose bounds sum to 0
     if carried:
-        result.add(Outcome.STRICTLY_GREATER, "interval", precision_start, None, carried)
+        outcome, method, precision, _ = carried_outcome((0, 0, 0), precision_start, precision_cap)
+        result.add(outcome, method, precision, None, carried)
     # equality must hold on the extremal aggregate and nowhere else
     result.inconsistencies.extend(equal ^ ({extremal_aggregate(delta_eff, d0, degrees)} - {None}))
     result.raw = sum(result.tally.values())
@@ -737,9 +706,9 @@ def stage2_completions(pattern: LocalConfig, x1_index: int) -> Iterator[LocalCon
 
 
 def _completion_piece(cfg: LocalConfig, prec: int) -> tuple[int, int, int]:
-    """carried_piece of a labeled configuration at prec: the vector of its
-    aggregate (agg_vector, level 3 padded to delta_eff) with the carried
-    upper bounds of its X and Y, as is_good carries a vertex's."""
+    """carried_piece of a labeled configuration at prec: its A/B/C vector,
+    level 3 padded to delta_eff, with the carried upper bounds of its X and
+    Y, as is_good carries a vertex's."""
     degrees = cfg.l1_degrees
     level2 = ((b, tuple(sorted((degrees[u] for u in nbrs), reverse=True)),
                (cfg.delta_eff,) * (b - len(nbrs))) for b, nbrs in cfg.l2)
@@ -747,25 +716,20 @@ def _completion_piece(cfg: LocalConfig, prec: int) -> tuple[int, int, int]:
 
 
 def _stage2_shard(args) -> ShardResult:
-    """Certify the distinct completions of one rooting: strict by intervals
-    at the start precision when their carried bounds sum below
-    carried_limit, as is_good and the searches decide, else config_outcome."""
+    """Certify the distinct completions of one rooting, each by
+    carried_outcome of its _completion_piece, as is_good decides a vertex."""
     pattern, x1_index, precision_start, precision_cap = args
     result = ShardResult()
     seen = set()
-    limit = carried_limit(precision_start)
     for cfg in stage2_completions(pattern, x1_index):
         result.raw += 1
         key = canonical_tuple(cfg)
         if key in seen:
             continue
         seen.add(key)
-        _, hx, hy = _completion_piece(cfg, precision_start)
-        if hx + hy < limit:
-            result.add(Outcome.STRICTLY_GREATER, "interval", precision_start, cfg)
-        else:
-            outcome, method, precision, _ = config_outcome(cfg, precision_start, precision_cap)
-            result.add(outcome, method, precision, cfg)
+        outcome, method, precision, _ = carried_outcome(_completion_piece(cfg, precision_start),
+                                                        precision_start, precision_cap)
+        result.add(outcome, method, precision, cfg)
     return result
 
 
@@ -776,16 +740,18 @@ def verify_statement1_stage2(
 ) -> SearchReport:
     """For every exceptional pattern and every neighbor of its root, certify
     that the neighbor is strictly good in every consistent completion.
-    Equality anywhere is a failure here.  The rootings run in the calling
-    process, whatever the default job count: the whole stage takes about
-    5 ms, too little for a forked lane to shorten."""
+    PASS means no failing, equal or undecided completion: equality anywhere
+    is a failure here, and no patterns leave nothing to clear.  The
+    rootings run in the calling process, whatever the default job count:
+    the whole stage takes about 5 ms, too little for a forked lane to
+    shorten."""
     precision_schedule(precision_start, precision_cap)  # rejects a bad schedule before any rooting
     t0 = time.monotonic()
     shards = [(pattern, x1, precision_start, precision_cap)
               for pattern in exceptions for x1 in range(pattern.d0)]
     merged = _run_shards(shards, _stage2_shard, 1)
     tally = merged.tally
-    passed = tally["strict"] > 0 and not (tally["failing"] or tally["equal"] or tally["undecided"])
+    passed = not (tally["failing"] or tally["equal"] or tally["undecided"])
     # equality counts as failure for stage 2, so surface Equal configs too
     problems = _sorted_unique(merged.configs["failing"] + merged.configs["equal"])
     return _report("statement1_stage2", MAX_DEGREE, "pattern_neighbor_root", merged, t0, passed,

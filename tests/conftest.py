@@ -15,11 +15,22 @@ import pytest
 from indbound import intervals
 from indbound.graphs import Graph, from_edges, level_decomposition
 from indbound.local import LocalConfig, canonical_tuple
-from indbound.products import _LANE_PRIMES, _SEARCH_DEN, FactorProduct, key_exponents, ratio_keys
+from indbound.products import (
+    _LANE_PRIMES,
+    _SEARCH_DEN,
+    PRECISION_CAP,
+    PRECISION_START,
+    FactorProduct,
+    Outcome,
+    key_exponents,
+    level2_vector,
+    ratio_keys,
+    root_vector,
+    vector_outcome,
+)
 from indbound.search import (
     AggConfig,
     _shard_enumeration,
-    aggregate_of_config,
     default_jobs,
     extremal_aggregate,
     verify_statement1_stage1,
@@ -210,6 +221,41 @@ def validate_config(cfg: LocalConfig) -> None:
 
 def canonical_config(cfg: LocalConfig) -> LocalConfig:
     return LocalConfig(*canonical_tuple(cfg))
+
+
+def agg_vector(agg: AggConfig) -> int:
+    """The A/B/C exponent vector of an aggregate, level 3 padded to
+    delta_eff: the searches' vector, summed record by record here."""
+    vec = root_vector(agg.d0, agg.degree_multiset())
+    for (b, cvec), cnt in agg.records:
+        down = tuple(d for d, c in zip(agg.class_degrees, cvec) for _ in range(c))
+        vec += cnt * level2_vector(b, down, (agg.delta_eff,) * (b - len(down)))
+    return vec
+
+
+def aggregate_of_config(cfg: LocalConfig) -> AggConfig:
+    """The degree-class aggregate a labeled configuration belongs to."""
+    class_of = {d: i for i, d in enumerate(sorted(set(cfg.l1_degrees), reverse=True))}
+    counted: dict[tuple[int, tuple[int, ...]], int] = {}
+    for b, nbrs in cfg.l2:
+        cvec = [0] * len(class_of)
+        for u in nbrs:
+            cvec[class_of[cfg.l1_degrees[u]]] += 1
+        key = (b, tuple(cvec))
+        counted[key] = counted.get(key, 0) + 1
+    return AggConfig.of(cfg.delta_eff, cfg.d0, cfg.l1_degrees, counted.items())
+
+
+def config_outcome(
+    cfg: LocalConfig,
+    precision_start: int = PRECISION_START,
+    precision_cap: int = PRECISION_CAP,
+) -> tuple[Outcome, str, int | None, tuple]:
+    """vector_outcome of the reduced inequality for a labeled
+    configuration, through the vector of its aggregate: the reference the
+    carried routes of the searches, stage 2 and is_good are checked
+    against."""
+    return vector_outcome(agg_vector(aggregate_of_config(cfg)), precision_start, precision_cap)
 
 
 def config_is_extremal(cfg: LocalConfig) -> bool:

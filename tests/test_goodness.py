@@ -214,11 +214,11 @@ def test_is_good_decides_from_bounds_only_below_the_limit(monkeypatch):
         asked.append(vec)
         return vector_outcome(vec, *args)
 
-    monkeypatch.setattr(goodness, "vector_outcome", spy)
+    monkeypatch.setattr(products, "vector_outcome", spy)
     verdicts = []
     for limit, calls in ((hx + hy, 1), (hx + hy + 1, 0)):
         asked.clear()
-        monkeypatch.setattr(goodness, "carried_limit", lambda prec: limit)
+        monkeypatch.setattr(products, "carried_limit", lambda prec: limit)
         verdicts.append(is_good(g, 3))
         assert len(asked) == calls, limit
     assert verdicts[0] == verdicts[1]

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from conftest import (
+    agg_vector,
+    aggregate_of_config,
     canonical_config,
     config_is_extremal,
+    config_outcome,
     extract_config,
     realize_config,
     validate_config,
@@ -14,7 +17,6 @@ from indbound.goodness import goodness_vector, is_good, is_good_fullgraph
 from indbound.graphs import level_decomposition
 from indbound.local import LocalConfig, canonical_tuple, expand_appearances, leveled_canonical
 from indbound.products import FactorProduct, Outcome
-from indbound.search import agg_vector, aggregate_of_config, config_outcome
 from indbound.selftest import random_bipartite_max_degree
 
 FIG1_CONFIG = LocalConfig(4, 1, (2,), ((2, (0,)),))

@@ -1,15 +1,11 @@
 import itertools
 
-from conftest import complete_bipartite, cycle, shard_aggregates, validate_config
+from conftest import complete_bipartite, config_outcome, cycle, shard_aggregates, validate_config
 from indbound.goodness import is_good
 from indbound.graphs import from_edges
 from indbound.local import LocalConfig
 from indbound.products import Outcome, vector_outcome
-from indbound.search import (
-    config_outcome,
-    regular_profile,
-    verify_regular,
-)
+from indbound.search import regular_profile, verify_regular
 
 # The oracle for the d-regular shard, sharing no code with the search: at a
 # vertex of a d-regular bipartite graph the reduced inequality is

@@ -100,18 +100,6 @@ def test_dot_export_idempotent(tmp_path):
     assert text.startswith("graph exception_01") and "rank=same" in text
 
 
-def test_cli_dot_files_of_verify_all_and_export_exceptions_agree(tmp_path, capsys):
-    # verify-all writes the DOT files of its own stage 1, byte for byte the
-    # fourteen that export-exceptions writes
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["verify-all", "--statement", "1", "--jobs", "1", "--dot", str(a)]) == 0
-    assert main(["export-exceptions", "--jobs", "1", "--dot", str(b)]) == 0
-    assert capsys.readouterr().out.count("wrote 14 DOT files") == 2
-    names = sorted(p.name for p in a.iterdir())
-    assert len(names) == 14 and names == sorted(p.name for p in b.iterdir())
-    assert all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
-
-
 def test_appearance_dot_levels():
     ap = expand_appearances(FAILING_PATTERNS[0][0])[0]
     dot = appearance_to_dot(ap, "x")
@@ -157,6 +145,16 @@ def test_cli_verify_all_undecided_exit_at_tiny_precision(tmp_path):
     assert stage1["precision_stats"] == {"exact": 15, "interval_8": 103_221}
     assert stripped_digest(json.loads(j.read_text())) == \
         "f341defc77ddb99d736a8ec65db6cdc6d1a7934b1f1be82ab752712fd6872c5e"
+
+
+def test_cli_verify_all_dot_undecided_exit_at_tiny_precision(tmp_path, capsys):
+    # the same undecided stage 1 exits 2 with --dot too, after writing the
+    # DOT files of the failing patterns it did certify; a run of its own,
+    # since dot_dir is in the certificate the pinned run hashes
+    code = main(["verify-all", "--statement", "1", "--jobs", "1", "--dot", str(tmp_path / "dots"),
+                 "--precision-bits", "8", "--precision-cap", "8"])
+    assert "wrote 1 DOT files" in capsys.readouterr().out
+    assert code == 2
 
 
 @pytest.mark.parametrize("statement, digest", [
@@ -327,15 +325,6 @@ def test_cli_interrupt_stops_the_worker_lanes():
         os.killpg(child.pid, 0)
 
 
-def test_cli_export_exceptions_undecided_exit_at_tiny_precision(tmp_path, capsys):
-    # the same undecided stage 1 exits 2 from export-exceptions too, after
-    # writing the DOT files of the failing patterns it did certify
-    code = main(["export-exceptions", "--dot", str(tmp_path / "dots"), "--jobs", "1",
-                 "--precision-bits", "8", "--precision-cap", "8"])
-    assert "wrote 1 DOT files" in capsys.readouterr().out
-    assert code == 2
-
-
 @pytest.mark.parametrize("text, digest", [
     (FIG1_TEXT, "259e309c97ab4786cbc00b64180c6372b9ed8e16d05949008ce0a859f6511e9c"),
     ("n 4\n0 2\n0 3\n1 2\n1 3\n", "19474bd96293c39720534a0f0a333205f436615766593fc68aa387b63256fc4d"),
@@ -398,7 +387,6 @@ def test_cli_rejects_precision_below_one_bit(tmp_path, capsys):
                  ["check", "--input", str(p), "--precision-bits", "9", "--precision-cap", "3"],
                  ["verify-all", "--delta", "2", "--jobs", "0"],
                  ["verify-all", "--delta", "2", "--jobs", "-1"],
-                 ["export-exceptions", "--jobs", "0"],
                  # stage 1 alone finds what --dot writes, and neither run has it
                  ["verify-all", "--statement", "2", "--delta", "3", "--jobs", "1",
                   "--dot", str(tmp_path / "dd")],
@@ -417,10 +405,9 @@ def test_cli_rejects_precision_below_one_bit(tmp_path, capsys):
     ["verify-all", "--delta", "2", "--json", "{file}/out.json"],
     ["selftest", "--scale", "0.001", "--json", "{dir}"],
     ["verify-all", "--statement", "1", "--jobs", "1", "--dot", "{file}"],
-    ["export-exceptions", "--jobs", "1", "--dot", "{file}"],
-    ["export-exceptions", "--jobs", "1", "--dot", "{file}/dots"],
+    ["verify-all", "--statement", "1", "--jobs", "1", "--dot", "{file}/dots"],
 ], ids=["check-json", "check-json-no-parent", "verify-all-json", "verify-all-json-in-file",
-        "selftest-json", "verify-all-dot", "export-exceptions-dot", "export-exceptions-dot-in-file"])
+        "selftest-json", "verify-all-dot", "verify-all-dot-in-file"])
 def test_cli_unwritable_output_is_an_error(tmp_path, capsys, argv):
     # a --json path that is a directory or not in one, or a --dot directory
     # that is a file or under one, exits 3 with `error: ...` before any work:
@@ -436,9 +423,11 @@ def test_cli_unwritable_output_is_an_error(tmp_path, capsys, argv):
 
 
 def test_cli_usage_error_exits_3_not_undecided(capsys):
-    # a subcommand rejects the flags it does not read
+    # a subcommand rejects the flags it does not read; there is no
+    # export-exceptions, since verify-all --dot writes the DOT files
     for argv in (["verify-all", "--jobs", "x"], ["check"], ["bogus"], ["selftest", "--jobs", "2"],
-                 ["check", "--input", "g.txt", "--seed", "1"], ["verify-all", "--seed", "1"]):
+                 ["check", "--input", "g.txt", "--seed", "1"], ["verify-all", "--seed", "1"],
+                 ["check", "--input", "g.txt", "--jobs", "1"], ["export-exceptions"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3

@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    agg_vector,
+    aggregate_of_config,
     config_is_extremal,
+    config_outcome,
     exponent_product,
     extract_config,
     integral_keys,
@@ -57,9 +60,6 @@ from indbound.search import (
     _agg_search_shard,
     _completion_piece,
     _shard_enumeration,
-    agg_vector,
-    aggregate_of_config,
-    config_outcome,
     default_jobs,
     degree_tuples,
     extremal_aggregate,
@@ -1321,6 +1321,16 @@ def test_stage2_on_known_patterns():
     assert report.configs_after_dedup == 129
 
 
+def test_stage2_without_patterns_passes():
+    # no pattern leaves nothing to clear: no failing, equal or undecided
+    # completion, so the empty stage passes with nothing tallied
+    report = verify_statement1_stage2([])
+    assert report.passed and report.to_json()["verdict"] == "PASS"
+    assert report.tally == {"strict": 0, "equal": 0, "failing": 0, "undecided": 0}
+    assert report.configs_enumerated == 0 and report.precision_stats == {}
+    assert report.extra["patterns"] == 0 and report.extra["rootings"] == 0
+
+
 @pytest.mark.parametrize("start, stats", [
     (128, {("interval", 128): 129}),
     (8, {("interval", 8): 122, ("interval", 16): 7}),
@@ -1343,7 +1353,7 @@ def test_stage2_decides_from_carried_pieces_only_below_the_limit(monkeypatch, st
     # one vector_outcome decides strict by intervals at the start precision,
     # through the vector of its aggregate, so the shard may tally it so
     # without asking.  At a limit equal to one completion's hx + hy the
-    # shard must ask config_outcome about it, and at one above it must not
+    # shard must ask vector_outcome about it, and at one above it must not
     below = []
     for pattern, _ in FAILING_PATTERNS:
         for x1 in range(pattern.d0):
@@ -1358,21 +1368,21 @@ def test_stage2_decides_from_carried_pieces_only_below_the_limit(monkeypatch, st
                 if hx + hy < carried_limit(start):
                     assert vector_outcome(vec, start)[:3] == \
                         (Outcome.STRICTLY_GREATER, "interval", start)
-                    below.append((pattern, x1, key, hx + hy))
+                    below.append((pattern, x1, vec, hx + hy))
     assert len(below) == carried
-    pattern, x1, key, h = below[-1]
-    asked, real = [], search.config_outcome
+    pattern, x1, vec, h = below[-1]
+    asked = []
 
-    def spy(cfg, *args):
-        asked.append(canonical_tuple(cfg))
-        return real(cfg, *args)
+    def spy(v, *args):
+        asked.append(v)
+        return vector_outcome(v, *args)
 
-    monkeypatch.setattr(search, "config_outcome", spy)
+    monkeypatch.setattr(products, "vector_outcome", spy)
     for limit, asks in ((h, True), (h + 1, False)):
-        monkeypatch.setattr(search, "carried_limit", lambda prec, limit=limit: limit)
+        monkeypatch.setattr(products, "carried_limit", lambda prec, limit=limit: limit)
         asked.clear()
         shard = search._stage2_shard((pattern, x1, start, PRECISION_CAP))
-        assert (key in asked) is asks, limit - h
+        assert (vec in asked) is asks, limit - h
         assert shard.tally["strict"] == sum(shard.tally.values())
 
 
